@@ -79,6 +79,8 @@ class RunConfig:
             raise UsageError(f"unknown suite {self.suite!r}")
         if self.threads < 1:
             raise UsageError("threads must be >= 1")
+        if self.grid is not None and (self.grid < 1 or self.grid & (self.grid - 1)):
+            raise UsageError(f"grid={self.grid} is not a power of two")
         if self.command != "verify":
             if self.N is None:
                 raise UsageError(f"{self.command} requires --N")

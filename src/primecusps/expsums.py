@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import PrimeContext
+from .arith import CapacityError, PrimeContext
 
 TWO_PI = 2.0 * np.pi
 
@@ -53,6 +53,8 @@ class PrimeSubset:
 def _range_primes(ctx: PrimeContext, N: int, pmin=None) -> np.ndarray:
     if N < 100:
         raise ValueError(f"N={N} must be >= 100")
+    if N > ctx.limit:
+        raise CapacityError(f"N={N} exceeds prime table limit {ctx.limit}")
     ps = ctx.primes_below(N + 1)
     if pmin is None:
         keep = ps.astype(np.int64) ** 2 >= N
@@ -86,6 +88,52 @@ def subset_random(ctx: PrimeContext, N: int, density: float = 0.5,
 
 def exp_sum_at(subset: PrimeSubset, alpha: float) -> complex:
     return complex(np.exp(TWO_PI * 1j * alpha * subset.members).sum())
+
+
+#: samples per chirp-z block; each block costs FFTs of length >= N + block
+PROGRESSION_BLOCK = 1 << 15
+
+
+def exp_sums_on_progression(subset: PrimeSubset, j0: int, step: int, Q: int,
+                            K: int) -> np.ndarray:
+    """T*((j0 + step k)/Q) for 0 <= k < K by Bluestein's chirp-z transform.
+
+    With W = e(step/Q), p k = (p^2 + k^2 - (k - p)^2)/2 turns the sum into
+    W^(k^2/2) sum_p [e(p j0/Q) W^(p^2/2)] W^(-(k-p)^2/2): one FFT
+    convolution per block of at most PROGRESSION_BLOCK samples, so memory
+    stays O(N + block).  Every phase is reduced exactly in int64 to a
+    multiple of 1/(2Q) before exp rounds it, so the error does not grow
+    with j0 or k.
+    """
+    j0, step, Q, K = int(j0), int(step), int(Q), int(K)
+    if Q < 1:
+        raise ValueError(f"Q={Q} must be >= 1")
+    if K < 0:
+        raise ValueError(f"K={K} must be >= 0")
+    N = subset.N
+    block = min(K, PROGRESSION_BLOCK)
+    if 2 * Q * (N + block) >= 1 << 63:
+        raise CapacityError(f"phases mod 2Q={2 * Q} at N={N} overflow int64")
+    out = np.empty(K, dtype=complex)
+    if K == 0:
+        return out
+    Q2 = 2 * Q
+    m = np.arange(max(N + 1, block), dtype=np.int64)
+    chirp = (step % Q * m % Q2) * m % Q2        # step m^2 mod 2Q
+    L = 1 << (N + block - 1).bit_length()       # L >= N + block: no aliasing
+    kernel = np.zeros(L, dtype=complex)
+    kernel[:block] = np.exp(-TWO_PI * 1j * (chirp[:block] / Q2))
+    kernel[L - N:] = np.exp(-TWO_PI * 1j * (chirp[N:0:-1] / Q2))
+    kernel = np.fft.fft(kernel)
+    P = subset.members
+    for b in range(0, K, block):
+        kb = min(block, K - b)
+        jb = (j0 + step * b) % Q
+        u = np.zeros(L, dtype=complex)
+        u[P] = np.exp(TWO_PI * 1j * (((2 * (P * jb % Q) + chirp[P]) % Q2) / Q2))
+        conv = np.fft.ifft(np.fft.fft(u) * kernel)[:kb]
+        out[b : b + kb] = np.exp(TWO_PI * 1j * (chirp[:kb] / Q2)) * conv
+    return out
 
 
 @dataclass(frozen=True)

@@ -108,7 +108,9 @@ def build_weights(ctx: PrimeContext, params: SieveParams,
     for q, mu, phi in _key_products(primes, zf * zf, cap):
         w[q] = Fraction(mu, phi) * g_bracket(ctx, q, zf, z0, tau) / Gsq
 
-    assert lam[1] == 1 and w[1] * G == 1
+    if lam[1] != 1 or w[1] * G != 1:
+        raise ArithmeticError(f"weights not normalized: lambda_1 = {lam[1]}, "
+                              f"w_1 G = {w[1] * G}")
     if params.mode == "floating":
         # float tables: fine for array work, but the exact-equality
         # oracles refuse them
@@ -148,7 +150,9 @@ def alpha_local(ctx: PrimeContext, weights: SieveWeights, n: int) -> Fraction:
     for q in weights.lam:
         acc += Fraction(ctx.mobius(q), ctx.euler_phi(q)) * ctx.ramanujan_sum(q, n)
     expansion = acc / weights.G_val
-    assert direct == expansion, f"local weight mismatch at n={n}"
+    if direct != expansion:
+        raise ArithmeticError(f"local weight mismatch at n={n}: "
+                              f"{direct} != {expansion}")
     return direct
 
 

@@ -17,8 +17,9 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import PrimeContext, circle_distance
-from .cusps import CuspReport, find_cusps
-from .expsums import PrimeSubset, SpectrumGrid, exp_sum_at
+from .cusps import REEVAL_TOL, CuspReport, find_cusps
+from .expsums import (PrimeSubset, SpectrumGrid, exp_sum_at,
+                      exp_sums_on_progression)
 from .report import CheckRow, FLOAT_SLACK, leq_row, na_row
 
 #: samples per cover interval when hunting the interval maximum
@@ -54,30 +55,14 @@ class BohrSet:
         return len(self.elements)
 
 
-def _eval_many(subset: PrimeSubset, alphas) -> np.ndarray:
-    out = np.empty(len(alphas), dtype=complex)
-    for i, a in enumerate(alphas):
-        out[i] = exp_sum_at(subset, a % 1.0)
-    return out
+def _sample_position(a_idx: int, s: int, Nprime: int) -> float:
+    """Sample s of cover interval a_idx: (a_idx + (s + 1/2)/S)/Nprime."""
+    return a_idx / Nprime + (s + 0.5) / INTERVAL_SAMPLES / Nprime
 
 
-def build_cover(grid: SpectrumGrid, A: float, report: CuspReport = None) -> Cover:
-    """Select the interval representatives of the cusp set.
-
-    The circle is cut into Nprime = 240 A N intervals, in an even and an
-    odd family.  Only intervals meeting a detected arc (or holding one of
-    its peaks) can reach the threshold, so sampling is confined to those;
-    each kept interval contributes its maximizing sample.
-    """
-    subset = grid.subset
-    if report is None:
-        report = find_cusps(grid, A)
-    N = subset.N
-    Nprime = int(round(240 * A * N))
-    eps = 1.0 / (240.0 * A)
-    T0 = float(subset.size)
-    threshold = T0 / A
-
+def _cover_candidates(report: CuspReport, Nprime: int) -> dict[int, list[float]]:
+    """Interval index -> extra positions (peaks, well-spaced cusps) for
+    every interval meeting a detected arc or holding one of its points."""
     candidates: dict[int, list[float]] = {}
 
     def touch(a_idx: int, extra: float = None):
@@ -93,18 +78,58 @@ def build_cover(grid: SpectrumGrid, A: float, report: CuspReport = None) -> Cove
         touch(int(math.floor(arc.peak.position * Nprime)), arc.peak.position)
     for pt in report.wellspaced:
         touch(int(math.floor(pt.position * Nprime)), pt.position)
+    return candidates
 
+
+def _interval_samples(subset: PrimeSubset, idx, Nprime: int) -> np.ndarray:
+    """T* at the INTERVAL_SAMPLES samples of each interval in the ascending
+    index list idx, shape (len(idx), S).  Sample s of interval a is
+    (2S a + 2s + 1)/(2S Nprime), so each run of consecutive intervals is
+    one arithmetic progression with step 2, evaluated by chirp-z."""
+    S = INTERVAL_SAMPLES
+    idx = np.asarray(idx, dtype=np.int64)
+    out = np.empty((len(idx), S), dtype=complex)
+    starts = np.flatnonzero(np.diff(idx, prepend=-2) != 1)
+    for lo, hi in zip(starts, np.append(starts[1:], len(idx))):
+        out[lo:hi] = exp_sums_on_progression(
+            subset, 2 * S * int(idx[lo]) + 1, 2, 2 * S * Nprime,
+            S * (hi - lo)).reshape(-1, S)
+    return out
+
+
+def build_cover(grid: SpectrumGrid, A: float, report: CuspReport = None) -> Cover:
+    """Select the interval representatives of the cusp set.
+
+    The circle is cut into Nprime = 240 A N intervals, in an even and an
+    odd family.  Only intervals meeting a detected arc (or holding one of
+    its peaks) can reach the threshold, so sampling is confined to those.
+    The INTERVAL_SAMPLES samples per interval come from one chirp-z
+    evaluation per run of consecutive intervals; arc peaks and well-spaced
+    points are evaluated directly.  Each kept interval contributes its
+    maximizing sample.
+    """
+    subset = grid.subset
+    if report is None:
+        report = find_cusps(grid, A)
+    N = subset.N
+    Nprime = int(round(240 * A * N))
+    eps = 1.0 / (240.0 * A)
+    T0 = float(subset.size)
+    threshold = T0 / A
+
+    candidates = _cover_candidates(report, Nprime)
+    idx = sorted(candidates)
     points = []
     even = odd = 0
-    for a_idx in sorted(candidates):
-        base = a_idx / Nprime
-        samples = [base + (s + 0.5) / INTERVAL_SAMPLES / Nprime
-                   for s in range(INTERVAL_SAMPLES)]
-        samples.extend(candidates[a_idx])
-        vals = np.abs(_eval_many(subset, samples))
-        best = int(np.argmax(vals))
-        if vals[best] >= threshold:
-            points.append(samples[best] % 1.0)
+    for a_idx, mags in zip(idx, np.abs(_interval_samples(subset, idx, Nprime))):
+        s = int(np.argmax(mags))
+        best, pos = mags[s], _sample_position(a_idx, s, Nprime)
+        for x in candidates[a_idx]:
+            val = abs(exp_sum_at(subset, x % 1.0))
+            if val > best:
+                best, pos = val, x
+        if best >= threshold:
+            points.append(pos % 1.0)
             # intervals are [(a-1)/N', a/N'), so index k holds label a = k+1
             if (a_idx + 1) % 2 == 0:
                 even += 1
@@ -113,6 +138,23 @@ def build_cover(grid: SpectrumGrid, A: float, report: CuspReport = None) -> Cove
     K = subset.K
     bound = 5000.0 * A ** 3 * K * math.log(2.0 * A)
     return Cover(float(A), N, Nprime, eps, tuple(sorted(points)), even, odd, bound)
+
+
+def cover_sampler_row(subset: PrimeSubset, cover: Cover, report: CuspReport,
+                      n: int = 64, seed: int = 0) -> CheckRow:
+    """Re-evaluate n seeded chirp-z cover samples with the direct sum."""
+    idx = sorted(_cover_candidates(report, cover.Nprime))
+    zoom = np.abs(_interval_samples(subset, idx, cover.Nprime)).ravel()
+    picks = np.random.default_rng(seed).choice(zoom.size, min(n, zoom.size),
+                                               replace=False)
+    S = INTERVAL_SAMPLES
+    worst = max(abs(zoom[k] - abs(exp_sum_at(
+        subset, _sample_position(idx[k // S], k % S, cover.Nprime) % 1.0)))
+        for k in picks)
+    return leq_row("cover-sampler-vs-direct",
+                   {"N": cover.N, "A": cover.A, "samples": len(picks)},
+                   worst, REEVAL_TOL * float(subset.size),
+                   note="max ||T*| chirp-z - |T*| direct| at seeded cover samples")
 
 
 def check_h1(ctx: PrimeContext, M: int, z0) -> list[str]:
@@ -211,6 +253,23 @@ class Decomposition:
     f_flat: np.ndarray = field(repr=False)
     f_sharp: np.ndarray = field(repr=False)
     metrics: dict = field(default_factory=dict)
+    # ell over the shared support of f_sharp and conv, and each part as
+    # (positions in that support, values); a part nonzero on all of it
+    # takes the slice [:], not a gather
+    _ell: np.ndarray = field(init=False, repr=False, compare=False)
+    _sharp: tuple = field(init=False, repr=False, compare=False)
+    _star: tuple = field(init=False, repr=False, compare=False)
+    _last_phases: list = field(default_factory=lambda: [None],
+                               init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        support = np.flatnonzero((self.f_sharp != 0) | (self.conv != 0))
+        object.__setattr__(self, "_ell", support - self.offset)
+        for name, arr in (("_sharp", self.f_sharp), ("_star", self.conv)):
+            at = np.flatnonzero(arr[support])
+            vals = arr[support[at]]
+            object.__setattr__(self, name, (
+                slice(None) if len(at) == len(support) else at, vals))
 
     @property
     def N(self) -> int:
@@ -222,15 +281,24 @@ class Decomposition:
             return float(self.G_val) * float(self.conv[i])
         return 0.0
 
+    def _phases(self, alpha: float) -> np.ndarray:
+        """e(alpha ell) over the support; the last alpha's vector is kept, so
+        transform_sharp and transform_star at one alpha compute it once."""
+        last = self._last_phases[0]
+        if last is None or last[0] != alpha:
+            last = (alpha, np.exp(2j * np.pi * alpha * self._ell))
+            self._last_phases[0] = last
+        return last[1]
+
+    def _transform(self, part: tuple, alpha: float) -> complex:
+        at, vals = part
+        return complex(np.dot(vals, self._phases(alpha)[at]))
+
     def transform_sharp(self, alpha: float) -> complex:
-        idx = np.flatnonzero(self.f_sharp)
-        return complex(np.dot(self.f_sharp[idx],
-                              np.exp(2j * np.pi * alpha * (idx - self.offset))))
+        return self._transform(self._sharp, alpha)
 
     def transform_star(self, alpha: float) -> complex:
-        idx = np.flatnonzero(self.conv)
-        return float(self.G_val) * complex(
-            np.dot(self.conv[idx], np.exp(2j * np.pi * alpha * (idx - self.offset))))
+        return float(self.G_val) * self._transform(self._star, alpha)
 
 
 def default_z(N: int, M: int, z0) -> float:

@@ -142,6 +142,7 @@ def suite_transference(ctx: PrimeContext, seed: int = 0) -> list[CheckRow]:
     dec = tr.decompose(ctx, subset, 3, 2, 4, grid=grid, report=report,
                        cover=cover)
     rows = [tr.cover_consistency_row(cover, report),
+            tr.cover_sampler_row(subset, cover, report, seed=seed),
             tr.bohr_size_row(dec.bohr, subset.N),
             leq_row("reconstruction-residual", {"N": subset.N},
                     dec.metrics["identity_residual"], 1e-9,

@@ -22,6 +22,22 @@ def test_unknown_values_are_usage_errors():
     assert run(["spectrum", "--N", "50"]) == 2
 
 
+def test_grid_must_be_power_of_two(capsys):
+    assert run(["spectrum", "--N", "2000", "--grid", "65537"]) == 2
+    assert "power of two" in capsys.readouterr().err
+    assert run(["spectrum", "--N", "2000", "--grid", "0"]) == 2
+    with pytest.raises(UsageError):
+        build_config(["cusps", "--N", "2000", "--grid", "100000"])
+
+
+def test_N_beyond_limit_is_capacity_failure(tmp_path, capsys):
+    code = run(["spectrum", "--N", "100000", "--limit", "50000",
+                "--output", str(tmp_path / "s.json")])
+    assert code == 1
+    assert "exceeds prime table limit" in capsys.readouterr().err
+    assert not (tmp_path / "s.json").exists()
+
+
 def test_config_file_merging(tmp_path):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("N = 2000\nA = 8\nseed = 5\n# comment\n")

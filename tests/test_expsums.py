@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from primecusps.arith import CapacityError, build_context
 from primecusps.expsums import (
+    PROGRESSION_BLOCK,
     IntervalPolynomial,
     default_grid_size,
     exp_sum_at,
+    exp_sums_on_progression,
     l1_estimate,
     local_model_full,
     local_model_sqrt2,
@@ -63,6 +66,49 @@ def test_subset_validation(ctx):
         subset_full(ctx, 50)
     with pytest.raises(ValueError):
         subset_random(ctx, 10_000, 0.0, seed=1)
+
+
+def test_subset_beyond_table_is_capacity_error():
+    # the prime table must cover [2, N]; a short table is never sliced
+    with pytest.raises(CapacityError, match="exceeds prime table limit"):
+        subset_full(build_context(1000), 5000)
+
+
+@pytest.mark.parametrize("kind", ["full", "sqrt2", "random", "pmin"])
+def test_progression_matches_direct(ctx, kind):
+    N = 10_000
+    subset = {"full": lambda: subset_full(ctx, N),
+              "sqrt2": lambda: subset_sqrt2(ctx, N),
+              "random": lambda: subset_random(ctx, N, 0.5, seed=11),
+              "pmin": lambda: subset_full(ctx, N, pmin=2)}[kind]()
+    tol = 1e-9 * subset.size
+    Q = 6 * 240 * 4 * N
+    cases = [
+        (6 * 12_345 + 1, 2, Q, 1),                        # K = 1
+        (6 * 77_777 + 1, 2, Q, PROGRESSION_BLOCK + 40),   # two blocks
+        (Q - 7, 2, Q, 20),                                # wraps past alpha = 1
+        (5, -3, 1009, 50),                                # negative step
+    ]
+    for j0, step, q, K in cases:
+        vals = exp_sums_on_progression(subset, j0, step, q, K)
+        assert vals.shape == (K,)
+        ks = sorted({0, K - 1, *range(0, K, max(1, K // 25)),
+                     *range(max(0, PROGRESSION_BLOCK - 2),
+                            min(K, PROGRESSION_BLOCK + 2))})
+        for k in ks:
+            direct = exp_sum_at(subset, ((j0 + step * k) % q) / q)
+            assert abs(vals[k] - direct) <= tol, (j0, step, q, K, k)
+
+
+def test_progression_validation(ctx):
+    s = subset_full(ctx, 10_000)
+    assert exp_sums_on_progression(s, 1, 2, 100, 0).shape == (0,)
+    with pytest.raises(ValueError):
+        exp_sums_on_progression(s, 1, 2, 0, 5)
+    with pytest.raises(ValueError):
+        exp_sums_on_progression(s, 1, 2, 100, -1)
+    with pytest.raises(CapacityError):
+        exp_sums_on_progression(s, 1, 2, 1 << 50, 5)
 
 
 def test_exp_sum_basics(ctx):

@@ -1,5 +1,9 @@
 """Enveloping-sieve weights: exact identities, envelope property, bounds."""
+import dataclasses
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from primecusps.arith import CapacityError
 from primecusps.gfunctions import g_sifted
+from primecusps import sieve
 from primecusps.sieve import (
     SieveParams,
     alpha_local,
@@ -81,6 +86,47 @@ def test_alpha_local_cross_check(ctx, w350):
     assert alpha_local(ctx, w350, 1) == 1
     for n in (2, 30, 97, 210, 1024):
         alpha_local(ctx, w350, n)
+
+
+def _tampered(weights):
+    lam = dict(weights.lam)
+    lam[3] += 1
+    return dataclasses.replace(weights, lam=lam)
+
+
+def test_alpha_local_tamper_raises(ctx, w350):
+    with pytest.raises(ArithmeticError, match="local weight mismatch at n=3"):
+        alpha_local(ctx, _tampered(w350), 3)
+
+
+def test_weight_normalization_guard(ctx, monkeypatch):
+    real = sieve.g_bracket
+    monkeypatch.setattr(sieve, "g_bracket", lambda *a: 2 * real(*a))
+    with pytest.raises(ArithmeticError, match="not normalized"):
+        build_weights(ctx, SieveParams(3, 30, 1))
+
+
+def test_guards_survive_optimize():
+    # the identity guards must not be asserts that python -O strips
+    script = (
+        "import dataclasses\n"
+        "from primecusps.arith import build_context\n"
+        "from primecusps.sieve import SieveParams, alpha_local, build_weights\n"
+        "ctx = build_context(1000)\n"
+        "w = build_weights(ctx, SieveParams(3, 30, 1))\n"
+        "lam = dict(w.lam); lam[3] += 1\n"
+        "try:\n"
+        "    alpha_local(ctx, dataclasses.replace(w, lam=lam), 3)\n"
+        "except ArithmeticError:\n"
+        "    print('raised')\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "raised"
 
 
 def test_beta_array_matches_direct(ctx, w350):

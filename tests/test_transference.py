@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from primecusps.cusps import find_cusps
-from primecusps.expsums import spectrum, subset_full
+from primecusps.expsums import exp_sum_at, spectrum, subset_full
 from primecusps.transference import (
     BohrSet,
     Cover,
@@ -21,6 +21,7 @@ from primecusps.transference import (
     build_cover,
     check_h1,
     cover_consistency_row,
+    cover_sampler_row,
     cusp_suppression_report,
     decompose,
     decomposition_csv,
@@ -51,8 +52,52 @@ def test_cover_basics(ctx):
     assert row.status == "pass"
 
 
+def _direct_cover(subset, report, A):
+    """The cover with every interval sample taken by exp_sum_at."""
+    Nprime = int(round(240 * A * subset.N))
+    candidates = {}
+    for arc in report.arcs:
+        lo = int(math.floor(arc.lo * Nprime))
+        for k in range(lo, lo + int(math.ceil(arc.length * Nprime)) + 2):
+            candidates.setdefault(k % Nprime, [])
+        k = int(math.floor(arc.peak.position * Nprime)) % Nprime
+        candidates.setdefault(k, []).append(arc.peak.position)
+    for pt in report.wellspaced:
+        k = int(math.floor(pt.position * Nprime)) % Nprime
+        candidates.setdefault(k, []).append(pt.position)
+    points, even, odd = [], 0, 0
+    for a in sorted(candidates):
+        samples = [a / Nprime + (s + 0.5) / 3 / Nprime for s in range(3)]
+        samples += candidates[a]
+        vals = [abs(exp_sum_at(subset, x % 1.0)) for x in samples]
+        best = int(np.argmax(vals))
+        if vals[best] >= subset.size / A:
+            points.append(samples[best] % 1.0)
+            even, odd = (even + 1, odd) if (a + 1) % 2 == 0 else (even, odd + 1)
+    return tuple(sorted(points)), even, odd
+
+
+@pytest.mark.parametrize("A", [1, 2, 4])
+def test_cover_matches_direct_reference(ctx, A):
+    subset = subset_full(ctx, 10_000)
+    report = find_cusps(spectrum(subset), A)
+    cover = build_cover(spectrum(subset), A, report)
+    assert (cover.points, cover.even_count, cover.odd_count) == \
+        _direct_cover(subset, report, A)
+
+
+def test_cover_sampler_row(ctx):
+    subset = subset_full(ctx, 10_000)
+    grid = spectrum(subset)
+    report = find_cusps(grid, 2)
+    cover = build_cover(grid, 2, report)
+    row = cover_sampler_row(subset, cover, report, n=64, seed=3)
+    assert row.lemma == "cover-sampler-vs-direct"
+    assert row.params["samples"] == 64
+    assert row.status == "pass" and row.margin == row.rhs - row.lhs > 0
+
+
 def test_cover_points_are_cusps(ctx):
-    from primecusps.expsums import exp_sum_at
     subset = subset_full(ctx, 10_000)
     grid = spectrum(subset)
     cover = build_cover(grid, 4)
