@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import PrimeContext, circle_distance
+from .arith import CapacityError, PrimeContext, circle_distance
 from .cusps import REEVAL_TOL, CuspReport, find_cusps
 from .expsums import (PrimeSubset, SpectrumGrid, exp_sum_at,
                       exp_sums_on_progression)
@@ -24,6 +24,9 @@ from .report import CheckRow, FLOAT_SLACK, leq_row, na_row
 
 #: samples per cover interval when hunting the interval maximum
 INTERVAL_SAMPLES = 3
+
+#: chirp-z cover samples re-evaluated directly by cover_sampler_row
+COVER_SAMPLER_CHECKS = 64
 
 
 @dataclass(frozen=True)
@@ -85,15 +88,21 @@ def _interval_samples(subset: PrimeSubset, idx, Nprime: int) -> np.ndarray:
     """T* at the INTERVAL_SAMPLES samples of each interval in the ascending
     index list idx, shape (len(idx), S).  Sample s of interval a is
     (2S a + 2s + 1)/(2S Nprime), so each run of consecutive intervals is
-    one arithmetic progression with step 2, evaluated by chirp-z."""
+    one arithmetic progression with step 2, evaluated by chirp-z.  A run
+    whose phases would overflow int64 there (N past ~5.7e7/sqrt(A)) is
+    summed directly instead."""
     S = INTERVAL_SAMPLES
     idx = np.asarray(idx, dtype=np.int64)
     out = np.empty((len(idx), S), dtype=complex)
     starts = np.flatnonzero(np.diff(idx, prepend=-2) != 1)
     for lo, hi in zip(starts, np.append(starts[1:], len(idx))):
-        out[lo:hi] = exp_sums_on_progression(
-            subset, 2 * S * int(idx[lo]) + 1, 2, 2 * S * Nprime,
-            S * (hi - lo)).reshape(-1, S)
+        try:
+            run = exp_sums_on_progression(subset, 2 * S * int(idx[lo]) + 1, 2,
+                                          2 * S * Nprime, S * (hi - lo))
+        except CapacityError:
+            run = [exp_sum_at(subset, _sample_position(int(a), s, Nprime) % 1.0)
+                   for a in idx[lo:hi] for s in range(S)]
+        out[lo:hi] = np.reshape(run, (-1, S))
     return out
 
 
@@ -141,12 +150,13 @@ def build_cover(grid: SpectrumGrid, A: float, report: CuspReport = None) -> Cove
 
 
 def cover_sampler_row(subset: PrimeSubset, cover: Cover, report: CuspReport,
-                      n: int = 64, seed: int = 0) -> CheckRow:
-    """Re-evaluate n seeded chirp-z cover samples with the direct sum."""
+                      seed: int = 0) -> CheckRow:
+    """Re-evaluate COVER_SAMPLER_CHECKS seeded chirp-z cover samples with
+    the direct sum."""
     idx = sorted(_cover_candidates(report, cover.Nprime))
     zoom = np.abs(_interval_samples(subset, idx, cover.Nprime)).ravel()
-    picks = np.random.default_rng(seed).choice(zoom.size, min(n, zoom.size),
-                                               replace=False)
+    picks = np.random.default_rng(seed).choice(
+        zoom.size, min(COVER_SAMPLER_CHECKS, zoom.size), replace=False)
     S = INTERVAL_SAMPLES
     worst = max(abs(zoom[k] - abs(exp_sum_at(
         subset, _sample_position(idx[k // S], k % S, cover.Nprime) % 1.0)))
@@ -254,22 +264,17 @@ class Decomposition:
     f_sharp: np.ndarray = field(repr=False)
     metrics: dict = field(default_factory=dict)
     # ell over the shared support of f_sharp and conv, and each part as
-    # (positions in that support, values); a part nonzero on all of it
-    # takes the slice [:], not a gather
+    # (positions in that support, values)
     _ell: np.ndarray = field(init=False, repr=False, compare=False)
     _sharp: tuple = field(init=False, repr=False, compare=False)
     _star: tuple = field(init=False, repr=False, compare=False)
-    _last_phases: list = field(default_factory=lambda: [None],
-                               init=False, repr=False, compare=False)
 
     def __post_init__(self):
         support = np.flatnonzero((self.f_sharp != 0) | (self.conv != 0))
         object.__setattr__(self, "_ell", support - self.offset)
         for name, arr in (("_sharp", self.f_sharp), ("_star", self.conv)):
             at = np.flatnonzero(arr[support])
-            vals = arr[support[at]]
-            object.__setattr__(self, name, (
-                slice(None) if len(at) == len(support) else at, vals))
+            object.__setattr__(self, name, (at, arr[support[at]]))
 
     @property
     def N(self) -> int:
@@ -282,23 +287,28 @@ class Decomposition:
         return 0.0
 
     def _phases(self, alpha: float) -> np.ndarray:
-        """e(alpha ell) over the support; the last alpha's vector is kept, so
-        transform_sharp and transform_star at one alpha compute it once."""
-        last = self._last_phases[0]
-        if last is None or last[0] != alpha:
-            last = (alpha, np.exp(2j * np.pi * alpha * self._ell))
-            self._last_phases[0] = last
-        return last[1]
+        """e(alpha ell) over the shared support."""
+        return np.exp(2j * np.pi * alpha * self._ell)
 
-    def _transform(self, part: tuple, alpha: float) -> complex:
-        at, vals = part
-        return complex(np.dot(vals, self._phases(alpha)[at]))
+    def _sharp_dot(self, phases: np.ndarray) -> complex:
+        at, vals = self._sharp
+        return complex(np.dot(vals, phases[at]))
+
+    def _star_dot(self, phases: np.ndarray) -> complex:
+        at, vals = self._star
+        return float(self.G_val) * complex(np.dot(vals, phases[at]))
 
     def transform_sharp(self, alpha: float) -> complex:
-        return self._transform(self._sharp, alpha)
+        return self._sharp_dot(self._phases(alpha))
 
     def transform_star(self, alpha: float) -> complex:
-        return float(self.G_val) * self._transform(self._star, alpha)
+        return self._star_dot(self._phases(alpha))
+
+    def transforms(self, alpha: float) -> tuple[complex, complex]:
+        """(transform_sharp(alpha), transform_star(alpha)) from one phase
+        vector."""
+        phases = self._phases(alpha)
+        return self._sharp_dot(phases), self._star_dot(phases)
 
 
 def default_z(N: int, M: int, z0) -> float:
@@ -405,12 +415,12 @@ def transform_checks(dec: Decomposition, n_alpha: int = 1000,
     excess_flat = 0.0
     vlog = float(dec.V_val) * math.log(dec.N)
     for a in alphas:
-        lhs = dec.transform_sharp(a)
+        lhs, star = dec.transforms(a)
         t = exp_sum_at(subset, a)
         sm = bohr_sum(dec.bohr, a) / dec.bohr.size
         worst = max(worst, abs(lhs - t * (1.0 - abs(sm) ** 2)))
         excess_sharp = max(excess_sharp, abs(lhs) - abs(t))
-        flat = vlog * (dec.transform_star(a) / float(dec.G_val))
+        flat = vlog * (star / float(dec.G_val))
         excess_flat = max(excess_flat, abs(flat) - abs(t) * vlog)
     rows.append(leq_row("transform-sharp-product", {"n_alpha": n_alpha},
                         worst, 1e-6 * T0,

@@ -111,6 +111,20 @@ def test_progression_validation(ctx):
         exp_sums_on_progression(s, 1, 2, 1 << 50, 5)
 
 
+def test_progression_capacity_edge(ctx):
+    # the largest Q with 2Q(N + K) < 2^63 still reduces phases exactly
+    s = subset_full(ctx, 10_000)
+    K = 5
+    Q = ((1 << 63) - 1) // (2 * (s.N + K))
+    j0 = Q - 12_345_678_901
+    vals = exp_sums_on_progression(s, j0, 7, Q, K)
+    for k in range(K):
+        direct = exp_sum_at(s, ((j0 + 7 * k) % Q) / Q)
+        assert abs(vals[k] - direct) <= 1e-9 * s.size
+    with pytest.raises(CapacityError):
+        exp_sums_on_progression(s, j0, 7, Q + 1, K)
+
+
 def test_exp_sum_basics(ctx):
     s = subset_full(ctx, 10_000)
     assert exp_sum_at(s, 0.0) == pytest.approx(s.size)

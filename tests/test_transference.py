@@ -10,9 +10,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from primecusps import transference
+from primecusps.arith import CapacityError
 from primecusps.cusps import find_cusps
 from primecusps.expsums import exp_sum_at, spectrum, subset_full
 from primecusps.transference import (
+    COVER_SAMPLER_CHECKS,
     BohrSet,
     Cover,
     bohr_size_row,
@@ -86,14 +89,34 @@ def test_cover_matches_direct_reference(ctx, A):
         _direct_cover(subset, report, A)
 
 
+def test_cover_falls_back_to_direct_sums(ctx, monkeypatch):
+    # runs the evaluator cannot take (int64 capacity) are summed directly
+    subset = subset_full(ctx, 10_000)
+    report = find_cusps(spectrum(subset), 2)
+    chirp = transference.exp_sums_on_progression
+    refused = []
+
+    def capped(sub, j0, step, Q, K):
+        if K > 6:
+            refused.append(K)
+            raise CapacityError("test cap")
+        return chirp(sub, j0, step, Q, K)
+
+    monkeypatch.setattr(transference, "exp_sums_on_progression", capped)
+    cover = build_cover(spectrum(subset), 2, report)
+    assert refused
+    assert (cover.points, cover.even_count, cover.odd_count) == \
+        _direct_cover(subset, report, 2)
+
+
 def test_cover_sampler_row(ctx):
     subset = subset_full(ctx, 10_000)
     grid = spectrum(subset)
     report = find_cusps(grid, 2)
     cover = build_cover(grid, 2, report)
-    row = cover_sampler_row(subset, cover, report, n=64, seed=3)
+    row = cover_sampler_row(subset, cover, report, seed=3)
     assert row.lemma == "cover-sampler-vs-direct"
-    assert row.params["samples"] == 64
+    assert row.params["samples"] == COVER_SAMPLER_CHECKS == 64
     assert row.status == "pass" and row.margin == row.rhs - row.lhs > 0
 
 
@@ -192,6 +215,19 @@ def test_decomposition_identities(ctx, dec1):
     assert all(r.status == "pass" for r in rows)
     assert bohr_size_row(dec1.bohr, 10_000).status == "pass"
 
+
+
+def test_transforms_match_direct_sums(dec1):
+    # the supported dot products equal the full sums over [-N, 2N]
+    ell = np.arange(len(dec1.f)) - dec1.offset
+    for alpha in (0.0, 0.123, 0.5, 0.987):
+        sharp, star = dec1.transforms(alpha)
+        assert (sharp, star) == (dec1.transform_sharp(alpha),
+                                 dec1.transform_star(alpha))
+        phases = np.exp(2j * np.pi * alpha * ell)
+        assert abs(sharp - np.dot(dec1.f_sharp, phases)) <= 1e-9 * dec1.subset.size
+        star_full = float(dec1.G_val) * np.dot(dec1.conv, phases)
+        assert abs(star - star_full) <= 1e-9 * dec1.subset.size
 
 def test_f_star_support(ctx, dec1):
     # vanishes off gcd(ell, M)=1 and outside the convolution window
