@@ -103,7 +103,7 @@ def exp_sums_on_progression(subset: PrimeSubset, j0: int, step: int, Q: int,
     convolution per block of at most PROGRESSION_BLOCK samples, so memory
     stays O(N + block).  Every phase is reduced exactly in int64 to a
     multiple of 1/(2Q) before exp rounds it, so the error does not grow
-    with j0 or k.
+    with j0 or k.  Raises CapacityError when 2Q(N + block) reaches 2^63.
     """
     j0, step, Q, K = int(j0), int(step), int(Q), int(K)
     if Q < 1:

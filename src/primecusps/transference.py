@@ -263,18 +263,18 @@ class Decomposition:
     f_flat: np.ndarray = field(repr=False)
     f_sharp: np.ndarray = field(repr=False)
     metrics: dict = field(default_factory=dict)
-    # ell over the shared support of f_sharp and conv, and each part as
-    # (positions in that support, values)
+    # ell over the shared support of f_sharp and conv, and both parts on
+    # it; the supports differ only where conv = f = 1 at a prime, and a
+    # gather per call would cost ~10x the dot product
     _ell: np.ndarray = field(init=False, repr=False, compare=False)
-    _sharp: tuple = field(init=False, repr=False, compare=False)
-    _star: tuple = field(init=False, repr=False, compare=False)
+    _sharp: np.ndarray = field(init=False, repr=False, compare=False)
+    _star: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         support = np.flatnonzero((self.f_sharp != 0) | (self.conv != 0))
         object.__setattr__(self, "_ell", support - self.offset)
-        for name, arr in (("_sharp", self.f_sharp), ("_star", self.conv)):
-            at = np.flatnonzero(arr[support])
-            object.__setattr__(self, name, (at, arr[support[at]]))
+        object.__setattr__(self, "_sharp", self.f_sharp[support])
+        object.__setattr__(self, "_star", self.conv[support])
 
     @property
     def N(self) -> int:
@@ -291,12 +291,10 @@ class Decomposition:
         return np.exp(2j * np.pi * alpha * self._ell)
 
     def _sharp_dot(self, phases: np.ndarray) -> complex:
-        at, vals = self._sharp
-        return complex(np.dot(vals, phases[at]))
+        return complex(np.dot(self._sharp, phases))
 
     def _star_dot(self, phases: np.ndarray) -> complex:
-        at, vals = self._star
-        return float(self.G_val) * complex(np.dot(vals, phases[at]))
+        return float(self.G_val) * complex(np.dot(self._star, phases))
 
     def transform_sharp(self, alpha: float) -> complex:
         return self._sharp_dot(self._phases(alpha))
