@@ -28,14 +28,10 @@ from .gfunctions import (
 from .sieve import (
     SieveParams,
     SieveWeights,
-    alpha_local,
-    beta_array,
     beta_direct,
     beta_fourier,
     beta_fourier_many,
-    beta_mean_value,
     build_weights,
-    hardy_partial,
     wq_bound_report,
 )
 from .expsums import (
@@ -44,7 +40,6 @@ from .expsums import (
     SpectrumGrid,
     exp_sum_at,
     local_model_full,
-    local_model_sqrt2,
     spectrum,
     subset_full,
     subset_random,
@@ -70,11 +65,10 @@ from .transference import (
     build_cover,
     cusp_suppression_report,
     decompose,
-    rho,
     transform_checks,
 )
 from .report import CheckRow, all_clean
-from .verify import run_suite, suite_passed
+from .verify import run_suite
 
 __version__ = "0.1.0"
 
@@ -82,16 +76,14 @@ __all__ = [
     "BohrSet", "CapacityError", "CheckRow", "Cover", "CuspArc", "CuspReport",
     "Decomposition", "FareyPoint", "G_CONSTANT", "IntervalPolynomial",
     "PrimeContext", "PrimeSubset", "SieveParams", "SieveWeights",
-    "SpectrumGrid", "WeightedPoint", "all_clean", "alpha_local", "beta_array",
-    "beta_direct", "beta_fourier", "beta_fourier_many", "beta_mean_value",
-    "bohr_sum", "build_bohr", "build_context", "build_cover", "build_weights",
-    "circle_distance", "companion_search", "cusp_suppression_report",
-    "decompose", "exp_sum_at", "explicit_estimate_report",
-    "extract_well_spaced", "farey_points", "find_cusps", "g_bracket",
-    "g_sifted", "g_value", "hardy_partial", "large_sieve_check",
-    "local_model_full", "local_model_sqrt2", "dilated_large_sieve_check",
-    "rational_shift_check", "rho", "run_suite", "spectrum",
-    "structure_check", "subset_full", "subset_random", "subset_sqrt2",
-    "suite_passed", "transform_checks", "vaaler_coeffs", "wq_bound_report",
-    "xi_value",
+    "SpectrumGrid", "WeightedPoint", "all_clean", "beta_direct",
+    "beta_fourier", "beta_fourier_many", "bohr_sum", "build_bohr",
+    "build_context", "build_cover", "build_weights", "circle_distance",
+    "companion_search", "cusp_suppression_report", "decompose", "exp_sum_at",
+    "explicit_estimate_report", "extract_well_spaced", "farey_points",
+    "find_cusps", "g_bracket", "g_sifted", "g_value", "large_sieve_check",
+    "local_model_full", "dilated_large_sieve_check", "rational_shift_check",
+    "run_suite", "spectrum", "structure_check", "subset_full",
+    "subset_random", "subset_sqrt2", "transform_checks", "vaaler_coeffs",
+    "wq_bound_report", "xi_value",
 ]

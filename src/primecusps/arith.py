@@ -74,7 +74,6 @@ class PrimeContext:
         self.limit = limit
         self._spf = spf
         self.primes = primes
-        self._prime_set = None
         self._phi_table = None
         self._squarefree_mask = None
 
@@ -107,11 +106,6 @@ class PrimeContext:
 
     def prime_factors(self, n: int) -> list[int]:
         return [p for p, _ in self.factorize(n)]
-
-    def is_prime(self, n: int) -> bool:
-        if n < 2 or n > self.limit:
-            raise ValueError(f"n={n} outside table range [2, {self.limit}]")
-        return int(self._spf[n]) == n
 
     def is_squarefree(self, n: int) -> bool:
         return all(e == 1 for _, e in self.factorize(n))
@@ -172,18 +166,6 @@ class PrimeContext:
             p = int(p)
             out *= Fraction(p - 1, p)
         return out
-
-    def squarefree_coprime(self, limit: int, m: int) -> list[int]:
-        """Ascending squarefree q <= limit with gcd(q, m) = 1."""
-        if limit < 1 or limit > self.limit:
-            raise ValueError(f"limit={limit} outside [1, {self.limit}]")
-        if m < 1:
-            raise ValueError(f"m={m} must be >= 1")
-        return [
-            q
-            for q in range(1, limit + 1)
-            if gcd(q, m) == 1 and self.mobius(q) != 0
-        ]
 
     # -- lazy shared tables (used by the float G evaluators) ------------
 

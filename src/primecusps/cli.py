@@ -5,12 +5,10 @@ output is batch artifacts (JSON with a versioned schema, CSV, or
 whitespace plotdata); identical config and seed give byte-identical
 files.  Exit codes: 0 success, 1 verification/domain failure, 2 usage.
 """
-from __future__ import annotations
-
 import argparse
 import json
 import sys
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -23,50 +21,42 @@ from .verify import run_suite, SUITE_NAMES
 
 SCHEMA = 1
 
-_DEFAULTS = {
-    "N": None, "subset": "full", "density": 0.5, "pmin": None,
-    "A": 4.0, "B": 2.0, "xi": 0.0, "z0": 3.0, "z": None, "M": None,
-    "tau": 1, "grid": None, "Q": 30, "suite": "all", "zmax": 10_000,
-    "format": "json", "output": None, "threads": 1, "mode": "exact",
-    "seed": 0, "limit": None,
-}
-
-_COERCE = {
-    "N": int, "density": float, "pmin": int, "A": float, "B": float,
-    "xi": float, "z0": float, "z": float, "M": int, "tau": int, "grid": int,
-    "Q": int, "zmax": int, "threads": int, "seed": int, "limit": int,
-    "subset": str, "suite": str, "format": str, "output": str, "mode": str,
-}
-
 
 class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a UsageError (exit 2 from main)."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 @dataclass(frozen=True)
 class RunConfig:
+    """One run; every field but command is a --flag and a config-file key."""
     command: str
-    N: int
-    subset: str
-    density: float
-    pmin: int
-    A: float
-    B: float
-    xi: float
-    z0: float
-    z: float
-    M: int
-    tau: int
-    grid: int
-    Q: int
-    suite: str
-    zmax: int
-    format: str
-    output: str
-    threads: int
-    mode: str
-    seed: int
-    limit: int
+    N: int = None
+    subset: str = "full"
+    density: float = 0.5
+    pmin: int = None
+    A: float = 4.0
+    B: float = 2.0
+    xi: float = 0.0
+    z0: float = 3.0
+    z: float = None
+    M: int = None
+    grid: int = None
+    Q: int = 30
+    suite: str = "all"
+    zmax: int = 10_000
+    format: str = "json"
+    output: str = None
+    threads: int = 1
+    mode: str = "exact"
+    seed: int = 0
+    limit: int = None
 
     def __post_init__(self):
         if self.subset not in ("full", "sqrt2", "random"):
@@ -90,6 +80,11 @@ class RunConfig:
             raise UsageError("seed must fit in 64 bits")
 
 
+_OPTIONS = [f for f in fields(RunConfig) if f.name != "command"]
+_DEFAULTS = {f.name: f.default for f in _OPTIONS}
+_COERCE = {f.name: f.type for f in _OPTIONS}
+
+
 def _parse_config_file(path: str) -> dict:
     values = {}
     try:
@@ -110,14 +105,13 @@ def _parse_config_file(path: str) -> dict:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="primecusps", description=__doc__)
+    top = _Parser(prog="primecusps", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
     for name in ("spectrum", "cusps", "companions", "decompose", "verify"):
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="key=value file; flags win")
         for key, default in _DEFAULTS.items():
-            typ = _COERCE[key]
-            p.add_argument(f"--{key}", type=typ, default=None,
+            p.add_argument(f"--{key}", type=_COERCE[key], default=None,
                            help=f"default {default!r}")
     return top
 

@@ -1,10 +1,10 @@
-"""Prime exponential sums and their local models.
+"""Prime exponential sums and their local model.
 
-T*(alpha) = sum over the prime subset of e(p alpha), evaluated directly or
-on a power-of-two grid through an FFT.  The local models replace the primes
-by z0-rough integers weighted by 1/(V(z0) log N); the sqrt(2) subset gets a
-further Fourier detection of the condition {p sqrt(2)} <= 1/2, and
-vaaler_coeffs builds the trigonometric interval approximation behind it.
+T*(alpha) = sum over the prime subset of e(p alpha), evaluated directly, on
+an arithmetic progression by chirp-z, or on a power-of-two grid through an
+FFT.  The local model replaces the primes by z0-rough integers weighted by
+1/(V(z0) log N).  vaaler_coeffs builds a trigonometric polynomial for an
+interval indicator; only acceptance criterion 10 checks it.
 """
 from __future__ import annotations
 
@@ -22,11 +22,6 @@ TWO_PI = 2.0 * np.pi
 _SQRT2_FIX = math.isqrt(2 << 256)
 _FRAC_MASK = (1 << 128) - 1
 _HALF_FIX = 1 << 127
-
-
-def sqrt2_frac(k: int) -> float:
-    """{k sqrt(2)} with the error confined to ~ k * 2^-128."""
-    return ((k * _SQRT2_FIX) & _FRAC_MASK) / float(1 << 128)
 
 
 @dataclass(frozen=True)
@@ -171,7 +166,7 @@ def l1_estimate(grid: SpectrumGrid) -> float:
     return float(np.abs(grid.values).mean())
 
 
-# -- local models ---------------------------------------------------------
+# -- local model -----------------------------------------------------------
 
 
 def rough_integers(ctx: PrimeContext, N: int, z0) -> np.ndarray:
@@ -185,36 +180,13 @@ def rough_integers(ctx: PrimeContext, N: int, z0) -> np.ndarray:
     return np.flatnonzero(mask).astype(np.int64)
 
 
-def _sifted_sum(ns: np.ndarray, alpha: float) -> complex:
-    return complex(np.exp(TWO_PI * 1j * alpha * ns).sum())
-
-
 def local_model_full(ctx: PrimeContext, N: int, z0, alpha: float,
                      _rough=None) -> complex:
     """(1 / (V(z0) log N)) sum over z0-rough n <= N of e(n alpha): the
     rough-number proxy for the prime exponential sum."""
     ns = rough_integers(ctx, N, z0) if _rough is None else _rough
     V = float(ctx.mertens_product(z0))
-    return _sifted_sum(ns, alpha) / (V * math.log(N))
-
-
-def local_model_sqrt2(ctx: PrimeContext, N: int, z0, H: int, alpha: float,
-                      _rough=None) -> complex:
-    """Local model for the sqrt(2) subset: the half-interval indicator
-    {x} <= 1/2 expanded to H Fourier terms, each shifting the rough-number
-    model by h sqrt(2) (reduced mod 1 in fixed point)."""
-    if H < 0:
-        raise ValueError(f"H={H} must be >= 0")
-    ns = rough_integers(ctx, N, z0) if _rough is None else _rough
-    V = float(ctx.mertens_product(z0))
-    scale = 1.0 / (V * math.log(N))
-    total = 0.5 * _sifted_sum(ns, alpha)
-    for h in range(-H, H + 1):
-        if h == 0 or h % 2 == 0:
-            continue
-        shifted = (sqrt2_frac(h) if h > 0 else 1.0 - sqrt2_frac(-h)) + alpha
-        total += _sifted_sum(ns, shifted % 1.0) / (1j * np.pi * h)
-    return total * scale
+    return complex(np.exp(TWO_PI * 1j * alpha * ns).sum()) / (V * math.log(N))
 
 
 # -- interval polynomial ---------------------------------------------------

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import product as _iproduct
 
 import numpy as np
 
@@ -72,6 +71,19 @@ def g_value(ctx: PrimeContext, d: int, y) -> Fraction:
     return g_sifted(ctx, d, y, 2)
 
 
+def ordered_splits(primes, y) -> list[tuple[int, int, int]]:
+    """Every ordered split q1 q2 q3 of the product of the distinct primes
+    with q1 q3 <= y and q2 q3 <= y.  Splits grow one prime at a time, and
+    one that already breaks a bound is dropped: the products only grow."""
+    m = _floor(y)
+    splits = [(1, 1, 1)] if m >= 1 else []
+    for p in primes:
+        splits = [s for q1, q2, q3 in splits
+                  for s in ((q1 * p, q2, q3), (q1, q2 * p, q3), (q1, q2, q3 * p))
+                  if s[0] * s[2] <= m and s[1] * s[2] <= m]
+    return splits
+
+
 def xi_value(ctx: PrimeContext, q: int, y) -> Fraction:
     """The factorization kernel at squarefree q:
 
@@ -85,35 +97,17 @@ def xi_value(ctx: PrimeContext, q: int, y) -> Fraction:
         raise ValueError("q must be >= 1")
     if not ctx.is_squarefree(q):
         raise ValueError(f"q={q} is not squarefree")
-    if isinstance(y, float):
-        y = Fraction(y)
-    if q == 1:
-        return Fraction(1) if y >= 1 else Fraction(0)
     if y >= q:
         return Fraction(q, ctx.euler_phi(q))
+    # mu(q3) prod_{p|q3} (p-2)/(p-1) over the common denominator phi(q)
     primes = ctx.prime_factors(q)
-    total = Fraction(0)
-    for slots in _iproduct((0, 1, 2), repeat=len(primes)):
-        q1 = q2 = q3 = 1
-        for p, s in zip(primes, slots):
-            if s == 0:
-                q1 *= p
-            elif s == 1:
-                q2 *= p
-            else:
-                q3 *= p
-        if q1 * q3 > y or q2 * q3 > y:
-            continue
-        num = 1
-        den = 1
-        for p, s in zip(primes, slots):
-            if s == 2:
-                num *= p - 2
-                den *= p - 1
-        if len([s for s in slots if s == 2]) % 2:
-            num = -num
-        total += Fraction(num, den)
-    return total
+    total = 0
+    for _, _, q3 in ordered_splits(primes, y):
+        term = 1
+        for p in primes:
+            term *= 2 - p if q3 % p == 0 else p - 1
+        total += term
+    return Fraction(total, ctx.euler_phi(q))
 
 
 def g_bracket(ctx: PrimeContext, q: int, z, z0=2, tau: int = 1) -> Fraction:

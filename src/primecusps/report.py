@@ -76,6 +76,3 @@ def na_row(lemma: str, params: dict, note: str) -> CheckRow:
 def all_clean(rows) -> bool:
     return all(r.status != FAIL for r in rows)
 
-
-def failing(rows) -> list[CheckRow]:
-    return [r for r in rows if r.status == FAIL]

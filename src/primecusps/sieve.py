@@ -21,13 +21,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product as _iproduct
-
-import numpy as np
 
 from .arith import CapacityError, PrimeContext
-from .gfunctions import g_bracket, g_sifted
-from .report import CheckRow, FLOAT_SLACK, na_row
+from .gfunctions import g_bracket, g_sifted, ordered_splits
+from .report import CheckRow, na_row
 
 #: keeps the key enumeration from exploding on careless parameters
 DEFAULT_KEY_CAP = 500_000
@@ -38,9 +35,6 @@ class SieveParams:
     z0: float
     z: float
     tau: int = 1
-    #: "exact" keeps every evaluation rational; "floating" permits the array
-    #: evaluators (absolute error around 1e-9 at these scales)
-    mode: str = "exact"
 
     def __post_init__(self):
         if self.z0 < 2:
@@ -49,8 +43,6 @@ class SieveParams:
             raise ValueError(f"z={self.z} must be >= z0={self.z0}")
         if self.tau < 1 or int(self.tau) != self.tau:
             raise ValueError(f"tau={self.tau} must be a positive integer")
-        if self.mode not in ("exact", "floating"):
-            raise ValueError(f"mode={self.mode!r} must be 'exact' or 'floating'")
 
 
 @dataclass(frozen=True)
@@ -111,11 +103,6 @@ def build_weights(ctx: PrimeContext, params: SieveParams,
     if lam[1] != 1 or w[1] * G != 1:
         raise ArithmeticError(f"weights not normalized: lambda_1 = {lam[1]}, "
                               f"w_1 G = {w[1] * G}")
-    if params.mode == "floating":
-        # float tables: fine for array work, but the exact-equality
-        # oracles refuse them
-        lam = {d: float(v) for d, v in lam.items()}
-        w = {q: float(v) for q, v in w.items()}
     return SieveWeights(params, G, lam, w, tuple(primes))
 
 
@@ -125,8 +112,6 @@ def build_weights(ctx: PrimeContext, params: SieveParams,
 def _admissible_divisor_sum(ctx: PrimeContext, weights: SieveWeights, n: int) -> Fraction:
     if n < 1:
         raise ValueError(f"n={n} must be >= 1")
-    if weights.params.mode != "exact":
-        raise ValueError("exact-equality evaluation needs mode='exact' weights")
     ps = [p for p in ctx.prime_factors(n) if p in weights.prime_set]
     total = weights.lam[1]
     prods = [1]
@@ -139,23 +124,6 @@ def _admissible_divisor_sum(ctx: PrimeContext, weights: SieveWeights, n: int) ->
     return total
 
 
-def alpha_local(ctx: PrimeContext, weights: SieveWeights, n: int) -> Fraction:
-    """sum_{d|n} lambda_d, cross-checked against its Ramanujan-sum expansion
-
-        (1/G) sum over admissible q <= z of mu(q)/phi(q) * c_q(n),
-
-    which must agree exactly."""
-    direct = _admissible_divisor_sum(ctx, weights, n)
-    acc = Fraction(0)
-    for q in weights.lam:
-        acc += Fraction(ctx.mobius(q), ctx.euler_phi(q)) * ctx.ramanujan_sum(q, n)
-    expansion = acc / weights.G_val
-    if direct != expansion:
-        raise ArithmeticError(f"local weight mismatch at n={n}: "
-                              f"{direct} != {expansion}")
-    return direct
-
-
 def beta_direct(ctx: PrimeContext, weights: SieveWeights, n: int) -> Fraction:
     """(sum_{d|n} lambda_d)^2, the defining square."""
     a = _admissible_divisor_sum(ctx, weights, n)
@@ -166,8 +134,6 @@ def beta_fourier(ctx: PrimeContext, weights: SieveWeights, n: int) -> Fraction:
     """sum_q w_q c_q(n) over the stored keys; equals beta_direct exactly."""
     if n < 1:
         raise ValueError(f"n={n} must be >= 1")
-    if weights.params.mode != "exact":
-        raise ValueError("exact-equality evaluation needs mode='exact' weights")
     total = Fraction(0)
     for q, wq in weights.w.items():
         total += wq * ctx.ramanujan_sum(q, n)
@@ -191,70 +157,6 @@ def beta_fourier_many(ctx: PrimeContext, weights: SieveWeights,
             s += scaled[q] * ctabs[q][n % q]
         out.append(Fraction(s, den))
     return out
-
-
-def beta_array(weights: SieveWeights, L: int) -> np.ndarray:
-    """Float beta(1..L) as an array (index 0 unused, set to 0).
-
-    Absolute error is at the 1e-12 scale of the float divisor sums; use the
-    exact evaluators when equality matters."""
-    if L < 1:
-        raise ValueError(f"L={L} must be >= 1")
-    amp = np.ones(L + 1)
-    amp[0] = 0.0
-    for d, lam_d in weights.lam.items():
-        if d > 1:
-            amp[d::d] += float(lam_d)
-    return amp * amp
-
-
-def beta_mean_value(weights: SieveWeights, L: int, a: int, d: int) -> complex:
-    """(1/L) sum_{n<=L} beta(n) e(na/d): the empirical Fourier coefficient,
-    which stabilizes near w_d."""
-    if d < 1 or math.gcd(a, d) != 1:
-        raise ValueError(f"a/d = {a}/{d} must be a reduced fraction")
-    beta = beta_array(weights, L)
-    residue_mass = np.bincount(np.arange(L + 1) % d, weights=beta, minlength=d)
-    phases = np.exp(2j * np.pi * a * np.arange(d) / d)
-    return complex(np.dot(residue_mass, phases) / L)
-
-
-def hardy_partial(ctx: PrimeContext, n: int, Q: int, z0: float = 2) -> float:
-    """Truncation (n/phi(n)) sum_{q <= Q, (q, P(z0))=1} mu(q)/phi(q) c_q(n)
-    of the classical series for the von Mangoldt function.  Diagnostic only
-    (float); the series is not valid at n = 1."""
-    if n < 2:
-        raise ValueError("the expansion is not valid at n = 1")
-    if Q < 1:
-        raise ValueError(f"Q={Q} must be >= 1")
-    total = 0.0
-    for q in range(1, Q + 1):
-        mu = ctx.mobius(q)
-        if mu == 0:
-            continue
-        if q > 1 and ctx.spf(q) < z0:
-            continue
-        total += mu * ctx.ramanujan_sum(q, n) / ctx.euler_phi(q)
-    return n / ctx.euler_phi(n) * total
-
-
-# -- exports ------------------------------------------------------------
-
-
-def lambda_table_csv(weights: SieveWeights) -> str:
-    lines = ["d,numerator,denominator"]
-    for d in sorted(weights.lam):
-        v = weights.lam[d]
-        lines.append(f"{d},{v.numerator},{v.denominator}")
-    return "\n".join(lines) + "\n"
-
-
-def w_table_csv(weights: SieveWeights) -> str:
-    lines = ["q,numerator,denominator"]
-    for q in sorted(weights.w):
-        v = weights.w[q]
-        lines.append(f"{q},{v.numerator},{v.denominator}")
-    return "\n".join(lines) + "\n"
 
 
 # -- pointwise w_q estimates ---------------------------------------------
@@ -312,7 +214,8 @@ def wq_bound_report(ctx: PrimeContext, weights: SieveWeights) -> list[CheckRow]:
 
 def _triple_sum_row(ctx: PrimeContext, weights: SieveWeights, base: dict) -> CheckRow:
     # |G w_q| <= G(z^2;z0)/G(z;z0) * sum over ordered factorizations
-    # q1 q2 q3 = q with q1 q3 <= z and q2 q3 <= z of 1/(q1 q2 q3)
+    # q1 q2 q3 = q with q1 q3 <= z and q2 q3 <= z of 1/(q1 q2 q3), i.e. the
+    # number of such splits over q
     z0, tau = weights.params.z0, weights.params.tau
     zf = Fraction(weights.params.z)
     ratio = g_sifted(ctx, tau, zf * zf, z0) / weights.G_val
@@ -321,18 +224,7 @@ def _triple_sum_row(ctx: PrimeContext, weights: SieveWeights, base: dict) -> Che
     ok = True
     for q, wq in weights.w.items():
         ps = ctx.prime_factors(q) if q > 1 else []
-        s = Fraction(0)
-        for slots in _iproduct((0, 1, 2), repeat=len(ps)):
-            q1 = q2 = q3 = 1
-            for p, sl in zip(ps, slots):
-                if sl == 0:
-                    q1 *= p
-                elif sl == 1:
-                    q2 *= p
-                else:
-                    q3 *= p
-            if q1 * q3 <= zf and q2 * q3 <= zf:
-                s += Fraction(1, q1 * q2 * q3)
+        s = Fraction(len(ordered_splits(ps, zf)), q)
         margin = ratio * s - abs(wq * weights.G_val)
         ok = ok and margin >= 0
         if worst is None or margin < worst:

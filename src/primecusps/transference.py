@@ -230,15 +230,6 @@ def _difference_counts(bohr: BohrSet, N: int) -> np.ndarray:
     return rounded
 
 
-def rho(bohr: BohrSet, m: int, _counts=None) -> Fraction:
-    """The autocorrelation probability rho(m) = #{b1 - b2 = m} / |B|^2."""
-    N = int(bohr.elements[-1])
-    if abs(m) > N:
-        return Fraction(0)
-    counts = _difference_counts(bohr, N) if _counts is None else _counts
-    return Fraction(int(counts[N + m]), bohr.size ** 2)
-
-
 def bohr_sum(bohr: BohrSet, alpha: float) -> complex:
     return complex(np.exp(2j * np.pi * alpha * bohr.elements).sum())
 
@@ -259,7 +250,7 @@ class Decomposition:
     V_val: Fraction
     offset: int
     f: np.ndarray = field(repr=False)
-    conv: np.ndarray = field(repr=False)       # (f * rho), so f_star = G conv
+    conv: np.ndarray = field(repr=False)       # (f * rho), so f* = G conv
     f_flat: np.ndarray = field(repr=False)
     f_sharp: np.ndarray = field(repr=False)
     metrics: dict = field(default_factory=dict)
@@ -279,12 +270,6 @@ class Decomposition:
     @property
     def N(self) -> int:
         return self.subset.N
-
-    def f_star(self, ell: int) -> float:
-        i = ell + self.offset
-        if 0 <= i < len(self.conv):
-            return float(self.G_val) * float(self.conv[i])
-        return 0.0
 
     def _phases(self, alpha: float) -> np.ndarray:
         """e(alpha ell) over the shared support."""
@@ -361,7 +346,7 @@ def decompose(ctx: PrimeContext, subset: PrimeSubset, z0, M: int, A: float,
 
     dec = Decomposition(subset, cover, bohr, z0, float(z), M, float(A), G, V,
                         offset, f, conv, f_flat, f_sharp, {})
-    # tail of f_star beyond N, i.e. the gap between the full-support
+    # tail of f* beyond N, i.e. the gap between the full-support
     # transform and one truncated at N, measured at alpha = 0
     tail = float(G) * float(conv[N + offset + 1 :].sum())
     K = subset.K

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .arith import PrimeContext, WeightedPoint, extract_well_spaced
-from .report import CheckRow, all_clean, leq_row
+from .report import CheckRow, leq_row
 from . import cusps as cu
 from . import expsums as ex
 from . import sieve as sv
@@ -185,6 +185,3 @@ def run_suite(ctx: PrimeContext, name: str, seed: int = 0,
         return suite_gfunctions(ctx, seed=seed, zmax=zmax)
     return _SUITES[name](ctx, seed=seed)
 
-
-def suite_passed(rows: list[CheckRow]) -> bool:
-    return all_clean(rows)

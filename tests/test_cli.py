@@ -20,6 +20,7 @@ def test_unknown_values_are_usage_errors():
     assert run(["verify", "--suite", "bogus"]) == 2
     assert run(["spectrum", "--N", "2000", "--format", "xml"]) == 2
     assert run(["spectrum", "--N", "50"]) == 2
+    assert run(["decompose", "--N", "10000", "--tau", "5"]) == 2
 
 
 def test_grid_must_be_power_of_two(capsys):

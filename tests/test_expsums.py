@@ -1,4 +1,4 @@
-"""Prime subsets, FFT spectra, local models, and the Vaaler-type polynomial."""
+"""Prime subsets, FFT spectra, the local model, and the Vaaler-type polynomial."""
 import math
 
 import numpy as np
@@ -14,10 +14,8 @@ from primecusps.expsums import (
     exp_sums_on_progression,
     l1_estimate,
     local_model_full,
-    local_model_sqrt2,
     rough_integers,
     spectrum,
-    sqrt2_frac,
     subset_full,
     subset_random,
     subset_sqrt2,
@@ -38,17 +36,12 @@ def test_subset_sqrt2_membership(ctx):
     member_set = set(int(p) for p in s.members)
     # fractional-part filter at 1/2; 11 sits just above the cut
     assert 11 not in member_set
-    for p in member_set:
-        assert sqrt2_frac(p) <= 0.5
+    # {p sqrt(2)} <= 1/2 exactly when floor(2 p sqrt(2)) = isqrt(8 p^2) is even
+    exact = {int(p) for p in subset_full(ctx, 10_000).members
+             if math.isqrt(8 * int(p) ** 2) % 2 == 0}
+    assert member_set == exact
     full = subset_full(ctx, 10_000)
     assert 0 < s.size < full.size
-
-
-def test_sqrt2_frac_values():
-    assert sqrt2_frac(11) == pytest.approx(0.5563491861, abs=1e-9)
-    for k in (1, 2, 3, 57, 1001):
-        assert sqrt2_frac(k) == pytest.approx(math.fmod(k * math.sqrt(2), 1.0),
-                                              abs=1e-9)
 
 
 def test_subset_random_determinism(ctx):
@@ -191,30 +184,6 @@ def test_local_model_full_tracks_spectrum(ctx):
         t = exp_sum_at(s, alpha)
         m = local_model_full(ctx, N, 3, alpha)
         assert abs(t - m) <= 0.2 * t0
-
-
-def test_local_model_sqrt2_band(ctx):
-    N = 100_000
-    s = subset_sqrt2(ctx, N)
-    t = exp_sum_at(s, 0.0)
-    m = local_model_sqrt2(ctx, N, 5, 40, 0.0)
-    assert abs(t - m) <= 0.15 * abs(t)
-
-
-def test_local_model_sqrt2_h_trend(ctx):
-    N = 100_000
-    s = subset_sqrt2(ctx, N)
-    shift_pts = [(h * math.sqrt(2)) % 1.0 for h in range(1, 13)]
-    shift_pts += [(0.5 + h * math.sqrt(2)) % 1.0 for h in range(1, 13)]
-    shift_pts.append(0.0)
-    rough = rough_integers(ctx, N, 5)
-    errs = {}
-    for H in (5, 50):
-        errs[H] = max(
-            abs(exp_sum_at(s, a) - local_model_sqrt2(ctx, N, 5, H, a,
-                                                     _rough=rough))
-            for a in shift_pts)
-    assert errs[50] <= errs[5] * (1 + 1e-3)
 
 
 def test_vaaler_zero_coefficient_exact():

@@ -12,6 +12,7 @@ from primecusps.gfunctions import (
     g_bracket,
     g_sifted,
     g_value,
+    ordered_splits,
     xi_value,
 )
 
@@ -75,6 +76,18 @@ def test_xi_values(ctx):
         assert xi_value(ctx, p, Fraction(1, 2)) == 0
     with pytest.raises(ValueError):
         xi_value(ctx, 12, 5)
+
+
+def test_ordered_splits_brute_force(ctx):
+    # every divisor triple q1 q2 q3 = q within the bounds, and nothing else
+    for q in (1, 2, 30, 210, 2310, 3 * 7 * 11 * 13):
+        for y in (Fraction(1, 2), 1, Fraction(15, 2), 40, 300.5, q):
+            expected = sorted(
+                (q1, q2, q // (q1 * q2))
+                for q1 in range(1, q + 1) if q % q1 == 0
+                for q2 in range(1, q // q1 + 1) if (q // q1) % q2 == 0
+                if q // q2 <= y and q // q1 <= y)
+            assert sorted(ordered_splits(ctx.prime_factors(q), y)) == expected
 
 
 def brute_force_bracket(ctx, q, z, z0, tau):

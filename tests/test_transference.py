@@ -5,7 +5,6 @@ cusps, a full Bohr set, instant decomposition.  The acceptance gate runs
 the heavier (10^5, 3, 2, 4) instance.
 """
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,7 +27,6 @@ from primecusps.transference import (
     cusp_suppression_report,
     decompose,
     decomposition_csv,
-    rho,
     sharp_sup_report,
     transform_checks,
     _difference_counts,
@@ -166,15 +164,11 @@ def test_z_parameter_guard(ctx):
 def test_rho_properties(dec1):
     bohr = dec1.bohr
     counts = _difference_counts(bohr, 10_000)
-    assert rho(bohr, 0, _counts=counts) == Fraction(1, bohr.size)
-    total = Fraction(0)
-    for m in range(-10_000, 10_001, 2):
-        total += rho(bohr, m, _counts=counts)
-    assert total == 1
-    for m in (2, 30, 500, 9998):
-        assert rho(bohr, m, _counts=counts) == rho(bohr, -m, _counts=counts)
-    assert rho(bohr, 10_001) == 0
-    assert rho(bohr, 3, _counts=counts) == 0  # odd difference of even elements
+    # counts[N + m] / |B|^2 is the probability rho at m, on [-N, N]
+    assert counts.sum() == bohr.size ** 2
+    assert counts[10_000] == bohr.size
+    assert np.array_equal(counts, counts[::-1])
+    assert not counts[1::2].any()  # odd differences of even elements
 
 
 def test_difference_counts_direct_vs_fft():
@@ -230,10 +224,7 @@ def test_transforms_match_direct_sums(dec1):
         assert abs(star - star_full) <= 1e-9 * dec1.subset.size
 
 def test_f_star_support(ctx, dec1):
-    # vanishes off gcd(ell, M)=1 and outside the convolution window
-    assert dec1.f_star(4) == 0.0
-    assert dec1.f_star(-20_000) == 0.0
-    assert dec1.f_star(30_001) == 0.0
+    # f* = G conv vanishes off gcd(ell, M) = 1 and is non-negative
     idx = np.flatnonzero(dec1.conv)
     assert all(math.gcd(int(i - dec1.offset), 2) == 1 for i in idx)
     assert dec1.conv.min() >= 0.0
