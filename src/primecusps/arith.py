@@ -3,8 +3,10 @@ sums, primorials, Farey fractions, and well-spaced point extraction.
 
 Everything downstream runs over a PrimeContext, an immutable bundle of sieve
 tables (primality, smallest prime factor) built once up to a fixed limit.
-Mobius and Euler-phi values are recovered per call by factoring through the
-smallest-prime-factor table rather than stored as full tables.
+Mobius and Euler-phi values of single integers are recovered by factoring
+through the smallest-prime-factor table.  The exact and float G sums instead
+read whole arrays: the sifted mask (no prime factor below z0, coprime to d)
+from sifted_mask, and the lazy Euler-phi and squarefree tables.
 """
 
 from __future__ import annotations
@@ -167,12 +169,20 @@ class PrimeContext:
             out *= Fraction(p - 1, p)
         return out
 
-    # -- lazy shared tables (used by the float G evaluators) ------------
+    # -- shared masks and lazy tables (used by the exact and float G sums) --
 
-    @property
-    def spf_table(self) -> np.ndarray:
-        """Smallest-prime-factor array; entries 0 and 1 are 0."""
-        return self._spf
+    def sifted_mask(self, n: int, z0=2, d: int = 1) -> np.ndarray:
+        """Bool array over [0, n]: True at m >= 1 with no prime factor below
+        z0 and gcd(m, d) = 1."""
+        if n > self.limit:
+            raise CapacityError(f"n={n} exceeds prime table limit {self.limit}")
+        mask = np.ones(n + 1, dtype=bool)
+        mask[0] = False
+        if z0 > 2:
+            mask[2:] = self._spf[2 : n + 1] >= z0
+        for p in self.prime_factors(d):
+            mask[p::p] = False
+        return mask
 
     @property
     def phi_table(self) -> np.ndarray:

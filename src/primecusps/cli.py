@@ -98,7 +98,10 @@ def _parse_config_file(path: str) -> dict:
                 key, val = (s.strip() for s in line.split("=", 1))
                 if key not in _DEFAULTS:
                     raise UsageError(f"{path}:{ln}: unknown key {key!r}")
-                values[key] = _COERCE[key](val)
+                try:
+                    values[key] = _COERCE[key](val)
+                except ValueError:
+                    raise UsageError(f"{path}:{ln}: bad value {val!r} for {key!r}")
     except OSError as err:
         raise UsageError(f"cannot read config {path}: {err}")
     return values

@@ -171,13 +171,7 @@ def l1_estimate(grid: SpectrumGrid) -> float:
 
 def rough_integers(ctx: PrimeContext, N: int, z0) -> np.ndarray:
     """Ascending n <= N with no prime factor below z0 (n=1 included)."""
-    if N > ctx.limit:
-        raise ValueError(f"N={N} exceeds prime table limit {ctx.limit}")
-    mask = np.ones(N + 1, dtype=bool)
-    mask[0] = False
-    if z0 > 2:
-        mask[2:] = ctx.spf_table[2 : N + 1] >= z0
-    return np.flatnonzero(mask).astype(np.int64)
+    return np.flatnonzero(ctx.sifted_mask(N, z0)).astype(np.int64)
 
 
 def local_model_full(ctx: PrimeContext, N: int, z0, alpha: float,

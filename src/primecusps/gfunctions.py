@@ -48,14 +48,7 @@ def g_sifted(ctx: PrimeContext, d: int, y, z0=2) -> Fraction:
     m = _floor(y)
     if m < 1:
         return Fraction(0)
-    if m > ctx.limit:
-        raise CapacityError(f"y={y} exceeds prime table limit {ctx.limit}")
-    mask = ctx.squarefree_mask[: m + 1].copy()
-    mask[0] = False
-    if z0 > 2:
-        mask[2:] &= ctx.spf_table[2 : m + 1] >= z0
-    for p in ctx.prime_factors(d):
-        mask[p::p] = False
+    mask = ctx.sifted_mask(m, z0, d) & ctx.squarefree_mask[: m + 1]
     phi = ctx.phi_table[: m + 1][mask]
     # group equal phi values and accumulate over one common denominator:
     # a single reduction instead of thousands of fraction additions
@@ -129,18 +122,13 @@ def g_bracket(ctx: PrimeContext, q: int, z, z0=2, tau: int = 1) -> Fraction:
         return Fraction(0)
     # ell <= z/sqrt(q)  <=>  ell^2 * q <= z^2, decided in exact arithmetic
     lmax = math.isqrt(math.floor(zf * zf / q))
-    if lmax > ctx.limit:
-        raise CapacityError(f"z={z} exceeds prime table limit {ctx.limit}")
+    # q and tau are struck apart: q*tau may pass the table limit
+    mask = (ctx.sifted_mask(lmax, z0, q) & ctx.sifted_mask(lmax, 2, tau)
+            & ctx.squarefree_mask[: lmax + 1])
+    ells = np.flatnonzero(mask)
     total = Fraction(0)
-    qt = q * tau
-    for ell in range(1, lmax + 1):
-        if not ctx.is_squarefree(ell):
-            continue
-        if math.gcd(ell, qt) != 1:
-            continue
-        if ell > 1 and ctx.spf(ell) < z0:
-            continue
-        total += Fraction(1, ctx.euler_phi(ell)) * xi_value(ctx, q, zf / ell)
+    for ell, phi in zip(ells.tolist(), ctx.phi_table[ells].tolist()):
+        total += Fraction(1, phi) * xi_value(ctx, q, zf / ell)
     return total
 
 
@@ -152,12 +140,7 @@ class GProfile:
 
     def __init__(self, ctx: PrimeContext, d: int = 1, z0=2, limit: int | None = None):
         n = ctx.limit if limit is None else min(int(limit), ctx.limit)
-        mask = ctx.squarefree_mask[: n + 1].copy()
-        mask[0] = False
-        if z0 > 2:
-            mask[2:] &= ctx.spf_table[2 : n + 1] >= z0
-        for p in ctx.prime_factors(d):
-            mask[p::p] = False
+        mask = ctx.sifted_mask(n, z0, d) & ctx.squarefree_mask[: n + 1]
         vals = np.zeros(n + 1)
         vals[mask] = 1.0 / ctx.phi_table[: n + 1][mask]
         self.cum = np.cumsum(vals)
@@ -254,12 +237,7 @@ def _check_asymptotic_band(ctx: PrimeContext, cap: int) -> CheckRow:
     g = prof.cum[1:cap + 1]
     up = ASYM_SLOPE / np.sqrt(ns) - (g - np.log(ns) - G_CONSTANT)
     dn = ASYM_SLOPE / np.sqrt(ns[:-1] + 1) - (np.log(ns[:-1] + 1) + G_CONSTANT - g[:-1])
-    m_up, z_up = _worst(up, ns)
-    m_dn, z_dn = _worst(dn, ns[:-1])
-    if m_up <= m_dn:
-        margin, z_at = m_up, z_up
-    else:
-        margin, z_at = m_dn, z_dn
+    margin, z_at = _worst(np.concatenate([up, dn]), np.concatenate([ns, ns[:-1]]))
     return leq_row("g-asymptotic-band", {"z": int(z_at), "zmax": cap}, -margin, 0.0,
                    note="two-sided band around log z + 1.332582275733, slope 2.44/sqrt(z)")
 
@@ -283,9 +261,7 @@ def _check_log_gap_band(ctx: PrimeContext, cap: int) -> CheckRow:
     upper = 1.4709 - (g - np.log(ns))            # binds at z = n
     nxt = np.minimum(ns + 1, cap)                # last interval capped at the scan end
     lower = (g - np.log(nxt)) - 1.2              # binds as z -> (n+1)-
-    m_up, z_up = _worst(upper, ns)
-    m_dn, z_dn = _worst(lower, ns)
-    margin, z_at = (m_up, z_up) if m_up <= m_dn else (m_dn, z_dn)
+    margin, z_at = _worst(np.concatenate([upper, lower]), np.concatenate([ns, ns]))
     return leq_row("g-log-gap-band", {"z": int(z_at), "zmax": cap}, -margin, 0.0,
                    note="1.2 <= G(z) - log z <= 1.4709 on [10, zmax]")
 
@@ -455,10 +431,8 @@ def _check_mertens_ratio(primes: np.ndarray, cap: int) -> list[CheckRow]:
     # e^gamma log x < prod_{p <= x} p/(p-1) <= e^gamma log x + 2 e^gamma/sqrt(x)
     rights = np.append(pks[1:], float(cap))
     lower = R - eg * np.log(rights)
-    a, at = _worst(lower, rights)
     upper = eg * np.log(pks) + 2.0 * eg / np.sqrt(pks) - R
-    b, bt = _worst(upper, pks)
-    margin, at_x = (a, at) if a <= b else (b, bt)
+    margin, at_x = _worst(np.concatenate([lower, upper]), np.concatenate([rights, pks]))
     rows.append(leq_row("mertens-ratio-band", {"x": float(at_x), "xmax": cap}, -margin, 0.0,
                         note="two-sided band on [2, xmax]"))
     if cap < 286:

@@ -162,21 +162,23 @@ def beta_fourier_many(ctx: PrimeContext, weights: SieveWeights,
 # -- pointwise w_q estimates ---------------------------------------------
 
 
+def _worst_row(lemma: str, params: dict, margins, note: str, key: str = "q") -> CheckRow:
+    """Row for the first smallest exact margin over (key, margin) pairs; it
+    passes when that margin is >= 0 (or there are no pairs)."""
+    worst = at = None
+    for k, margin in margins:
+        if worst is None or margin < worst:
+            worst, at = margin, k
+    return CheckRow(lemma, {**params, key: at}, None, None,
+                    None if worst is None else float(worst),
+                    "pass" if worst is None or worst >= 0 else "fail", note)
+
+
 def _window_row(lemma: str, params: dict, lo, vals, hi_for) -> CheckRow:
     """Exact two-sided window check: lo <= value <= hi(key) over key->value."""
-    worst = None
-    at = None
-    ok = True
-    for key, val in vals:
-        hi = hi_for(key)
-        ok = ok and (lo <= val <= hi)
-        margin = min(val - lo, hi - val)
-        if worst is None or margin < worst:
-            worst, at = margin, key
-    return CheckRow(lemma, {**params, "q": at}, None, None,
-                    float(worst) if worst is not None else None,
-                    "pass" if ok else "fail",
-                    "exact two-sided comparison over all stored keys")
+    return _worst_row(lemma, params,
+                      ((key, min(val - lo, hi_for(key) - val)) for key, val in vals),
+                      "exact two-sided comparison over all stored keys")
 
 
 def wq_bound_report(ctx: PrimeContext, weights: SieveWeights) -> list[CheckRow]:
@@ -218,20 +220,15 @@ def _triple_sum_row(ctx: PrimeContext, weights: SieveWeights, base: dict) -> Che
     # number of such splits over q
     z0, tau = weights.params.z0, weights.params.tau
     zf = Fraction(weights.params.z)
-    ratio = g_sifted(ctx, tau, zf * zf, z0) / weights.G_val
-    worst = None
-    at = None
-    ok = True
-    for q, wq in weights.w.items():
-        ps = ctx.prime_factors(q) if q > 1 else []
-        s = Fraction(len(ordered_splits(ps, zf)), q)
-        margin = ratio * s - abs(wq * weights.G_val)
-        ok = ok and margin >= 0
-        if worst is None or margin < worst:
-            worst, at = margin, q
-    return CheckRow("w-triple-sum-bound", {**base, "q": at}, None, None,
-                    float(worst), "pass" if ok else "fail",
-                    "exact comparison, every stored key")
+    G = weights.G_val
+    ratio = g_sifted(ctx, tau, zf * zf, z0) / G
+
+    def margin(q, wq):
+        splits = ordered_splits(ctx.prime_factors(q) if q > 1 else [], zf)
+        return ratio * Fraction(len(splits), q) - abs(wq * G)
+    return _worst_row("w-triple-sum-bound", base,
+                      ((q, margin(q, wq)) for q, wq in weights.w.items()),
+                      "exact comparison, every stored key")
 
 
 def _power_decay_rows(ctx: PrimeContext, weights: SieveWeights, base: dict) -> list[CheckRow]:
@@ -240,33 +237,17 @@ def _power_decay_rows(ctx: PrimeContext, weights: SieveWeights, base: dict) -> l
     G = weights.G_val
     # |G w_q| <= q^(-2/3), cubed to stay in integers
     if z0 >= 24:
-        ok = True
-        worst, at = None, None
-        for q, wq in weights.w.items():
-            x = abs(wq * G)
-            margin = 1 - x ** 3 * q * q
-            ok = ok and margin >= 0
-            if worst is None or margin < worst:
-                worst, at = margin, q
-        rows.append(CheckRow("w-power-decay", {**base, "q": at}, None, None,
-                             float(worst), "pass" if ok else "fail",
-                             "cubed form |Gw|^3 q^2 <= 1, exact"))
+        rows.append(_worst_row("w-power-decay", base, (
+            (q, 1 - abs(wq * G) ** 3 * q * q) for q, wq in weights.w.items()),
+            "cubed form |Gw|^3 q^2 <= 1, exact"))
     else:
         rows.append(na_row("w-power-decay", base, "needs z0 >= 24"))
     # |G w_q| <= 1.04 / q^(7/10), tenth power
     if z0 >= 35:
         bound = Fraction(26, 25) ** 10
-        ok = True
-        worst, at = None, None
-        for q, wq in weights.w.items():
-            x = abs(wq * G)
-            margin = bound - x ** 10 * q ** 7
-            ok = ok and margin >= 0
-            if worst is None or margin < worst:
-                worst, at = margin, q
-        rows.append(CheckRow("w-power-decay-refined", {**base, "q": at}, None, None,
-                             float(worst), "pass" if ok else "fail",
-                             "tenth-power form |Gw|^10 q^7 <= (26/25)^10, exact"))
+        rows.append(_worst_row("w-power-decay-refined", base, (
+            (q, bound - abs(wq * G) ** 10 * q ** 7) for q, wq in weights.w.items()),
+            "tenth-power form |Gw|^10 q^7 <= (26/25)^10, exact"))
     else:
         rows.append(na_row("w-power-decay-refined", base, "needs z0 >= 35"))
     return rows
@@ -287,18 +268,9 @@ def _sup_scaling_row(weights: SieveWeights, base: dict) -> CheckRow:
 
 def _kernel_ingredient_row(ctx: PrimeContext) -> CheckRow:
     # (3p-4) p^(2/3) / (p-1)^2 <= 1 for p > 23, cubed into integers
+    # int / int is correctly rounded, so each margin keeps the sign of rhs - lhs
     cap = min(ctx.limit, 100_000)
-    worst = None
-    at = None
-    ok = True
-    for p in ctx.primes_between(24, cap):
-        p = int(p)
-        lhs = (3 * p - 4) ** 3 * p * p
-        rhs = (p - 1) ** 6
-        ok = ok and lhs <= rhs
-        margin = (rhs - lhs) / rhs
-        if worst is None or margin < worst:
-            worst, at = margin, p
-    return CheckRow("w-kernel-ingredient", {"p": at, "pmax": cap}, None, None,
-                    float(worst), "pass" if ok else "fail",
-                    "(3p-4)^3 p^2 <= (p-1)^6 for 23 < p <= pmax, exact integers")
+    return _worst_row("w-kernel-ingredient", {"pmax": cap}, (
+        (p, ((p - 1) ** 6 - (3 * p - 4) ** 3 * p * p) / (p - 1) ** 6)
+        for p in ctx.primes_between(24, cap).tolist()),
+        "(3p-4)^3 p^2 <= (p-1)^6 for 23 < p <= pmax, exact integers", key="p")

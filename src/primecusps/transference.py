@@ -306,7 +306,6 @@ def decompose(ctx: PrimeContext, subset: PrimeSubset, z0, M: int, A: float,
     z defaults to sqrt(N/(M z0)) and may not be below it (the sieve window
     must reach the complement of the primes).  Hypothesis (H1) violations
     on M are reported in the metrics, not fatal."""
-    from .gfunctions import g_sifted
     from .sieve import SieveParams, build_weights
 
     N = subset.N

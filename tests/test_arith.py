@@ -118,6 +118,14 @@ def test_squarefree_count_lower(ctx):
     assert np.all(counts >= qs / 2.0)
 
 
+def test_sifted_mask_brute_force(ctx):
+    for z0 in (2, 3, 7):
+        for d in (1, 10, 77):
+            expected = [n >= 1 and all(n % p for p in (2, 3, 5) if p < z0)
+                        and math.gcd(n, d) == 1 for n in range(2001)]
+            assert ctx.sifted_mask(2000, z0, d).tolist() == expected
+
+
 def test_farey_points():
     f2 = farey_points(2)
     assert [(fp.a, fp.q) for fp in f2][:2] == [(0, 1), (1, 2)]

@@ -50,6 +50,10 @@ def test_config_file_merging(tmp_path):
     bad.write_text("nonsense = 7\n")
     with pytest.raises(UsageError):
         build_config(["cusps", "--config", str(bad)])
+    bad.write_text("N = abc\n")
+    with pytest.raises(UsageError, match="bad.cfg:1"):
+        build_config(["cusps", "--config", str(bad)])
+    assert run(["cusps", "--config", str(bad)]) == 2
 
 
 def test_spectrum_plotdata(tmp_path, capsys):

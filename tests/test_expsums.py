@@ -165,6 +165,8 @@ def test_rough_integers(ctx):
     r5 = rough_integers(ctx, 1000, 5)
     assert all(n % 2 and n % 3 for n in r5[1:])
     assert len(r5) < len(r)
+    with pytest.raises(CapacityError):
+        rough_integers(ctx, ctx.limit + 1, 3)
 
 
 def test_local_model_full_at_zero(ctx):

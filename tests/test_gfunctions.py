@@ -133,6 +133,8 @@ def test_g_bracket_brute_force(ctx):
     assert g_bracket(ctx, 10, 35, 2, 1) == brute_force_bracket(ctx, 10, 35, 2, 1)
     assert g_bracket(ctx, 15, 24, 2, 2) == brute_force_bracket(ctx, 15, 24, 2, 2)
     assert g_bracket(ctx, 35, 60, 3, 2) == brute_force_bracket(ctx, 35, 60, 3, 2)
+    # q * tau = 4849845 is past the prime table
+    assert g_bracket(ctx, 15015, 400, 2, 323) == brute_force_bracket(ctx, 15015, 400, 2, 323)
 
 
 def test_bracket_preconditions(ctx):

@@ -12,6 +12,7 @@ from primecusps.gfunctions import g_sifted
 from primecusps import sieve
 from primecusps.sieve import (
     SieveParams,
+    SieveWeights,
     beta_direct,
     beta_fourier,
     beta_fourier_many,
@@ -102,10 +103,23 @@ def test_guards_survive_optimize():
 
 
 def test_bound_report_clean(ctx, w350):
-    for row in wq_bound_report(ctx, w350):
+    rows = wq_bound_report(ctx, w350)
+    for row in rows:
         assert row.status in ("pass", "not-applicable")
         if row.status == "not-applicable":
             assert row.note
+    # fifty keys tie at margin 0: a tie passes, and the first key is reported
+    triple = next(r for r in rows if r.lemma == "w-triple-sum-bound")
+    assert (triple.status, triple.params["q"], triple.margin) == ("pass", 715, 0.0)
+
+
+def test_bound_report_names_failing_key(ctx, w350):
+    G = w350.G_val
+    w = dict(w350.w)
+    w[7] = Fraction(-2) / (G * 6)     # G w_7 (7 - 1) = -2, below the window
+    tampered = SieveWeights(w350.params, G, w350.lam, w, w350.primes_used)
+    row = next(r for r in wq_bound_report(ctx, tampered) if r.lemma == "w-prime-window")
+    assert (row.status, row.params["q"], row.margin) == ("fail", 7, -1.0)
 
 
 def test_parameter_validation(ctx):
