@@ -1,20 +1,26 @@
 """Arithmetic substrate: prime tables, multiplicative functions, Ramanujan
 sums, primorials, Farey fractions, and well-spaced point extraction.
 
-Everything downstream runs over a PrimeContext, an immutable bundle of sieve
-tables (primality, smallest prime factor) built once up to a fixed limit.
-Mobius and Euler-phi values of single integers are recovered by factoring
-through the smallest-prime-factor table.  The exact and float G sums instead
-read whole arrays: the sifted mask (no prime factor below z0, coprime to d)
-from sifted_mask, and the lazy Euler-phi and squarefree tables.
+Everything downstream runs over a PrimeContext: the primes and the
+smallest-prime-factor table, sieved once up to a fixed limit.  Mobius and
+Euler-phi values of single integers are recovered by factoring through the
+smallest-prime-factor table; the scalar ramanujan_sum is built on them and
+stays the oracle.  Vector paths instead read whole arrays: the sifted mask
+(no prime factor below z0, coprime to d) from sifted_mask, and the Mobius,
+Euler-phi and squarefree tables, each built on first use.  ramanujan_table
+gathers a key's c_q(0..q-1) from them by von Sterneck's formula.  The
+context also keeps a lock-guarded store of exact prefix checkpoints, which
+gfunctions.g_sifted extends instead of re-summing from 1.
 """
 
 from __future__ import annotations
 
 import bisect
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import itemgetter
 from typing import Iterable
 
 import numpy as np
@@ -69,15 +75,22 @@ def circle_distance(x: float, y: float) -> float:
 class PrimeContext:
     """Primality and smallest-prime-factor tables up to `limit`.
 
-    Read-only after construction; safe to share across threads.
+    The sieve tables are fixed at construction.  The Mobius, Euler-phi and
+    squarefree tables are built on first use; two threads racing to build
+    one build the same array, so either result may be kept.  The checkpoint
+    store is mutated only under the context's lock.  A context is safe to
+    share across threads.
     """
 
     def __init__(self, limit: int, spf: np.ndarray, primes: np.ndarray):
         self.limit = limit
         self._spf = spf
         self.primes = primes
+        self._mobius_table = None
         self._phi_table = None
         self._squarefree_mask = None
+        self._checkpoints: dict = {}
+        self._lock = threading.Lock()
 
     # -- factorization ------------------------------------------------
 
@@ -150,6 +163,14 @@ class PrimeContext:
         g = gcd(q, int(n))
         return self.mobius(q // g) * self.euler_phi(q) // self.euler_phi(q // g)
 
+    def ramanujan_table(self, q: int) -> np.ndarray:
+        """c_q(r) for r = 0..q-1 in one gather: von Sterneck's formula over
+        the Mobius and Euler-phi tables (phi(q/g) divides phi(q))."""
+        q = self._check_range(q)
+        cof = q // np.gcd(q, np.arange(q))
+        phi = self.phi_table
+        return self.mobius_table[cof] * (phi[q] // phi[cof])
+
     def primorial(self, z0: float) -> int:
         """P(z0) = product of primes p < z0; empty product is 1."""
         if z0 < 2:
@@ -171,18 +192,33 @@ class PrimeContext:
 
     # -- shared masks and lazy tables (used by the exact and float G sums) --
 
-    def sifted_mask(self, n: int, z0=2, d: int = 1) -> np.ndarray:
-        """Bool array over [0, n]: True at m >= 1 with no prime factor below
-        z0 and gcd(m, d) = 1."""
+    def sifted_mask(self, n: int, z0=2, d=1, start: int = 0) -> np.ndarray:
+        """Bool array over [start, n]: True at m >= 1 with no prime factor
+        below z0 and gcd(m, d) = 1.  d is an int or a tuple of factors whose
+        primes are struck one factor at a time, so their product may pass
+        the table limit."""
         if n > self.limit:
             raise CapacityError(f"n={n} exceeds prime table limit {self.limit}")
-        mask = np.ones(n + 1, dtype=bool)
-        mask[0] = False
+        mask = np.ones(n + 1 - start, dtype=bool)
+        if start == 0:
+            mask[0] = False
         if z0 > 2:
-            mask[2:] = self._spf[2 : n + 1] >= z0
-        for p in self.prime_factors(d):
-            mask[p::p] = False
+            lo = max(start, 2)
+            mask[lo - start :] = self._spf[lo : n + 1] >= z0
+        for f in d if isinstance(d, tuple) else (d,):
+            for p in self.prime_factors(f):
+                mask[-start % p :: p] = False
         return mask
+
+    @property
+    def mobius_table(self) -> np.ndarray:
+        if self._mobius_table is None:
+            mu = np.ones(self.limit + 1, dtype=np.int8)
+            for p in self.primes:
+                mu[p::p] *= -1
+            mu[~self.squarefree_mask] = 0
+            self._mobius_table = mu
+        return self._mobius_table
 
     @property
     def phi_table(self) -> np.ndarray:
@@ -205,6 +241,24 @@ class PrimeContext:
                 mask[p * p :: p * p] = False
             self._squarefree_mask = mask
         return self._squarefree_mask
+
+    # -- exact prefix checkpoints (filled by gfunctions.g_sifted) ----------
+
+    def checkpoint_below(self, key, m: int) -> tuple[int, Fraction]:
+        """The stored (m0, value) under key with the largest m0 <= m, or
+        (0, 0) when there is none."""
+        with self._lock:
+            points = self._checkpoints.get(key, [])
+            i = bisect.bisect_right(points, m, key=itemgetter(0))
+            return points[i - 1] if i else (0, Fraction(0))
+
+    def add_checkpoint(self, key, m: int, value: Fraction) -> None:
+        """Store (m, value) under key, keeping each key's list sorted by m."""
+        with self._lock:
+            points = self._checkpoints.setdefault(key, [])
+            i = bisect.bisect_left(points, m, key=itemgetter(0))
+            if i == len(points) or points[i][0] != m:
+                points.insert(i, (m, value))
 
 
 def build_context(limit: int, cap: int = DEFAULT_LIMIT_CAP) -> PrimeContext:

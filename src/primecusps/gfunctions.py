@@ -40,23 +40,37 @@ def _floor(y) -> int:
     return math.floor(y)
 
 
-def g_sifted(ctx: PrimeContext, d: int, y, z0=2) -> Fraction:
+def g_sifted(ctx: PrimeContext, d, y, z0=2) -> Fraction:
     """Exact G_d(y; z0): sum of 1/phi(ell) over squarefree ell <= y
-    coprime to d and free of prime factors below z0."""
-    if d < 1:
+    coprime to d and free of prime factors below z0.
+
+    d is an int or a tuple of factors, struck one at a time (d * tau may
+    pass the table limit).  The sum up to m = floor(y) extends the nearest
+    exact checkpoint at or below m, kept on ctx per set of struck primes,
+    by the segment's phi values only, then stores m as a new checkpoint."""
+    factors = d if isinstance(d, tuple) else (d,)
+    if any(f < 1 for f in factors):
         raise ValueError("d must be >= 1")
     m = _floor(y)
     if m < 1:
         return Fraction(0)
-    mask = ctx.sifted_mask(m, z0, d) & ctx.squarefree_mask[: m + 1]
-    phi = ctx.phi_table[: m + 1][mask]
+    # the struck primes: those below z0 (by count) and those of d above it
+    extra = {p for f in factors for p in ctx.prime_factors(f) if p >= z0}
+    key = (len(ctx.primes_below(z0)), tuple(sorted(extra)))
+    m0, g0 = ctx.checkpoint_below(key, m)
+    if m0 == m:
+        return g0
+    mask = (ctx.sifted_mask(m, z0, factors, start=m0 + 1)
+            & ctx.squarefree_mask[m0 + 1 : m + 1])
+    phi = ctx.phi_table[m0 + 1 : m + 1][mask]
     # group equal phi values and accumulate over one common denominator:
     # a single reduction instead of thousands of fraction additions
-    counts = np.bincount(phi)
-    values = [int(v) for v in np.flatnonzero(counts)]
+    values, counts = np.unique(phi, return_counts=True)
+    values, counts = values.tolist(), counts.tolist()
     den = math.lcm(*values) if values else 1
-    num = sum(int(counts[v]) * (den // v) for v in values)
-    return Fraction(num, den)
+    g = g0 + Fraction(sum(c * (den // v) for v, c in zip(values, counts)), den)
+    ctx.add_checkpoint(key, m, g)
+    return g
 
 
 def g_value(ctx: PrimeContext, d: int, y) -> Fraction:
@@ -123,8 +137,7 @@ def g_bracket(ctx: PrimeContext, q: int, z, z0=2, tau: int = 1) -> Fraction:
     # ell <= z/sqrt(q)  <=>  ell^2 * q <= z^2, decided in exact arithmetic
     lmax = math.isqrt(math.floor(zf * zf / q))
     # q and tau are struck apart: q*tau may pass the table limit
-    mask = (ctx.sifted_mask(lmax, z0, q) & ctx.sifted_mask(lmax, 2, tau)
-            & ctx.squarefree_mask[: lmax + 1])
+    mask = ctx.sifted_mask(lmax, z0, (q, tau)) & ctx.squarefree_mask[: lmax + 1]
     ells = np.flatnonzero(mask)
     total = Fraction(0)
     for ell, phi in zip(ells.tolist(), ctx.phi_table[ells].tolist()):

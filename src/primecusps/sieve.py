@@ -22,6 +22,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .arith import CapacityError, PrimeContext
 from .gfunctions import g_bracket, g_sifted, ordered_splits
 from .report import CheckRow, na_row
@@ -93,7 +95,7 @@ def build_weights(ctx: PrimeContext, params: SieveParams,
 
     lam: dict[int, Fraction] = {}
     for d, mu, phi in _key_products(primes, zf, cap):
-        lam[d] = Fraction(mu * d, phi) * g_sifted(ctx, d * tau, zf / d, z0) / G
+        lam[d] = Fraction(mu * d, phi) * g_sifted(ctx, (d, tau), zf / d, z0) / G
 
     Gsq = G * G
     w: dict[int, Fraction] = {}
@@ -142,21 +144,17 @@ def beta_fourier(ctx: PrimeContext, weights: SieveWeights, n: int) -> Fraction:
 
 def beta_fourier_many(ctx: PrimeContext, weights: SieveWeights,
                       ns) -> list[Fraction]:
-    """beta_fourier over many n: one shared denominator and per-key
-    Ramanujan tables instead of per-n fraction arithmetic."""
-    keys = sorted(weights.w)
-    den = math.lcm(*(weights.w[q].denominator for q in keys))
-    scaled = {q: weights.w[q].numerator * (den // weights.w[q].denominator) for q in keys}
-    ctabs = {q: [ctx.ramanujan_sum(q, r) for r in range(q)] for q in keys}
-    out = []
-    for n in ns:
-        if n < 1:
-            raise ValueError(f"n={n} must be >= 1")
-        s = 0
-        for q in keys:
-            s += scaled[q] * ctabs[q][n % q]
-        out.append(Fraction(s, den))
-    return out
+    """beta_fourier over many n: one shared denominator, and each key's
+    Ramanujan sums gathered from its table c_q(0..q-1) for all n at once."""
+    ns = np.asarray(list(ns), dtype=np.int64)
+    if ns.size and ns.min() < 1:
+        raise ValueError(f"n={int(ns.min())} must be >= 1")
+    den = math.lcm(*(wq.denominator for wq in weights.w.values()))
+    total = np.zeros(ns.size, dtype=object)
+    for q, wq in weights.w.items():
+        column = ctx.ramanujan_table(q)[ns % q].astype(object)
+        total += wq.numerator * (den // wq.denominator) * column
+    return [Fraction(s, den) for s in total.tolist()]
 
 
 # -- pointwise w_q estimates ---------------------------------------------

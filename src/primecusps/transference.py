@@ -20,6 +20,7 @@ from .arith import CapacityError, PrimeContext, circle_distance
 from .cusps import REEVAL_TOL, CuspReport, find_cusps
 from .expsums import (PrimeSubset, SpectrumGrid, exp_sum_at,
                       exp_sums_on_progression)
+from .gfunctions import g_sifted
 from .report import CheckRow, FLOAT_SLACK, leq_row, na_row
 
 #: samples per cover interval when hunting the interval maximum
@@ -306,8 +307,6 @@ def decompose(ctx: PrimeContext, subset: PrimeSubset, z0, M: int, A: float,
     z defaults to sqrt(N/(M z0)) and may not be below it (the sieve window
     must reach the complement of the primes).  Hypothesis (H1) violations
     on M are reported in the metrics, not fatal."""
-    from .sieve import SieveParams, build_weights
-
     N = subset.N
     zmin = default_z(N, M, z0)
     if z is None:
@@ -321,8 +320,9 @@ def decompose(ctx: PrimeContext, subset: PrimeSubset, z0, M: int, A: float,
         cover = build_cover(grid, A, report)
     bohr = build_bohr(cover, M, N)
 
-    weights = build_weights(ctx, SieveParams(z0, z, 1))
-    G = weights.G_val
+    if z < z0:
+        raise ValueError(f"z={z} must be >= z0={z0}")
+    G = g_sifted(ctx, 1, z, z0)
     V = ctx.mertens_product(z0)
 
     counts = _difference_counts(bohr, N)

@@ -18,15 +18,8 @@ from . import sieve as sv
 from . import transference as tr
 from .gfunctions import explicit_estimate_report
 
-SUITE_NAMES = ("g-functions", "sieve", "large-sieve", "cusps", "transference")
-
 #: criterion grid for the cusp suites
 CUSP_GRID_A = (2, 4, 8, 16)
-
-
-def suite_gfunctions(ctx: PrimeContext, seed: int = 0,
-                     zmax: int = 100_000) -> list[CheckRow]:
-    return explicit_estimate_report(ctx, min(zmax, ctx.limit))
 
 
 def _beta_grid_row(ctx, z0, z, tau, nmax) -> CheckRow:
@@ -157,13 +150,15 @@ def suite_transference(ctx: PrimeContext, seed: int = 0) -> list[CheckRow]:
     return rows
 
 
+#: name -> suite(ctx, seed, zmax); only the g-function scan reads zmax
 _SUITES = {
-    "g-functions": suite_gfunctions,
-    "sieve": suite_sieve,
-    "large-sieve": suite_large_sieve,
-    "cusps": suite_cusps,
-    "transference": suite_transference,
+    "g-functions": lambda ctx, seed, zmax: explicit_estimate_report(ctx, min(zmax, ctx.limit)),
+    "sieve": lambda ctx, seed, zmax: suite_sieve(ctx, seed),
+    "large-sieve": lambda ctx, seed, zmax: suite_large_sieve(ctx, seed),
+    "cusps": lambda ctx, seed, zmax: suite_cusps(ctx, seed),
+    "transference": lambda ctx, seed, zmax: suite_transference(ctx, seed),
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(ctx: PrimeContext, name: str, seed: int = 0,
@@ -181,7 +176,4 @@ def run_suite(ctx: PrimeContext, name: str, seed: int = 0,
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from "
                          f"{', '.join(SUITE_NAMES)} or all")
-    if name == "g-functions":
-        return suite_gfunctions(ctx, seed=seed, zmax=zmax)
-    return _SUITES[name](ctx, seed=seed)
-
+    return _SUITES[name](ctx, seed, zmax)

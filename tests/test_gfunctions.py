@@ -1,5 +1,9 @@
 """Exact G-function values, the xi kernel, and the explicit-estimate report."""
 import math
+import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -25,6 +29,96 @@ def test_g_small_values(ctx):
     for y in (1, 4, 10, 33):
         assert g_sifted(ctx, 1, y, 2) == g_value(ctx, 1, y)
     assert g_sifted(ctx, 1, 10, 3) == Fraction(23, 12)
+
+
+#: (d, z0) keys and query points of the checkpoint tests: ints, fractions
+#: and floats, below 1, repeated, in no particular order
+CHECKPOINT_KEYS = ((1, 2), (5, 3), (35, 7), ((5, 7), 3))
+CHECKPOINT_YS = (0.5, Fraction(1, 2), 1, 2, 3.7, Fraction(7, 2), 10, 97, 100,
+                 Fraction(2001, 2), 1000, 2500.5, 2999, 3000)
+
+
+def _trial_factor(n):
+    """{p: e} for n by trial division."""
+    out, p = {}, 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        out[n] = 1
+    return out
+
+
+def _brute_prefix(d, z0, n):
+    """[G_d(m; z0) for m = 0..n] by trial division and Fraction sums."""
+    dd = math.prod(d) if isinstance(d, tuple) else d
+    out = [Fraction(0)]
+    for ell in range(1, n + 1):
+        f = _trial_factor(ell)
+        ok = all(e == 1 and p >= z0 and dd % p for p, e in f.items())
+        out.append(out[-1] + (Fraction(1, math.prod(p - 1 for p in f)) if ok else 0))
+    return out
+
+
+@pytest.fixture(scope="module")
+def checkpoint_reference():
+    return {key: _brute_prefix(*key, 3000) for key in CHECKPOINT_KEYS}
+
+
+def _expected(reference, key, y):
+    m = math.floor(Fraction(y))
+    return reference[key][max(m, 0)]
+
+
+def test_g_checkpoints_any_order(checkpoint_reference):
+    rng = random.Random(0)
+    queries = [(key, y) for key in CHECKPOINT_KEYS for y in CHECKPOINT_YS] * 2
+    rng.shuffle(queries)
+    shared = build_context(3000)
+    for (d, z0), y in queries:
+        got = g_sifted(shared, d, y, z0)
+        assert got == g_sifted(build_context(3000), d, y, z0)
+        assert got == _expected(checkpoint_reference, (d, z0), y), (d, z0, y)
+
+
+def test_g_checkpoints_shared_across_threads(checkpoint_reference):
+    # more threads than cores, each in its own order, on one shared context
+    # per round; an unguarded insert can leave a key's checkpoints unsorted
+    queries = [(key, y) for key in CHECKPOINT_KEYS for y in CHECKPOINT_YS]
+    queries += [((1, 2), y) for y in range(1, 3001)]  # many inserts on one key
+    orders = [list(range(len(queries))), list(range(len(queries)))[::-1]]
+    for seed in (1, 2):
+        orders.append(random.Random(seed).sample(orders[0], len(queries)))
+    expected = {i: _expected(checkpoint_reference, key, y)
+                for i, (key, y) in enumerate(queries)}
+
+    def worker(shared, barrier, order):
+        barrier.wait(timeout=60)
+        got = {}
+        for i in order:
+            (d, z0), y = queries[i]
+            got[i] = g_sifted(shared, d, y, z0)
+        return got
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(4):
+            shared = build_context(3000)
+            barrier = threading.Barrier(len(orders))
+            with ThreadPoolExecutor(max_workers=len(orders)) as pool:
+                futures = [pool.submit(worker, shared, barrier, order)
+                           for order in orders]
+                results = [f.result(timeout=120) for f in futures]
+            for got in results:
+                assert got == expected
+            for points in shared._checkpoints.values():
+                ms = [m for m, _ in points]
+                assert ms == sorted(set(ms))
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_g_monotonicity(ctx):

@@ -1,4 +1,5 @@
 """Enveloping-sieve weights: exact identities, envelope property, bounds."""
+import math
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from primecusps.arith import CapacityError
+from primecusps.arith import CapacityError, PrimeContext
 from primecusps.gfunctions import g_sifted
 from primecusps import sieve
 from primecusps.sieve import (
@@ -71,6 +72,52 @@ def test_beta_exact_equality_sample(ctx):
 def test_beta_equality_property(ctx, n):
     weights = build_weights(ctx, SieveParams(3, 30, 5))
     assert beta_direct(ctx, weights, n) == beta_fourier(ctx, weights, n)
+
+
+def test_beta_fourier_many_uses_no_scalar_sums(ctx, monkeypatch):
+    weights = build_weights(ctx, SieveParams(3, 30, 5))
+    ns = list(range(1, 301))
+    direct = [beta_direct(ctx, weights, n) for n in ns]
+
+    def refuse(self, q, n):
+        raise AssertionError("scalar ramanujan_sum called")
+    monkeypatch.setattr(PrimeContext, "ramanujan_sum", refuse)
+    assert beta_fourier_many(ctx, weights, ns) == direct
+
+
+def _trial_factor(n):
+    """{p: e} for n by trial division."""
+    out, p = {}, 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        out[n] = 1
+    return out
+
+
+def _brute_g(d, y, z0):
+    """G_d(y; z0) by trial division, one fraction at a time."""
+    total = Fraction(0)
+    for ell in range(1, math.floor(y) + 1):
+        f = _trial_factor(ell)
+        if all(e == 1 and p >= z0 and d % p for p, e in f.items()):
+            total += Fraction(1, math.prod(p - 1 for p in f))
+    return total
+
+
+def test_weights_at_tau_past_the_table(ctx):
+    # 29 * 4999 passes the 120000 table: d and tau are struck apart
+    weights = build_weights(ctx, SieveParams(3, 50, 4999))
+    ns = list(range(1, 501))
+    assert beta_fourier_many(ctx, weights, ns) == [
+        beta_direct(ctx, weights, n) for n in ns]
+    assert weights.lam[1] == 1
+    z = Fraction(50)
+    expected = Fraction(-29, 28) * _brute_g(29 * 4999, z / 29, 3) / _brute_g(4999, z, 3)
+    assert weights.lam[29] == expected
 
 
 def test_weight_normalization_guard(ctx, monkeypatch):
