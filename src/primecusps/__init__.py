@@ -38,13 +38,15 @@ from .expsums import (
     IntervalPolynomial,
     PrimeSubset,
     SpectrumGrid,
+    exp_sum,
     exp_sum_at,
+    fejer_interval_polynomial,
+    grid_sums,
     local_model_full,
     spectrum,
     subset_full,
     subset_random,
     subset_sqrt2,
-    vaaler_coeffs,
 )
 from .cusps import (
     CuspArc,
@@ -60,7 +62,6 @@ from .transference import (
     BohrSet,
     Cover,
     Decomposition,
-    bohr_sum,
     build_bohr,
     build_cover,
     cusp_suppression_report,
@@ -77,13 +78,13 @@ __all__ = [
     "Decomposition", "FareyPoint", "G_CONSTANT", "IntervalPolynomial",
     "PrimeContext", "PrimeSubset", "SieveParams", "SieveWeights",
     "SpectrumGrid", "WeightedPoint", "all_clean", "beta_direct",
-    "beta_fourier", "beta_fourier_many", "bohr_sum", "build_bohr",
-    "build_context", "build_cover", "build_weights", "circle_distance",
-    "companion_search", "cusp_suppression_report", "decompose", "exp_sum_at",
+    "beta_fourier", "beta_fourier_many", "build_bohr", "build_context",
+    "build_cover", "build_weights", "circle_distance", "companion_search",
+    "cusp_suppression_report", "decompose", "exp_sum", "exp_sum_at",
     "explicit_estimate_report", "extract_well_spaced", "farey_points",
-    "find_cusps", "g_bracket", "g_sifted", "g_value", "large_sieve_check",
-    "local_model_full", "dilated_large_sieve_check", "rational_shift_check",
-    "run_suite", "spectrum", "structure_check", "subset_full",
-    "subset_random", "subset_sqrt2", "transform_checks", "vaaler_coeffs",
-    "wq_bound_report", "xi_value",
+    "fejer_interval_polynomial", "find_cusps", "g_bracket", "g_sifted",
+    "g_value", "grid_sums", "large_sieve_check", "local_model_full",
+    "dilated_large_sieve_check", "rational_shift_check", "run_suite",
+    "spectrum", "structure_check", "subset_full", "subset_random",
+    "subset_sqrt2", "transform_checks", "wq_bound_report", "xi_value",
 ]

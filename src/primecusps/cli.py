@@ -54,17 +54,16 @@ class RunConfig:
     format: str = "json"
     output: str = None
     threads: int = 1
-    mode: str = "exact"
     seed: int = 0
     limit: int = None
 
     def __post_init__(self):
         if self.subset not in ("full", "sqrt2", "random"):
             raise UsageError(f"unknown subset {self.subset!r}")
-        if self.format not in ("json", "csv", "plotdata"):
-            raise UsageError(f"unknown format {self.format!r}")
-        if self.mode not in ("exact", "fast"):
-            raise UsageError(f"unknown mode {self.mode!r}")
+        formats = _COMMANDS[self.command][1]
+        if self.format not in formats:
+            raise UsageError(f"{self.command} writes no {self.format!r} format; "
+                             f"choose from {', '.join(formats)}")
         if self.suite not in SUITE_NAMES + ("all",):
             raise UsageError(f"unknown suite {self.suite!r}")
         if self.threads < 1:
@@ -110,7 +109,7 @@ def _parse_config_file(path: str) -> dict:
 def _build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="primecusps", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
-    for name in ("spectrum", "cusps", "companions", "decompose", "verify"):
+    for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="key=value file; flags win")
         for key, default in _DEFAULTS.items():
@@ -146,12 +145,7 @@ def _subset(ctx, cfg: RunConfig) -> ex.PrimeSubset:
 
 
 def _grid_size(cfg: RunConfig) -> int:
-    if cfg.grid is not None:
-        return cfg.grid
-    size = ex.default_grid_size(cfg.N)
-    if cfg.mode == "fast":
-        size = min(size, 1 << 20)
-    return size
+    return cfg.grid if cfg.grid is not None else ex.default_grid_size(cfg.N)
 
 
 def _out_path(cfg: RunConfig, ext: str) -> str:
@@ -276,12 +270,13 @@ def cmd_verify(ctx, cfg: RunConfig) -> int:
     return 0
 
 
+#: command -> (runner, the output formats it writes)
 _COMMANDS = {
-    "spectrum": cmd_spectrum,
-    "cusps": cmd_cusps,
-    "companions": cmd_companions,
-    "decompose": cmd_decompose,
-    "verify": cmd_verify,
+    "spectrum": (cmd_spectrum, ("json", "csv", "plotdata")),
+    "cusps": (cmd_cusps, ("json", "csv")),
+    "companions": (cmd_companions, ("json",)),
+    "decompose": (cmd_decompose, ("json", "csv")),
+    "verify": (cmd_verify, ("json",)),
 }
 
 
@@ -301,7 +296,7 @@ def main(argv=None) -> int:
         return 2
     try:
         ctx = build_context(_context_limit(cfg))
-        return _COMMANDS[cfg.command](ctx, cfg)
+        return _COMMANDS[cfg.command][0](ctx, cfg)
     except (ValueError, RuntimeError, ArithmeticError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -1,10 +1,13 @@
 """Prime exponential sums and their local model.
 
-T*(alpha) = sum over the prime subset of e(p alpha), evaluated directly, on
-an arithmetic progression by chirp-z, or on a power-of-two grid through an
-FFT.  The local model replaces the primes by z0-rough integers weighted by
-1/(V(z0) log N).  vaaler_coeffs builds a trigonometric polynomial for an
-interval indicator; only acceptance criterion 10 checks it.
+Every sum of w_n e(alpha n) over integer points is evaluated here: exp_sum
+at one alpha (one phase vector, one dot product per weight vector),
+exp_sum_at for T*(alpha) = sum over the prime subset of e(p alpha),
+exp_sums_on_progression on an arithmetic progression by chirp-z, and
+grid_sums at every j/G by one length-G FFT.  The local model replaces the
+primes by z0-rough integers weighted by 1/(V(z0) log N).
+fejer_interval_polynomial builds a trigonometric polynomial for an interval
+indicator; only acceptance criterion 10 checks it.
 """
 from __future__ import annotations
 
@@ -81,8 +84,33 @@ def subset_random(ctx: PrimeContext, N: int, density: float = 0.5,
     return PrimeSubset(N, ps[keep], f"random({density}, seed={seed})")
 
 
+def exp_sum(ns: np.ndarray, alpha: float, *weights: np.ndarray):
+    """sum over n in ns of e(alpha n) as a complex, or, given weight
+    vectors, a tuple holding sum_n w_n e(alpha n) for each one.  One phase
+    vector serves every weight vector."""
+    phases = np.exp(TWO_PI * 1j * alpha * ns)
+    if not weights:
+        return complex(phases.sum())
+    return tuple(complex(np.dot(w, phases)) for w in weights)
+
+
 def exp_sum_at(subset: PrimeSubset, alpha: float) -> complex:
-    return complex(np.exp(TWO_PI * 1j * alpha * subset.members).sum())
+    return exp_sum(subset.members, alpha)
+
+
+def grid_sums(values: np.ndarray, G: int, offset: int = 0) -> np.ndarray:
+    """sum_i values[i] e((i - offset) j/G) for 0 <= j < G, from one length-G
+    FFT of the real weights.  e(i j/G) has period G in i, so entries past G
+    are folded in mod G first and every sample is exact."""
+    if np.iscomplexobj(values):
+        raise ValueError("grid_sums takes real weights")
+    if len(values) > G:
+        values = np.pad(values, (0, -len(values) % G)).reshape(-1, G).sum(axis=0)
+    sums = np.fft.fft(values, G)
+    np.conj(sums, out=sums)  # the FFT carries e(-ij/G)
+    if offset:
+        sums *= np.exp(-TWO_PI * 1j * np.arange(G) * offset / G)
+    return sums
 
 
 #: samples per chirp-z block; each block costs FFTs of length >= N + block
@@ -138,9 +166,6 @@ class SpectrumGrid:
     G: int
     values: np.ndarray = field(repr=False)
 
-    def abs_normalized(self) -> np.ndarray:
-        return np.abs(self.values) / self.subset.size
-
 
 def default_grid_size(N: int) -> int:
     # 32 samples per 1/N arc width, rounded up to a power of two
@@ -148,17 +173,17 @@ def default_grid_size(N: int) -> int:
 
 
 def spectrum(subset: PrimeSubset, G=None) -> SpectrumGrid:
-    """Evaluate T* on the uniform grid j/G by one length-G FFT of the
-    member indicator (conjugated: the sum carries e(+p alpha))."""
+    """Evaluate T* on the uniform grid j/G by grid_sums over the member
+    indicator."""
     if G is None:
         G = default_grid_size(subset.N)
     if G < subset.N:
         raise ValueError(f"grid size {G} is below N={subset.N}")
     if G & (G - 1):
         raise ValueError(f"grid size {G} is not a power of two")
-    indicator = np.zeros(G)
+    indicator = np.zeros(subset.N + 1)
     indicator[subset.members] = 1.0
-    return SpectrumGrid(subset, G, np.conj(np.fft.fft(indicator)))
+    return SpectrumGrid(subset, G, grid_sums(indicator, G))
 
 
 def l1_estimate(grid: SpectrumGrid) -> float:
@@ -180,7 +205,7 @@ def local_model_full(ctx: PrimeContext, N: int, z0, alpha: float,
     rough-number proxy for the prime exponential sum."""
     ns = rough_integers(ctx, N, z0) if _rough is None else _rough
     V = float(ctx.mertens_product(z0))
-    return complex(np.exp(TWO_PI * 1j * alpha * ns).sum()) / (V * math.log(N))
+    return exp_sum(ns, alpha) / (V * math.log(N))
 
 
 # -- interval polynomial ---------------------------------------------------
@@ -211,7 +236,7 @@ class IntervalPolynomial:
         return (phases @ self.coeffs).real
 
 
-def vaaler_coeffs(lo: float, hi: float, H: int) -> IntervalPolynomial:
+def fejer_interval_polynomial(lo: float, hi: float, H: int) -> IntervalPolynomial:
     """Interval polynomial of degree H for the arc [lo, hi] (wrap allowed)."""
     if H < 1:
         raise ValueError(f"H={H} must be >= 1")

@@ -18,8 +18,8 @@ import numpy as np
 
 from .arith import CapacityError, PrimeContext, circle_distance
 from .cusps import REEVAL_TOL, CuspReport, find_cusps
-from .expsums import (PrimeSubset, SpectrumGrid, exp_sum_at,
-                      exp_sums_on_progression)
+from .expsums import (PrimeSubset, SpectrumGrid, exp_sum, exp_sum_at,
+                      exp_sums_on_progression, grid_sums)
 from .gfunctions import g_sifted
 from .report import CheckRow, FLOAT_SLACK, leq_row, na_row
 
@@ -210,15 +210,10 @@ def bohr_size_row(bohr: BohrSet, N: int) -> CheckRow:
 
 
 def _difference_counts(bohr: BohrSet, N: int) -> np.ndarray:
-    """counts[N + m] = #{(b1, b2) : b1 - b2 = m}, m in [-N, N]."""
+    """counts[N + m] = #{(b1, b2) : b1 - b2 = m}, m in [-N, N], from one
+    autocorrelation FFT rounded to integers."""
     ind = np.zeros(N + 1)
     ind[bohr.elements] = 1.0
-    if bohr.size <= 2048:
-        counts = np.zeros(2 * N + 1)
-        b = bohr.elements
-        for x in b:  # direct accumulation, quadratic but exact
-            counts[(x - b) + N] += 1.0
-        return counts
     L = 1 << (2 * N + 2).bit_length()
     spec = np.fft.rfft(ind, L)
     corr = np.fft.irfft(spec * np.conj(spec), L)
@@ -229,10 +224,6 @@ def _difference_counts(bohr: BohrSet, N: int) -> np.ndarray:
     if np.max(np.abs(counts - rounded)) > 1e-5:
         raise ArithmeticError("autocorrelation failed to resolve to integers")
     return rounded
-
-
-def bohr_sum(bohr: BohrSet, alpha: float) -> complex:
-    return complex(np.exp(2j * np.pi * alpha * bohr.elements).sum())
 
 
 # -- the decomposition ------------------------------------------------------
@@ -272,27 +263,17 @@ class Decomposition:
     def N(self) -> int:
         return self.subset.N
 
-    def _phases(self, alpha: float) -> np.ndarray:
-        """e(alpha ell) over the shared support."""
-        return np.exp(2j * np.pi * alpha * self._ell)
-
-    def _sharp_dot(self, phases: np.ndarray) -> complex:
-        return complex(np.dot(self._sharp, phases))
-
-    def _star_dot(self, phases: np.ndarray) -> complex:
-        return float(self.G_val) * complex(np.dot(self._star, phases))
-
     def transform_sharp(self, alpha: float) -> complex:
-        return self._sharp_dot(self._phases(alpha))
+        return self.transforms(alpha)[0]
 
     def transform_star(self, alpha: float) -> complex:
-        return self._star_dot(self._phases(alpha))
+        return self.transforms(alpha)[1]
 
     def transforms(self, alpha: float) -> tuple[complex, complex]:
-        """(transform_sharp(alpha), transform_star(alpha)) from one phase
-        vector."""
-        phases = self._phases(alpha)
-        return self._sharp_dot(phases), self._star_dot(phases)
+        """(S(f_sharp, alpha), S(f*, alpha)) from one phase vector over the
+        shared support."""
+        sharp, star = exp_sum(self._ell, alpha, self._sharp, self._star)
+        return sharp, float(self.G_val) * star
 
 
 def default_z(N: int, M: int, z0) -> float:
@@ -399,7 +380,7 @@ def transform_checks(dec: Decomposition, n_alpha: int = 1000,
     for a in alphas:
         lhs, star = dec.transforms(a)
         t = exp_sum_at(subset, a)
-        sm = bohr_sum(dec.bohr, a) / dec.bohr.size
+        sm = exp_sum(dec.bohr.elements, a) / dec.bohr.size
         worst = max(worst, abs(lhs - t * (1.0 - abs(sm) ** 2)))
         excess_sharp = max(excess_sharp, abs(lhs) - abs(t))
         flat = vlog * (star / float(dec.G_val))
@@ -428,18 +409,13 @@ def sharp_sup_report(dec: Decomposition, grid_size: int = 1 << 20) -> dict:
     """Measured sup over a dense grid of |S(f_sharp, alpha)| / T*(0),
     reported against 1/A (the regime where 1/A is guaranteed needs an
     astronomically large z0, so this is a record, not an assertion)."""
-    L = grid_size
-    shifted = np.fft.fft(dec.f_sharp, L)
-    # values[j] = sum_i x_i e(-ij/L); undo the offset and flip the sign
-    j = np.arange(L)
-    vals = np.conj(shifted) * np.exp(-2j * np.pi * j * dec.offset / L)
-    sup = float(np.abs(vals).max())
+    sup = float(np.abs(grid_sums(dec.f_sharp, grid_size, dec.offset)).max())
     T0 = float(dec.subset.size)
     return {
         "sup_ratio": sup / T0,
         "target": 1.0 / dec.A,
         "achieved": sup / T0 < 1.0 / dec.A,
-        "grid": L,
+        "grid": grid_size,
     }
 
 
@@ -457,11 +433,11 @@ def cusp_suppression_report(dec: Decomposition, n_fuzz: int = 10_000,
     pts = dec.cover.points
     stride = max(1, len(pts) // 32)  # the transform record is a subsample
     for i, y in enumerate(pts):
-        gap = abs(bohr_sum(dec.bohr, y) / B - 1.0)
+        gap = abs(exp_sum(dec.bohr.elements, y) / B - 1.0)
         worst_center = max(worst_center, gap)
         for side in (-1.0, 1.0):
             alpha = (y + side * eps / dec.N) % 1.0
-            worst_edge = max(worst_edge, abs(bohr_sum(dec.bohr, alpha) / B - 1.0))
+            worst_edge = max(worst_edge, abs(exp_sum(dec.bohr.elements, alpha) / B - 1.0))
             if i % stride == 0:
                 ratios.append(abs(dec.transform_sharp(alpha)) / dec.subset.size)
     rows.append(leq_row("bohr-sum-at-cover", {"points": len(dec.cover.points)},

@@ -192,7 +192,7 @@ def test_criterion_07_transference_identities(ctx, decomposition):
     worst = 0.0
     for alpha in rng.random(1000):
         lhs = dec.transform_sharp(alpha)
-        damp = 1.0 - abs(tr.bohr_sum(dec.bohr, alpha) / B) ** 2
+        damp = 1.0 - abs(ex.exp_sum(dec.bohr.elements, alpha) / B) ** 2
         rhs = ex.exp_sum_at(subset, alpha) * damp
         worst = max(worst, abs(lhs - rhs))
     assert worst <= 1e-6 * T0, worst
@@ -243,7 +243,7 @@ def test_criterion_10_interval_polynomial_contract():
         lo = float(rng.random())
         hi = (lo + float(rng.random())) % 1.0      # wraparound included
         H = int(rng.integers(1, 60))
-        poly = ex.vaaler_coeffs(lo, hi, H)
+        poly = ex.fejer_interval_polynomial(lo, hi, H)
         assert poly.coeff(0) == poly.length
         for h in range(1, H + 1):
             cap = min(poly.length, 1.0 / (math.pi * h)) + 1e-12

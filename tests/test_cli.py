@@ -15,12 +15,22 @@ def test_missing_N_is_usage_error(capsys):
     assert "requires --N" in capsys.readouterr().err
 
 
-def test_unknown_values_are_usage_errors():
+def test_unknown_values_are_usage_errors(tmp_path):
     assert run(["spectrum", "--N", "2000", "--subset", "cubes"]) == 2
     assert run(["verify", "--suite", "bogus"]) == 2
     assert run(["spectrum", "--N", "2000", "--format", "xml"]) == 2
     assert run(["spectrum", "--N", "50"]) == 2
     assert run(["decompose", "--N", "10000", "--tau", "5"]) == 2
+    # a format the command does not write
+    assert run(["companions", "--N", "10000", "--format", "csv"]) == 2
+    assert run(["verify", "--format", "csv"]) == 2
+    assert run(["cusps", "--N", "2000", "--format", "plotdata"]) == 2
+    assert run(["decompose", "--N", "10000", "--format", "plotdata"]) == 2
+    # --mode is gone, as a flag and as a config key
+    assert run(["spectrum", "--N", "2000", "--mode", "fast"]) == 2
+    cfgfile = tmp_path / "mode.cfg"
+    cfgfile.write_text("N = 2000\nmode = fast\n")
+    assert run(["spectrum", "--config", str(cfgfile)]) == 2
 
 
 def test_grid_must_be_power_of_two(capsys):

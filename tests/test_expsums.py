@@ -1,4 +1,5 @@
-"""Prime subsets, FFT spectra, the local model, and the Vaaler-type polynomial."""
+"""Prime subsets, exponential sums and FFT spectra, the local model, and the
+Fejer-weighted interval polynomial."""
 import math
 
 import numpy as np
@@ -10,8 +11,11 @@ from primecusps.expsums import (
     PROGRESSION_BLOCK,
     IntervalPolynomial,
     default_grid_size,
+    exp_sum,
     exp_sum_at,
     exp_sums_on_progression,
+    fejer_interval_polynomial,
+    grid_sums,
     l1_estimate,
     local_model_full,
     rough_integers,
@@ -19,7 +23,6 @@ from primecusps.expsums import (
     subset_full,
     subset_random,
     subset_sqrt2,
-    vaaler_coeffs,
 )
 
 
@@ -127,6 +130,18 @@ def test_exp_sum_basics(ctx):
     assert exp_sum_at(s, 0.75) == pytest.approx(conj, abs=1e-6 * s.size)
 
 
+def test_grid_sums_match_direct():
+    # G below len(values) folds the support mod G; G above zero-pads it
+    values = np.random.default_rng(5).normal(size=300)
+    for G, offset in ((64, 0), (100, 37), (300, 0), (512, 120)):
+        sums = grid_sums(values, G, offset)
+        assert sums.shape == (G,)
+        ell = np.arange(300) - offset
+        for j in range(G):
+            direct, = exp_sum(ell, j / G, values)
+            assert abs(sums[j] - direct) <= 1e-9 * np.abs(values).sum(), (G, j)
+
+
 def test_default_grid_size():
     assert default_grid_size(100_000) == 1 << 22
     assert default_grid_size(10_000) == 1 << 19
@@ -190,7 +205,7 @@ def test_local_model_full_tracks_spectrum(ctx):
 
 def test_vaaler_zero_coefficient_exact():
     for lo, hi in ((0.0, 0.25), (0.3, 0.8), (0.9, 0.1)):
-        poly = vaaler_coeffs(lo, hi, 12)
+        poly = fejer_interval_polynomial(lo, hi, 12)
         assert poly.coeff(0) == poly.length
         assert poly.length == (hi - lo) % 1.0
 
@@ -201,7 +216,7 @@ def test_vaaler_envelope_fuzz():
         lo = rng.random()
         hi = (lo + rng.random()) % 1.0
         H = int(rng.integers(1, 40))
-        poly = vaaler_coeffs(lo, hi, H)
+        poly = fejer_interval_polynomial(lo, hi, H)
         for h in range(-H, H + 1):
             bound = min(poly.length, 1.0 / (math.pi * abs(h))) if h else \
                 poly.length
@@ -209,7 +224,7 @@ def test_vaaler_envelope_fuzz():
 
 
 def test_vaaler_values_in_unit_range():
-    poly = vaaler_coeffs(0.2, 0.45, 30)
+    poly = fejer_interval_polynomial(0.2, 0.45, 30)
     xs = np.linspace(0, 1, 500)
     vals = poly(xs)
     assert vals.min() >= -1e-9 and vals.max() <= 1.0 + 1e-9
@@ -222,8 +237,8 @@ def test_vaaler_values_in_unit_range():
 
 def test_vaaler_argument_validation():
     with pytest.raises(ValueError):
-        vaaler_coeffs(0.1, 0.2, 0)
-    poly = vaaler_coeffs(0.1, 0.2, 5)
+        fejer_interval_polynomial(0.1, 0.2, 0)
+    poly = fejer_interval_polynomial(0.1, 0.2, 5)
     assert poly.coeff(6) == 0 and poly.coeff(-17) == 0
 
 
@@ -231,6 +246,6 @@ def test_vaaler_argument_validation():
 @given(st.floats(0, 0.999), st.floats(0.001, 0.999), st.integers(1, 60))
 def test_vaaler_envelope_property(lo, length, H):
     hi = (lo + length) % 1.0
-    poly = vaaler_coeffs(lo, hi, H)
+    poly = fejer_interval_polynomial(lo, hi, H)
     h = H  # the extreme coefficient wears the tightest cap
     assert abs(poly.coeff(h)) <= min(poly.length, 1.0 / (math.pi * h)) + 1e-12

@@ -12,13 +12,12 @@ import pytest
 from primecusps import transference
 from primecusps.arith import CapacityError
 from primecusps.cusps import find_cusps
-from primecusps.expsums import exp_sum_at, spectrum, subset_full
+from primecusps.expsums import exp_sum, exp_sum_at, spectrum, subset_full
 from primecusps.transference import (
     COVER_SAMPLER_CHECKS,
     BohrSet,
     Cover,
     bohr_size_row,
-    bohr_sum,
     build_bohr,
     build_cover,
     check_h1,
@@ -171,7 +170,7 @@ def test_rho_properties(dec1):
     assert not counts[1::2].any()  # odd differences of even elements
 
 
-def test_difference_counts_direct_vs_fft():
+def test_difference_counts_brute_force():
     elements = np.array([2, 4, 8, 14, 20], dtype=np.int64)
     small = BohrSet(2, 0.1, (0.0,), elements)
     counts = _difference_counts(small, 20)
@@ -198,7 +197,7 @@ def test_bohr_sum_identity(dec1):
         s_rho = sum(float(counts[10_000 + m]) / B2 *
                     np.exp(2j * np.pi * alpha * m)
                     for m in range(-10_000, 10_001, 2))
-        expected = abs(bohr_sum(bohr, alpha)) ** 2 / B2
+        expected = abs(exp_sum(bohr.elements, alpha)) ** 2 / B2
         assert abs(s_rho - expected) < 1e-6
 
 
@@ -242,6 +241,14 @@ def test_sharp_sup_report(dec1):
     sup = sharp_sup_report(dec1, 1 << 16)
     assert 0.0 < sup["sup_ratio"] <= 1.0 + 1e-9
     assert sup["target"] == 1.0
+
+
+def test_sharp_sup_on_a_grid_below_the_support(dec1):
+    # the support [-N, 2N] has 30001 points, far more than the 1024 samples
+    assert len(dec1.f_sharp) == 30_001
+    sup = sharp_sup_report(dec1, 1024)
+    direct = max(abs(dec1.transform_sharp(j / 1024)) for j in range(1024))
+    assert abs(sup["sup_ratio"] - direct / dec1.subset.size) <= 1e-9
 
 
 def test_csv_export(dec1):
