@@ -168,7 +168,9 @@ def _json_text(payload: dict) -> str:
 def cmd_spectrum(ctx, cfg: RunConfig) -> int:
     subset = _subset(ctx, cfg)
     grid = ex.spectrum(subset, _grid_size(cfg))
-    ratio = np.abs(grid.values) / subset.size
+    ratio = np.abs(grid.values) / subset.size  # the half circle j <= G/2
+    if cfg.format != "json":  # mirror out to all G rows: |T*(-a)| = |T*(a)|
+        ratio = np.concatenate([ratio, ratio[-2:0:-1]])
     if cfg.format == "plotdata":
         alphas = np.arange(grid.G) / grid.G
         lines = [f"{a:.12g} {float(r)!r}" for a, r in zip(alphas, ratio)]

@@ -1,8 +1,9 @@
 """Cusp detection for prime exponential sums, and the large sieve checks.
 
 An A-cusp is a point alpha with |T*(alpha)| >= T*(0)/A.  The detector
-thresholds the FFT grid, merges runs split at grid resolution, refines arc
-endpoints by bisection against the direct sum, and extracts a (1/N)-well
+thresholds the half-circle FFT grid, mirrors it to the full circle, merges
+runs split at grid resolution, refines arc endpoints by bisection against
+the direct sum (once per mirror pair), and extracts a (1/N)-well
 spaced subset whose count is tested against the 19 A^2 K log(2A) bound.
 The same module hosts the arithmetic structure checks on the cusp set
 (symmetry, rational shifts, companions) and the explicit large sieve
@@ -59,15 +60,22 @@ class CuspReport:
         return len(self.wellspaced) <= self.bound
 
 
-def _runs_above(absvals: np.ndarray, threshold: float) -> list[np.ndarray]:
-    """Maximal runs of consecutive grid indices above threshold, circularly."""
-    above = np.flatnonzero(absvals >= threshold)
+def _above_indices(absvals: np.ndarray, threshold: float, G: int) -> np.ndarray:
+    """Ascending indices 0 <= j < G with |T*(j/G)| >= threshold, from the
+    half-circle magnitudes absvals: j is above exactly when G - j is."""
+    half = np.flatnonzero(absvals >= threshold)
+    inner = half[(half > 0) & (2 * half < G)]
+    return np.concatenate([half, G - inner[::-1]])
+
+
+def _runs_above(above: np.ndarray, G: int) -> list[np.ndarray]:
+    """Maximal runs of consecutive indices in `above`, circularly mod G."""
     if len(above) == 0:
         return []
     breaks = np.flatnonzero(np.diff(above) > 1)
     runs = np.split(above, breaks + 1)
-    if len(runs) > 1 and runs[0][0] == 0 and runs[-1][-1] == len(absvals) - 1:
-        runs[0] = np.concatenate([runs[-1] - len(absvals), runs[0]])
+    if len(runs) > 1 and runs[0][0] == 0 and runs[-1][-1] == G - 1:
+        runs[0] = np.concatenate([runs[-1] - G, runs[0]])
         runs.pop()
     return runs
 
@@ -81,8 +89,9 @@ def _merge_close(runs: list[np.ndarray], gap: int, G: int) -> list[np.ndarray]:
             merged[-1] = np.concatenate([merged[-1], r])
         else:
             merged.append(r)
-    # circular wrap between the last run's end and the first run's start
-    if len(merged) > 1 and (merged[0][0] % G) + G - (merged[-1][-1] % G) < gap:
+    # circular wrap between the last run's end and the first run's start,
+    # which is negative when the first run already wraps through 0
+    if len(merged) > 1 and (merged[0][0] - merged[-1][-1]) % G < gap:
         merged[0] = np.concatenate([merged[-1] - G, merged[0]])
         merged.pop()
     return merged
@@ -122,13 +131,28 @@ def _golden_peak(subset: PrimeSubset, lo: float, hi: float, width: float) -> tup
     return x % 1.0, abs(exp_sum_at(subset, x % 1.0))
 
 
+def _run_peak(subset: PrimeSubset, run: np.ndarray, mags: np.ndarray,
+              G: int, width: float) -> WeightedPoint:
+    """Golden-section peak around the run's best grid sample, or that
+    sample when it is higher."""
+    jstar = run[np.argmax(mags)]
+    peak_pos, peak_val = _golden_peak(subset, (jstar - 1) / G, (jstar + 1) / G, width)
+    grid_best = float(mags.max())
+    if grid_best > peak_val:  # golden section lost a multimodal bracket
+        peak_pos, peak_val = (jstar % G) / G, grid_best
+    return WeightedPoint(peak_pos, peak_val)
+
+
 def find_cusps(grid: SpectrumGrid, A: float) -> CuspReport:
     """Detect the A-cusp arcs on the grid and refine them.
 
     Endpoints are bisected to circle width 1/(1024 N); runs separated by
     less than 1/(4N) are merged first; the well-spaced subset is extracted
     greedily at delta = 1/N from the refined peaks and every above-threshold
-    grid sample.
+    grid sample.  T*(-alpha) = conj T*(alpha), so the runs come in mirror
+    pairs j -> G - j: a run whose mirror is already refined copies its arc
+    reflected, and a run that is its own mirror (around 0 or 1/2) bisects
+    one endpoint and reflects it.
     """
     if A < 1:
         raise ValueError(f"A={A} must be >= 1")
@@ -139,24 +163,36 @@ def find_cusps(grid: SpectrumGrid, A: float) -> CuspReport:
     width = ENDPOINT_RESOLUTION / N
     absvals = np.abs(grid.values)
 
-    runs = _merge_close(_runs_above(absvals, threshold),
+    runs = _merge_close(_runs_above(_above_indices(absvals, threshold, G), G),
                         max(1, int(math.ceil(G / (4.0 * N)))), G)
     arcs = []
     candidates = []
+    refined = {}  # sorted residues of each run -> its arc
     for run in runs:
-        if len(run) >= G:
-            lo_u, hi_u = 0.0, 1.0 - 1.0 / G
+        mags = absvals[np.minimum(run % G, -run % G)]
+        key = np.sort(run % G).tobytes()
+        mirror = np.sort(-run % G).tobytes()
+        if mirror in refined:
+            src = refined[mirror]
+            arc = CuspArc((-src.hi) % 1.0, (-src.lo) % 1.0,
+                          WeightedPoint((-src.peak.position) % 1.0, src.peak.weight))
         else:
-            lo_u = _bisect_crossing(subset, threshold, run[0] / G, (run[0] - 1) / G, width)
-            hi_u = _bisect_crossing(subset, threshold, run[-1] / G, (run[-1] + 1) / G, width)
-        jstar = run[np.argmax(absvals[run % G])]
-        peak_pos, peak_val = _golden_peak(subset, (jstar - 1) / G, (jstar + 1) / G, width)
-        grid_best = float(absvals[jstar % G])
-        if grid_best > peak_val:  # golden section lost a multimodal bracket
-            peak_pos, peak_val = (jstar % G) / G, grid_best
-        arcs.append(CuspArc(lo_u % 1.0, hi_u % 1.0, WeightedPoint(peak_pos, peak_val)))
-        candidates.append(WeightedPoint(peak_pos, peak_val))
-        candidates.extend(WeightedPoint((j % G) / G, float(absvals[j % G])) for j in run)
+            if len(run) >= G:
+                lo_u, hi_u = 0.0, 1.0 - 1.0 / G
+            elif mirror == key and run[0] <= 0:  # its own mirror around 0
+                hi_u = _bisect_crossing(subset, threshold, run[-1] / G, (run[-1] + 1) / G, width)
+                lo_u = -hi_u
+            elif mirror == key:  # its own mirror around 1/2
+                lo_u = _bisect_crossing(subset, threshold, run[0] / G, (run[0] - 1) / G, width)
+                hi_u = -lo_u
+            else:
+                lo_u = _bisect_crossing(subset, threshold, run[0] / G, (run[0] - 1) / G, width)
+                hi_u = _bisect_crossing(subset, threshold, run[-1] / G, (run[-1] + 1) / G, width)
+            arc = CuspArc(lo_u % 1.0, hi_u % 1.0, _run_peak(subset, run, mags, G, width))
+        refined[key] = arc
+        arcs.append(arc)
+        candidates.append(arc.peak)
+        candidates.extend(WeightedPoint((j % G) / G, float(m)) for j, m in zip(run, mags))
 
     wellspaced = extract_well_spaced(candidates, 1.0 / N)
     K = subset.K
@@ -224,14 +260,15 @@ def rational_shift_check(ctx: PrimeContext, subset: PrimeSubset, xi: float,
 
 
 def companion_search(subset: PrimeSubset, xi: float, A: float, B: float) -> dict:
-    """Enumerate the companion set F = {xi + a/q : q <= A/B} cap C(A) and
-    test its size against A^2 / (6800 B^4 Z^2 K log A)."""
+    """Enumerate the companion set F = {xi + a/q : q <= A/B} cap C(A) of a
+    B-cusp xi and test its size against A^2 / (6800 B^4 Z^2 K log A).  The
+    bound is stated for 1 <= B <= sqrt(A)."""
     if subset.N < 10_000:
         raise ValueError("companion bound is stated for N >= 10^4")
     if not (2 <= A <= math.sqrt(subset.N)):
         raise ValueError(f"A={A} outside [2, sqrt(N)]")
-    if not (1 <= B <= A):
-        raise ValueError(f"B={B} outside [1, A]")
+    if not (1 <= B <= math.sqrt(A)):
+        raise ValueError(f"B={B} outside [1, sqrt(A)]")
     T0 = float(subset.size)
     if abs(exp_sum_at(subset, xi % 1.0)) < T0 / B - REEVAL_TOL * T0:
         raise ValueError(f"xi={xi} is not a B-cusp (B={B})")

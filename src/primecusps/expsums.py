@@ -4,7 +4,10 @@ Every sum of w_n e(alpha n) over integer points is evaluated here: exp_sum
 at one alpha (one phase vector, one dot product per weight vector),
 exp_sum_at for T*(alpha) = sum over the prime subset of e(p alpha),
 exp_sums_on_progression on an arithmetic progression by chirp-z, and
-grid_sums at every j/G by one length-G FFT.  The local model replaces the
+grid_sums at every j/G by one length-G real FFT.  Real weights make the sum
+at -alpha the conjugate of the sum at alpha, so grid_sums returns only the
+half circle 0 <= j <= G/2 and SpectrumGrid.value(j) mirrors out the rest.
+The local model replaces the
 primes by z0-rough integers weighted by 1/(V(z0) log N).
 fejer_interval_polynomial builds a trigonometric polynomial for an interval
 indicator; only acceptance criterion 10 checks it.
@@ -12,6 +15,7 @@ indicator; only acceptance criterion 10 checks it.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,18 +102,34 @@ def exp_sum_at(subset: PrimeSubset, alpha: float) -> complex:
     return exp_sum(subset.members, alpha)
 
 
+def _physical_memory():
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
 def grid_sums(values: np.ndarray, G: int, offset: int = 0) -> np.ndarray:
-    """sum_i values[i] e((i - offset) j/G) for 0 <= j < G, from one length-G
-    FFT of the real weights.  e(i j/G) has period G in i, so entries past G
-    are folded in mod G first and every sample is exact."""
+    """sum_i values[i] e((i - offset) j/G) for 0 <= j <= G/2, from one
+    length-G real FFT.  The weights are real, so the sum at j > G/2 is the
+    conjugate of the one at G - j.  e(i j/G) has period G in i, so entries
+    past G are folded in mod G first and every sample is exact.  Raises
+    CapacityError when the padded input and the G//2 + 1 outputs would not
+    fit in physical memory."""
     if np.iscomplexobj(values):
         raise ValueError("grid_sums takes real weights")
+    need = 8 * G + 16 * (G // 2 + 1)
+    have = _physical_memory()
+    if have is not None and need > have:
+        raise CapacityError(f"a grid of {G} points needs {need} bytes, "
+                            f"above the {have} bytes of physical memory")
     if len(values) > G:
         values = np.pad(values, (0, -len(values) % G)).reshape(-1, G).sum(axis=0)
-    sums = np.fft.fft(values, G)
+    sums = np.fft.rfft(values, G)
     np.conj(sums, out=sums)  # the FFT carries e(-ij/G)
     if offset:
-        sums *= np.exp(-TWO_PI * 1j * np.arange(G) * offset / G)
+        sums *= np.exp(-TWO_PI * 1j * np.arange(len(sums)) * offset / G)
     return sums
 
 
@@ -161,10 +181,18 @@ def exp_sums_on_progression(subset: PrimeSubset, j0: int, step: int, Q: int,
 
 @dataclass(frozen=True)
 class SpectrumGrid:
-    """values[j] = T*(j/G) on a power-of-two grid of size G >= N."""
+    """T* on the grid j/G, G a power of two >= N.  values[j] = T*(j/G) on
+    the half circle 0 <= j <= G/2; value(j) gives every j."""
     subset: PrimeSubset
     G: int
     values: np.ndarray = field(repr=False)
+
+    def value(self, j: int) -> complex:
+        """T*(j/G) for any integer j, mirrored by T*(-alpha) = conj T*(alpha)."""
+        j = int(j) % self.G
+        if 2 * j <= self.G:
+            return complex(self.values[j])
+        return complex(self.values[self.G - j]).conjugate()
 
 
 def default_grid_size(N: int) -> int:
@@ -173,8 +201,8 @@ def default_grid_size(N: int) -> int:
 
 
 def spectrum(subset: PrimeSubset, G=None) -> SpectrumGrid:
-    """Evaluate T* on the uniform grid j/G by grid_sums over the member
-    indicator."""
+    """Evaluate T* on the half circle of the uniform grid j/G by grid_sums
+    over the member indicator."""
     if G is None:
         G = default_grid_size(subset.N)
     if G < subset.N:
@@ -187,8 +215,10 @@ def spectrum(subset: PrimeSubset, G=None) -> SpectrumGrid:
 
 
 def l1_estimate(grid: SpectrumGrid) -> float:
-    """Riemann sum for the L1 norm of T*; compare against sqrt(N/log N)."""
-    return float(np.abs(grid.values).mean())
+    """Riemann sum for the L1 norm of T*; compare against sqrt(N/log N).
+    The half circle counts its interior samples twice."""
+    absvals = np.abs(grid.values)
+    return float((2.0 * absvals.sum() - absvals[0] - absvals[-1]) / grid.G)
 
 
 # -- local model -----------------------------------------------------------

@@ -232,7 +232,7 @@ def test_criterion_09_spectrum_correctness(ctx):
         tol = 1e-6 * float(subset.size)
         for j in rng.integers(0, G, size=100):
             direct = ex.exp_sum_at(subset, j / G)
-            assert abs(grid.values[j] - direct) <= tol, (subset.label, j)
+            assert abs(grid.value(j) - direct) <= tol, (subset.label, j)
     elapsed = time.monotonic() - t0
     assert elapsed < 10.0, f"comparison took {elapsed:.1f}s, budget 10s"
 

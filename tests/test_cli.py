@@ -49,6 +49,14 @@ def test_N_beyond_limit_is_capacity_failure(tmp_path, capsys):
     assert not (tmp_path / "s.json").exists()
 
 
+def test_grid_beyond_memory_is_capacity_failure(tmp_path, capsys):
+    code = run(["spectrum", "--N", "1000", "--grid", str(1 << 50),
+                "--output", str(tmp_path / "s.json")])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "s.json").exists()
+
+
 def test_config_file_merging(tmp_path):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("N = 2000\nA = 8\nseed = 5\n# comment\n")

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from primecusps.arith import WeightedPoint, circle_distance
+from primecusps.arith import WeightedPoint, build_context, circle_distance
 from primecusps.cusps import (
     CuspArc,
     bateman_count,
@@ -17,9 +17,10 @@ from primecusps.cusps import (
     structure_check,
     wq_weighted_sieve_report,
     _check_spacing,
+    _merge_close,
     _w_moment,
 )
-from primecusps.expsums import exp_sum_at, spectrum, subset_full
+from primecusps.expsums import exp_sum_at, spectrum, subset_full, subset_random
 from primecusps.sieve import SieveParams, build_weights
 
 
@@ -81,6 +82,39 @@ def test_monotone_in_A(ctx, full4):
     assert c2 <= c8
 
 
+@pytest.mark.parametrize("N, A", [(10_000, 8), (100_000, 4)])
+@pytest.mark.parametrize("random", [False, True])
+def test_cusp_set_is_mirror_symmetric(ctx, N, A, random):
+    # T*(-alpha) = conj T*(alpha): alpha is an A-cusp exactly when -alpha is
+    subset = subset_random(ctx, N, 0.5, seed=42) if random else subset_full(ctx, N)
+    report = find_cusps(spectrum(subset), A)
+    for arc in report.arcs:
+        lo, hi = (-arc.hi) % 1.0, (-arc.lo) % 1.0
+        assert any(circle_distance(lo, b.lo) <= 1e-12 and circle_distance(hi, b.hi) <= 1e-12
+                   for b in report.arcs), (arc.lo, arc.hi)
+    for p in report.wellspaced:
+        x = (-p.position) % 1.0
+        assert any(circle_distance(x, q.position) <= 1e-12 and q.weight == pytest.approx(p.weight)
+                   for q in report.wellspaced), p.position
+
+
+@pytest.mark.parametrize("N, A, arcs, wellspaced", [
+    (10_000, 8, 38, 42), (100_000, 4, 10, 10), (1_000_000, 4, 10, 10)])
+def test_full_cusp_counts(ctx, N, A, arcs, wellspaced):
+    big = ctx if N <= ctx.limit else build_context(N)
+    report = find_cusps(spectrum(subset_full(big, N)), A)
+    assert (len(report.arcs), len(report.wellspaced)) == (arcs, wellspaced)
+
+
+def test_runs_merge_across_zero():
+    # the run through 0 merges with a run just below it as with one above it
+    G, gap = 1000, 5
+    runs = [np.arange(-3, 4), np.arange(6, 9), np.arange(992, 995)]
+    merged = _merge_close(runs, gap, G)
+    assert len(merged) == 1
+    assert list(merged[0]) == list(range(-8, -5)) + list(range(-3, 4)) + [6, 7, 8]
+
+
 def test_rational_shift(ctx):
     subset = subset_full(ctx, 10_000)
     row = rational_shift_check(ctx, subset, 0.0, 3, 2.0)
@@ -100,6 +134,8 @@ def test_companions(ctx):
         companion_search(subset, 0.0, 1.5, 2.0)   # A below 2
     with pytest.raises(ValueError):
         companion_search(subset, 0.0, 4.0, 8.0)   # B above A
+    with pytest.raises(ValueError, match="sqrt"):
+        companion_search(subset, 0.0, 4.0, 3.0)   # B above sqrt(A)
     with pytest.raises(ValueError):
         companion_search(subset, 0.137, 4.0, 2.0)  # xi not a B-cusp
 

@@ -131,15 +131,23 @@ def test_exp_sum_basics(ctx):
 
 
 def test_grid_sums_match_direct():
-    # G below len(values) folds the support mod G; G above zero-pads it
+    # G below len(values) folds the support mod G; G above zero-pads it.
+    # Only the half circle j <= G/2 is returned; the rest is its conjugate.
     values = np.random.default_rng(5).normal(size=300)
-    for G, offset in ((64, 0), (100, 37), (300, 0), (512, 120)):
+    for G, offset in ((64, 0), (100, 37), (101, 5), (300, 0), (512, 120)):
         sums = grid_sums(values, G, offset)
-        assert sums.shape == (G,)
+        assert sums.shape == (G // 2 + 1,)
         ell = np.arange(300) - offset
         for j in range(G):
+            got = sums[j] if 2 * j <= G else np.conj(sums[G - j])
             direct, = exp_sum(ell, j / G, values)
-            assert abs(sums[j] - direct) <= 1e-9 * np.abs(values).sum(), (G, j)
+            assert abs(got - direct) <= 1e-9 * np.abs(values).sum(), (G, j)
+
+
+def test_grid_beyond_memory_is_capacity_error():
+    # refused before anything of grid size is allocated
+    with pytest.raises(CapacityError, match="physical memory"):
+        grid_sums(np.ones(10), 1 << 50)
 
 
 def test_default_grid_size():
@@ -152,10 +160,11 @@ def test_default_grid_size():
 def test_spectrum_matches_direct(ctx):
     s = subset_full(ctx, 10_000)
     grid = spectrum(s, 1 << 18)
+    assert grid.values.nbytes == 16 * (grid.G // 2 + 1)
     rng = np.random.default_rng(3)
     for j in rng.integers(0, grid.G, 40):
         direct = exp_sum_at(s, j / grid.G)
-        assert abs(grid.values[j] - direct) <= 1e-6 * s.size
+        assert abs(grid.value(j) - direct) <= 1e-6 * s.size
     with pytest.raises(ValueError):
         spectrum(s, 4096)     # below N
     with pytest.raises(ValueError):
