@@ -1,10 +1,11 @@
 """Cusp detection for prime exponential sums, and the large sieve checks.
 
 An A-cusp is a point alpha with |T*(alpha)| >= T*(0)/A.  The detector
-thresholds the half-circle FFT grid, mirrors it to the full circle, merges
-runs split at grid resolution, refines arc endpoints by bisection against
-the direct sum (once per mirror pair), and extracts a (1/N)-well
-spaced subset whose count is tested against the 19 A^2 K log(2A) bound.
+thresholds the half-circle FFT grid, finds and refines the runs on the half
+circle (merging runs split at grid resolution, bisecting arc endpoints
+against the direct sum), reflects each arc to its mirror, and extracts a
+(1/N)-well spaced subset whose count is tested against the
+19 A^2 K log(2A) bound.
 The same module hosts the arithmetic structure checks on the cusp set
 (symmetry, rational shifts, companions) and the explicit large sieve
 inequalities the counting argument rests on.
@@ -12,7 +13,7 @@ inequalities the counting argument rests on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -60,43 +61,6 @@ class CuspReport:
         return len(self.wellspaced) <= self.bound
 
 
-def _above_indices(absvals: np.ndarray, threshold: float, G: int) -> np.ndarray:
-    """Ascending indices 0 <= j < G with |T*(j/G)| >= threshold, from the
-    half-circle magnitudes absvals: j is above exactly when G - j is."""
-    half = np.flatnonzero(absvals >= threshold)
-    inner = half[(half > 0) & (2 * half < G)]
-    return np.concatenate([half, G - inner[::-1]])
-
-
-def _runs_above(above: np.ndarray, G: int) -> list[np.ndarray]:
-    """Maximal runs of consecutive indices in `above`, circularly mod G."""
-    if len(above) == 0:
-        return []
-    breaks = np.flatnonzero(np.diff(above) > 1)
-    runs = np.split(above, breaks + 1)
-    if len(runs) > 1 and runs[0][0] == 0 and runs[-1][-1] == G - 1:
-        runs[0] = np.concatenate([runs[-1] - G, runs[0]])
-        runs.pop()
-    return runs
-
-
-def _merge_close(runs: list[np.ndarray], gap: int, G: int) -> list[np.ndarray]:
-    if not runs:
-        return runs
-    merged = [runs[0]]
-    for r in runs[1:]:
-        if r[0] - merged[-1][-1] < gap:
-            merged[-1] = np.concatenate([merged[-1], r])
-        else:
-            merged.append(r)
-    # circular wrap between the last run's end and the first run's start,
-    # which is negative when the first run already wraps through 0
-    if len(merged) > 1 and (merged[0][0] - merged[-1][-1]) % G < gap:
-        merged[0] = np.concatenate([merged[-1] - G, merged[0]])
-        merged.pop()
-    return merged
-
-
 def _bisect_crossing(subset: PrimeSubset, threshold: float,
                      inside: float, outside: float, width: float) -> float:
     """Point on the |T*| = threshold crossing between an inside and an
@@ -139,20 +103,27 @@ def _run_peak(subset: PrimeSubset, run: np.ndarray, mags: np.ndarray,
     peak_pos, peak_val = _golden_peak(subset, (jstar - 1) / G, (jstar + 1) / G, width)
     grid_best = float(mags.max())
     if grid_best > peak_val:  # golden section lost a multimodal bracket
-        peak_pos, peak_val = (jstar % G) / G, grid_best
+        peak_pos, peak_val = jstar / G, grid_best
     return WeightedPoint(peak_pos, peak_val)
+
+
+def _half_runs(absvals: np.ndarray, threshold: float, gap: int) -> list[np.ndarray]:
+    """Runs of the half-circle indices j with absvals[j] >= threshold, cut
+    wherever two neighbours are at least `gap` (>= 2) apart."""
+    above = np.flatnonzero(absvals >= threshold)
+    return np.split(above, np.flatnonzero(np.diff(above) >= gap) + 1)
 
 
 def find_cusps(grid: SpectrumGrid, A: float) -> CuspReport:
     """Detect the A-cusp arcs on the grid and refine them.
 
-    Endpoints are bisected to circle width 1/(1024 N); runs separated by
-    less than 1/(4N) are merged first; the well-spaced subset is extracted
+    Runs are found and refined on the half circle 0 <= j <= G/2: runs
+    separated by less than 1/(4N) are merged, endpoints are bisected to
+    circle width 1/(1024 N), and the well-spaced subset is extracted
     greedily at delta = 1/N from the refined peaks and every above-threshold
-    grid sample.  T*(-alpha) = conj T*(alpha), so the runs come in mirror
-    pairs j -> G - j: a run whose mirror is already refined copies its arc
-    reflected, and a run that is its own mirror (around 0 or 1/2) bisects
-    one endpoint and reflects it.
+    grid sample.  T*(-alpha) = conj T*(alpha), so every run other than the
+    ones that are their own mirror (around 0 or 1/2, which bisect one
+    endpoint and reflect it) also gives the mirror arc (-hi, -lo).
     """
     if A < 1:
         raise ValueError(f"A={A} must be >= 1")
@@ -162,37 +133,36 @@ def find_cusps(grid: SpectrumGrid, A: float) -> CuspReport:
     threshold = T0 / A
     width = ENDPOINT_RESOLUTION / N
     absvals = np.abs(grid.values)
+    gap = max(2, math.ceil(G / (4.0 * N)))  # consecutive indices always share a run
 
-    runs = _merge_close(_runs_above(_above_indices(absvals, threshold, G), G),
-                        max(1, int(math.ceil(G / (4.0 * N)))), G)
-    arcs = []
-    candidates = []
-    refined = {}  # sorted residues of each run -> its arc
-    for run in runs:
-        mags = absvals[np.minimum(run % G, -run % G)]
-        key = np.sort(run % G).tobytes()
-        mirror = np.sort(-run % G).tobytes()
-        if mirror in refined:
-            src = refined[mirror]
-            arc = CuspArc((-src.hi) % 1.0, (-src.lo) % 1.0,
-                          WeightedPoint((-src.peak.position) % 1.0, src.peak.weight))
+    arcs, mirrors, candidates = [], [], []
+    for run in _half_runs(absvals, threshold, gap):
+        mags = absvals[run]
+        at_zero = 2 * run[0] < gap  # its own mirror around 0
+        at_half = G - 2 * run[-1] < gap  # its own mirror around 1/2
+        if at_zero and at_half:  # the whole circle
+            lo_u, hi_u = 0.0, 1.0 - 1.0 / G
+        elif at_zero:
+            hi_u = _bisect_crossing(subset, threshold, run[-1] / G, (run[-1] + 1) / G, width)
+            lo_u = -hi_u
+        elif at_half:
+            lo_u = _bisect_crossing(subset, threshold, run[0] / G, (run[0] - 1) / G, width)
+            hi_u = -lo_u
         else:
-            if len(run) >= G:
-                lo_u, hi_u = 0.0, 1.0 - 1.0 / G
-            elif mirror == key and run[0] <= 0:  # its own mirror around 0
-                hi_u = _bisect_crossing(subset, threshold, run[-1] / G, (run[-1] + 1) / G, width)
-                lo_u = -hi_u
-            elif mirror == key:  # its own mirror around 1/2
-                lo_u = _bisect_crossing(subset, threshold, run[0] / G, (run[0] - 1) / G, width)
-                hi_u = -lo_u
-            else:
-                lo_u = _bisect_crossing(subset, threshold, run[0] / G, (run[0] - 1) / G, width)
-                hi_u = _bisect_crossing(subset, threshold, run[-1] / G, (run[-1] + 1) / G, width)
-            arc = CuspArc(lo_u % 1.0, hi_u % 1.0, _run_peak(subset, run, mags, G, width))
-        refined[key] = arc
+            lo_u = _bisect_crossing(subset, threshold, run[0] / G, (run[0] - 1) / G, width)
+            hi_u = _bisect_crossing(subset, threshold, run[-1] / G, (run[-1] + 1) / G, width)
+        arc = CuspArc(lo_u % 1.0, hi_u % 1.0, _run_peak(subset, run, mags, G, width))
         arcs.append(arc)
         candidates.append(arc.peak)
-        candidates.extend(WeightedPoint((j % G) / G, float(m)) for j, m in zip(run, mags))
+        candidates.extend(WeightedPoint(j / G, float(m)) for j, m in zip(run, mags))
+        candidates.extend(WeightedPoint((G - j) / G, float(m))
+                          for j, m in zip(run, mags) if 0 < 2 * j < G)
+        if not (at_zero or at_half):
+            mirror = CuspArc((-arc.hi) % 1.0, (-arc.lo) % 1.0,
+                             WeightedPoint((-arc.peak.position) % 1.0, arc.peak.weight))
+            mirrors.append(mirror)
+            candidates.append(mirror.peak)
+    arcs.extend(reversed(mirrors))  # so the arcs run in circle order from 0
 
     wellspaced = extract_well_spaced(candidates, 1.0 / N)
     K = subset.K

@@ -152,7 +152,7 @@ class GProfile:
     """
 
     def __init__(self, ctx: PrimeContext, d: int = 1, z0=2, limit: int | None = None):
-        n = ctx.limit if limit is None else min(int(limit), ctx.limit)
+        n = ctx.limit if limit is None else int(limit)  # sifted_mask raises past the table
         mask = ctx.sifted_mask(n, z0, d) & ctx.squarefree_mask[: n + 1]
         vals = np.zeros(n + 1)
         vals[mask] = 1.0 / ctx.phi_table[: n + 1][mask]
@@ -182,18 +182,20 @@ def explicit_estimate_report(ctx: PrimeContext, zmax: int = 10_000) -> list[Chec
 
     Scans are binding-point complete: each step function is compared at the
     points where its inequality is tightest over real parameters, so a pass
-    here certifies the full stated range up to the scan cap.
+    here certifies the full stated range up to zmax, which must lie in the
+    prime table.
     """
+    if zmax > ctx.limit:
+        raise CapacityError(f"zmax={zmax} exceeds prime table limit {ctx.limit}")
     rows: list[CheckRow] = []
-    cap = min(zmax, ctx.limit)
-    primes = ctx.primes[ctx.primes <= cap]
+    primes = ctx.primes[ctx.primes <= zmax]
     logs = np.log(primes.astype(float))
 
-    rows.append(_check_division_chain(ctx, min(cap, 10_000)))
-    rows.append(_check_asymptotic_band(ctx, cap))
+    rows.append(_check_division_chain(ctx, min(zmax, 10_000)))
+    rows.append(_check_asymptotic_band(ctx, zmax))
     rows.append(_check_square_doubling(ctx))
-    rows.append(_check_log_gap_band(ctx, cap))
-    rows.append(_check_lower_log_ratio(ctx, cap))
+    rows.append(_check_log_gap_band(ctx, zmax))
+    rows.append(_check_lower_log_ratio(ctx, zmax))
 
     # the four estimates whose hypothesis set starts at z0 >= 35 with the
     # full primorial below z: smallest admissible z is ~2.0056e11
@@ -202,13 +204,13 @@ def explicit_estimate_report(ctx: PrimeContext, zmax: int = 10_000) -> list[Chec
     rows.append(na_row("g-square-ratio", {"z0_min": 35}, NA_HYPOTHESES))
     rows.append(na_row("g-unsift-ratio", {"z0_min": 35}, NA_HYPOTHESES))
 
-    rows.append(_check_prime_log_sum(primes, logs, cap))
-    rows.append(_check_primorial_log_growth(primes, logs, cap))
-    rows.extend(_check_mertens_product_lower(primes, cap))
-    rows.append(_check_squarefree_count(ctx, cap))
+    rows.append(_check_prime_log_sum(primes, logs, zmax))
+    rows.append(_check_primorial_log_growth(primes, logs, zmax))
+    rows.extend(_check_mertens_product_lower(primes, zmax))
+    rows.append(_check_squarefree_count(ctx, zmax))
     rows.extend(_check_rough_count(ctx))
-    rows.extend(_check_prime_counts(primes, logs, cap))
-    rows.extend(_check_mertens_ratio(primes, cap))
+    rows.extend(_check_prime_counts(primes, logs, zmax))
+    rows.extend(_check_mertens_ratio(primes, zmax))
     return rows
 
 
@@ -282,7 +284,7 @@ def _check_log_gap_band(ctx: PrimeContext, cap: int) -> CheckRow:
 def _check_lower_log_ratio(ctx: PrimeContext, cap: int) -> CheckRow:
     # G(z; z0) >= e^-gamma log z / log(2 z0) for 2 <= z0 <= z.  The right
     # side grows as z0 shrinks, so each prime gap (p, p') binds at z0 -> p+,
-    # with the profile taken at threshold p' (primes <= p excluded... kept).
+    # with the profile taken at threshold p', which strikes every prime <= p.
     eg = math.exp(-EULER_GAMMA)
     ps = [int(p) for p in ctx.primes[ctx.primes <= cap]]
     sampled = [p for p in ps if p <= 31]

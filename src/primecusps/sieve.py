@@ -19,7 +19,7 @@ hypotheses hold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -54,10 +54,6 @@ class SieveWeights:
     lam: dict[int, Fraction]
     w: dict[int, Fraction]
     primes_used: tuple[int, ...]
-    prime_set: frozenset[int] = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "prime_set", frozenset(self.primes_used))
 
 
 def _key_products(primes: list[int], bound, cap: int) -> list[tuple[int, int, int]]:
@@ -111,24 +107,11 @@ def build_weights(ctx: PrimeContext, params: SieveParams,
 # -- beta ---------------------------------------------------------------
 
 
-def _admissible_divisor_sum(ctx: PrimeContext, weights: SieveWeights, n: int) -> Fraction:
+def beta_direct(ctx: PrimeContext, weights: SieveWeights, n: int) -> Fraction:
+    """(sum_{d|n} lambda_d)^2, the defining square, over the stored keys d."""
     if n < 1:
         raise ValueError(f"n={n} must be >= 1")
-    ps = [p for p in ctx.prime_factors(n) if p in weights.prime_set]
-    total = weights.lam[1]
-    prods = [1]
-    for p in ps:
-        prods += [r * p for r in prods]
-    for d in prods[1:]:
-        lam_d = weights.lam.get(d)
-        if lam_d is not None:
-            total += lam_d
-    return total
-
-
-def beta_direct(ctx: PrimeContext, weights: SieveWeights, n: int) -> Fraction:
-    """(sum_{d|n} lambda_d)^2, the defining square."""
-    a = _admissible_divisor_sum(ctx, weights, n)
+    a = sum((lam for d, lam in weights.lam.items() if n % d == 0), Fraction(0))
     return a * a
 
 

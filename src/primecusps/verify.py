@@ -154,7 +154,7 @@ def suite_transference(ctx: PrimeContext, seed: int = 0) -> list[CheckRow]:
 
 #: name -> suite(ctx, seed, zmax); only the g-function scan reads zmax
 _SUITES = {
-    "g-functions": lambda ctx, seed, zmax: explicit_estimate_report(ctx, min(zmax, ctx.limit)),
+    "g-functions": lambda ctx, seed, zmax: explicit_estimate_report(ctx, zmax),
     "sieve": lambda ctx, seed, zmax: suite_sieve(ctx, seed),
     "large-sieve": lambda ctx, seed, zmax: suite_large_sieve(ctx, seed),
     "cusps": lambda ctx, seed, zmax: suite_cusps(ctx),
@@ -163,17 +163,17 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES)
 
 
-def run_suite(ctx: PrimeContext, name: str, seed: int = 0,
-              zmax: int = 100_000, threads: int = 1) -> list[CheckRow]:
+def run_suite(ctx: PrimeContext, name: str, seed: int, zmax: int,
+              threads: int) -> list[CheckRow]:
     if name == "all":
         names = list(SUITE_NAMES)
         if threads > 1:
             from concurrent.futures import ThreadPoolExecutor
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 parts = list(pool.map(
-                    lambda n: run_suite(ctx, n, seed=seed, zmax=zmax), names))
+                    lambda n: run_suite(ctx, n, seed, zmax, 1), names))
         else:
-            parts = [run_suite(ctx, n, seed=seed, zmax=zmax) for n in names]
+            parts = [run_suite(ctx, n, seed, zmax, 1) for n in names]
         return [row for part in parts for row in part]
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from "

@@ -3,7 +3,9 @@ import json
 
 import pytest
 
+from primecusps.arith import CapacityError, build_context
 from primecusps.cli import build_config, main, UsageError
+from primecusps.gfunctions import explicit_estimate_report
 
 
 def run(args):
@@ -173,3 +175,14 @@ def test_verify_red_suite(tmp_path, capsys):
     assert "mertens-product-lower-refined" in err
     d = json.loads(out.read_text())
     assert not d["clean"]
+
+
+def test_zmax_beyond_limit_is_capacity_failure(tmp_path, capsys):
+    # the scans are never clipped to the table: zmax past --limit is an error
+    code = run(["verify", "--suite", "g-functions", "--zmax", "5000",
+                "--limit", "3000", "--output", str(tmp_path / "v.json")])
+    assert code == 1
+    err = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
+    assert len(err) == 1 and "5000" in err[0] and "3000" in err[0]
+    with pytest.raises(CapacityError):
+        explicit_estimate_report(build_context(3000), 5000)

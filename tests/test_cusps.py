@@ -17,10 +17,10 @@ from primecusps.cusps import (
     structure_check,
     wq_weighted_sieve_report,
     _check_spacing,
-    _merge_close,
+    _half_runs,
     _w_moment,
 )
-from primecusps.expsums import exp_sum_at, spectrum, subset_full, subset_random
+from primecusps.expsums import SpectrumGrid, exp_sum_at, spectrum, subset_full, subset_random
 from primecusps.sieve import SieveParams, build_weights
 
 
@@ -107,12 +107,28 @@ def test_full_cusp_counts(ctx, N, A, arcs, wellspaced):
 
 
 def test_runs_merge_across_zero():
-    # the run through 0 merges with a run just below it as with one above it
+    # the run through 0 (-3..3), a run inside the gap (6..8) and that run's
+    # mirror (-8..-6) make one run, which is its own mirror around 0
     G, gap = 1000, 5
-    runs = [np.arange(-3, 4), np.arange(6, 9), np.arange(992, 995)]
-    merged = _merge_close(runs, gap, G)
-    assert len(merged) == 1
-    assert list(merged[0]) == list(range(-8, -5)) + list(range(-3, 4)) + [6, 7, 8]
+    absvals = np.zeros(G // 2 + 1)
+    absvals[[0, 1, 2, 3, 6, 7, 8]] = 1.0
+    runs = _half_runs(absvals, 0.5, gap)
+    assert [list(r) for r in runs] == [[0, 1, 2, 3, 6, 7, 8]]
+    assert 2 * runs[0][0] < gap and G - 2 * runs[0][-1] >= gap
+
+
+@pytest.mark.parametrize("hole", [None, 10])
+def test_all_above_threshold_is_one_arc(ctx, hole):
+    # every sample above the threshold (or all but one, inside the 1/(4N)
+    # merge gap): one run, its own mirror around 0 and around 1/2, i.e. the
+    # whole circle
+    subset = subset_full(ctx, 100)
+    G = 1024  # merge gap G/(4N) = 2.56 samples
+    values = np.full(G // 2 + 1, float(subset.size), dtype=complex)
+    if hole is not None:
+        values[hole] = 0.0
+    report = find_cusps(SpectrumGrid(subset, G, values), 2.0)
+    assert [(arc.lo, arc.hi) for arc in report.arcs] == [(0.0, 1.0 - 1.0 / G)]
 
 
 def test_rational_shift(ctx):

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from primecusps.arith import build_context
+from primecusps.arith import CapacityError, build_context
 from primecusps.gfunctions import (
     G_CONSTANT,
     GProfile,
@@ -154,6 +154,9 @@ def test_exact_vs_floating_profile(ctx):
     for y in (10, 250, 500):
         exact = float(g_sifted(ctx, 7, y, 5))
         assert abs(prof5(y) - exact) <= 1e-12 * max(exact, 1.0)
+    # a profile past the table is an error, never a shorter profile
+    with pytest.raises(CapacityError):
+        GProfile(ctx, 1, 2, limit=ctx.limit + 1)
 
 
 def test_xi_values(ctx):
