@@ -261,12 +261,12 @@ class PrimeContext:
                 points.insert(i, (m, value))
 
 
-def build_context(limit: int, cap: int = DEFAULT_LIMIT_CAP) -> PrimeContext:
+def build_context(limit: int) -> PrimeContext:
     """Sieve smallest prime factors up to `limit` and wrap them in a context."""
     if limit < 2:
         raise ValueError(f"limit={limit} must be >= 2")
-    if limit > cap:
-        raise CapacityError(f"limit={limit} exceeds cap={cap}")
+    if limit > DEFAULT_LIMIT_CAP:
+        raise CapacityError(f"limit={limit} exceeds cap={DEFAULT_LIMIT_CAP}")
     dtype = np.int32 if limit < 2**31 else np.int64
     spf = np.zeros(limit + 1, dtype=dtype)
     for p in range(2, int(limit**0.5) + 1):

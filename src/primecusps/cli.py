@@ -7,6 +7,7 @@ files.  Exit codes: 0 success, 1 verification/domain failure, 2 usage.
 """
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, fields
 
@@ -77,6 +78,10 @@ class RunConfig:
                 raise UsageError("N must be >= 100")
         if not 0 <= self.seed < 1 << 64:
             raise UsageError("seed must fit in 64 bits")
+        for f in _OPTIONS:
+            value = getattr(self, f.name)
+            if f.type is float and value is not None and not math.isfinite(value):
+                raise UsageError(f"{f.name}={value} is not a finite number")
 
 
 _OPTIONS = [f for f in fields(RunConfig) if f.name != "command"]

@@ -19,13 +19,15 @@ from typing import Sequence
 import numpy as np
 
 from .arith import PrimeContext, WeightedPoint, circle_distance, extract_well_spaced
-from .expsums import PrimeSubset, SpectrumGrid, exp_sum_at
+from .expsums import PrimeSubset, SpectrumGrid, exp_sum_at, grid_sums
 from .report import CheckRow, leq_row, na_row
 
 #: arcs are refined until the endpoint bracket is this fraction of 1/N
 ENDPOINT_RESOLUTION = 1.0 / 1024.0
 #: direct re-evaluation tolerance, as a fraction of T*(0)
 REEVAL_TOL = 1e-6
+#: the A of each large-sieve level-set corollary row
+LEVEL_SET_A = (2, 4, 8, 16)
 
 
 @dataclass(frozen=True)
@@ -125,8 +127,8 @@ def find_cusps(grid: SpectrumGrid, A: float) -> CuspReport:
     ones that are their own mirror (around 0 or 1/2, which bisect one
     endpoint and reflect it) also gives the mirror arc (-hi, -lo).
     """
-    if A < 1:
-        raise ValueError(f"A={A} must be >= 1")
+    if not 1 <= A < math.inf:
+        raise ValueError(f"A={A} must be finite and >= 1")
     subset = grid.subset
     N, G = subset.N, grid.G
     T0 = float(subset.size)
@@ -274,13 +276,13 @@ def _check_spacing(positions: Sequence[float], delta: float) -> None:
 
 def large_sieve_check(positions: Sequence[float], u: np.ndarray,
                       subset: PrimeSubset, delta: float,
-                      f=None, levels=(2, 4, 8, 16)) -> list[CheckRow]:
+                      f: np.ndarray) -> list[CheckRow]:
     """Both sides of the explicit prime large sieve inequalities.
 
     Primal: sum over X of |sum_p u_p e(xp)|^2 against
     19 (N + 1/delta) log(2|X|) sum|u_p|^2 / log N.  Dual: roles of points
-    and primes exchanged for a supplied f on X (defaults to all ones).
-    The level-set corollary is tested for each A in `levels`.
+    and primes exchanged for the supplied f on X.  The level-set corollary
+    is tested for each A in LEVEL_SET_A.
     """
     _check_spacing(positions, delta)
     N = subset.N
@@ -300,7 +302,7 @@ def large_sieve_check(positions: Sequence[float], u: np.ndarray,
                         {"n_points": len(xs), "N": N, "delta": delta},
                         lhs, rhs, note="sum over points of |S_u(x)|^2"))
 
-    fv = np.ones(len(xs), dtype=complex) if f is None else np.asarray(f, dtype=complex)
+    fv = np.asarray(f, dtype=complex)
     Sf = phases.conj().T @ fv
     f1 = float(np.sum(np.abs(fv)))
     f2 = float(np.sum(np.abs(fv) ** 2))
@@ -311,7 +313,7 @@ def large_sieve_check(positions: Sequence[float], u: np.ndarray,
                         lhs, rhs, note="sum over primes of |S_f(p)|^2"))
 
     V = math.sqrt(scale * usq)
-    for A in levels:
+    for A in LEVEL_SET_A:
         count = int(np.sum(np.abs(Su) >= V / A))
         rows.append(leq_row("large-sieve-level-sets",
                             {"A": A, "n_points": len(xs), "N": N},
@@ -321,15 +323,17 @@ def large_sieve_check(positions: Sequence[float], u: np.ndarray,
 
 
 def _w_moment(u: np.ndarray, m: int) -> float:
-    """W(m) = sum over a mod* m of |sum_n u_n e(na/m)|^2 (u indexed from 1)."""
-    folded = np.zeros(m, dtype=complex)
-    np.add.at(folded, np.arange(1, len(u) + 1) % m, u)
-    vals = m * np.fft.ifft(folded)
-    if m == 1:
-        return float(np.abs(vals[0]) ** 2)
-    a = np.arange(m)
-    mask = np.gcd(a, m) == 1
-    return float(np.sum(np.abs(vals[mask]) ** 2))
+    """W(m) = sum over a mod* m of |sum_n u_n e(na/m)|^2 (u indexed from 1).
+
+    a and -a are both reduced residues, and |S(a)|^2 + |S(-a)|^2 =
+    2(|X_a|^2 + |Y_a|^2) for the real-weight sums X and Y of Re u and Im u,
+    so W(m) sums c_a (|X_a|^2 + |Y_a|^2) over the reduced 0 <= a <= m/2,
+    with c_a = 1 when 2a = 0 mod m and 2 otherwise.  The index shift to
+    n = 1 is a unit phase and leaves every modulus alone."""
+    power = np.abs(grid_sums(u.real, m)) ** 2 + np.abs(grid_sums(u.imag, m)) ** 2
+    a = np.arange(len(power))
+    c = np.where(2 * a % m == 0, 1.0, 2.0)
+    return float(np.sum((c * power)[np.gcd(a, m) == 1]))
 
 
 def dilated_large_sieve_check(u: np.ndarray, N: int, Q1: int, Q2: int, delta: int) -> CheckRow:

@@ -1,13 +1,14 @@
 """Prime exponential sums and their local model.
 
-Every sum of w_n e(alpha n) over integer points is evaluated here: exp_sum
-at one alpha (one phase vector, one dot product per weight vector),
-exp_sum_at for T*(alpha) = sum over the prime subset of e(p alpha),
-exp_sums_on_progression on an arithmetic progression by chirp-z, and
-grid_sums at every j/G by one length-G real FFT.  Real weights make the sum
-at -alpha the conjugate of the sum at alpha, so grid_sums returns only the
-half circle 0 <= j <= G/2 and SpectrumGrid.value(j) mirrors out the rest.
-The local model replaces the
+Every sum of w_n e(alpha n) over integer points is evaluated here, except
+the phase matrices of cusps.large_sieve_check and
+IntervalPolynomial.__call__: exp_sum at one alpha (one phase vector, one
+dot product per weight vector), exp_sum_at for T*(alpha) = sum over the
+prime subset of e(p alpha), exp_sums_on_progression on an arithmetic
+progression by chirp-z, and grid_sums at every j/G by one length-G real
+FFT.  Real weights make the sum at -alpha the conjugate of the sum at
+alpha, so grid_sums returns only the half circle 0 <= j <= G/2 and
+SpectrumGrid.value(j) mirrors out the rest.  The local model replaces the
 primes by z0-rough integers weighted by 1/(V(z0) log N).
 fejer_interval_polynomial builds a trigonometric polynomial for an interval
 indicator; only acceptance criterion 10 checks it.

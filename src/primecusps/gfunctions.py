@@ -177,14 +177,24 @@ def _worst(margins: np.ndarray, labels: np.ndarray):
 NA_HYPOTHESES = "hypotheses need z >= 2.0056e11 (z0 >= 35 and primorial(z0) <= z): unsatisfiable at this scale"
 
 
-def explicit_estimate_report(ctx: PrimeContext, zmax: int = 10_000) -> list[CheckRow]:
+#: smallest zmax every scan can take: prime-count-lower compares
+#: pi(x) >= x/log x at the plateau right ends x > 17 (its stated range
+#: starts at 17), and the scan's last right end is zmax itself, so an
+#: integer zmax <= 17 leaves it nothing to compare
+MIN_ZMAX = 18
+
+
+def explicit_estimate_report(ctx: PrimeContext, zmax: int) -> list[CheckRow]:
     """Re-check the explicit inequalities over their stated ranges.
 
     Scans are binding-point complete: each step function is compared at the
     points where its inequality is tightest over real parameters, so a pass
     here certifies the full stated range up to zmax, which must lie in the
-    prime table.
+    prime table and be at least MIN_ZMAX.
     """
+    if zmax < MIN_ZMAX:
+        raise ValueError(f"zmax={zmax} is below {MIN_ZMAX}, where the "
+                         f"prime-count-lower scan starts")
     if zmax > ctx.limit:
         raise CapacityError(f"zmax={zmax} exceeds prime table limit {ctx.limit}")
     rows: list[CheckRow] = []

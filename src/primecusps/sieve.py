@@ -56,7 +56,7 @@ class SieveWeights:
     primes_used: tuple[int, ...]
 
 
-def _key_products(primes: list[int], bound, cap: int) -> list[tuple[int, int, int]]:
+def _key_products(primes: list[int], bound) -> list[tuple[int, int, int]]:
     """(product, mobius, phi) for squarefree products of `primes` up to bound."""
     out = [(1, 1, 1)]
     for i, p in enumerate(primes):
@@ -68,13 +68,12 @@ def _key_products(primes: list[int], bound, cap: int) -> list[tuple[int, int, in
             grown.append((v, -mu, phi * (p - 1)))
             # larger primes only make the product bigger; no need to retry
         out.extend(grown)
-        if len(out) > cap:
-            raise CapacityError(f"more than {cap} sieve keys below {bound}")
+        if len(out) > DEFAULT_KEY_CAP:
+            raise CapacityError(f"more than {DEFAULT_KEY_CAP} sieve keys below {bound}")
     return sorted(out)
 
 
-def build_weights(ctx: PrimeContext, params: SieveParams,
-                  cap: int = DEFAULT_KEY_CAP) -> SieveWeights:
+def build_weights(ctx: PrimeContext, params: SieveParams) -> SieveWeights:
     """Compute both weight tables exactly.  Requires the prime table to
     reach z^2 (the Fourier keys run that far)."""
     z0, z, tau = params.z0, params.z, params.tau
@@ -90,12 +89,12 @@ def build_weights(ctx: PrimeContext, params: SieveParams,
     G = g_sifted(ctx, tau, zf, z0)
 
     lam: dict[int, Fraction] = {}
-    for d, mu, phi in _key_products(primes, zf, cap):
+    for d, mu, phi in _key_products(primes, zf):
         lam[d] = Fraction(mu * d, phi) * g_sifted(ctx, (d, tau), zf / d, z0) / G
 
     Gsq = G * G
     w: dict[int, Fraction] = {}
-    for q, mu, phi in _key_products(primes, zf * zf, cap):
+    for q, mu, phi in _key_products(primes, zf * zf):
         w[q] = Fraction(mu, phi) * g_bracket(ctx, q, zf, z0, tau) / Gsq
 
     if lam[1] != 1 or w[1] * G != 1:

@@ -16,18 +16,24 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import CapacityError, PrimeContext, circle_distance
+from .arith import CapacityError, PrimeContext
 from .cusps import REEVAL_TOL, CuspReport, find_cusps
-from .expsums import (PrimeSubset, SpectrumGrid, exp_sum, exp_sum_at,
-                      exp_sums_on_progression, grid_sums)
+from .expsums import (PrimeSubset, exp_sum, exp_sum_at,
+                      exp_sums_on_progression, grid_sums, spectrum)
 from .gfunctions import g_sifted
-from .report import CheckRow, FLOAT_SLACK, leq_row, na_row
+from .report import CheckRow, FLOAT_SLACK, leq_row
 
 #: samples per cover interval when hunting the interval maximum
 INTERVAL_SAMPLES = 3
 
 #: chirp-z cover samples re-evaluated directly by cover_sampler_row
 COVER_SAMPLER_CHECKS = 64
+
+#: random alphas at which transform_checks re-verifies the f_sharp product
+N_ALPHA = 1000
+
+#: fuzzed phases u in the |e(u) - 1| <= 2 pi ||u|| check
+N_FUZZ = 10_000
 
 
 @dataclass(frozen=True)
@@ -107,8 +113,8 @@ def _interval_samples(subset: PrimeSubset, idx, Nprime: int) -> np.ndarray:
     return out
 
 
-def build_cover(grid: SpectrumGrid, A: float, report: CuspReport = None) -> Cover:
-    """Select the interval representatives of the cusp set.
+def build_cover(subset: PrimeSubset, report: CuspReport) -> Cover:
+    """Select the interval representatives of the report's A-cusp set.
 
     The circle is cut into Nprime = 240 A N intervals, in an even and an
     odd family.  Only intervals meeting a detected arc (or holding one of
@@ -118,10 +124,7 @@ def build_cover(grid: SpectrumGrid, A: float, report: CuspReport = None) -> Cove
     points are evaluated directly.  Each kept interval contributes its
     maximizing sample.
     """
-    subset = grid.subset
-    if report is None:
-        report = find_cusps(grid, A)
-    N = subset.N
+    A, N = report.A, report.N
     Nprime = int(round(240 * A * N))
     eps = 1.0 / (240.0 * A)
     T0 = float(subset.size)
@@ -147,11 +150,11 @@ def build_cover(grid: SpectrumGrid, A: float, report: CuspReport = None) -> Cove
                 odd += 1
     K = subset.K
     bound = 5000.0 * A ** 3 * K * math.log(2.0 * A)
-    return Cover(float(A), N, Nprime, eps, tuple(sorted(points)), even, odd, bound)
+    return Cover(A, N, Nprime, eps, tuple(sorted(points)), even, odd, bound)
 
 
 def cover_sampler_row(subset: PrimeSubset, cover: Cover, report: CuspReport,
-                      seed: int = 0) -> CheckRow:
+                      seed: int) -> CheckRow:
     """Re-evaluate COVER_SAMPLER_CHECKS seeded chirp-z cover samples with
     the direct sum."""
     idx = sorted(_cover_candidates(report, cover.Nprime))
@@ -209,17 +212,19 @@ def bohr_size_row(bohr: BohrSet, N: int) -> CheckRow:
                     "|B| against (1/2) eps^|Xi_M| N/M")
 
 
+def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Linear convolution of real a and b, in the first len(a) + len(b) - 1
+    entries, by real FFTs of length 1 << (len(a) + len(b)).bit_length()."""
+    L = 1 << (len(a) + len(b)).bit_length()
+    return np.fft.irfft(np.fft.rfft(a, L) * np.fft.rfft(b, L), L)
+
+
 def _difference_counts(bohr: BohrSet, N: int) -> np.ndarray:
-    """counts[N + m] = #{(b1, b2) : b1 - b2 = m}, m in [-N, N], from one
-    autocorrelation FFT rounded to integers."""
+    """counts[N + m] = #{(b1, b2) : b1 - b2 = m}, m in [-N, N], from the
+    convolution of the indicator with its reverse, rounded to integers."""
     ind = np.zeros(N + 1)
     ind[bohr.elements] = 1.0
-    L = 1 << (2 * N + 2).bit_length()
-    spec = np.fft.rfft(ind, L)
-    corr = np.fft.irfft(spec * np.conj(spec), L)
-    counts = np.empty(2 * N + 1)
-    counts[N:] = corr[: N + 1]
-    counts[:N] = corr[L - N :]
+    counts = _convolve(ind, ind[::-1])[: 2 * N + 1]
     rounded = np.rint(counts)
     if np.max(np.abs(counts - rounded)) > 1e-5:
         raise ArithmeticError("autocorrelation failed to resolve to integers")
@@ -232,12 +237,12 @@ def _difference_counts(bohr: BohrSet, N: int) -> np.ndarray:
 @dataclass(frozen=True)
 class Decomposition:
     subset: PrimeSubset
+    report: CuspReport
     cover: Cover
     bohr: BohrSet
     z0: float
     z: float
     M: int
-    A: float
     G_val: Fraction
     V_val: Fraction
     offset: int
@@ -263,6 +268,10 @@ class Decomposition:
     def N(self) -> int:
         return self.subset.N
 
+    @property
+    def A(self) -> float:
+        return self.report.A
+
     def transform_sharp(self, alpha: float) -> complex:
         return self.transforms(alpha)[0]
 
@@ -281,28 +290,26 @@ def default_z(N: int, M: int, z0) -> float:
 
 
 def decompose(ctx: PrimeContext, subset: PrimeSubset, z0, M: int, A: float,
-              z=None, grid: SpectrumGrid = None, report: CuspReport = None,
-              cover: Cover = None) -> Decomposition:
-    """Build the full decomposition at the given desk-scale parameters.
+              z=None) -> Decomposition:
+    """Build the full decomposition at the given desk-scale parameters:
+    spectrum, A-cusp report, cover, Bohr set, then f_flat and f_sharp.
 
     z defaults to sqrt(N/(M z0)) and may not be below it (the sieve window
-    must reach the complement of the primes).  Hypothesis (H1) violations
-    on M are reported in the metrics, not fatal."""
+    must reach the complement of the primes) nor below z0; both are checked
+    before any spectrum work.  Hypothesis (H1) violations on M are reported
+    in the metrics, not fatal."""
     N = subset.N
     zmin = default_z(N, M, z0)
     if z is None:
         z = zmin
     elif z < zmin - 1e-9:
         raise ValueError(f"z={z} is below sqrt(N/(M z0)) = {zmin:.6g}")
-    if grid is None:
-        from .expsums import spectrum
-        grid = spectrum(subset)
-    if cover is None:
-        cover = build_cover(grid, A, report)
-    bohr = build_bohr(cover, M, N)
-
     if z < z0:
         raise ValueError(f"z={z} must be >= z0={z0}")
+    report = find_cusps(spectrum(subset), A)
+    cover = build_cover(subset, report)
+    bohr = build_bohr(cover, M, N)
+
     G = g_sifted(ctx, 1, z, z0)
     V = ctx.mertens_product(z0)
 
@@ -312,9 +319,7 @@ def decompose(ctx: PrimeContext, subset: PrimeSubset, z0, M: int, A: float,
     find[subset.members] = 1.0
     # rho_arr carries m = j - N, so the linear convolution index k holds
     # ell = k - N; support of f * rho is [-N, 2N]
-    L = 1 << (3 * N + 2).bit_length()
-    conv_full = np.fft.irfft(np.fft.rfft(find, L) * np.fft.rfft(rho_arr, L), L)
-    conv = conv_full[: 3 * N + 1].copy()
+    conv = _convolve(find, rho_arr)[: 3 * N + 1].copy()
     conv[np.abs(conv) < 1e-12] = 0.0
 
     offset = N
@@ -324,7 +329,7 @@ def decompose(ctx: PrimeContext, subset: PrimeSubset, z0, M: int, A: float,
     f_flat = vlog * conv
     f_sharp = f - conv
 
-    dec = Decomposition(subset, cover, bohr, z0, float(z), M, float(A), G, V,
+    dec = Decomposition(subset, report, cover, bohr, z0, float(z), M, G, V,
                         offset, f, conv, f_flat, f_sharp, {})
     # tail of f* beyond N, i.e. the gap between the full-support
     # transform and one truncated at N, measured at alpha = 0
@@ -351,8 +356,7 @@ def _identity_residual(dec: Decomposition, vlog: float) -> float:
     return float(np.max(np.abs(recon - dec.f)))
 
 
-def transform_checks(dec: Decomposition, n_alpha: int = 1000,
-                     seed: int = 1) -> list[CheckRow]:
+def transform_checks(dec: Decomposition, seed: int) -> list[CheckRow]:
     """Re-verify the three transform identities.
 
     S(f*, a/M) = G T*(a/M) exactly (the Bohr phases collapse); at random
@@ -372,7 +376,7 @@ def transform_checks(dec: Decomposition, n_alpha: int = 1000,
                         worst, 1e-6, note="relative gap of S(f*, a/M) vs G T*(a/M)"))
 
     rng = np.random.default_rng(seed)
-    alphas = rng.random(n_alpha)
+    alphas = rng.random(N_ALPHA)
     worst = 0.0
     excess_sharp = 0.0  # |S(f_sharp)| - |T*| must stay <= 0
     excess_flat = 0.0
@@ -385,13 +389,13 @@ def transform_checks(dec: Decomposition, n_alpha: int = 1000,
         excess_sharp = max(excess_sharp, abs(lhs) - abs(t))
         flat = vlog * (star / float(dec.G_val))
         excess_flat = max(excess_flat, abs(flat) - abs(t) * vlog)
-    rows.append(leq_row("transform-sharp-product", {"n_alpha": n_alpha},
+    rows.append(leq_row("transform-sharp-product", {"n_alpha": N_ALPHA},
                         worst, 1e-6 * T0,
                         note="S(f_sharp, alpha) vs T*(alpha)(1 - |S_M/|B||^2)"))
-    rows.append(leq_row("sharp-dominated", {"n_alpha": n_alpha},
+    rows.append(leq_row("sharp-dominated", {"n_alpha": N_ALPHA},
                         excess_sharp, 1e-6 * T0,
                         note="|S(f_sharp, alpha)| <= |T*(alpha)|"))
-    rows.append(leq_row("flat-dominated", {"n_alpha": n_alpha},
+    rows.append(leq_row("flat-dominated", {"n_alpha": N_ALPHA},
                         excess_flat, 1e-6 * T0,
                         note="|S(f_flat, alpha)| <= |T*(alpha)| V log N"))
 
@@ -419,8 +423,7 @@ def sharp_sup_report(dec: Decomposition, grid_size: int = 1 << 20) -> dict:
     }
 
 
-def cusp_suppression_report(dec: Decomposition, n_fuzz: int = 10_000,
-                            seed: int = 7) -> list[CheckRow]:
+def cusp_suppression_report(dec: Decomposition, seed: int) -> list[CheckRow]:
     """At every cover point y (and at the eps/N boundary beside it) the
     normalized Bohr sum must sit within 7 eps (resp. 14 eps) of 1; the
     elementary phase bound |e(u) - 1| <= 2 pi ||u|| is fuzzed alongside."""
@@ -453,12 +456,12 @@ def cusp_suppression_report(dec: Decomposition, n_fuzz: int = 10_000,
                          f"vs target 1/A = {1.0 / dec.A:.4g} (report only)"))
 
     rng = np.random.default_rng(seed)
-    us = rng.uniform(-3.0, 3.0, n_fuzz)
+    us = rng.uniform(-3.0, 3.0, N_FUZZ)
     lhs = np.abs(np.exp(2j * np.pi * us) - 1.0)
     fr = us % 1.0
     norm = np.minimum(fr, 1.0 - fr)
     margin = float(np.min(2.0 * np.pi * norm - lhs))
-    rows.append(CheckRow("phase-distance", {"n": n_fuzz}, None, None, margin,
+    rows.append(CheckRow("phase-distance", {"n": N_FUZZ}, None, None, margin,
                          "pass" if margin >= -FLOAT_SLACK else "fail",
                          "|e(u) - 1| <= 2 pi ||u|| on fuzzed u"))
     return rows
@@ -480,10 +483,10 @@ def cover_consistency_row(cover: Cover, report: CuspReport) -> CheckRow:
                     "max distance from a well-spaced cusp to the cover")
 
 
-def decomposition_csv(dec: Decomposition, lo: int = 1, hi: int = None) -> str:
-    hi = dec.N if hi is None else hi
+def decomposition_csv(dec: Decomposition) -> str:
+    """Rows n = 1..N of f, f_flat and f_sharp."""
     lines = ["n,f,f_flat,f_sharp"]
-    for n in range(lo, hi + 1):
+    for n in range(1, dec.N + 1):
         i = n + dec.offset
         lines.append(f"{n},{dec.f[i]:.0f},{dec.f_flat[i]:.12g},{dec.f_sharp[i]:.12g}")
     return "\n".join(lines) + "\n"

@@ -21,6 +21,9 @@ from .gfunctions import explicit_estimate_report
 #: criterion grid for the cusp suites
 CUSP_GRID_A = (2, 4, 8, 16)
 
+#: seeded trials of the primal and dual large sieve in suite_large_sieve
+LARGE_SIEVE_TRIALS = 200
+
 
 def _beta_grid_row(ctx, z0, z, tau, nmax) -> CheckRow:
     weights = sv.build_weights(ctx, sv.SieveParams(z0, z, tau))
@@ -45,7 +48,7 @@ def _envelope_row(ctx, weights, pmax: int) -> CheckRow:
                     "beta(p) = 1 above the sieving window")
 
 
-def suite_sieve(ctx: PrimeContext, seed: int = 0) -> list[CheckRow]:
+def suite_sieve(ctx: PrimeContext, seed: int) -> list[CheckRow]:
     rows = []
     for z0, z, tau in ((2, 20, 1), (3, 30, 5), (5, 50, 7)):
         rows.append(_beta_grid_row(ctx, z0, z, tau, 200))
@@ -67,12 +70,11 @@ def _spaced_positions(rng, npts: int, delta: float) -> list[float]:
     return [p.position for p in extract_well_spaced(pts, delta)]
 
 
-def suite_large_sieve(ctx: PrimeContext, seed: int = 0,
-                      trials: int = 200) -> list[CheckRow]:
+def suite_large_sieve(ctx: PrimeContext, seed: int) -> list[CheckRow]:
     subset = ex.subset_full(ctx, 10_000)
     delta = 1.0 / subset.N
     worst: dict[str, CheckRow] = {}
-    for t in range(trials):
+    for t in range(LARGE_SIEVE_TRIALS):
         rng = np.random.default_rng(seed * 1000 + t)
         xs = _spaced_positions(rng, int(rng.integers(3, 40)), delta)
         u = rng.normal(size=subset.size) + 1j * rng.normal(size=subset.size)
@@ -81,8 +83,9 @@ def suite_large_sieve(ctx: PrimeContext, seed: int = 0,
             cur = worst.get(row.lemma)
             if cur is None or row.margin < cur.margin:
                 worst[row.lemma] = row
-    rows = [CheckRow(r.lemma, {"trials": trials, **r.params}, r.lhs, r.rhs,
-                     r.margin, r.status, f"worst of {trials} seeded trials")
+    rows = [CheckRow(r.lemma, {"trials": LARGE_SIEVE_TRIALS, **r.params}, r.lhs,
+                     r.rhs, r.margin, r.status,
+                     f"worst of {LARGE_SIEVE_TRIALS} seeded trials")
             for r in worst.values()]
 
     worst_dil = None
@@ -129,21 +132,17 @@ def suite_cusps(ctx: PrimeContext) -> list[CheckRow]:
     return rows
 
 
-def suite_transference(ctx: PrimeContext, seed: int = 0) -> list[CheckRow]:
+def suite_transference(ctx: PrimeContext, seed: int) -> list[CheckRow]:
     subset = ex.subset_full(ctx, 100_000)
-    grid = ex.spectrum(subset)
-    report = cu.find_cusps(grid, 4)
-    cover = tr.build_cover(grid, 4, report)
-    dec = tr.decompose(ctx, subset, 3, 2, 4, grid=grid, report=report,
-                       cover=cover)
-    rows = [tr.cover_consistency_row(cover, report),
-            tr.cover_sampler_row(subset, cover, report, seed=seed),
+    dec = tr.decompose(ctx, subset, 3, 2, 4)
+    rows = [tr.cover_consistency_row(dec.cover, dec.report),
+            tr.cover_sampler_row(subset, dec.cover, dec.report, seed),
             tr.bohr_size_row(dec.bohr, subset.N),
             leq_row("reconstruction-residual", {"N": subset.N},
                     dec.metrics["identity_residual"], 1e-9,
                     note="max |f - f_flat/(V log N) - f_sharp|")]
-    rows.extend(tr.transform_checks(dec, seed=seed + 1))
-    rows.extend(tr.cusp_suppression_report(dec, seed=seed + 2))
+    rows.extend(tr.transform_checks(dec, seed + 1))
+    rows.extend(tr.cusp_suppression_report(dec, seed + 2))
     sup = tr.sharp_sup_report(dec)
     rows.append(CheckRow("sharp-sup-ratio", {"A": dec.A, "grid": sup["grid"]},
                          sup["sup_ratio"], sup["target"], None, "pass",

@@ -45,10 +45,8 @@ def cusp_grid(ctx):
 
 
 @pytest.fixture(scope="module")
-def decomposition(ctx, cusp_grid):
-    grid_map, _ = cusp_grid
-    subset, grid, reports = grid_map[("full", 100_000)]
-    return tr.decompose(ctx, subset, 3, 2, 4, grid=grid, report=reports[4])
+def decomposition(ctx):
+    return tr.decompose(ctx, ex.subset_full(ctx, 100_000), 3, 2, 4)
 
 
 def test_criterion_01_sieve_fourier_equivalence(ctx):
@@ -105,7 +103,7 @@ def test_criterion_04_cusp_symmetry(cusp_grid):
 
 def test_criterion_05_large_sieve_trials(ctx):
     t0 = time.monotonic()
-    rows = suite_large_sieve(ctx, seed=0, trials=200)
+    rows = suite_large_sieve(ctx, seed=0)
     elapsed = time.monotonic() - t0
     by_name = {r.lemma: r for r in rows}
     for name in ("large-sieve-primal", "large-sieve-dual"):

@@ -35,6 +35,17 @@ def test_unknown_values_are_usage_errors(tmp_path):
     assert run(["spectrum", "--config", str(cfgfile)]) == 2
 
 
+def test_non_finite_floats_are_usage_errors(capsys):
+    for opt, argv in (("A", ["cusps", "--N", "1000", "--A", "nan"]),
+                      ("A", ["cusps", "--N", "1000", "--A", "inf"]),
+                      ("z", ["decompose", "--N", "10000", "--z", "nan"]),
+                      ("density", ["spectrum", "--N", "1000", "--density=-inf"])):
+        assert run(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error:"), err
+        assert f"{opt}=" in err[0]
+
+
 def test_grid_must_be_power_of_two(capsys):
     assert run(["spectrum", "--N", "2000", "--grid", "65537"]) == 2
     assert "power of two" in capsys.readouterr().err
@@ -186,3 +197,14 @@ def test_zmax_beyond_limit_is_capacity_failure(tmp_path, capsys):
     assert len(err) == 1 and "5000" in err[0] and "3000" in err[0]
     with pytest.raises(CapacityError):
         explicit_estimate_report(build_context(3000), 5000)
+
+
+def test_zmax_below_the_scan_domain_is_domain_error(tmp_path, capsys):
+    # prime-count-lower scans x > 17, so zmax <= 17 leaves it nothing to scan
+    code = run(["verify", "--suite", "g-functions", "--zmax", "5",
+                "--output", str(tmp_path / "v.json")])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert "zmax=5" in err[0] and "18" in err[0]
+    assert not (tmp_path / "v.json").exists()

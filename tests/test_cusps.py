@@ -31,6 +31,13 @@ def full4(ctx):
     return subset, grid, find_cusps(grid, 4)
 
 
+def test_A_must_be_finite_and_at_least_one(full4):
+    _, grid, _ = full4
+    for A in (0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="A="):
+            find_cusps(grid, A)
+
+
 def test_arc_geometry(full4):
     subset, grid, report = full4
     assert report.threshold == pytest.approx(subset.size / 4)
@@ -169,7 +176,7 @@ def test_large_sieve_rows(ctx):
     rng = np.random.default_rng(0)
     xs = [0.05, 0.3, 0.61, 0.93]
     u = rng.normal(size=subset.size) + 1j * rng.normal(size=subset.size)
-    rows = large_sieve_check(xs, u, subset, 1.0 / subset.N)
+    rows = large_sieve_check(xs, u, subset, 1.0 / subset.N, np.ones(len(xs)))
     names = {r.lemma for r in rows}
     assert {"large-sieve-primal", "large-sieve-dual",
             "large-sieve-level-sets"} <= names
@@ -180,7 +187,7 @@ def test_w_moment_brute_force():
     rng = np.random.default_rng(5)
     u = rng.normal(size=60) + 1j * rng.normal(size=60)
     ns = np.arange(1, 61)
-    for m in (1, 2, 3, 5, 8, 12):
+    for m in (1, 2, 3, 5, 8, 12, 97, 150):  # 97 and 150 exceed len(u)
         direct = 0.0
         for a in range(1, m + 1):
             if math.gcd(a, m) == 1:

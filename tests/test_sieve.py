@@ -169,7 +169,7 @@ def test_bound_report_names_failing_key(ctx, w350):
     assert (row.status, row.params["q"], row.margin) == ("fail", 7, -1.0)
 
 
-def test_parameter_validation(ctx):
+def test_parameter_validation(ctx, monkeypatch):
     with pytest.raises(ValueError):
         SieveParams(1, 30, 1)
     with pytest.raises(ValueError):
@@ -180,8 +180,9 @@ def test_parameter_validation(ctx):
         build_weights(ctx, SieveParams(3, 30, 2))    # tau hits the block
     with pytest.raises(CapacityError):
         build_weights(ctx, SieveParams(2, 1000, 1))  # z^2 over the table
+    monkeypatch.setattr(sieve, "DEFAULT_KEY_CAP", 50)
     with pytest.raises(CapacityError):
-        build_weights(ctx, SieveParams(2, 300, 1), cap=50)
+        build_weights(ctx, SieveParams(2, 300, 1))
 
 
 def test_beta_argument_validation(ctx, w350):

@@ -41,7 +41,7 @@ def test_cover_basics(ctx):
     subset = subset_full(ctx, 10_000)
     grid = spectrum(subset)
     report = find_cusps(grid, 4)
-    cover = build_cover(grid, 4, report)
+    cover = build_cover(subset, report)
     assert cover.Nprime == 240 * 4 * 10_000
     assert cover.eps == 1.0 / 960.0
     assert 0.0 in cover.points
@@ -81,7 +81,7 @@ def _direct_cover(subset, report, A):
 def test_cover_matches_direct_reference(ctx, A):
     subset = subset_full(ctx, 10_000)
     report = find_cusps(spectrum(subset), A)
-    cover = build_cover(spectrum(subset), A, report)
+    cover = build_cover(subset, report)
     assert (cover.points, cover.even_count, cover.odd_count) == \
         _direct_cover(subset, report, A)
 
@@ -100,7 +100,7 @@ def test_cover_falls_back_to_direct_sums(ctx, monkeypatch):
         return chirp(sub, j0, step, Q, K)
 
     monkeypatch.setattr(transference, "exp_sums_on_progression", capped)
-    cover = build_cover(spectrum(subset), 2, report)
+    cover = build_cover(subset, report)
     assert refused
     assert (cover.points, cover.even_count, cover.odd_count) == \
         _direct_cover(subset, report, 2)
@@ -110,7 +110,7 @@ def test_cover_sampler_row(ctx):
     subset = subset_full(ctx, 10_000)
     grid = spectrum(subset)
     report = find_cusps(grid, 2)
-    cover = build_cover(grid, 2, report)
+    cover = build_cover(subset, report)
     row = cover_sampler_row(subset, cover, report, seed=3)
     assert row.lemma == "cover-sampler-vs-direct"
     assert row.params["samples"] == COVER_SAMPLER_CHECKS == 64
@@ -120,7 +120,7 @@ def test_cover_sampler_row(ctx):
 def test_cover_points_are_cusps(ctx):
     subset = subset_full(ctx, 10_000)
     grid = spectrum(subset)
-    cover = build_cover(grid, 4)
+    cover = build_cover(subset, find_cusps(grid, 4))
     thr = subset.size / 4.0
     for y in cover.points[:: max(1, len(cover.points) // 50)]:
         assert abs(exp_sum_at(subset, y)) >= thr - 1e-6 * subset.size
@@ -139,7 +139,7 @@ def test_bohr_trivial_frequency(ctx):
 def test_bohr_empty_is_domain_error(ctx):
     subset = subset_full(ctx, 10_000)
     grid = spectrum(subset)
-    cover = build_cover(grid, 4)
+    cover = build_cover(subset, find_cusps(grid, 4))
     with pytest.raises(ValueError, match="empty Bohr set"):
         build_bohr(cover, 2, 10_000)
     with pytest.raises(ValueError, match="empty Bohr set"):
@@ -158,6 +158,26 @@ def test_z_parameter_guard(ctx):
     subset = subset_full(ctx, 10_000)
     with pytest.raises(ValueError, match="below"):
         decompose(ctx, subset, 3, 2, 1, z=20.0)
+
+
+def test_z_below_z0_fails_before_the_spectrum(ctx, monkeypatch):
+    # sqrt(N/(M z0)) = 10 at z0 = 50, so z = 20 passes that guard only
+    def no_spectrum(*args):
+        raise AssertionError("spectrum computed before the z guards")
+
+    monkeypatch.setattr(transference, "spectrum", no_spectrum)
+    subset = subset_full(ctx, 10_000)
+    for z in (None, 20.0):
+        with pytest.raises(ValueError, match="must be >= z0=50"):
+            decompose(ctx, subset, 50, 2, 1, z=z)
+
+
+def test_decomposition_keeps_its_chain(dec1):
+    # the report and cover decompose built are the ones the checks read
+    assert dec1.A == dec1.report.A == dec1.cover.A == 1.0
+    assert dec1.report.N == dec1.cover.N == 10_000
+    assert cover_consistency_row(dec1.cover, dec1.report).status == "pass"
+    assert cover_sampler_row(dec1.subset, dec1.cover, dec1.report, 0).status == "pass"
 
 
 def test_rho_properties(dec1):
@@ -204,7 +224,7 @@ def test_bohr_sum_identity(dec1):
 def test_decomposition_identities(ctx, dec1):
     assert dec1.metrics["identity_residual"] <= 1e-9
     assert dec1.metrics["h1_violations"] == []
-    rows = transform_checks(dec1, n_alpha=150)
+    rows = transform_checks(dec1, 1)
     assert all(r.status == "pass" for r in rows)
     assert bohr_size_row(dec1.bohr, 10_000).status == "pass"
 
@@ -230,7 +250,7 @@ def test_f_star_support(ctx, dec1):
 
 
 def test_suppression_report(ctx, dec1):
-    rows = cusp_suppression_report(dec1, n_fuzz=3000)
+    rows = cusp_suppression_report(dec1, 7)
     assert {r.lemma for r in rows} == {
         "bohr-sum-at-cover", "bohr-sum-at-cover-edge", "sharp-at-cover",
         "phase-distance"}
@@ -252,10 +272,10 @@ def test_sharp_sup_on_a_grid_below_the_support(dec1):
 
 
 def test_csv_export(dec1):
-    text = decomposition_csv(dec1, 1, 50)
+    text = decomposition_csv(dec1)
     lines = text.strip().split("\n")
     assert lines[0] == "n,f,f_flat,f_sharp"
-    assert len(lines) == 51
+    assert len(lines) == 10_001
     n, f, fflat, fsharp = lines[7].split(",")
     assert n == "7"
     recon = float(fflat) / (float(dec1.V_val) * math.log(10_000)) + \
