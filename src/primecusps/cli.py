@@ -202,7 +202,7 @@ def cmd_spectrum(ctx, cfg: RunConfig) -> int:
 
 def cmd_cusps(ctx, cfg: RunConfig) -> int:
     subset = _subset(ctx, cfg)
-    grid = ex.spectrum(subset, _grid_size(cfg))
+    grid = ex.spectrum(subset, _grid_size(cfg), cfg.A)
     report = cu.find_cusps(grid, cfg.A)
     rows = cu.structure_check(report, subset)
     rows.append(cu.farey_census_report(ctx, report))

@@ -1,17 +1,20 @@
 """Cusp detection for prime exponential sums, and the large sieve checks.
 
 An A-cusp is a point alpha with |T*(alpha)| >= T*(0)/A.  The detector
-thresholds the half-circle FFT grid, finds and refines the runs on the half
-circle (merging runs split at grid resolution, bisecting arc endpoints
-against the direct sum), reflects each arc to its mirror, and extracts a
-(1/N)-well spaced subset whose count is tested against the
-19 A^2 K log(2A) bound.
+reads the half-circle grid samples at or above the threshold (a sparse
+spectrum keeps only those, so the grid costs O(N) memory), finds and
+refines the runs on the half circle (merging runs split at grid
+resolution, bisecting arc endpoints against the direct sum), reflects each
+arc to its mirror, and extracts a (1/N)-well spaced subset whose count is
+tested against the 19 A^2 K log(2A) bound.  structure_check finds the arc
+holding a point by bisection on the arc starts.
 The same module hosts the arithmetic structure checks on the cusp set
 (symmetry, rational shifts, companions) and the explicit large sieve
 inequalities the counting argument rests on.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -109,11 +112,10 @@ def _run_peak(subset: PrimeSubset, run: np.ndarray, mags: np.ndarray,
     return WeightedPoint(peak_pos, peak_val)
 
 
-def _half_runs(absvals: np.ndarray, threshold: float, gap: int) -> list[np.ndarray]:
-    """Runs of the half-circle indices j with absvals[j] >= threshold, cut
-    wherever two neighbours are at least `gap` (>= 2) apart."""
-    above = np.flatnonzero(absvals >= threshold)
-    return np.split(above, np.flatnonzero(np.diff(above) >= gap) + 1)
+def _half_runs(index: np.ndarray, gap: int) -> list[np.ndarray]:
+    """Runs of the ascending half-circle indices, cut wherever two
+    neighbours are at least `gap` (>= 2) apart."""
+    return np.split(index, np.flatnonzero(np.diff(index) >= gap) + 1)
 
 
 def find_cusps(grid: SpectrumGrid, A: float) -> CuspReport:
@@ -125,7 +127,9 @@ def find_cusps(grid: SpectrumGrid, A: float) -> CuspReport:
     greedily at delta = 1/N from the refined peaks and every above-threshold
     grid sample.  T*(-alpha) = conj T*(alpha), so every run other than the
     ones that are their own mirror (around 0 or 1/2, which bisect one
-    endpoint and reflect it) also gives the mirror arc (-hi, -lo).
+    endpoint and reflect it) also gives the mirror arc (-hi, -lo).  The
+    grid may be sparse; a threshold T*(0)/A below its floor raises
+    ValueError.
     """
     if not 1 <= A < math.inf:
         raise ValueError(f"A={A} must be finite and >= 1")
@@ -134,12 +138,14 @@ def find_cusps(grid: SpectrumGrid, A: float) -> CuspReport:
     T0 = float(subset.size)
     threshold = T0 / A
     width = ENDPOINT_RESOLUTION / N
-    absvals = np.abs(grid.values)
+    index, absvals = grid.above(threshold)
     gap = max(2, math.ceil(G / (4.0 * N)))  # consecutive indices always share a run
 
     arcs, mirrors, candidates = [], [], []
-    for run in _half_runs(absvals, threshold, gap):
-        mags = absvals[run]
+    runs = _half_runs(index, gap)
+    starts = np.cumsum([0] + [len(run) for run in runs])
+    for run, start in zip(runs, starts):
+        mags = absvals[start : start + len(run)]
         at_zero = 2 * run[0] < gap  # its own mirror around 0
         at_half = G - 2 * run[-1] < gap  # its own mirror around 1/2
         if at_zero and at_half:  # the whole circle
@@ -177,6 +183,24 @@ def find_cusps(grid: SpectrumGrid, A: float) -> CuspReport:
 # -- structure of the cusp set ---------------------------------------------
 
 
+def _arc_membership(arcs: Sequence[CuspArc], slack: float):
+    """The predicate x -> any(arc.contains(x, slack) for arc in arcs), by
+    bisection on the arc starts.  find_cusps's arcs are disjoint, so sorted
+    by start they are sorted by end too, and only the last arc starting at
+    or before x and its two neighbours (cyclically, for the slack across 0)
+    can hold x.  An arc that wraps through 0 is tested on its own."""
+    wrapping = [arc for arc in arcs if arc.lo > arc.hi]
+    plain = sorted((arc for arc in arcs if arc.lo <= arc.hi), key=lambda arc: arc.lo)
+    starts = [arc.lo for arc in plain]
+
+    def contains(x: float) -> bool:
+        k = bisect.bisect_right(starts, x) - 1
+        near = [plain[i % len(plain)] for i in (k - 1, k, k + 1)] if plain else []
+        return any(arc.contains(x, slack) for arc in wrapping + near)
+
+    return contains
+
+
 def structure_check(report: CuspReport, subset: PrimeSubset) -> list[CheckRow]:
     """Exact consequences on the cusp set, re-verified directly.
 
@@ -188,15 +212,14 @@ def structure_check(report: CuspReport, subset: PrimeSubset) -> list[CheckRow]:
     rows = []
     T0 = float(subset.size)
     tol = REEVAL_TOL * T0
-    slack = 4.0 * ENDPOINT_RESOLUTION / report.N
+    in_arcs = _arc_membership(report.arcs, 4.0 * ENDPOINT_RESOLUTION / report.N)
     worst = math.inf
     contained = True
     for pt in report.wellspaced:
-        for tag, pos in (("neg", (-pt.position) % 1.0),
-                         ("half", (0.5 + pt.position) % 1.0)):
+        for pos in ((-pt.position) % 1.0, (0.5 + pt.position) % 1.0):
             val = abs(exp_sum_at(subset, pos))
             worst = min(worst, val - (report.threshold - tol))
-            if not any(arc.contains(pos, slack) for arc in report.arcs):
+            if not in_arcs(pos):
                 contained = False
     ok = worst >= 0 and contained
     rows.append(CheckRow("cusp-symmetry",

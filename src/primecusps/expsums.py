@@ -5,11 +5,15 @@ the phase matrices of cusps.large_sieve_check and
 IntervalPolynomial.__call__: exp_sum at one alpha (one phase vector, one
 dot product per weight vector), exp_sum_at for T*(alpha) = sum over the
 prime subset of e(p alpha), exp_sums_on_progression on an arithmetic
-progression by chirp-z, and grid_sums at every j/G by one length-G real
-FFT.  Real weights make the sum at -alpha the conjugate of the sum at
-alpha, so grid_sums returns only the half circle 0 <= j <= G/2 and
-SpectrumGrid.value(j) mirrors out the rest.  The local model replaces the
-primes by z0-rough integers weighted by 1/(V(z0) log N).
+progression by chirp-z, and grid_blocks at every j/G.  Real weights make
+the sum at -alpha the conjugate of the sum at alpha, so grid_blocks covers
+only the half circle 0 <= j <= G/2.  For G = R L, L the power of two at or
+above the support, it sweeps the residues r <= R/2 of j mod R with one
+length-L FFT each, in O(L) memory; each consumer keeps what it needs:
+grid_sums the dense half circle, spectrum(A=...) only the samples with
+|T*| >= T*(0)/A, and transference.sharp_sup_report a running maximum.
+SpectrumGrid.value(j) mirrors out a dense grid.  The local model replaces
+the primes by z0-rough integers weighted by 1/(V(z0) log N).
 fejer_interval_polynomial builds a trigonometric polynomial for an interval
 indicator; only acceptance criterion 10 checks it.
 """
@@ -111,20 +115,28 @@ def _physical_memory():
         return None
 
 
-def grid_sums(values: np.ndarray, G: int, offset: int = 0) -> np.ndarray:
-    """sum_i values[i] e((i - offset) j/G) for 0 <= j <= G/2, from one
-    length-G real FFT.  The weights are real, so the sum at j > G/2 is the
-    conjugate of the one at G - j.  e(i j/G) has period G in i, so entries
-    past G are folded in mod G first and every sample is exact.  Raises
-    CapacityError when the padded input and the G//2 + 1 outputs would not
-    fit in physical memory."""
-    if np.iscomplexobj(values):
-        raise ValueError("grid_sums takes real weights")
-    need = 8 * G + 16 * (G // 2 + 1)
+def require_memory(need: int, what: str) -> None:
+    """Raise CapacityError when `need` bytes would not fit in physical
+    memory; callers check before they allocate."""
     have = _physical_memory()
     if have is not None and need > have:
-        raise CapacityError(f"a grid of {G} points needs {need} bytes, "
-                            f"above the {have} bytes of physical memory")
+        raise CapacityError(f"{what} needs {need} bytes, above the {have} "
+                            "bytes of physical memory")
+
+
+#: most grid points a sweep visits; the 2^29-point grid of N = 10^7 fits,
+#: and a grid past it is refused instead of swept for hours
+SWEEP_BUDGET = 1 << 32
+
+
+def _phases(m: np.ndarray, Q: int) -> np.ndarray:
+    """e(m/Q) for integers m already reduced mod Q."""
+    return np.exp(TWO_PI * 1j * (m / Q))
+
+
+def _one_block(values: np.ndarray, G: int, offset: int) -> np.ndarray:
+    """The whole half circle from one length-G real FFT; entries past G are
+    folded in mod G first, since e(i j/G) has period G in i."""
     if len(values) > G:
         values = np.pad(values, (0, -len(values) % G)).reshape(-1, G).sum(axis=0)
     sums = np.fft.rfft(values, G)
@@ -132,6 +144,68 @@ def grid_sums(values: np.ndarray, G: int, offset: int = 0) -> np.ndarray:
     if offset:
         sums *= np.exp(-TWO_PI * 1j * np.arange(len(sums)) * offset / G)
     return sums
+
+
+def _residue_blocks(values: np.ndarray, G: int, L: int, offset: int):
+    R = G // L
+    half = G // 2 + 1
+    support = np.flatnonzero(values)
+    weights = values[support]
+    # |shift| < G and r <= R/2, so |shift r| < G^2/4 <= 2^62 within the budget
+    shift = support - offset % G
+    # e(-offset k/L), which every residue's FFT needs
+    turn = _phases(-(offset % L) * np.arange(L, dtype=np.int64) % L, L) if offset else None
+    twisted = np.zeros(L, dtype=complex)  # zero off the support at every residue
+    for r in range(R // 2 + 1):
+        twisted[support] = weights * _phases(shift * r % G, G)
+        full = np.fft.ifft(twisted, norm="forward")  # sum_i u_i e(+ik/L)
+        if turn is not None:
+            full *= turn
+        yield slice(r, half, R), full[: L // 2 + (r == 0)]
+        if 0 < 2 * r < R:  # residue R - r: the reversed conjugate of the top half
+            yield slice(R - r, half, R), np.conj(full[: L // 2 - 1 : -1])
+        del full  # before the next transform allocates its own
+
+
+def grid_blocks(values: np.ndarray, G: int, offset: int = 0):
+    """sum_i values[i] e((i - offset) j/G) for 0 <= j <= G/2, in blocks.
+
+    Returns an iterator of (j, sums) pairs: j is a slice of half-circle
+    indices and sums holds the sums at them; the blocks cover every
+    0 <= j <= G/2 once.  The weights are real, so the sum at j > G/2 is the
+    conjugate of the one at G - j.  Let L be the smallest power of two
+    (>= 2) at or above len(values).  When L divides G = R L with R >= 2,
+    the grid is swept by residue (the four-step FFT): for j = r + R k,
+    the sum is sum_i [values[i] e((i - offset) r/G)] e(i k/L) e(-offset k/L),
+    one length-L FFT per residue, with (i - offset) r reduced mod G exactly
+    in int64.  Residue R - r is the reversed conjugate of residue r, so only
+    r <= R/2 is transformed, and memory stays O(L).  Any other G is one
+    length-G real FFT block.  Raises ValueError for complex weights and
+    CapacityError, before any work, past SWEEP_BUDGET points."""
+    if np.iscomplexobj(values):
+        raise ValueError("grid sums take real weights")
+    if G < 1:
+        raise ValueError(f"grid size {G} must be >= 1")
+    if G > SWEEP_BUDGET:
+        raise CapacityError(f"a grid of {G} points is above the sweep budget "
+                            f"of {SWEEP_BUDGET} points")
+    L = 1 << max(1, (len(values) - 1).bit_length())
+    if G <= L or G % L:
+        return iter([(slice(0, G // 2 + 1), _one_block(values, G, offset))])
+    return _residue_blocks(values, G, L, offset)
+
+
+def grid_sums(values: np.ndarray, G: int, offset: int = 0) -> np.ndarray:
+    """The dense half circle of grid_blocks: sum_i values[i] e((i - offset)
+    j/G) at every 0 <= j <= G/2.  Raises CapacityError, before anything of
+    grid size is allocated, when the G//2 + 1 outputs would not fit in
+    physical memory."""
+    require_memory(16 * (G // 2 + 1), f"a grid of {G} points")
+    blocks = grid_blocks(values, G, offset)  # checks its input before out exists
+    out = np.empty(G // 2 + 1, dtype=complex)
+    for j, sums in blocks:
+        out[j] = sums
+    return out
 
 
 #: samples per chirp-z block; each block costs FFTs of length >= N + block
@@ -147,7 +221,8 @@ def exp_sums_on_progression(subset: PrimeSubset, j0: int, step: int, Q: int,
     convolution per block of at most PROGRESSION_BLOCK samples, so memory
     stays O(N + block).  Every phase is reduced exactly in int64 to a
     multiple of 1/(2Q) before exp rounds it, so the error does not grow
-    with j0 or k.  Raises CapacityError when 2Q(N + block) reaches 2^63.
+    with j0 or k.  Raises CapacityError when 2Q(N + block) reaches 2^63 or
+    a block would not fit in physical memory.
     """
     j0, step, Q, K = int(j0), int(step), int(Q), int(K)
     if Q < 1:
@@ -158,13 +233,15 @@ def exp_sums_on_progression(subset: PrimeSubset, j0: int, step: int, Q: int,
     block = min(K, PROGRESSION_BLOCK)
     if 2 * Q * (N + block) >= 1 << 63:
         raise CapacityError(f"phases mod 2Q={2 * Q} at N={N} overflow int64")
-    out = np.empty(K, dtype=complex)
     if K == 0:
-        return out
+        return np.empty(0, dtype=complex)
+    L = 1 << (N + block - 1).bit_length()       # L >= N + block: no aliasing
+    # the kernel and three working arrays of L complex values, and the chirp
+    require_memory(64 * L + 16 * max(N + 1, block), f"a chirp-z block of length {L}")
+    out = np.empty(K, dtype=complex)
     Q2 = 2 * Q
     m = np.arange(max(N + 1, block), dtype=np.int64)
     chirp = (step % Q * m % Q2) * m % Q2        # step m^2 mod 2Q
-    L = 1 << (N + block - 1).bit_length()       # L >= N + block: no aliasing
     kernel = np.zeros(L, dtype=complex)
     kernel[:block] = np.exp(-TWO_PI * 1j * (chirp[:block] / Q2))
     kernel[L - N:] = np.exp(-TWO_PI * 1j * (chirp[N:0:-1] / Q2))
@@ -182,18 +259,40 @@ def exp_sums_on_progression(subset: PrimeSubset, j0: int, step: int, Q: int,
 
 @dataclass(frozen=True)
 class SpectrumGrid:
-    """T* on the grid j/G, G a power of two >= N.  values[j] = T*(j/G) on
-    the half circle 0 <= j <= G/2; value(j) gives every j."""
+    """T* on the half circle 0 <= j <= G/2 of the grid j/G, G a power of
+    two >= N.  A dense grid (index None) holds values[j] = T*(j/G) for
+    every j.  A sparse grid holds exactly the samples with |T*| >= floor,
+    values[i] = T*(index[i]/G) in ascending index."""
     subset: PrimeSubset
     G: int
     values: np.ndarray = field(repr=False)
+    index: np.ndarray = field(default=None, repr=False)
+    floor: float = 0.0
+
+    def _require_dense(self, what: str) -> None:
+        if self.index is not None:
+            raise ValueError(f"{what} needs a dense grid; this one keeps only "
+                             f"|T*| >= {self.floor}")
 
     def value(self, j: int) -> complex:
-        """T*(j/G) for any integer j, mirrored by T*(-alpha) = conj T*(alpha)."""
+        """T*(j/G) for any integer j, mirrored by T*(-alpha) = conj T*(alpha);
+        dense grids only."""
+        self._require_dense("value")
         j = int(j) % self.G
         if 2 * j <= self.G:
             return complex(self.values[j])
         return complex(self.values[self.G - j]).conjugate()
+
+    def above(self, threshold: float) -> tuple[np.ndarray, np.ndarray]:
+        """(j, |T*(j/G)|) for every half-circle j with |T*(j/G)| >= threshold,
+        ascending in j.  Raises ValueError for a threshold below the floor,
+        where samples are missing."""
+        if threshold < self.floor:
+            raise ValueError(f"threshold {threshold} lies below the grid's "
+                             f"floor {self.floor}")
+        mags = np.abs(self.values)
+        keep = np.flatnonzero(mags >= threshold)
+        return (keep if self.index is None else self.index[keep]), mags[keep]
 
 
 def default_grid_size(N: int) -> int:
@@ -201,9 +300,11 @@ def default_grid_size(N: int) -> int:
     return 1 << max(0, (32 * N - 1).bit_length())
 
 
-def spectrum(subset: PrimeSubset, G=None) -> SpectrumGrid:
-    """Evaluate T* on the half circle of the uniform grid j/G by grid_sums
-    over the member indicator."""
+def spectrum(subset: PrimeSubset, G=None, A=None) -> SpectrumGrid:
+    """T* on the half circle of the uniform grid j/G, swept by grid_blocks
+    over the member indicator.  With A = None the grid is dense.  Otherwise
+    it keeps only the samples with |T*| >= T*(0)/A, the ones a cusp search
+    at that A or a smaller one reads, and memory stays O(N) whatever G."""
     if G is None:
         G = default_grid_size(subset.N)
     if G < subset.N:
@@ -212,12 +313,25 @@ def spectrum(subset: PrimeSubset, G=None) -> SpectrumGrid:
         raise ValueError(f"grid size {G} is not a power of two")
     indicator = np.zeros(subset.N + 1)
     indicator[subset.members] = 1.0
-    return SpectrumGrid(subset, G, grid_sums(indicator, G))
+    if A is None:
+        return SpectrumGrid(subset, G, grid_sums(indicator, G))
+    if not 1 <= A < math.inf:
+        raise ValueError(f"A={A} must be finite and >= 1")
+    floor = float(subset.size) / A
+    index, values = [], []
+    for j, sums in grid_blocks(indicator, G):
+        keep = np.flatnonzero(np.abs(sums) >= floor)
+        index.append(j.start + j.step * keep)
+        values.append(sums[keep])
+    index = np.concatenate(index)
+    order = np.argsort(index)
+    return SpectrumGrid(subset, G, np.concatenate(values)[order], index[order], floor)
 
 
 def l1_estimate(grid: SpectrumGrid) -> float:
     """Riemann sum for the L1 norm of T*; compare against sqrt(N/log N).
-    The half circle counts its interior samples twice."""
+    The half circle counts its interior samples twice; dense grids only."""
+    grid._require_dense("l1_estimate")
     absvals = np.abs(grid.values)
     return float((2.0 * absvals.sum() - absvals[0] - absvals[-1]) / grid.G)
 

@@ -18,8 +18,8 @@ import numpy as np
 
 from .arith import CapacityError, PrimeContext
 from .cusps import REEVAL_TOL, CuspReport, find_cusps
-from .expsums import (PrimeSubset, exp_sum, exp_sum_at,
-                      exp_sums_on_progression, grid_sums, spectrum)
+from .expsums import (PrimeSubset, exp_sum, exp_sum_at, exp_sums_on_progression,
+                      grid_blocks, require_memory, spectrum)
 from .gfunctions import g_sifted
 from .report import CheckRow, FLOAT_SLACK, leq_row
 
@@ -214,8 +214,11 @@ def bohr_size_row(bohr: BohrSet, N: int) -> CheckRow:
 
 def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Linear convolution of real a and b, in the first len(a) + len(b) - 1
-    entries, by real FFTs of length 1 << (len(a) + len(b)).bit_length()."""
+    entries, by real FFTs of length 1 << (len(a) + len(b)).bit_length().
+    Raises CapacityError first when they would not fit in physical memory."""
     L = 1 << (len(a) + len(b)).bit_length()
+    # two half spectra, their product and the output: about 8 L bytes each
+    require_memory(32 * L, f"a convolution of length {L}")
     return np.fft.irfft(np.fft.rfft(a, L) * np.fft.rfft(b, L), L)
 
 
@@ -306,7 +309,7 @@ def decompose(ctx: PrimeContext, subset: PrimeSubset, z0, M: int, A: float,
         raise ValueError(f"z={z} is below sqrt(N/(M z0)) = {zmin:.6g}")
     if z < z0:
         raise ValueError(f"z={z} must be >= z0={z0}")
-    report = find_cusps(spectrum(subset), A)
+    report = find_cusps(spectrum(subset, A=A), A)
     cover = build_cover(subset, report)
     bohr = build_bohr(cover, M, N)
 
@@ -412,8 +415,10 @@ def transform_checks(dec: Decomposition, seed: int) -> list[CheckRow]:
 def sharp_sup_report(dec: Decomposition, grid_size: int = 1 << 20) -> dict:
     """Measured sup over a dense grid of |S(f_sharp, alpha)| / T*(0),
     reported against 1/A (the regime where 1/A is guaranteed needs an
-    astronomically large z0, so this is a record, not an assertion)."""
-    sup = float(np.abs(grid_sums(dec.f_sharp, grid_size, dec.offset)).max())
+    astronomically large z0, so this is a record, not an assertion).  The
+    grid is swept block by block and only the running maximum is kept."""
+    sup = max(float(np.abs(sums).max())
+              for _, sums in grid_blocks(dec.f_sharp, grid_size, dec.offset))
     T0 = float(dec.subset.size)
     return {
         "sup_ratio": sup / T0,

@@ -70,6 +70,15 @@ def test_grid_beyond_memory_is_capacity_failure(tmp_path, capsys):
     assert not (tmp_path / "s.json").exists()
 
 
+def test_sweep_beyond_budget_is_capacity_failure(tmp_path, capsys):
+    # the sparse cusp grid needs little memory, so the sweep budget refuses it
+    code = run(["cusps", "--N", "1000", "--grid", str(1 << 50),
+                "--output", str(tmp_path / "c.json")])
+    assert code == 1
+    assert "sweep budget" in capsys.readouterr().err
+    assert not (tmp_path / "c.json").exists()
+
+
 def test_config_file_merging(tmp_path):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("N = 2000\nA = 8\nseed = 5\n# comment\n")

@@ -6,6 +6,7 @@ import pytest
 
 from primecusps.arith import WeightedPoint, build_context, circle_distance
 from primecusps.cusps import (
+    ENDPOINT_RESOLUTION,
     CuspArc,
     bateman_count,
     companion_search,
@@ -16,12 +17,14 @@ from primecusps.cusps import (
     rational_shift_check,
     structure_check,
     wq_weighted_sieve_report,
+    _arc_membership,
     _check_spacing,
     _half_runs,
     _w_moment,
 )
 from primecusps.expsums import SpectrumGrid, exp_sum_at, spectrum, subset_full, subset_random
 from primecusps.sieve import SieveParams, build_weights
+from primecusps.verify import CUSP_GRID_A, _criterion_subsets
 
 
 @pytest.fixture(scope="module")
@@ -119,7 +122,7 @@ def test_runs_merge_across_zero():
     G, gap = 1000, 5
     absvals = np.zeros(G // 2 + 1)
     absvals[[0, 1, 2, 3, 6, 7, 8]] = 1.0
-    runs = _half_runs(absvals, 0.5, gap)
+    runs = _half_runs(np.flatnonzero(absvals >= 0.5), gap)
     assert [list(r) for r in runs] == [[0, 1, 2, 3, 6, 7, 8]]
     assert 2 * runs[0][0] < gap and G - 2 * runs[0][-1] >= gap
 
@@ -136,6 +139,59 @@ def test_all_above_threshold_is_one_arc(ctx, hole):
         values[hole] = 0.0
     report = find_cusps(SpectrumGrid(subset, G, values), 2.0)
     assert [(arc.lo, arc.hi) for arc in report.arcs] == [(0.0, 1.0 - 1.0 / G)]
+
+
+@pytest.fixture(scope="module")
+def criterion_reports(ctx):
+    """(label, N) -> (subset, {A: report on the dense grid}, {A: report on
+    the sparse grid at max(CUSP_GRID_A)}) over the six criterion subsets."""
+    out = {}
+    for N in (10_000, 100_000):
+        for subset in _criterion_subsets(ctx, N):
+            dense = spectrum(subset)
+            sparse = spectrum(subset, A=max(CUSP_GRID_A))
+            out[(subset.label, N)] = (
+                subset, {A: find_cusps(dense, A) for A in CUSP_GRID_A},
+                {A: find_cusps(sparse, A) for A in CUSP_GRID_A})
+    return out
+
+
+def test_sparse_and_dense_grids_give_the_same_cusps(criterion_reports):
+    for key, (subset, dense, sparse) in criterion_reports.items():
+        for A in CUSP_GRID_A:
+            assert sparse[A].arcs == dense[A].arcs, (key, A)
+            assert sparse[A].wellspaced == dense[A].wellspaced, (key, A)
+
+
+def test_threshold_below_the_floor_is_refused(full4):
+    subset, _, _ = full4
+    grid = spectrum(subset, A=4)
+    find_cusps(grid, 4)
+    with pytest.raises(ValueError, match="floor"):
+        find_cusps(grid, 8)
+
+
+def test_arc_membership_matches_linear_scan(criterion_reports):
+    rng = np.random.default_rng(7)
+    for key, (subset, _, reports) in criterion_reports.items():
+        slack = 4.0 * ENDPOINT_RESOLUTION / subset.N
+        for A, report in reports.items():
+            in_arcs = _arc_membership(report.arcs, slack)
+            # the points structure_check asks about
+            xs = [x for p in report.wellspaced
+                  for x in ((-p.position) % 1.0, (0.5 + p.position) % 1.0)]
+            # both edges of the arcs next to 0 and of 40 others, inside and
+            # just past the slack
+            n = len(report.arcs)
+            picks = {0, 1, n - 2, n - 1, *rng.choice(n, min(n, 40), replace=False)}
+            for arc in (report.arcs[i] for i in picks if 0 <= i < n):
+                for end in (arc.lo, arc.hi):
+                    xs += [(end + d) % 1.0 for d in (0.0, -slack, slack, -1.01 * slack,
+                                                     1.01 * slack, -0.5 * slack)]
+            xs += list(rng.random(200)) + [0.0, 0.5, np.nextafter(1.0, 0.0)]
+            for x in xs:
+                assert in_arcs(x) == any(arc.contains(x, slack) for arc in report.arcs), \
+                    (key, A, x)
 
 
 def test_rational_shift(ctx):

@@ -9,12 +9,15 @@ from hypothesis import given, settings, strategies as st
 from primecusps.arith import CapacityError, build_context
 from primecusps.expsums import (
     PROGRESSION_BLOCK,
+    SWEEP_BUDGET,
     IntervalPolynomial,
+    PrimeSubset,
     default_grid_size,
     exp_sum,
     exp_sum_at,
     exp_sums_on_progression,
     fejer_interval_polynomial,
+    grid_blocks,
     grid_sums,
     l1_estimate,
     local_model_full,
@@ -142,6 +145,74 @@ def test_grid_sums_match_direct():
             got = sums[j] if 2 * j <= G else np.conj(sums[G - j])
             direct, = exp_sum(ell, j / G, values)
             assert abs(got - direct) <= 1e-9 * np.abs(values).sum(), (G, j)
+
+
+@pytest.mark.parametrize("G", [
+    100, 300, 301,      # below, at and just above len(values): one block
+    512, 1280,          # R = 1, and G > L with L not dividing it: one block
+    1024, 3 * 512,      # R = 2 and an odd R = 3
+    32 * 512])          # R = 32, the residue count of the default grid
+def test_sweep_matches_one_shot_and_direct(G):
+    # 300 weights, so L = 512; some zero weights leave the support sparse
+    values = np.random.default_rng(8).normal(size=300)
+    values[::7] = 0.0
+    scale = 1e-9 * np.abs(values).sum()
+    js = np.arange(G // 2 + 1)
+    for offset in (0, 37, 299):
+        seen = np.zeros(G // 2 + 1, dtype=int)
+        sums = np.empty(G // 2 + 1, dtype=complex)
+        for j, block in grid_blocks(values, G, offset):
+            seen[j] += 1
+            sums[j] = block
+        assert (seen == 1).all(), (G, offset)
+        assert np.array_equal(grid_sums(values, G, offset), sums)
+        folded = np.pad(values, (0, -len(values) % G)).reshape(-1, G).sum(axis=0)
+        one_shot = np.conj(np.fft.rfft(folded, G)) * np.exp(-2j * np.pi * (js * offset % G) / G)
+        assert np.abs(sums - one_shot).max() <= scale, (G, offset)
+        ell = np.arange(300) - offset
+        for j in range(0, G // 2 + 1, max(1, G // 600)):
+            direct, = exp_sum(ell, j / G, values)
+            assert abs(sums[j] - direct) <= scale, (G, offset, j)
+
+
+def test_sparse_spectrum_keeps_the_dense_samples_above_its_floor(ctx):
+    for subset in (subset_full(ctx, 10_000), subset_random(ctx, 10_000, 0.5, seed=42)):
+        dense = spectrum(subset)
+        # at A = 1 the floor is T*(0) itself, which alpha = 0 and 1/2 (odd
+        # primes) reach exactly: the floor is kept
+        for A in (1, 2, 4, 8, 16):
+            grid = spectrum(subset, A=A)
+            assert grid.floor == subset.size / A
+            keep = np.flatnonzero(np.abs(dense.values) >= subset.size / A)
+            assert np.array_equal(grid.index, keep)
+            assert np.array_equal(grid.values, dense.values[keep])
+            if A == 1:
+                assert list(grid.index) == [0, grid.G // 2]
+
+
+def test_sparse_grid_has_no_value_or_l1(ctx):
+    grid = spectrum(subset_full(ctx, 10_000), A=4)
+    with pytest.raises(ValueError, match="dense"):
+        grid.value(0)
+    with pytest.raises(ValueError, match="dense"):
+        l1_estimate(grid)
+
+
+def test_sweep_beyond_budget_is_capacity_error(ctx):
+    # a sparse sweep holds O(N) memory, so only the point budget stops it
+    s = subset_full(ctx, 1000)
+    G = 1 << (SWEEP_BUDGET.bit_length())
+    with pytest.raises(CapacityError, match="sweep budget"):
+        spectrum(s, G, A=4)
+    with pytest.raises(CapacityError, match="sweep budget"):
+        grid_blocks(np.ones(10), G)
+
+
+def test_progression_beyond_memory_is_capacity_error():
+    # refused before the chirp or the kernel (2^41 entries) is allocated
+    huge = PrimeSubset(1 << 40, np.array([3], dtype=np.int64), "huge")
+    with pytest.raises(CapacityError, match="physical memory"):
+        exp_sums_on_progression(huge, 1, 2, 100, 5)
 
 
 def test_grid_beyond_memory_is_capacity_error():

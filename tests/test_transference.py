@@ -28,6 +28,7 @@ from primecusps.transference import (
     decomposition_csv,
     sharp_sup_report,
     transform_checks,
+    _convolve,
     _difference_counts,
 )
 
@@ -188,6 +189,13 @@ def test_rho_properties(dec1):
     assert counts[10_000] == bohr.size
     assert np.array_equal(counts, counts[::-1])
     assert not counts[1::2].any()  # odd differences of even elements
+
+
+def test_convolution_beyond_memory_is_capacity_error():
+    # zero-stride views of 2^38 entries: refused before any FFT buffer exists
+    huge = np.broadcast_to(np.zeros(1), (1 << 38,))
+    with pytest.raises(CapacityError, match="physical memory"):
+        _convolve(huge, huge)
 
 
 def test_difference_counts_brute_force():
