@@ -153,14 +153,13 @@ def _residue_blocks(values: np.ndarray, G: int, L: int, offset: int):
     weights = values[support]
     # |shift| < G and r <= R/2, so |shift r| < G^2/4 <= 2^62 within the budget
     shift = support - offset % G
-    # e(-offset k/L), which every residue's FFT needs
-    turn = _phases(-(offset % L) * np.arange(L, dtype=np.int64) % L, L) if offset else None
-    twisted = np.zeros(L, dtype=complex)  # zero off the support at every residue
+    # e((i - offset) k/L) depends only on (i - offset) mod L, and the support
+    # is distinct mod L: in those slots the FFT carries the offset itself
+    slots = shift % L
+    twisted = np.zeros(L, dtype=complex)  # zero off the slots at every residue
     for r in range(R // 2 + 1):
-        twisted[support] = weights * _phases(shift * r % G, G)
-        full = np.fft.ifft(twisted, norm="forward")  # sum_i u_i e(+ik/L)
-        if turn is not None:
-            full *= turn
+        twisted[slots] = weights * _phases(shift * r % G, G)
+        full = np.fft.ifft(twisted, norm="forward")  # sum_s u_s e(+sk/L)
         yield slice(r, half, R), full[: L // 2 + (r == 0)]
         if 0 < 2 * r < R:  # residue R - r: the reversed conjugate of the top half
             yield slice(R - r, half, R), np.conj(full[: L // 2 - 1 : -1])
@@ -171,15 +170,17 @@ def grid_blocks(values: np.ndarray, G: int, offset: int = 0):
     """sum_i values[i] e((i - offset) j/G) for 0 <= j <= G/2, in blocks.
 
     Returns an iterator of (j, sums) pairs: j is a slice of half-circle
-    indices and sums holds the sums at them; the blocks cover every
+    indices with an explicit step and sums holds the sums at them, so
+    sums[i] belongs to j.start + j.step i; the blocks cover every
     0 <= j <= G/2 once.  The weights are real, so the sum at j > G/2 is the
     conjugate of the one at G - j.  Let L be the smallest power of two
     (>= 2) at or above len(values).  When L divides G = R L with R >= 2,
     the grid is swept by residue (the four-step FFT): for j = r + R k,
-    the sum is sum_i [values[i] e((i - offset) r/G)] e(i k/L) e(-offset k/L),
-    one length-L FFT per residue, with (i - offset) r reduced mod G exactly
-    in int64.  Residue R - r is the reversed conjugate of residue r, so only
-    r <= R/2 is transformed, and memory stays O(L).  Any other G is one
+    the sum is sum_i [values[i] e((i - offset) r/G)] e((i - offset) k/L),
+    one length-L FFT per residue of the twisted weights placed at
+    (i - offset) mod L, with (i - offset) r reduced mod G exactly in int64.
+    Residue R - r is the reversed conjugate of residue r, so only r <= R/2
+    is transformed, and memory stays O(L).  Any other G is one
     length-G real FFT block.  Raises ValueError for complex weights and
     CapacityError, before any work, past SWEEP_BUDGET points."""
     if np.iscomplexobj(values):
@@ -191,7 +192,7 @@ def grid_blocks(values: np.ndarray, G: int, offset: int = 0):
                             f"of {SWEEP_BUDGET} points")
     L = 1 << max(1, (len(values) - 1).bit_length())
     if G <= L or G % L:
-        return iter([(slice(0, G // 2 + 1), _one_block(values, G, offset))])
+        return iter([(slice(0, G // 2 + 1, 1), _one_block(values, G, offset))])
     return _residue_blocks(values, G, L, offset)
 
 
@@ -212,8 +213,23 @@ def grid_sums(values: np.ndarray, G: int, offset: int = 0) -> np.ndarray:
 PROGRESSION_BLOCK = 1 << 15
 
 
+class ChirpWorkspace:
+    """The two length-L working arrays of exp_sums_on_progression, lent from
+    one call to the next: a caller that evaluates many progressions
+    allocates them, and faults their pages in, once instead of per call."""
+
+    def __init__(self):
+        self._arrays = np.empty((2, 0), dtype=complex)
+
+    def arrays(self, L: int) -> tuple[np.ndarray, np.ndarray]:
+        if self._arrays.shape[1] < L:
+            self._arrays = None  # free the old pair before the new one exists
+            self._arrays = np.empty((2, L), dtype=complex)
+        return self._arrays[0, :L], self._arrays[1, :L]
+
+
 def exp_sums_on_progression(subset: PrimeSubset, j0: int, step: int, Q: int,
-                            K: int) -> np.ndarray:
+                            K: int, work: ChirpWorkspace = None) -> np.ndarray:
     """T*((j0 + step k)/Q) for 0 <= k < K by Bluestein's chirp-z transform.
 
     With W = e(step/Q), p k = (p^2 + k^2 - (k - p)^2)/2 turns the sum into
@@ -221,8 +237,9 @@ def exp_sums_on_progression(subset: PrimeSubset, j0: int, step: int, Q: int,
     convolution per block of at most PROGRESSION_BLOCK samples, so memory
     stays O(N + block).  Every phase is reduced exactly in int64 to a
     multiple of 1/(2Q) before exp rounds it, so the error does not grow
-    with j0 or k.  Raises CapacityError when 2Q(N + block) reaches 2^63 or
-    a block would not fit in physical memory.
+    with j0 or k.  The transforms run in place in the arrays of `work`
+    (a fresh workspace when None).  Raises CapacityError when
+    2Q(N + block) reaches 2^63 or a block would not fit in physical memory.
     """
     j0, step, Q, K = int(j0), int(step), int(Q), int(K)
     if Q < 1:
@@ -236,24 +253,28 @@ def exp_sums_on_progression(subset: PrimeSubset, j0: int, step: int, Q: int,
     if K == 0:
         return np.empty(0, dtype=complex)
     L = 1 << (N + block - 1).bit_length()       # L >= N + block: no aliasing
-    # the kernel and three working arrays of L complex values, and the chirp
-    require_memory(64 * L + 16 * max(N + 1, block), f"a chirp-z block of length {L}")
+    # the kernel and the working array of L complex values, the chirp and
+    # the phases made from it
+    require_memory(32 * L + 32 * max(N + 1, block), f"a chirp-z block of length {L}")
+    kernel, u = (ChirpWorkspace() if work is None else work).arrays(L)
     out = np.empty(K, dtype=complex)
     Q2 = 2 * Q
     m = np.arange(max(N + 1, block), dtype=np.int64)
     chirp = (step % Q * m % Q2) * m % Q2        # step m^2 mod 2Q
-    kernel = np.zeros(L, dtype=complex)
     kernel[:block] = np.exp(-TWO_PI * 1j * (chirp[:block] / Q2))
+    kernel[block : L - N] = 0.0
     kernel[L - N:] = np.exp(-TWO_PI * 1j * (chirp[N:0:-1] / Q2))
-    kernel = np.fft.fft(kernel)
+    np.fft.fft(kernel, out=kernel)
     P = subset.members
     for b in range(0, K, block):
         kb = min(block, K - b)
         jb = (j0 + step * b) % Q
-        u = np.zeros(L, dtype=complex)
+        u.fill(0.0)
         u[P] = np.exp(TWO_PI * 1j * (((2 * (P * jb % Q) + chirp[P]) % Q2) / Q2))
-        conv = np.fft.ifft(np.fft.fft(u) * kernel)[:kb]
-        out[b : b + kb] = np.exp(TWO_PI * 1j * (chirp[:kb] / Q2)) * conv
+        np.fft.fft(u, out=u)
+        u *= kernel
+        np.fft.ifft(u, out=u)
+        out[b : b + kb] = np.exp(TWO_PI * 1j * (chirp[:kb] / Q2)) * u[:kb]
     return out
 
 
@@ -304,7 +325,9 @@ def spectrum(subset: PrimeSubset, G=None, A=None) -> SpectrumGrid:
     """T* on the half circle of the uniform grid j/G, swept by grid_blocks
     over the member indicator.  With A = None the grid is dense.  Otherwise
     it keeps only the samples with |T*| >= T*(0)/A, the ones a cusp search
-    at that A or a smaller one reads, and memory stays O(N) whatever G."""
+    at that A or a smaller one reads, and memory stays O(N) whatever G, plus
+    the kept samples.  Raises CapacityError once those would not fit in
+    physical memory."""
     if G is None:
         G = default_grid_size(subset.N)
     if G < subset.N:
@@ -318,14 +341,19 @@ def spectrum(subset: PrimeSubset, G=None, A=None) -> SpectrumGrid:
     if not 1 <= A < math.inf:
         raise ValueError(f"A={A} must be finite and >= 1")
     floor = float(subset.size) / A
-    index, values = [], []
+    index, values, kept = [], [], 0
     for j, sums in grid_blocks(indicator, G):
         keep = np.flatnonzero(np.abs(sums) >= floor)
+        kept += len(keep)
+        # a kept sample costs 24 bytes as it is gathered and at most 56 in
+        # the sort below; a small floor keeps almost the whole half circle
+        require_memory(56 * kept, f"{kept} samples above T*(0)/{A} of a grid of {G} points")
         index.append(j.start + j.step * keep)
         values.append(sums[keep])
     index = np.concatenate(index)
+    values = np.concatenate(values)
     order = np.argsort(index)
-    return SpectrumGrid(subset, G, np.concatenate(values)[order], index[order], floor)
+    return SpectrumGrid(subset, G, values[order], index[order], floor)
 
 
 def l1_estimate(grid: SpectrumGrid) -> float:

@@ -18,8 +18,8 @@ import numpy as np
 
 from .arith import CapacityError, PrimeContext
 from .cusps import REEVAL_TOL, CuspReport, find_cusps
-from .expsums import (PrimeSubset, exp_sum, exp_sum_at, exp_sums_on_progression,
-                      grid_blocks, require_memory, spectrum)
+from .expsums import (ChirpWorkspace, PrimeSubset, exp_sum, exp_sum_at,
+                      exp_sums_on_progression, grid_blocks, require_memory, spectrum)
 from .gfunctions import g_sifted
 from .report import CheckRow, FLOAT_SLACK, leq_row
 
@@ -102,10 +102,11 @@ def _interval_samples(subset: PrimeSubset, idx, Nprime: int) -> np.ndarray:
     idx = np.asarray(idx, dtype=np.int64)
     out = np.empty((len(idx), S), dtype=complex)
     starts = np.flatnonzero(np.diff(idx, prepend=-2) != 1)
+    work = ChirpWorkspace()  # one set of working arrays for every run
     for lo, hi in zip(starts, np.append(starts[1:], len(idx))):
         try:
             run = exp_sums_on_progression(subset, 2 * S * int(idx[lo]) + 1, 2,
-                                          2 * S * Nprime, S * (hi - lo))
+                                          2 * S * Nprime, S * (hi - lo), work)
         except CapacityError:
             run = [exp_sum_at(subset, _sample_position(int(a), s, Nprime) % 1.0)
                    for a in idx[lo:hi] for s in range(S)]

@@ -79,6 +79,16 @@ def test_sweep_beyond_budget_is_capacity_failure(tmp_path, capsys):
     assert not (tmp_path / "c.json").exists()
 
 
+def test_cusps_on_a_grid_of_one_block(tmp_path):
+    # G at the power of two just above N is one rfft block, not a sweep
+    for N, G in (("1000", "1024"), ("2000", "2048")):
+        out = tmp_path / f"c{N}.json"
+        assert run(["cusps", "--N", N, "--grid", G, "--A", "4",
+                    "--output", str(out)]) == 0
+        d = json.loads(out.read_text())
+        assert d["arcs"] and all(r["status"] == "pass" for r in d["checks"])
+
+
 def test_config_file_merging(tmp_path):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("N = 2000\nA = 8\nseed = 5\n# comment\n")

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from primecusps import expsums
 from primecusps.arith import CapacityError, build_context
 from primecusps.expsums import (
     PROGRESSION_BLOCK,
     SWEEP_BUDGET,
+    ChirpWorkspace,
     IntervalPolynomial,
     PrimeSubset,
     default_grid_size,
@@ -99,6 +101,17 @@ def test_progression_matches_direct(ctx, kind):
             assert abs(vals[k] - direct) <= tol, (j0, step, q, K, k)
 
 
+def test_shared_workspace_gives_the_same_sums(ctx):
+    # one workspace across calls whose FFT length grows and then shrinks
+    s = subset_full(ctx, 10_000)
+    Q = 6 * 240 * 4 * s.N
+    work = ChirpWorkspace()
+    for j0, K in ((6 * 12_345 + 1, 30), (6 * 77_777 + 1, PROGRESSION_BLOCK + 40),
+                  (6 * 5_000 + 1, 12), (6 * 77_777 + 1, PROGRESSION_BLOCK + 40)):
+        fresh = exp_sums_on_progression(s, j0, 2, Q, K)
+        assert np.array_equal(exp_sums_on_progression(s, j0, 2, Q, K, work), fresh)
+
+
 def test_progression_validation(ctx):
     s = subset_full(ctx, 10_000)
     assert exp_sums_on_progression(s, 1, 2, 100, 0).shape == (0,)
@@ -162,6 +175,7 @@ def test_sweep_matches_one_shot_and_direct(G):
         seen = np.zeros(G // 2 + 1, dtype=int)
         sums = np.empty(G // 2 + 1, dtype=complex)
         for j, block in grid_blocks(values, G, offset):
+            assert np.array_equal(j.start + j.step * np.arange(len(block)), js[j])
             seen[j] += 1
             sums[j] = block
         assert (seen == 1).all(), (G, offset)
@@ -188,6 +202,28 @@ def test_sparse_spectrum_keeps_the_dense_samples_above_its_floor(ctx):
             assert np.array_equal(grid.values, dense.values[keep])
             if A == 1:
                 assert list(grid.index) == [0, grid.G // 2]
+
+
+def test_sparse_spectrum_on_a_one_block_grid(ctx):
+    # G = L, the power of two at or above N + 1: one rfft block, no sweep
+    for N, G in ((1000, 1024), (2000, 2048), (2000, 4096)):
+        subset = subset_full(ctx, N)
+        dense = spectrum(subset, G)
+        for A in (2, 4, 8):
+            grid = spectrum(subset, G, A)
+            keep = np.flatnonzero(np.abs(dense.values) >= subset.size / A)
+            assert np.array_equal(grid.index, keep), (N, G, A)
+            assert np.array_equal(grid.values, dense.values[keep]), (N, G, A)
+
+
+def test_sparse_spectrum_beyond_memory_is_capacity_error(ctx, monkeypatch):
+    # a floor near zero keeps almost every sample; the kept ones are counted
+    # against physical memory as the sweep goes
+    s = subset_full(ctx, 10_000)
+    monkeypatch.setattr(expsums, "_physical_memory", lambda: 1 << 20)
+    assert len(spectrum(s, A=4).index) < 1000
+    with pytest.raises(CapacityError, match="physical memory"):
+        spectrum(s, A=1e9)
 
 
 def test_sparse_grid_has_no_value_or_l1(ctx):

@@ -94,11 +94,11 @@ def test_cover_falls_back_to_direct_sums(ctx, monkeypatch):
     chirp = transference.exp_sums_on_progression
     refused = []
 
-    def capped(sub, j0, step, Q, K):
+    def capped(sub, j0, step, Q, K, work):
         if K > 6:
             refused.append(K)
             raise CapacityError("test cap")
-        return chirp(sub, j0, step, Q, K)
+        return chirp(sub, j0, step, Q, K, work)
 
     monkeypatch.setattr(transference, "exp_sums_on_progression", capped)
     cover = build_cover(subset, report)
