@@ -149,10 +149,6 @@ def _subset(ctx, cfg: RunConfig) -> ex.PrimeSubset:
                             pmin=cfg.pmin)
 
 
-def _grid_size(cfg: RunConfig) -> int:
-    return cfg.grid if cfg.grid is not None else ex.default_grid_size(cfg.N)
-
-
 def _out_path(cfg: RunConfig, ext: str) -> str:
     return cfg.output or f"primecusps-{cfg.command}.{ext}"
 
@@ -172,12 +168,13 @@ def _json_text(payload: dict) -> str:
 
 def cmd_spectrum(ctx, cfg: RunConfig) -> int:
     subset = _subset(ctx, cfg)
-    grid = ex.spectrum(subset, _grid_size(cfg))
-    ratio = np.abs(grid.values) / subset.size  # the half circle j <= G/2
+    G = ex.grid_size(cfg.N, cfg.grid)
+    sums = ex.grid_sums(subset.indicator(), G)  # the half circle j <= G/2
+    ratio = np.abs(sums) / subset.size
     if cfg.format != "json":  # mirror out to all G rows: |T*(-a)| = |T*(a)|
         ratio = np.concatenate([ratio, ratio[-2:0:-1]])
     if cfg.format == "plotdata":
-        alphas = np.arange(grid.G) / grid.G
+        alphas = np.arange(G) / G
         lines = [f"{a:.12g} {float(r)!r}" for a, r in zip(alphas, ratio)]
         path = _write(_out_path(cfg, "txt"), "\n".join(lines) + "\n")
         overlay = [f"{float(fp):.12g} {fp.q} "
@@ -186,13 +183,13 @@ def cmd_spectrum(ctx, cfg: RunConfig) -> int:
         _write(path + ".farey", "\n".join(overlay) + "\n")
     elif cfg.format == "csv":
         lines = ["alpha,ratio"]
-        lines += [f"{j / grid.G:.12g},{r:.10g}" for j, r in enumerate(ratio)]
+        lines += [f"{j / G:.12g},{r:.10g}" for j, r in enumerate(ratio)]
         path = _write(_out_path(cfg, "csv"), "\n".join(lines) + "\n")
     else:
         payload = {
             "schema": SCHEMA, "seed": cfg.seed, "config": _echo(cfg),
             "N": subset.N, "size": subset.size, "K": subset.K,
-            "grid": grid.G, "l1_estimate": ex.l1_estimate(grid),
+            "grid": G, "l1_estimate": ex.l1_estimate(sums, G),
             "ratio_min": float(ratio.min()), "ratio_max": float(ratio.max()),
         }
         path = _write(_out_path(cfg, "json"), _json_text(payload))
@@ -202,7 +199,7 @@ def cmd_spectrum(ctx, cfg: RunConfig) -> int:
 
 def cmd_cusps(ctx, cfg: RunConfig) -> int:
     subset = _subset(ctx, cfg)
-    grid = ex.spectrum(subset, _grid_size(cfg), cfg.A)
+    grid = ex.spectrum(subset, cfg.A, cfg.grid)
     report = cu.find_cusps(grid, cfg.A)
     rows = cu.structure_check(report, subset)
     rows.append(cu.farey_census_report(ctx, report))
@@ -246,7 +243,8 @@ def cmd_decompose(ctx, cfg: RunConfig) -> int:
     rows = tr.transform_checks(dec, seed=cfg.seed + 1)
     rows.extend(tr.cusp_suppression_report(dec, seed=cfg.seed + 2))
     rows.append(tr.bohr_size_row(dec.bohr, subset.N))
-    sup = tr.sharp_sup_report(dec, min(_grid_size(cfg), 1 << 20))
+    # any power of two serves the supremum, one below N included
+    sup = tr.sharp_sup_report(dec, min(cfg.grid or ex.grid_size(cfg.N), 1 << 20))
     if cfg.format == "csv":
         path = _write(_out_path(cfg, "csv"), tr.decomposition_csv(dec))
     else:

@@ -1,7 +1,7 @@
 """Cusp detection for prime exponential sums, and the large sieve checks.
 
 An A-cusp is a point alpha with |T*(alpha)| >= T*(0)/A.  The detector
-reads the half-circle grid samples at or above the threshold (a sparse
+reads the half-circle grid samples at or above the threshold (the
 spectrum keeps only those, so the grid costs O(N) memory), finds and
 refines the runs on the half circle (merging runs split at grid
 resolution, bisecting arc endpoints against the direct sum), reflects each
@@ -127,9 +127,8 @@ def find_cusps(grid: SpectrumGrid, A: float) -> CuspReport:
     greedily at delta = 1/N from the refined peaks and every above-threshold
     grid sample.  T*(-alpha) = conj T*(alpha), so every run other than the
     ones that are their own mirror (around 0 or 1/2, which bisect one
-    endpoint and reflect it) also gives the mirror arc (-hi, -lo).  The
-    grid may be sparse; a threshold T*(0)/A below its floor raises
-    ValueError.
+    endpoint and reflect it) also gives the mirror arc (-hi, -lo).  A
+    threshold T*(0)/A below the grid's floor raises ValueError.
     """
     if not 1 <= A < math.inf:
         raise ValueError(f"A={A} must be finite and >= 1")

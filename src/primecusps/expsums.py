@@ -7,13 +7,16 @@ dot product per weight vector), exp_sum_at for T*(alpha) = sum over the
 prime subset of e(p alpha), exp_sums_on_progression on an arithmetic
 progression by chirp-z, and grid_blocks at every j/G.  Real weights make
 the sum at -alpha the conjugate of the sum at alpha, so grid_blocks covers
-only the half circle 0 <= j <= G/2.  For G = R L, L the power of two at or
-above the support, it sweeps the residues r <= R/2 of j mod R with one
-length-L FFT each, in O(L) memory; each consumer keeps what it needs:
-grid_sums the dense half circle, spectrum(A=...) only the samples with
-|T*| >= T*(0)/A, and transference.sharp_sup_report a running maximum.
-SpectrumGrid.value(j) mirrors out a dense grid.  The local model replaces
-the primes by z0-rough integers weighted by 1/(V(z0) log N).
+only the half circle 0 <= j <= G/2, on one path: it sweeps G = R L by the
+residues r <= R/2 of j mod R, one real FFT for r = 0 and one complex
+length-L FFT for each other r, in O(L) memory (L the power of two at or
+above the support when that divides G, else L = G and R = 1).  Each
+consumer keeps what it needs: grid_sums the dense half circle (the
+spectrum command and l1_estimate), spectrum(subset, A, G) a SpectrumGrid
+of only the samples with |T*| >= T*(0)/A, and
+transference.sharp_sup_report a running maximum.  grid_size gives the
+default 32N grid or checks a given one.  The local model replaces the
+primes by z0-rough integers weighted by 1/(V(z0) log N).
 fejer_interval_polynomial builds a trigonometric polynomial for an interval
 indicator; only acceptance criterion 10 checks it.
 """
@@ -55,6 +58,12 @@ class PrimeSubset:
     def K(self) -> float:
         """Density defect N / (|P*| log N); equals 1 + o(1) for all primes."""
         return self.N / (self.size * math.log(self.N))
+
+    def indicator(self) -> np.ndarray:
+        """1.0 at the members, 0.0 elsewhere on [0, N]."""
+        out = np.zeros(self.N + 1)
+        out[self.members] = 1.0
+        return out
 
 
 def _range_primes(ctx: PrimeContext, N: int, pmin=None) -> np.ndarray:
@@ -134,18 +143,6 @@ def _phases(m: np.ndarray, Q: int) -> np.ndarray:
     return np.exp(TWO_PI * 1j * (m / Q))
 
 
-def _one_block(values: np.ndarray, G: int, offset: int) -> np.ndarray:
-    """The whole half circle from one length-G real FFT; entries past G are
-    folded in mod G first, since e(i j/G) has period G in i."""
-    if len(values) > G:
-        values = np.pad(values, (0, -len(values) % G)).reshape(-1, G).sum(axis=0)
-    sums = np.fft.rfft(values, G)
-    np.conj(sums, out=sums)  # the FFT carries e(-ij/G)
-    if offset:
-        sums *= np.exp(-TWO_PI * 1j * np.arange(len(sums)) * offset / G)
-    return sums
-
-
 def _residue_blocks(values: np.ndarray, G: int, L: int, offset: int):
     R = G // L
     half = G // 2 + 1
@@ -156,12 +153,18 @@ def _residue_blocks(values: np.ndarray, G: int, L: int, offset: int):
     # e((i - offset) k/L) depends only on (i - offset) mod L, and the support
     # is distinct mod L: in those slots the FFT carries the offset itself
     slots = shift % L
+    real = np.zeros(L)
+    real[slots] = weights
+    sums = np.fft.rfft(real)
+    del real
+    yield slice(0, half, R), np.conj(sums, out=sums)  # the FFT carries e(-sk/L)
+    del sums
     twisted = np.zeros(L, dtype=complex)  # zero off the slots at every residue
-    for r in range(R // 2 + 1):
+    for r in range(1, R // 2 + 1):
         twisted[slots] = weights * _phases(shift * r % G, G)
         full = np.fft.ifft(twisted, norm="forward")  # sum_s u_s e(+sk/L)
-        yield slice(r, half, R), full[: L // 2 + (r == 0)]
-        if 0 < 2 * r < R:  # residue R - r: the reversed conjugate of the top half
+        yield slice(r, half, R), full[: L // 2]
+        if 2 * r < R:  # residue R - r: the reversed conjugate of the top half
             yield slice(R - r, half, R), np.conj(full[: L // 2 - 1 : -1])
         del full  # before the next transform allocates its own
 
@@ -173,16 +176,18 @@ def grid_blocks(values: np.ndarray, G: int, offset: int = 0):
     indices with an explicit step and sums holds the sums at them, so
     sums[i] belongs to j.start + j.step i; the blocks cover every
     0 <= j <= G/2 once.  The weights are real, so the sum at j > G/2 is the
-    conjugate of the one at G - j.  Let L be the smallest power of two
-    (>= 2) at or above len(values).  When L divides G = R L with R >= 2,
-    the grid is swept by residue (the four-step FFT): for j = r + R k,
-    the sum is sum_i [values[i] e((i - offset) r/G)] e((i - offset) k/L),
-    one length-L FFT per residue of the twisted weights placed at
-    (i - offset) mod L, with (i - offset) r reduced mod G exactly in int64.
-    Residue R - r is the reversed conjugate of residue r, so only r <= R/2
-    is transformed, and memory stays O(L).  Any other G is one
-    length-G real FFT block.  Raises ValueError for complex weights and
-    CapacityError, before any work, past SWEEP_BUDGET points."""
+    conjugate of the one at G - j.  A support longer than G is folded in
+    mod G first, since e(i j/G) has period G in i.  The grid G = R L is
+    swept by residue (the four-step FFT), with L the smallest power of two
+    (>= 2) at or above the support when that divides G, and L = G (R = 1)
+    otherwise: for j = r + R k, the sum is
+    sum_i [values[i] e((i - offset) r/G)] e((i - offset) k/L), one length-L
+    FFT per residue of the twisted weights placed at (i - offset) mod L,
+    with (i - offset) r reduced mod G exactly in int64.  Residue 0 is one
+    real FFT; residue R - r is the reversed conjugate of residue r, so only
+    r <= R/2 is transformed, and memory stays O(L).  Raises ValueError for
+    complex weights and CapacityError, before any work, past SWEEP_BUDGET
+    points."""
     if np.iscomplexobj(values):
         raise ValueError("grid sums take real weights")
     if G < 1:
@@ -190,10 +195,10 @@ def grid_blocks(values: np.ndarray, G: int, offset: int = 0):
     if G > SWEEP_BUDGET:
         raise CapacityError(f"a grid of {G} points is above the sweep budget "
                             f"of {SWEEP_BUDGET} points")
+    if len(values) > G:
+        values = np.pad(values, (0, -len(values) % G)).reshape(-1, G).sum(axis=0)
     L = 1 << max(1, (len(values) - 1).bit_length())
-    if G <= L or G % L:
-        return iter([(slice(0, G // 2 + 1, 1), _one_block(values, G, offset))])
-    return _residue_blocks(values, G, L, offset)
+    return _residue_blocks(values, G, G if G % L else L, offset)
 
 
 def grid_sums(values: np.ndarray, G: int, offset: int = 0) -> np.ndarray:
@@ -280,29 +285,14 @@ def exp_sums_on_progression(subset: PrimeSubset, j0: int, step: int, Q: int,
 
 @dataclass(frozen=True)
 class SpectrumGrid:
-    """T* on the half circle 0 <= j <= G/2 of the grid j/G, G a power of
-    two >= N.  A dense grid (index None) holds values[j] = T*(j/G) for
-    every j.  A sparse grid holds exactly the samples with |T*| >= floor,
-    values[i] = T*(index[i]/G) in ascending index."""
+    """The samples of T* on the half circle 0 <= j <= G/2 of the grid j/G,
+    G a power of two >= N, with |T*| >= floor: values[i] = T*(index[i]/G)
+    in ascending index."""
     subset: PrimeSubset
     G: int
     values: np.ndarray = field(repr=False)
-    index: np.ndarray = field(default=None, repr=False)
-    floor: float = 0.0
-
-    def _require_dense(self, what: str) -> None:
-        if self.index is not None:
-            raise ValueError(f"{what} needs a dense grid; this one keeps only "
-                             f"|T*| >= {self.floor}")
-
-    def value(self, j: int) -> complex:
-        """T*(j/G) for any integer j, mirrored by T*(-alpha) = conj T*(alpha);
-        dense grids only."""
-        self._require_dense("value")
-        j = int(j) % self.G
-        if 2 * j <= self.G:
-            return complex(self.values[j])
-        return complex(self.values[self.G - j]).conjugate()
+    index: np.ndarray = field(repr=False)
+    floor: float
 
     def above(self, threshold: float) -> tuple[np.ndarray, np.ndarray]:
         """(j, |T*(j/G)|) for every half-circle j with |T*(j/G)| >= threshold,
@@ -313,36 +303,34 @@ class SpectrumGrid:
                              f"floor {self.floor}")
         mags = np.abs(self.values)
         keep = np.flatnonzero(mags >= threshold)
-        return (keep if self.index is None else self.index[keep]), mags[keep]
+        return self.index[keep], mags[keep]
 
 
-def default_grid_size(N: int) -> int:
-    # 32 samples per 1/N arc width, rounded up to a power of two
-    return 1 << max(0, (32 * N - 1).bit_length())
-
-
-def spectrum(subset: PrimeSubset, G=None, A=None) -> SpectrumGrid:
-    """T* on the half circle of the uniform grid j/G, swept by grid_blocks
-    over the member indicator.  With A = None the grid is dense.  Otherwise
-    it keeps only the samples with |T*| >= T*(0)/A, the ones a cusp search
-    at that A or a smaller one reads, and memory stays O(N) whatever G, plus
-    the kept samples.  Raises CapacityError once those would not fit in
-    physical memory."""
+def grid_size(N: int, G=None) -> int:
+    """The grid of a spectrum at N: 32 samples per 1/N arc width, rounded up
+    to a power of two, or a given G once it is checked to be a power of two
+    at or above N."""
     if G is None:
-        G = default_grid_size(subset.N)
-    if G < subset.N:
-        raise ValueError(f"grid size {G} is below N={subset.N}")
+        return 1 << max(0, (32 * N - 1).bit_length())
+    if G < N:
+        raise ValueError(f"grid size {G} is below N={N}")
     if G & (G - 1):
         raise ValueError(f"grid size {G} is not a power of two")
-    indicator = np.zeros(subset.N + 1)
-    indicator[subset.members] = 1.0
-    if A is None:
-        return SpectrumGrid(subset, G, grid_sums(indicator, G))
+    return G
+
+
+def spectrum(subset: PrimeSubset, A: float, G=None) -> SpectrumGrid:
+    """The samples with |T*| >= T*(0)/A on the half circle of the grid j/G
+    (grid_size(N, G)), the ones a cusp search at that A or a smaller one
+    reads, swept by grid_blocks over the member indicator.  Memory stays
+    O(N) whatever G, plus the kept samples; raises CapacityError once those
+    would not fit in physical memory."""
+    G = grid_size(subset.N, G)
     if not 1 <= A < math.inf:
         raise ValueError(f"A={A} must be finite and >= 1")
     floor = float(subset.size) / A
     index, values, kept = [], [], 0
-    for j, sums in grid_blocks(indicator, G):
+    for j, sums in grid_blocks(subset.indicator(), G):
         keep = np.flatnonzero(np.abs(sums) >= floor)
         kept += len(keep)
         # a kept sample costs 24 bytes as it is gathered and at most 56 in
@@ -356,12 +344,12 @@ def spectrum(subset: PrimeSubset, G=None, A=None) -> SpectrumGrid:
     return SpectrumGrid(subset, G, values[order], index[order], floor)
 
 
-def l1_estimate(grid: SpectrumGrid) -> float:
-    """Riemann sum for the L1 norm of T*; compare against sqrt(N/log N).
-    The half circle counts its interior samples twice; dense grids only."""
-    grid._require_dense("l1_estimate")
-    absvals = np.abs(grid.values)
-    return float((2.0 * absvals.sum() - absvals[0] - absvals[-1]) / grid.G)
+def l1_estimate(sums: np.ndarray, G: int) -> float:
+    """Riemann sum for the L1 norm of T* from its half circle grid_sums(.., G);
+    compare against sqrt(N/log N).  The half circle counts its interior
+    samples twice."""
+    absvals = np.abs(sums)
+    return float((2.0 * absvals.sum() - absvals[0] - absvals[-1]) / G)
 
 
 # -- local model -----------------------------------------------------------

@@ -223,16 +223,24 @@ def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(a, L) * np.fft.rfft(b, L), L)
 
 
+def _integer_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The linear convolution of integer-valued a and b, len(a) + len(b) - 1
+    entries, by _convolve rounded to the integers it must equal.  Raises
+    ArithmeticError when a rounding gap exceeds 1e-5."""
+    out = _convolve(a, b)[: len(a) + len(b) - 1]
+    rounded = np.rint(out)
+    gap = np.abs(np.subtract(out, rounded, out=out), out=out).max()
+    if gap > 1e-5:
+        raise ArithmeticError(f"convolution failed to resolve to integers (gap {gap:.3g})")
+    return rounded
+
+
 def _difference_counts(bohr: BohrSet, N: int) -> np.ndarray:
-    """counts[N + m] = #{(b1, b2) : b1 - b2 = m}, m in [-N, N], from the
-    convolution of the indicator with its reverse, rounded to integers."""
+    """counts[N + m] = #{(b1, b2) : b1 - b2 = m}, m in [-N, N]: the
+    convolution of the indicator with its reverse."""
     ind = np.zeros(N + 1)
     ind[bohr.elements] = 1.0
-    counts = _convolve(ind, ind[::-1])[: 2 * N + 1]
-    rounded = np.rint(counts)
-    if np.max(np.abs(counts - rounded)) > 1e-5:
-        raise ArithmeticError("autocorrelation failed to resolve to integers")
-    return rounded
+    return _integer_convolve(ind, ind[::-1])
 
 
 # -- the decomposition ------------------------------------------------------
@@ -310,21 +318,18 @@ def decompose(ctx: PrimeContext, subset: PrimeSubset, z0, M: int, A: float,
         raise ValueError(f"z={z} is below sqrt(N/(M z0)) = {zmin:.6g}")
     if z < z0:
         raise ValueError(f"z={z} must be >= z0={z0}")
-    report = find_cusps(spectrum(subset, A=A), A)
+    report = find_cusps(spectrum(subset, A), A)
     cover = build_cover(subset, report)
     bohr = build_bohr(cover, M, N)
 
     G = g_sifted(ctx, 1, z, z0)
     V = ctx.mertens_product(z0)
 
+    # counts carries m = j - N, so the linear convolution index k holds
+    # ell = k - N; on the support [-N, 2N] it is the integer
+    # |B|^2 (f * rho)(ell) = #{(p, b1, b2) : p + b1 - b2 = ell}
     counts = _difference_counts(bohr, N)
-    rho_arr = counts / float(bohr.size) ** 2
-    find = np.zeros(N + 1)
-    find[subset.members] = 1.0
-    # rho_arr carries m = j - N, so the linear convolution index k holds
-    # ell = k - N; support of f * rho is [-N, 2N]
-    conv = _convolve(find, rho_arr)[: 3 * N + 1].copy()
-    conv[np.abs(conv) < 1e-12] = 0.0
+    conv = _integer_convolve(subset.indicator(), counts) / float(bohr.size) ** 2
 
     offset = N
     f = np.zeros(3 * N + 1)

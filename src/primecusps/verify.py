@@ -115,7 +115,7 @@ def suite_cusps(ctx: PrimeContext) -> list[CheckRow]:
     rows = []
     for N in (10_000, 100_000):
         for subset in _criterion_subsets(ctx, N):
-            grid = ex.spectrum(subset, A=max(CUSP_GRID_A))
+            grid = ex.spectrum(subset, max(CUSP_GRID_A))
             for A in CUSP_GRID_A:
                 rep = cu.find_cusps(grid, A)
                 count = len(rep.wellspaced)

@@ -17,31 +17,12 @@ import pytest
 
 from primecusps.arith import farey_points
 from primecusps.gfunctions import g_value, G_CONSTANT, explicit_estimate_report
-from primecusps import cusps as cu
 from primecusps import expsums as ex
 from primecusps import sieve as sv
 from primecusps import transference as tr
 from primecusps.verify import suite_large_sieve
 
-GRID_A = (2, 4, 8, 16)
 EULER_GAMMA = 0.5772156649015329
-
-
-@pytest.fixture(scope="module")
-def cusp_grid(ctx):
-    """(subset, spectrum, {A: report}) for the shared criterion grid,
-    plus the wall-clock seconds spent inside find_cusps."""
-    out = {}
-    elapsed = 0.0
-    for N in (10_000, 100_000):
-        for subset in (ex.subset_full(ctx, N), ex.subset_sqrt2(ctx, N),
-                       ex.subset_random(ctx, N, 0.5, seed=42)):
-            grid = ex.spectrum(subset, A=max(GRID_A))
-            t0 = time.monotonic()
-            reports = {A: cu.find_cusps(grid, A) for A in GRID_A}
-            elapsed += time.monotonic() - t0
-            out[(subset.label, N)] = (subset, grid, reports)
-    return out, elapsed
 
 
 @pytest.fixture(scope="module")
@@ -226,11 +207,12 @@ def test_criterion_09_spectrum_correctness(ctx):
     rng = np.random.default_rng(3)
     for subset in (ex.subset_full(ctx, N), ex.subset_sqrt2(ctx, N),
                    ex.subset_random(ctx, N, 0.5, seed=42)):
-        grid = ex.spectrum(subset, G)
+        sums = ex.grid_sums(subset.indicator(), G)
         tol = 1e-6 * float(subset.size)
         for j in rng.integers(0, G, size=100):
             direct = ex.exp_sum_at(subset, j / G)
-            assert abs(grid.value(j) - direct) <= tol, (subset.label, j)
+            got = sums[j] if 2 * j <= G else np.conj(sums[G - j])
+            assert abs(got - direct) <= tol, (subset.label, j)
     elapsed = time.monotonic() - t0
     assert elapsed < 10.0, f"comparison took {elapsed:.1f}s, budget 10s"
 

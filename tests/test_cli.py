@@ -79,8 +79,17 @@ def test_sweep_beyond_budget_is_capacity_failure(tmp_path, capsys):
     assert not (tmp_path / "c.json").exists()
 
 
+def test_grid_below_N_is_domain_error(tmp_path, capsys):
+    for command in ("spectrum", "cusps"):
+        out = tmp_path / f"{command}.json"
+        assert run([command, "--N", "2000", "--grid", "1024",
+                    "--output", str(out)]) == 1
+        assert "below N" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_cusps_on_a_grid_of_one_block(tmp_path):
-    # G at the power of two just above N is one rfft block, not a sweep
+    # G at the power of two just above N is one residue, one rfft
     for N, G in (("1000", "1024"), ("2000", "2048")):
         out = tmp_path / f"c{N}.json"
         assert run(["cusps", "--N", N, "--grid", G, "--A", "4",

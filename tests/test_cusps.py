@@ -24,13 +24,13 @@ from primecusps.cusps import (
 )
 from primecusps.expsums import SpectrumGrid, exp_sum_at, spectrum, subset_full, subset_random
 from primecusps.sieve import SieveParams, build_weights
-from primecusps.verify import CUSP_GRID_A, _criterion_subsets
+from primecusps.verify import CUSP_GRID_A
 
 
 @pytest.fixture(scope="module")
 def full4(ctx):
     subset = subset_full(ctx, 10_000)
-    grid = spectrum(subset)
+    grid = spectrum(subset, max(CUSP_GRID_A))
     return subset, grid, find_cusps(grid, 4)
 
 
@@ -97,7 +97,7 @@ def test_monotone_in_A(ctx, full4):
 def test_cusp_set_is_mirror_symmetric(ctx, N, A, random):
     # T*(-alpha) = conj T*(alpha): alpha is an A-cusp exactly when -alpha is
     subset = subset_random(ctx, N, 0.5, seed=42) if random else subset_full(ctx, N)
-    report = find_cusps(spectrum(subset), A)
+    report = find_cusps(spectrum(subset, A), A)
     for arc in report.arcs:
         lo, hi = (-arc.hi) % 1.0, (-arc.lo) % 1.0
         assert any(circle_distance(lo, b.lo) <= 1e-12 and circle_distance(hi, b.hi) <= 1e-12
@@ -112,7 +112,7 @@ def test_cusp_set_is_mirror_symmetric(ctx, N, A, random):
     (10_000, 8, 38, 42), (100_000, 4, 10, 10), (1_000_000, 4, 10, 10)])
 def test_full_cusp_counts(ctx, N, A, arcs, wellspaced):
     big = ctx if N <= ctx.limit else build_context(N)
-    report = find_cusps(spectrum(subset_full(big, N)), A)
+    report = find_cusps(spectrum(subset_full(big, N), A), A)
     assert (len(report.arcs), len(report.wellspaced)) == (arcs, wellspaced)
 
 
@@ -137,43 +137,21 @@ def test_all_above_threshold_is_one_arc(ctx, hole):
     values = np.full(G // 2 + 1, float(subset.size), dtype=complex)
     if hole is not None:
         values[hole] = 0.0
-    report = find_cusps(SpectrumGrid(subset, G, values), 2.0)
+    report = find_cusps(SpectrumGrid(subset, G, values, np.arange(G // 2 + 1), 0.0), 2.0)
     assert [(arc.lo, arc.hi) for arc in report.arcs] == [(0.0, 1.0 - 1.0 / G)]
-
-
-@pytest.fixture(scope="module")
-def criterion_reports(ctx):
-    """(label, N) -> (subset, {A: report on the dense grid}, {A: report on
-    the sparse grid at max(CUSP_GRID_A)}) over the six criterion subsets."""
-    out = {}
-    for N in (10_000, 100_000):
-        for subset in _criterion_subsets(ctx, N):
-            dense = spectrum(subset)
-            sparse = spectrum(subset, A=max(CUSP_GRID_A))
-            out[(subset.label, N)] = (
-                subset, {A: find_cusps(dense, A) for A in CUSP_GRID_A},
-                {A: find_cusps(sparse, A) for A in CUSP_GRID_A})
-    return out
-
-
-def test_sparse_and_dense_grids_give_the_same_cusps(criterion_reports):
-    for key, (subset, dense, sparse) in criterion_reports.items():
-        for A in CUSP_GRID_A:
-            assert sparse[A].arcs == dense[A].arcs, (key, A)
-            assert sparse[A].wellspaced == dense[A].wellspaced, (key, A)
 
 
 def test_threshold_below_the_floor_is_refused(full4):
     subset, _, _ = full4
-    grid = spectrum(subset, A=4)
+    grid = spectrum(subset, 4)
     find_cusps(grid, 4)
     with pytest.raises(ValueError, match="floor"):
         find_cusps(grid, 8)
 
 
-def test_arc_membership_matches_linear_scan(criterion_reports):
+def test_arc_membership_matches_linear_scan(cusp_grid):
     rng = np.random.default_rng(7)
-    for key, (subset, _, reports) in criterion_reports.items():
+    for key, (subset, _, reports) in cusp_grid[0].items():
         slack = 4.0 * ENDPOINT_RESOLUTION / subset.N
         for A, report in reports.items():
             in_arcs = _arc_membership(report.arcs, slack)

@@ -14,12 +14,12 @@ from primecusps.expsums import (
     ChirpWorkspace,
     IntervalPolynomial,
     PrimeSubset,
-    default_grid_size,
     exp_sum,
     exp_sum_at,
     exp_sums_on_progression,
     fejer_interval_polynomial,
     grid_blocks,
+    grid_size,
     grid_sums,
     l1_estimate,
     local_model_full,
@@ -37,6 +37,9 @@ def test_subset_full(ctx):
     assert s.size == ctx.pi(100_000) - ctx.pi(316)
     assert int(s.members[0]) ** 2 >= 100_000
     assert s.K == pytest.approx(100_000 / (s.size * math.log(100_000)))
+    ind = s.indicator()
+    assert ind.shape == (100_001,) and ind.sum() == s.size
+    assert np.array_equal(np.flatnonzero(ind), s.members)
 
 
 def test_subset_sqrt2_membership(ctx):
@@ -161,8 +164,8 @@ def test_grid_sums_match_direct():
 
 
 @pytest.mark.parametrize("G", [
-    100, 300, 301,      # below, at and just above len(values): one block
-    512, 1280,          # R = 1, and G > L with L not dividing it: one block
+    100, 300, 301,      # below, at and just above len(values): R = 1, L = G
+    512, 1280,          # R = 1, and G > L with L not dividing it: L = G
     1024, 3 * 512,      # R = 2 and an odd R = 3
     32 * 512])          # R = 32, the residue count of the default grid
 def test_sweep_matches_one_shot_and_direct(G):
@@ -191,29 +194,29 @@ def test_sweep_matches_one_shot_and_direct(G):
 
 def test_sparse_spectrum_keeps_the_dense_samples_above_its_floor(ctx):
     for subset in (subset_full(ctx, 10_000), subset_random(ctx, 10_000, 0.5, seed=42)):
-        dense = spectrum(subset)
+        dense = grid_sums(subset.indicator(), grid_size(subset.N))
         # at A = 1 the floor is T*(0) itself, which alpha = 0 and 1/2 (odd
         # primes) reach exactly: the floor is kept
         for A in (1, 2, 4, 8, 16):
-            grid = spectrum(subset, A=A)
+            grid = spectrum(subset, A)
             assert grid.floor == subset.size / A
-            keep = np.flatnonzero(np.abs(dense.values) >= subset.size / A)
+            keep = np.flatnonzero(np.abs(dense) >= subset.size / A)
             assert np.array_equal(grid.index, keep)
-            assert np.array_equal(grid.values, dense.values[keep])
+            assert np.array_equal(grid.values, dense[keep])
             if A == 1:
                 assert list(grid.index) == [0, grid.G // 2]
 
 
 def test_sparse_spectrum_on_a_one_block_grid(ctx):
-    # G = L, the power of two at or above N + 1: one rfft block, no sweep
+    # G = L, the power of two at or above N + 1: one residue, no twist
     for N, G in ((1000, 1024), (2000, 2048), (2000, 4096)):
         subset = subset_full(ctx, N)
-        dense = spectrum(subset, G)
+        dense = grid_sums(subset.indicator(), G)
         for A in (2, 4, 8):
-            grid = spectrum(subset, G, A)
-            keep = np.flatnonzero(np.abs(dense.values) >= subset.size / A)
+            grid = spectrum(subset, A, G)
+            keep = np.flatnonzero(np.abs(dense) >= subset.size / A)
             assert np.array_equal(grid.index, keep), (N, G, A)
-            assert np.array_equal(grid.values, dense.values[keep]), (N, G, A)
+            assert np.array_equal(grid.values, dense[keep]), (N, G, A)
 
 
 def test_sparse_spectrum_beyond_memory_is_capacity_error(ctx, monkeypatch):
@@ -221,17 +224,9 @@ def test_sparse_spectrum_beyond_memory_is_capacity_error(ctx, monkeypatch):
     # against physical memory as the sweep goes
     s = subset_full(ctx, 10_000)
     monkeypatch.setattr(expsums, "_physical_memory", lambda: 1 << 20)
-    assert len(spectrum(s, A=4).index) < 1000
+    assert len(spectrum(s, 4).index) < 1000
     with pytest.raises(CapacityError, match="physical memory"):
-        spectrum(s, A=1e9)
-
-
-def test_sparse_grid_has_no_value_or_l1(ctx):
-    grid = spectrum(subset_full(ctx, 10_000), A=4)
-    with pytest.raises(ValueError, match="dense"):
-        grid.value(0)
-    with pytest.raises(ValueError, match="dense"):
-        l1_estimate(grid)
+        spectrum(s, 1e9)
 
 
 def test_sweep_beyond_budget_is_capacity_error(ctx):
@@ -239,7 +234,7 @@ def test_sweep_beyond_budget_is_capacity_error(ctx):
     s = subset_full(ctx, 1000)
     G = 1 << (SWEEP_BUDGET.bit_length())
     with pytest.raises(CapacityError, match="sweep budget"):
-        spectrum(s, G, A=4)
+        spectrum(s, 4, G)
     with pytest.raises(CapacityError, match="sweep budget"):
         grid_blocks(np.ones(10), G)
 
@@ -258,34 +253,45 @@ def test_grid_beyond_memory_is_capacity_error():
 
 
 def test_default_grid_size():
-    assert default_grid_size(100_000) == 1 << 22
-    assert default_grid_size(10_000) == 1 << 19
-    g = default_grid_size(300)
+    assert grid_size(100_000) == 1 << 22
+    assert grid_size(10_000) == 1 << 19
+    g = grid_size(300)
     assert g >= 32 * 300 and g & (g - 1) == 0
+    assert grid_size(10_000, 1 << 14) == 1 << 14
+    with pytest.raises(ValueError, match="below N"):
+        grid_size(10_000, 4096)
+    with pytest.raises(ValueError, match="power of two"):
+        grid_size(10_000, 100_000)
 
 
 def test_spectrum_matches_direct(ctx):
     s = subset_full(ctx, 10_000)
-    grid = spectrum(s, 1 << 18)
-    assert grid.values.nbytes == 16 * (grid.G // 2 + 1)
+    G = 1 << 18
+    sums = grid_sums(s.indicator(), G)
+    assert sums.nbytes == 16 * (G // 2 + 1)
     rng = np.random.default_rng(3)
-    for j in rng.integers(0, grid.G, 40):
-        direct = exp_sum_at(s, j / grid.G)
-        assert abs(grid.value(j) - direct) <= 1e-6 * s.size
+    for j in rng.integers(0, G, 40):
+        direct = exp_sum_at(s, j / G)
+        got = sums[j] if 2 * j <= G else np.conj(sums[G - j])
+        assert abs(got - direct) <= 1e-6 * s.size
+    grid = spectrum(s, 8, G)
+    assert grid.values.nbytes == 16 * len(grid.index)
+    for j, value in zip(grid.index, grid.values):
+        assert abs(value - exp_sum_at(s, j / G)) <= 1e-6 * s.size
     with pytest.raises(ValueError):
-        spectrum(s, 4096)     # below N
+        spectrum(s, 8, 4096)     # below N
     with pytest.raises(ValueError):
-        spectrum(s, 100_000)  # not a power of two
+        spectrum(s, 8, 100_000)  # not a power of two
 
 
 def test_l1_band(ctx):
     s = subset_full(ctx, 100_000)
-    grid = spectrum(s, 1 << 20)
-    l1 = l1_estimate(grid)
+    G = 1 << 20
+    l1 = l1_estimate(grid_sums(s.indicator(), G), G)
     ratio = l1 / math.sqrt(100_000 / math.log(100_000))
     assert 0.62 <= ratio <= 0.76
     # grid refinement moves the estimate only marginally
-    l1b = l1_estimate(spectrum(s, 1 << 21))
+    l1b = l1_estimate(grid_sums(s.indicator(), 2 * G), 2 * G)
     assert abs(l1b - l1) <= 1e-3 * l1
 
 

@@ -30,6 +30,7 @@ from primecusps.transference import (
     transform_checks,
     _convolve,
     _difference_counts,
+    _integer_convolve,
 )
 
 
@@ -40,8 +41,7 @@ def dec1(ctx):
 
 def test_cover_basics(ctx):
     subset = subset_full(ctx, 10_000)
-    grid = spectrum(subset)
-    report = find_cusps(grid, 4)
+    report = find_cusps(spectrum(subset, 4), 4)
     cover = build_cover(subset, report)
     assert cover.Nprime == 240 * 4 * 10_000
     assert cover.eps == 1.0 / 960.0
@@ -81,7 +81,7 @@ def _direct_cover(subset, report, A):
 @pytest.mark.parametrize("A", [1, 2, 4])
 def test_cover_matches_direct_reference(ctx, A):
     subset = subset_full(ctx, 10_000)
-    report = find_cusps(spectrum(subset), A)
+    report = find_cusps(spectrum(subset, A), A)
     cover = build_cover(subset, report)
     assert (cover.points, cover.even_count, cover.odd_count) == \
         _direct_cover(subset, report, A)
@@ -90,7 +90,7 @@ def test_cover_matches_direct_reference(ctx, A):
 def test_cover_falls_back_to_direct_sums(ctx, monkeypatch):
     # runs the evaluator cannot take (int64 capacity) are summed directly
     subset = subset_full(ctx, 10_000)
-    report = find_cusps(spectrum(subset), 2)
+    report = find_cusps(spectrum(subset, 2), 2)
     chirp = transference.exp_sums_on_progression
     refused = []
 
@@ -109,8 +109,7 @@ def test_cover_falls_back_to_direct_sums(ctx, monkeypatch):
 
 def test_cover_sampler_row(ctx):
     subset = subset_full(ctx, 10_000)
-    grid = spectrum(subset)
-    report = find_cusps(grid, 2)
+    report = find_cusps(spectrum(subset, 2), 2)
     cover = build_cover(subset, report)
     row = cover_sampler_row(subset, cover, report, seed=3)
     assert row.lemma == "cover-sampler-vs-direct"
@@ -120,8 +119,7 @@ def test_cover_sampler_row(ctx):
 
 def test_cover_points_are_cusps(ctx):
     subset = subset_full(ctx, 10_000)
-    grid = spectrum(subset)
-    cover = build_cover(subset, find_cusps(grid, 4))
+    cover = build_cover(subset, find_cusps(spectrum(subset, 4), 4))
     thr = subset.size / 4.0
     for y in cover.points[:: max(1, len(cover.points) // 50)]:
         assert abs(exp_sum_at(subset, y)) >= thr - 1e-6 * subset.size
@@ -139,8 +137,7 @@ def test_bohr_trivial_frequency(ctx):
 
 def test_bohr_empty_is_domain_error(ctx):
     subset = subset_full(ctx, 10_000)
-    grid = spectrum(subset)
-    cover = build_cover(subset, find_cusps(grid, 4))
+    cover = build_cover(subset, find_cusps(spectrum(subset, 4), 4))
     with pytest.raises(ValueError, match="empty Bohr set"):
         build_bohr(cover, 2, 10_000)
     with pytest.raises(ValueError, match="empty Bohr set"):
@@ -189,6 +186,21 @@ def test_rho_properties(dec1):
     assert counts[10_000] == bohr.size
     assert np.array_equal(counts, counts[::-1])
     assert not counts[1::2].any()  # odd differences of even elements
+
+
+def test_triple_counts_are_exact(dec1):
+    # |B|^2 (f * rho)(ell) = #{(p, b1, b2) : p + b1 - b2 = ell}, in integers
+    N, bohr = 10_000, dec1.bohr
+    counts = _integer_convolve(dec1.subset.indicator(), _difference_counts(bohr, N))
+    assert counts.shape == (3 * N + 1,)
+    assert np.array_equal(counts, np.rint(counts))
+    assert counts.sum() == dec1.subset.size * bohr.size ** 2
+    ell = np.arange(3 * N + 1) - N
+    assert not counts[np.gcd(ell, dec1.M) > 1].any()
+    assert np.array_equal(dec1.conv, counts / float(bohr.size) ** 2)
+    # a convolution that is not integer-valued is refused, not rounded
+    with pytest.raises(ArithmeticError, match="integers"):
+        _integer_convolve(np.array([0.5, 1.0]), np.ones(2))
 
 
 def test_convolution_beyond_memory_is_capacity_error():
