@@ -33,27 +33,6 @@ class CapacityError(ValueError):
 
 
 @dataclass(frozen=True)
-class FareyPoint:
-    """Reduced fraction a/q on the unit circle, 0 <= a < q, gcd(a, q) = 1."""
-
-    a: int
-    q: int
-
-    def __post_init__(self):
-        if self.q < 1 or not (0 <= self.a < self.q):
-            raise ValueError(f"not a reduced Farey point: {self.a}/{self.q}")
-        if gcd(self.a, self.q) != 1:
-            raise ValueError(f"not reduced: {self.a}/{self.q}")
-
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.a, self.q)
-
-    def __float__(self) -> float:
-        return self.a / self.q
-
-
-@dataclass(frozen=True)
 class WeightedPoint:
     """Point on R/Z with a nonnegative weight; position stored reduced mod 1."""
 
@@ -281,15 +260,12 @@ def build_context(limit: int) -> PrimeContext:
     return PrimeContext(limit, spf, primes)
 
 
-def farey_points(Q: int) -> list[FareyPoint]:
-    """All reduced fractions a/q with 0 <= a < q <= Q, ascending by value."""
+def farey_points(Q: int) -> list[Fraction]:
+    """All reduced fractions a/q with 0 <= a < q <= Q, ascending."""
     if Q < 1:
         raise ValueError(f"Q={Q} must be >= 1")
-    pts = [FareyPoint(0, 1)]
-    for q in range(2, Q + 1):
-        pts.extend(FareyPoint(a, q) for a in range(1, q) if gcd(a, q) == 1)
-    pts.sort(key=lambda f: f.value)
-    return pts
+    return sorted(Fraction(a, q) for q in range(1, Q + 1)
+                  for a in range(q) if gcd(a, q) == 1)
 
 
 def extract_well_spaced(

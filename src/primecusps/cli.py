@@ -177,8 +177,8 @@ def cmd_spectrum(ctx, cfg: RunConfig) -> int:
         alphas = np.arange(G) / G
         lines = [f"{a:.12g} {float(r)!r}" for a, r in zip(alphas, ratio)]
         path = _write(_out_path(cfg, "txt"), "\n".join(lines) + "\n")
-        overlay = [f"{float(fp):.12g} {fp.q} "
-                   f"{1 if ctx.is_squarefree(fp.q) else 0}"
+        overlay = [f"{float(fp):.12g} {fp.denominator} "
+                   f"{1 if ctx.is_squarefree(fp.denominator) else 0}"
                    for fp in farey_points(cfg.Q)]
         _write(path + ".farey", "\n".join(overlay) + "\n")
     elif cfg.format == "csv":

@@ -4,8 +4,10 @@ Every sum of w_n e(alpha n) over integer points is evaluated here, except
 the phase matrices of cusps.large_sieve_check and
 IntervalPolynomial.__call__: exp_sum at one alpha (one phase vector, one
 dot product per weight vector), exp_sum_at for T*(alpha) = sum over the
-prime subset of e(p alpha), exp_sums_on_progression on an arithmetic
-progression by chirp-z, and grid_blocks at every j/G.  Real weights make
+prime subset of e(p alpha), exp_sums_on_progression at any ascending
+samples of an arithmetic progression by chirp-z (one kernel serves every
+block of consecutive samples, so transference evaluates a whole cover in
+one call), and grid_blocks at every j/G.  Real weights make
 the sum at -alpha the conjugate of the sum at alpha, so grid_blocks covers
 only the half circle 0 <= j <= G/2, on one path: it sweeps G = R L by the
 residues r <= R/2 of j mod R, one real FFT for r = 0 and one complex
@@ -218,51 +220,41 @@ def grid_sums(values: np.ndarray, G: int, offset: int = 0) -> np.ndarray:
 PROGRESSION_BLOCK = 1 << 15
 
 
-class ChirpWorkspace:
-    """The two length-L working arrays of exp_sums_on_progression, lent from
-    one call to the next: a caller that evaluates many progressions
-    allocates them, and faults their pages in, once instead of per call."""
-
-    def __init__(self):
-        self._arrays = np.empty((2, 0), dtype=complex)
-
-    def arrays(self, L: int) -> tuple[np.ndarray, np.ndarray]:
-        if self._arrays.shape[1] < L:
-            self._arrays = None  # free the old pair before the new one exists
-            self._arrays = np.empty((2, L), dtype=complex)
-        return self._arrays[0, :L], self._arrays[1, :L]
-
-
 def exp_sums_on_progression(subset: PrimeSubset, j0: int, step: int, Q: int,
-                            K: int, work: ChirpWorkspace = None) -> np.ndarray:
-    """T*((j0 + step k)/Q) for 0 <= k < K by Bluestein's chirp-z transform.
+                            ks) -> np.ndarray:
+    """T*((j0 + step k)/Q) for each k of the ascending, distinct, non-negative
+    sample indices ks, by Bluestein's chirp-z transform.
 
     With W = e(step/Q), p k = (p^2 + k^2 - (k - p)^2)/2 turns the sum into
     W^(k^2/2) sum_p [e(p j0/Q) W^(p^2/2)] W^(-(k-p)^2/2): one FFT
-    convolution per block of at most PROGRESSION_BLOCK samples, so memory
-    stays O(N + block).  Every phase is reduced exactly in int64 to a
-    multiple of 1/(2Q) before exp rounds it, so the error does not grow
-    with j0 or k.  The transforms run in place in the arrays of `work`
-    (a fresh workspace when None).  Raises CapacityError when
+    convolution per block of consecutive k.  ks is cut into blocks at every
+    gap and every PROGRESSION_BLOCK samples; the chirp and the kernel FFT
+    are built once, at the longest block, and each block costs two in-place
+    FFTs in one working array, so memory stays O(N + block).  Every phase is
+    reduced exactly in int64 to a multiple of 1/(2Q) before exp rounds it,
+    so the error does not grow with j0 or k.  Raises CapacityError when
     2Q(N + block) reaches 2^63 or a block would not fit in physical memory.
     """
-    j0, step, Q, K = int(j0), int(step), int(Q), int(K)
+    j0, step, Q = int(j0), int(step), int(Q)
+    ks = np.asarray(ks, dtype=np.int64)
     if Q < 1:
         raise ValueError(f"Q={Q} must be >= 1")
-    if K < 0:
-        raise ValueError(f"K={K} must be >= 0")
+    if len(ks) and (ks[0] < 0 or np.any(np.diff(ks) <= 0)):
+        raise ValueError("sample indices must be ascending, distinct and >= 0")
     N = subset.N
-    block = min(K, PROGRESSION_BLOCK)
+    starts = np.flatnonzero(np.diff(ks, prepend=-2) != 1)  # the runs of ks
+    ends = np.append(starts[1:], len(ks))
+    block = min(int((ends - starts).max(initial=0)), PROGRESSION_BLOCK)
     if 2 * Q * (N + block) >= 1 << 63:
         raise CapacityError(f"phases mod 2Q={2 * Q} at N={N} overflow int64")
-    if K == 0:
+    if len(ks) == 0:
         return np.empty(0, dtype=complex)
     L = 1 << (N + block - 1).bit_length()       # L >= N + block: no aliasing
     # the kernel and the working array of L complex values, the chirp and
     # the phases made from it
     require_memory(32 * L + 32 * max(N + 1, block), f"a chirp-z block of length {L}")
-    kernel, u = (ChirpWorkspace() if work is None else work).arrays(L)
-    out = np.empty(K, dtype=complex)
+    kernel, u = np.empty((2, L), dtype=complex)
+    out = np.empty(len(ks), dtype=complex)
     Q2 = 2 * Q
     m = np.arange(max(N + 1, block), dtype=np.int64)
     chirp = (step % Q * m % Q2) * m % Q2        # step m^2 mod 2Q
@@ -271,15 +263,16 @@ def exp_sums_on_progression(subset: PrimeSubset, j0: int, step: int, Q: int,
     kernel[L - N:] = np.exp(-TWO_PI * 1j * (chirp[N:0:-1] / Q2))
     np.fft.fft(kernel, out=kernel)
     P = subset.members
-    for b in range(0, K, block):
-        kb = min(block, K - b)
-        jb = (j0 + step * b) % Q
-        u.fill(0.0)
-        u[P] = np.exp(TWO_PI * 1j * (((2 * (P * jb % Q) + chirp[P]) % Q2) / Q2))
-        np.fft.fft(u, out=u)
-        u *= kernel
-        np.fft.ifft(u, out=u)
-        out[b : b + kb] = np.exp(TWO_PI * 1j * (chirp[:kb] / Q2)) * u[:kb]
+    for lo, hi in zip(starts.tolist(), ends.tolist()):
+        for b in range(lo, hi, block):
+            kb = min(block, hi - b)
+            jb = (j0 + step * int(ks[b])) % Q
+            u.fill(0.0)
+            u[P] = np.exp(TWO_PI * 1j * (((2 * (P * jb % Q) + chirp[P]) % Q2) / Q2))
+            np.fft.fft(u, out=u)
+            u *= kernel
+            np.fft.ifft(u, out=u)
+            out[b : b + kb] = np.exp(TWO_PI * 1j * (chirp[:kb] / Q2)) * u[:kb]
     return out
 
 

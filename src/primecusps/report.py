@@ -56,7 +56,7 @@ def leq_row(lemma: str, params: dict, lhs, rhs, note: str = "") -> CheckRow:
 
 
 def exact_leq_row(lemma: str, params: dict, lhs, rhs, note: str = "") -> CheckRow:
-    """Row asserting lhs <= rhs with exact (Fraction/int) comparison."""
+    """Row asserting lhs <= rhs, no float slack."""
     ok = lhs <= rhs
     return CheckRow(
         lemma=lemma,

@@ -26,7 +26,7 @@ import numpy as np
 
 from .arith import CapacityError, PrimeContext
 from .gfunctions import g_bracket, g_sifted, ordered_splits
-from .report import CheckRow, na_row
+from .report import CheckRow, exact_leq_row, na_row
 
 #: keeps the key enumeration from exploding on careless parameters
 DEFAULT_KEY_CAP = 500_000
@@ -53,7 +53,6 @@ class SieveWeights:
     G_val: Fraction
     lam: dict[int, Fraction]
     w: dict[int, Fraction]
-    primes_used: tuple[int, ...]
 
 
 def _key_products(primes: list[int], bound) -> list[tuple[int, int, int]]:
@@ -100,7 +99,7 @@ def build_weights(ctx: PrimeContext, params: SieveParams) -> SieveWeights:
     if lam[1] != 1 or w[1] * G != 1:
         raise ArithmeticError(f"weights not normalized: lambda_1 = {lam[1]}, "
                               f"w_1 G = {w[1] * G}")
-    return SieveWeights(params, G, lam, w, tuple(primes))
+    return SieveWeights(params, G, lam, w)
 
 
 # -- beta ---------------------------------------------------------------
@@ -241,9 +240,8 @@ def _sup_scaling_row(weights: SieveWeights, base: dict) -> CheckRow:
     sup = max(abs(wq * G) for q, wq in weights.w.items() if q > 1)
     lhs = Fraction(z0) * sup
     rhs = 1 + Fraction(11, 5) / Fraction(z0)
-    return CheckRow("w-sup-scaling", base, float(lhs), float(rhs),
-                    float(rhs - lhs), "pass" if lhs <= rhs else "fail",
-                    "z0 * sup_{q > 1} |G w_q| <= 1 + 2.2/z0, exact")
+    return exact_leq_row("w-sup-scaling", base, lhs, rhs,
+                         "z0 * sup_{q > 1} |G w_q| <= 1 + 2.2/z0, exact")
 
 
 def _kernel_ingredient_row(ctx: PrimeContext) -> CheckRow:

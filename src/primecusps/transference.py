@@ -18,10 +18,10 @@ import numpy as np
 
 from .arith import CapacityError, PrimeContext
 from .cusps import REEVAL_TOL, CuspReport, find_cusps
-from .expsums import (ChirpWorkspace, PrimeSubset, exp_sum, exp_sum_at,
-                      exp_sums_on_progression, grid_blocks, require_memory, spectrum)
+from .expsums import (PrimeSubset, exp_sum, exp_sum_at, exp_sums_on_progression,
+                      grid_blocks, require_memory, spectrum)
 from .gfunctions import g_sifted
-from .report import CheckRow, FLOAT_SLACK, leq_row
+from .report import CheckRow, FLOAT_SLACK, exact_leq_row, leq_row
 
 #: samples per cover interval when hunting the interval maximum
 INTERVAL_SAMPLES = 3
@@ -45,9 +45,6 @@ class Cover:
     Nprime: int
     eps: float
     points: tuple
-    even_count: int
-    odd_count: int
-    family_bound: float
 
     def reduced(self, M: int) -> tuple:
         return tuple(sorted({(M * y) % 1.0 for y in self.points}))
@@ -94,36 +91,30 @@ def _cover_candidates(report: CuspReport, Nprime: int) -> dict[int, list[float]]
 def _interval_samples(subset: PrimeSubset, idx, Nprime: int) -> np.ndarray:
     """T* at the INTERVAL_SAMPLES samples of each interval in the ascending
     index list idx, shape (len(idx), S).  Sample s of interval a is
-    (2S a + 2s + 1)/(2S Nprime), so each run of consecutive intervals is
-    one arithmetic progression with step 2, evaluated by chirp-z.  A run
-    whose phases would overflow int64 there (N past ~5.7e7/sqrt(A)) is
-    summed directly instead."""
+    (2S a + 2s + 1)/(2S Nprime), term k = S a + s of one arithmetic
+    progression with step 2, so the whole cover is one chirp-z call.  When
+    its phases would overflow int64 there (N past ~5.7e7/sqrt(A)), every
+    sample is summed directly instead."""
     S = INTERVAL_SAMPLES
     idx = np.asarray(idx, dtype=np.int64)
-    out = np.empty((len(idx), S), dtype=complex)
-    starts = np.flatnonzero(np.diff(idx, prepend=-2) != 1)
-    work = ChirpWorkspace()  # one set of working arrays for every run
-    for lo, hi in zip(starts, np.append(starts[1:], len(idx))):
-        try:
-            run = exp_sums_on_progression(subset, 2 * S * int(idx[lo]) + 1, 2,
-                                          2 * S * Nprime, S * (hi - lo), work)
-        except CapacityError:
-            run = [exp_sum_at(subset, _sample_position(int(a), s, Nprime) % 1.0)
-                   for a in idx[lo:hi] for s in range(S)]
-        out[lo:hi] = np.reshape(run, (-1, S))
-    return out
+    ks = (S * idx[:, None] + np.arange(S)).ravel()
+    try:
+        samples = exp_sums_on_progression(subset, 1, 2, 2 * S * Nprime, ks)
+    except CapacityError:
+        samples = [exp_sum_at(subset, _sample_position(int(a), s, Nprime) % 1.0)
+                   for a in idx for s in range(S)]
+    return np.reshape(samples, (len(idx), S))
 
 
 def build_cover(subset: PrimeSubset, report: CuspReport) -> Cover:
     """Select the interval representatives of the report's A-cusp set.
 
-    The circle is cut into Nprime = 240 A N intervals, in an even and an
-    odd family.  Only intervals meeting a detected arc (or holding one of
-    its peaks) can reach the threshold, so sampling is confined to those.
-    The INTERVAL_SAMPLES samples per interval come from one chirp-z
-    evaluation per run of consecutive intervals; arc peaks and well-spaced
-    points are evaluated directly.  Each kept interval contributes its
-    maximizing sample.
+    The circle is cut into Nprime = 240 A N intervals.  Only intervals
+    meeting a detected arc (or holding one of its peaks) can reach the
+    threshold, so sampling is confined to those.  The INTERVAL_SAMPLES
+    samples per interval come from one chirp-z evaluation for the whole
+    cover; arc peaks and well-spaced points are evaluated directly.  Each
+    kept interval contributes its maximizing sample.
     """
     A, N = report.A, report.N
     Nprime = int(round(240 * A * N))
@@ -134,7 +125,6 @@ def build_cover(subset: PrimeSubset, report: CuspReport) -> Cover:
     candidates = _cover_candidates(report, Nprime)
     idx = sorted(candidates)
     points = []
-    even = odd = 0
     for a_idx, mags in zip(idx, np.abs(_interval_samples(subset, idx, Nprime))):
         s = int(np.argmax(mags))
         best, pos = mags[s], _sample_position(a_idx, s, Nprime)
@@ -144,14 +134,7 @@ def build_cover(subset: PrimeSubset, report: CuspReport) -> Cover:
                 best, pos = val, x
         if best >= threshold:
             points.append(pos % 1.0)
-            # intervals are [(a-1)/N', a/N'), so index k holds label a = k+1
-            if (a_idx + 1) % 2 == 0:
-                even += 1
-            else:
-                odd += 1
-    K = subset.K
-    bound = 5000.0 * A ** 3 * K * math.log(2.0 * A)
-    return Cover(A, N, Nprime, eps, tuple(sorted(points)), even, odd, bound)
+    return Cover(A, N, Nprime, eps, tuple(sorted(points)))
 
 
 def cover_sampler_row(subset: PrimeSubset, cover: Cover, report: CuspReport,
@@ -488,10 +471,9 @@ def cover_consistency_row(cover: Cover, report: CuspReport) -> CheckRow:
                               (wp.position - pts) % 1.0)) if len(pts) else math.inf
         worst = max(worst, d)
     tol = 1.0 / cover.Nprime + 1.0 / (1024.0 * cover.N)
-    return CheckRow("cover-of-cusps",
-                    {"cusp_points": len(report.wellspaced), "cover_points": len(pts)},
-                    worst, tol, tol - worst, "pass" if worst <= tol else "fail",
-                    "max distance from a well-spaced cusp to the cover")
+    return exact_leq_row("cover-of-cusps",
+                         {"cusp_points": len(report.wellspaced), "cover_points": len(pts)},
+                         worst, tol, "max distance from a well-spaced cusp to the cover")
 
 
 def decomposition_csv(dec: Decomposition) -> str:

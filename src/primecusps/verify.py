@@ -7,11 +7,12 @@ suite both run these, so a red row here is a red row everywhere.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from .arith import PrimeContext, WeightedPoint, extract_well_spaced
-from .report import CheckRow, leq_row
+from .report import CheckRow, exact_leq_row, leq_row
 from . import cusps as cu
 from . import expsums as ex
 from . import sieve as sv
@@ -31,10 +32,9 @@ def _beta_grid_row(ctx, z0, z, tau, nmax) -> CheckRow:
     four = sv.beta_fourier_many(ctx, weights, ns)
     bad = sum(1 for n, fv in zip(ns, four)
               if sv.beta_direct(ctx, weights, n) != fv)
-    return CheckRow("beta-fourier-equality", {"z0": z0, "z": z, "tau": tau,
-                                              "nmax": nmax},
-                    float(bad), 0.0, float(-bad), "pass" if bad == 0 else "fail",
-                    "exact rational agreement of the square and its expansion")
+    return exact_leq_row("beta-fourier-equality",
+                         {"z0": z0, "z": z, "tau": tau, "nmax": nmax}, bad, 0,
+                         "exact rational agreement of the square and its expansion")
 
 
 def _envelope_row(ctx, weights, pmax: int) -> CheckRow:
@@ -43,9 +43,8 @@ def _envelope_row(ctx, weights, pmax: int) -> CheckRow:
     for p in ctx.primes_between(math.floor(z) + 1, pmax):
         if sv.beta_direct(ctx, weights, int(p)) != 1:
             bad += 1
-    return CheckRow("beta-envelope-primes", {"z": z, "pmax": pmax},
-                    float(bad), 0.0, float(-bad), "pass" if bad == 0 else "fail",
-                    "beta(p) = 1 above the sieving window")
+    return exact_leq_row("beta-envelope-primes", {"z": z, "pmax": pmax}, bad, 0,
+                         "beta(p) = 1 above the sieving window")
 
 
 def suite_sieve(ctx: PrimeContext, seed: int) -> list[CheckRow]:
@@ -83,9 +82,8 @@ def suite_large_sieve(ctx: PrimeContext, seed: int) -> list[CheckRow]:
             cur = worst.get(row.lemma)
             if cur is None or row.margin < cur.margin:
                 worst[row.lemma] = row
-    rows = [CheckRow(r.lemma, {"trials": LARGE_SIEVE_TRIALS, **r.params}, r.lhs,
-                     r.rhs, r.margin, r.status,
-                     f"worst of {LARGE_SIEVE_TRIALS} seeded trials")
+    rows = [replace(r, params={"trials": LARGE_SIEVE_TRIALS, **r.params},
+                    note=f"worst of {LARGE_SIEVE_TRIALS} seeded trials")
             for r in worst.values()]
 
     worst_dil = None
@@ -98,9 +96,7 @@ def suite_large_sieve(ctx: PrimeContext, seed: int) -> list[CheckRow]:
         row = cu.dilated_large_sieve_check(u, n, q1, q2, int(rng.integers(1, 5)))
         if worst_dil is None or row.margin < worst_dil.margin:
             worst_dil = row
-    rows.append(CheckRow(worst_dil.lemma, worst_dil.params, worst_dil.lhs,
-                         worst_dil.rhs, worst_dil.margin, worst_dil.status,
-                         "worst of 100 seeded trials"))
+    rows.append(replace(worst_dil, note="worst of 100 seeded trials"))
     return rows
 
 

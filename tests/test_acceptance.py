@@ -186,7 +186,7 @@ def test_criterion_07_transference_identities(ctx, decomposition):
 def test_criterion_08_local_model_error(ctx):
     N = 100_000
     subset = ex.subset_full(ctx, N)
-    alphas = [f.value for f in farey_points(30)]
+    alphas = farey_points(30)
     medians = []
     for z0 in (3, 5, 7):
         rough = ex.rough_integers(ctx, N, z0)

@@ -149,11 +149,11 @@ def test_sifted_mask_brute_force(ctx):
 
 def test_farey_points():
     f2 = farey_points(2)
-    assert [(fp.a, fp.q) for fp in f2][:2] == [(0, 1), (1, 2)]
+    assert [(fp.numerator, fp.denominator) for fp in f2] == [(0, 1), (1, 2)]
     f5 = farey_points(5)
-    vals = [float(fp) for fp in f5]
-    assert vals == sorted(vals)
-    assert all(math.gcd(fp.a, fp.q) == 1 for fp in f5)
+    assert f5 == sorted(f5)
+    assert len(f5) == 10  # 1 + phi(2) + phi(3) + phi(4) + phi(5)
+    assert all(0 <= fp < 1 and fp.denominator <= 5 for fp in f5)
 
 
 def test_circle_distance():

@@ -11,7 +11,6 @@ from primecusps.arith import CapacityError, build_context
 from primecusps.expsums import (
     PROGRESSION_BLOCK,
     SWEEP_BUDGET,
-    ChirpWorkspace,
     IntervalPolynomial,
     PrimeSubset,
     exp_sum,
@@ -94,7 +93,7 @@ def test_progression_matches_direct(ctx, kind):
         (5, -3, 1009, 50),                                # negative step
     ]
     for j0, step, q, K in cases:
-        vals = exp_sums_on_progression(subset, j0, step, q, K)
+        vals = exp_sums_on_progression(subset, j0, step, q, np.arange(K))
         assert vals.shape == (K,)
         ks = sorted({0, K - 1, *range(0, K, max(1, K // 25)),
                      *range(max(0, PROGRESSION_BLOCK - 2),
@@ -104,26 +103,36 @@ def test_progression_matches_direct(ctx, kind):
             assert abs(vals[k] - direct) <= tol, (j0, step, q, K, k)
 
 
-def test_shared_workspace_gives_the_same_sums(ctx):
-    # one workspace across calls whose FFT length grows and then shrinks
+def test_progression_at_gapped_samples(ctx):
+    # runs of length 1 and 4, isolated points, and one run longer than a
+    # block, so that run is cut into a full block and a short one
     s = subset_full(ctx, 10_000)
     Q = 6 * 240 * 4 * s.N
-    work = ChirpWorkspace()
-    for j0, K in ((6 * 12_345 + 1, 30), (6 * 77_777 + 1, PROGRESSION_BLOCK + 40),
-                  (6 * 5_000 + 1, 12), (6 * 77_777 + 1, PROGRESSION_BLOCK + 40)):
-        fresh = exp_sums_on_progression(s, j0, 2, Q, K)
-        assert np.array_equal(exp_sums_on_progression(s, j0, 2, Q, K, work), fresh)
+    j0 = 6 * 12_345 + 1
+    long_run = np.arange(500, 500 + PROGRESSION_BLOCK + 40)
+    ks = np.concatenate(([3], [7, 8, 9, 10], [40], long_run,
+                         [PROGRESSION_BLOCK + 900, PROGRESSION_BLOCK + 2000],
+                         [Q // 2 + 1, Q // 2 + 2, Q // 2 + 3, Q // 2 + 4]))
+    vals = exp_sums_on_progression(s, j0, 2, Q, ks)
+    assert vals.shape == ks.shape
+    edge = 6 + PROGRESSION_BLOCK  # the first sample of the long run's second block
+    checked = sorted({*range(7), *range(edge - 3, edge + 3), *range(6, edge, 997),
+                      *range(len(ks) - 6, len(ks))})
+    for i in checked:
+        direct = exp_sum_at(s, ((j0 + 2 * int(ks[i])) % Q) / Q)
+        assert abs(vals[i] - direct) <= 1e-9 * s.size, (i, ks[i])
 
 
 def test_progression_validation(ctx):
     s = subset_full(ctx, 10_000)
-    assert exp_sums_on_progression(s, 1, 2, 100, 0).shape == (0,)
+    assert exp_sums_on_progression(s, 1, 2, 100, np.arange(0)).shape == (0,)
     with pytest.raises(ValueError):
-        exp_sums_on_progression(s, 1, 2, 0, 5)
-    with pytest.raises(ValueError):
-        exp_sums_on_progression(s, 1, 2, 100, -1)
+        exp_sums_on_progression(s, 1, 2, 0, np.arange(5))
+    for ks in ([3, 1, 2], [1, 2, 2, 3], [-1, 0, 1]):  # unsorted, repeated, negative
+        with pytest.raises(ValueError, match="ascending"):
+            exp_sums_on_progression(s, 1, 2, 100, ks)
     with pytest.raises(CapacityError):
-        exp_sums_on_progression(s, 1, 2, 1 << 50, 5)
+        exp_sums_on_progression(s, 1, 2, 1 << 50, np.arange(5))
 
 
 def test_progression_capacity_edge(ctx):
@@ -132,12 +141,12 @@ def test_progression_capacity_edge(ctx):
     K = 5
     Q = ((1 << 63) - 1) // (2 * (s.N + K))
     j0 = Q - 12_345_678_901
-    vals = exp_sums_on_progression(s, j0, 7, Q, K)
+    vals = exp_sums_on_progression(s, j0, 7, Q, np.arange(K))
     for k in range(K):
         direct = exp_sum_at(s, ((j0 + 7 * k) % Q) / Q)
         assert abs(vals[k] - direct) <= 1e-9 * s.size
     with pytest.raises(CapacityError):
-        exp_sums_on_progression(s, j0, 7, Q + 1, K)
+        exp_sums_on_progression(s, j0, 7, Q + 1, np.arange(K))
 
 
 def test_exp_sum_basics(ctx):
@@ -243,7 +252,7 @@ def test_progression_beyond_memory_is_capacity_error():
     # refused before the chirp or the kernel (2^41 entries) is allocated
     huge = PrimeSubset(1 << 40, np.array([3], dtype=np.int64), "huge")
     with pytest.raises(CapacityError, match="physical memory"):
-        exp_sums_on_progression(huge, 1, 2, 100, 5)
+        exp_sums_on_progression(huge, 1, 2, 100, np.arange(5))
 
 
 def test_grid_beyond_memory_is_capacity_error():

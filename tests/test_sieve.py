@@ -164,7 +164,7 @@ def test_bound_report_names_failing_key(ctx, w350):
     G = w350.G_val
     w = dict(w350.w)
     w[7] = Fraction(-2) / (G * 6)     # G w_7 (7 - 1) = -2, below the window
-    tampered = SieveWeights(w350.params, G, w350.lam, w, w350.primes_used)
+    tampered = SieveWeights(w350.params, G, w350.lam, w)
     row = next(r for r in wq_bound_report(ctx, tampered) if r.lemma == "w-prime-window")
     assert (row.status, row.params["q"], row.margin) == ("fail", 7, -1.0)
 
