@@ -2,12 +2,14 @@
 
 Every sum of w_n e(alpha n) over integer points is evaluated here, except
 the phase matrices of cusps.large_sieve_check and
-IntervalPolynomial.__call__: exp_sum at one alpha (one phase vector, one
-dot product per weight vector), exp_sum_at for T*(alpha) = sum over the
-prime subset of e(p alpha), exp_sums_on_progression at any ascending
-samples of an arithmetic progression by chirp-z (one kernel serves every
-block of consecutive samples, so transference evaluates a whole cover in
-one call), and grid_blocks at every j/G.  Real weights make
+IntervalPolynomial.__call__: exp_sum at one alpha, at an array of alphas
+(blocked phase matrices), or at one alpha for a matrix of real weight
+vectors (one cos/sin phase pair, two real matrix-vector products),
+exp_sum_at for T*(alpha) = sum over the prime subset of e(p alpha),
+exp_sums_on_progression at any ascending samples of an arithmetic
+progression by chirp-z (one kernel serves every block of consecutive
+samples, so transference evaluates a whole cover in one call), and
+grid_blocks at every j/G.  Real weights make
 the sum at -alpha the conjugate of the sum at alpha, so grid_blocks covers
 only the half circle 0 <= j <= G/2, on one path: it sweeps G = R L by the
 residues r <= R/2 of j mod R, one real FFT for r = 0 and one complex
@@ -33,6 +35,9 @@ import numpy as np
 from .arith import CapacityError, PrimeContext
 
 TWO_PI = 2.0 * np.pi
+
+#: most phase-matrix entries exp_sum holds at once over many alphas
+PHASE_BLOCK = 1 << 16
 
 #: floor(sqrt(2) * 2^128): 128 fractional bits, enough that the membership
 #: test {p sqrt(2)} <= 1/2 is exact for any p addressable here
@@ -104,14 +109,31 @@ def subset_random(ctx: PrimeContext, N: int, density: float = 0.5,
     return PrimeSubset(N, ps[keep], f"random({density}, seed={seed})")
 
 
-def exp_sum(ns: np.ndarray, alpha: float, *weights: np.ndarray):
-    """sum over n in ns of e(alpha n) as a complex, or, given weight
-    vectors, a tuple holding sum_n w_n e(alpha n) for each one.  One phase
-    vector serves every weight vector."""
-    phases = np.exp(TWO_PI * 1j * alpha * ns)
-    if not weights:
-        return complex(phases.sum())
-    return tuple(complex(np.dot(w, phases)) for w in weights)
+def exp_sum(ns: np.ndarray, alpha, weights: np.ndarray = None):
+    """sum over n in ns of e(alpha n), in one of three forms.
+
+    At one alpha it is a complex.  At a 1-D array of alphas it is the array
+    of their sums, from phase matrices of at most PHASE_BLOCK entries (one
+    row when ns is longer), each checked against physical memory before it
+    is allocated.  At one alpha with a 2-D real weight matrix W, one row
+    per weight vector over ns, it is the array of sum_n W[i, n] e(alpha n)
+    from one real phase pair: theta = 2 pi alpha n, rounded as the complex
+    form rounds it, and the products W @ cos(theta), W @ sin(theta)."""
+    if weights is not None:
+        theta = TWO_PI * alpha * ns
+        return weights @ np.cos(theta) + 1j * (weights @ np.sin(theta))
+    if np.ndim(alpha) == 0:
+        return complex(np.exp(TWO_PI * 1j * alpha * ns).sum())
+    alphas = np.asarray(alpha, dtype=float)
+    rows = max(1, PHASE_BLOCK // max(1, len(ns)))
+    # theta and its phases, 24 bytes an entry, beside the output
+    require_memory(24 * min(rows, len(alphas)) * len(ns) + 16 * len(alphas),
+                   f"sums at {len(alphas)} alphas over {len(ns)} points")
+    out = np.empty(len(alphas), dtype=complex)
+    for i in range(0, len(alphas), rows):
+        theta = np.multiply.outer(TWO_PI * alphas[i : i + rows], ns)
+        out[i : i + rows] = np.exp(1j * theta).sum(axis=1)
+    return out
 
 
 def exp_sum_at(subset: PrimeSubset, alpha: float) -> complex:

@@ -19,7 +19,7 @@ hypotheses hold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -49,10 +49,20 @@ class SieveParams:
 
 @dataclass(frozen=True)
 class SieveWeights:
+    """The lambda_d and w_q tables; lam_num holds the integers
+    lambda_d * lam_den over the lambdas' common denominator lam_den."""
     params: SieveParams
     G_val: Fraction
     lam: dict[int, Fraction]
     w: dict[int, Fraction]
+    lam_den: int = field(init=False, repr=False, compare=False)
+    lam_num: dict[int, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        den = math.lcm(*(lam.denominator for lam in self.lam.values()))
+        object.__setattr__(self, "lam_den", den)
+        object.__setattr__(self, "lam_num", {
+            d: lam.numerator * (den // lam.denominator) for d, lam in self.lam.items()})
 
 
 def _key_products(primes: list[int], bound) -> list[tuple[int, int, int]]:
@@ -106,11 +116,13 @@ def build_weights(ctx: PrimeContext, params: SieveParams) -> SieveWeights:
 
 
 def beta_direct(ctx: PrimeContext, weights: SieveWeights, n: int) -> Fraction:
-    """(sum_{d|n} lambda_d)^2, the defining square, over the stored keys d."""
+    """(sum_{d|n} lambda_d)^2, the defining square, over the stored keys d,
+    summed in integers over the common denominator."""
     if n < 1:
         raise ValueError(f"n={n} must be >= 1")
-    a = sum((lam for d, lam in weights.lam.items() if n % d == 0), Fraction(0))
-    return a * a
+    a = sum(num for d, num in weights.lam_num.items() if n % d == 0)
+    den = weights.lam_den
+    return Fraction(a * a, den * den)
 
 
 def beta_fourier(ctx: PrimeContext, weights: SieveWeights, n: int) -> Fraction:

@@ -39,12 +39,18 @@ N_FUZZ = 10_000
 @dataclass(frozen=True)
 class Cover:
     """Points y with |T*(y)| >= T*(0)/A, one per short interval, so that
-    every A-cusp sits within 1/Nprime of some point."""
+    every A-cusp sits within 1/Nprime of some point.  A built cover keeps
+    the ascending indices of the intervals it sampled and |T*| at their
+    INTERVAL_SAMPLES samples, one row per interval."""
     A: float
     N: int
     Nprime: int
     eps: float
     points: tuple
+    intervals: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64),
+                                  repr=False, compare=False)
+    samples: np.ndarray = field(default_factory=lambda: np.empty((0, INTERVAL_SAMPLES)),
+                                repr=False, compare=False)
 
     def reduced(self, M: int) -> tuple:
         return tuple(sorted({(M * y) % 1.0 for y in self.points}))
@@ -123,9 +129,10 @@ def build_cover(subset: PrimeSubset, report: CuspReport) -> Cover:
     threshold = T0 / A
 
     candidates = _cover_candidates(report, Nprime)
-    idx = sorted(candidates)
+    idx = np.array(sorted(candidates), dtype=np.int64)
+    samples = np.abs(_interval_samples(subset, idx, Nprime))
     points = []
-    for a_idx, mags in zip(idx, np.abs(_interval_samples(subset, idx, Nprime))):
+    for a_idx, mags in zip(idx.tolist(), samples):
         s = int(np.argmax(mags))
         best, pos = mags[s], _sample_position(a_idx, s, Nprime)
         for x in candidates[a_idx]:
@@ -134,20 +141,18 @@ def build_cover(subset: PrimeSubset, report: CuspReport) -> Cover:
                 best, pos = val, x
         if best >= threshold:
             points.append(pos % 1.0)
-    return Cover(A, N, Nprime, eps, tuple(sorted(points)))
+    return Cover(A, N, Nprime, eps, tuple(sorted(points)), idx, samples)
 
 
-def cover_sampler_row(subset: PrimeSubset, cover: Cover, report: CuspReport,
-                      seed: int) -> CheckRow:
-    """Re-evaluate COVER_SAMPLER_CHECKS seeded chirp-z cover samples with
-    the direct sum."""
-    idx = sorted(_cover_candidates(report, cover.Nprime))
-    zoom = np.abs(_interval_samples(subset, idx, cover.Nprime)).ravel()
+def cover_sampler_row(subset: PrimeSubset, cover: Cover, seed: int) -> CheckRow:
+    """Re-evaluate COVER_SAMPLER_CHECKS seeded chirp-z samples the cover
+    kept with the direct sum."""
+    zoom = cover.samples.ravel()
     picks = np.random.default_rng(seed).choice(
         zoom.size, min(COVER_SAMPLER_CHECKS, zoom.size), replace=False)
     S = INTERVAL_SAMPLES
-    worst = max(abs(zoom[k] - abs(exp_sum_at(
-        subset, _sample_position(idx[k // S], k % S, cover.Nprime) % 1.0)))
+    worst = max(abs(zoom[k] - abs(exp_sum_at(subset, _sample_position(
+        int(cover.intervals[k // S]), k % S, cover.Nprime) % 1.0)))
         for k in picks)
     return leq_row("cover-sampler-vs-direct",
                    {"N": cover.N, "A": cover.A, "samples": len(picks)},
@@ -246,18 +251,17 @@ class Decomposition:
     f_flat: np.ndarray = field(repr=False)
     f_sharp: np.ndarray = field(repr=False)
     metrics: dict = field(default_factory=dict)
-    # ell over the shared support of f_sharp and conv, and both parts on
-    # it; the supports differ only where conv = f = 1 at a prime, and a
-    # gather per call would cost ~10x the dot product
+    # ell over the shared support of f_sharp and conv, and the rows f_sharp,
+    # conv and f on it; every prime lies in the support (f_sharp or conv is
+    # nonzero there), and a gather per call would cost ~10x the products
     _ell: np.ndarray = field(init=False, repr=False, compare=False)
-    _sharp: np.ndarray = field(init=False, repr=False, compare=False)
-    _star: np.ndarray = field(init=False, repr=False, compare=False)
+    _weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         support = np.flatnonzero((self.f_sharp != 0) | (self.conv != 0))
         object.__setattr__(self, "_ell", support - self.offset)
-        object.__setattr__(self, "_sharp", self.f_sharp[support])
-        object.__setattr__(self, "_star", self.conv[support])
+        object.__setattr__(self, "_weights", np.stack(
+            (self.f_sharp[support], self.conv[support], self.f[support])))
 
     @property
     def N(self) -> int:
@@ -273,11 +277,11 @@ class Decomposition:
     def transform_star(self, alpha: float) -> complex:
         return self.transforms(alpha)[1]
 
-    def transforms(self, alpha: float) -> tuple[complex, complex]:
-        """(S(f_sharp, alpha), S(f*, alpha)) from one phase vector over the
-        shared support."""
-        sharp, star = exp_sum(self._ell, alpha, self._sharp, self._star)
-        return sharp, float(self.G_val) * star
+    def transforms(self, alpha: float) -> tuple[complex, complex, complex]:
+        """(S(f_sharp, alpha), S(f*, alpha), T*(alpha)) from one phase
+        vector over the shared support."""
+        sharp, star, primes = exp_sum(self._ell, alpha, self._weights).tolist()
+        return sharp, float(self.G_val) * star, primes
 
 
 def default_z(N: int, M: int, z0) -> float:
@@ -353,16 +357,17 @@ def transform_checks(dec: Decomposition, seed: int) -> list[CheckRow]:
 
     S(f*, a/M) = G T*(a/M) exactly (the Bohr phases collapse); at random
     alpha, S(f_sharp, alpha) = T*(alpha)(1 - |S_M(alpha)/|B||^2); and the
-    non-negativity and support constraints on f_flat."""
+    non-negativity and support constraints on f_flat.  Each alpha takes
+    S(f_sharp), S(f*) and T* from one phase vector; the Bohr sums S_M at
+    all random alphas come from one batched exp_sum."""
     rows = []
-    subset = dec.subset
-    T0 = float(subset.size)
+    T0 = float(dec.subset.size)
     G = float(dec.G_val)
 
     worst = 0.0
     for a in range(dec.M):
-        lhs = dec.transform_star(a / dec.M)
-        rhs = G * exp_sum_at(subset, a / dec.M)
+        _, lhs, t = dec.transforms(a / dec.M)
+        rhs = G * t
         worst = max(worst, abs(lhs - rhs) / abs(rhs))
     rows.append(leq_row("transform-at-M-fractions", {"M": dec.M},
                         worst, 1e-6, note="relative gap of S(f*, a/M) vs G T*(a/M)"))
@@ -373,10 +378,9 @@ def transform_checks(dec: Decomposition, seed: int) -> list[CheckRow]:
     excess_sharp = 0.0  # |S(f_sharp)| - |T*| must stay <= 0
     excess_flat = 0.0
     vlog = float(dec.V_val) * math.log(dec.N)
-    for a in alphas:
-        lhs, star = dec.transforms(a)
-        t = exp_sum_at(subset, a)
-        sm = exp_sum(dec.bohr.elements, a) / dec.bohr.size
+    bohr = (exp_sum(dec.bohr.elements, alphas) / dec.bohr.size).tolist()
+    for a, sm in zip(alphas.tolist(), bohr):
+        lhs, star, t = dec.transforms(a)
         worst = max(worst, abs(lhs - t * (1.0 - abs(sm) ** 2)))
         excess_sharp = max(excess_sharp, abs(lhs) - abs(t))
         flat = vlog * (star / float(dec.G_val))
@@ -424,19 +428,15 @@ def cusp_suppression_report(dec: Decomposition, seed: int) -> list[CheckRow]:
     rows = []
     eps = dec.cover.eps
     B = dec.bohr.size
-    worst_center = 0.0
-    worst_edge = 0.0
-    ratios = []
-    pts = dec.cover.points
+    pts = np.array(dec.cover.points)
+    # edges[:, i] = y_i -+ eps/N
+    edges = np.stack(((pts - eps / dec.N) % 1.0, (pts + eps / dec.N) % 1.0))
+    gaps = np.abs(exp_sum(dec.bohr.elements, np.concatenate((pts, edges.ravel()))) / B - 1.0)
+    worst_center = float(gaps[: len(pts)].max(initial=0.0))
+    worst_edge = float(gaps[len(pts):].max(initial=0.0))
     stride = max(1, len(pts) // 32)  # the transform record is a subsample
-    for i, y in enumerate(pts):
-        gap = abs(exp_sum(dec.bohr.elements, y) / B - 1.0)
-        worst_center = max(worst_center, gap)
-        for side in (-1.0, 1.0):
-            alpha = (y + side * eps / dec.N) % 1.0
-            worst_edge = max(worst_edge, abs(exp_sum(dec.bohr.elements, alpha) / B - 1.0))
-            if i % stride == 0:
-                ratios.append(abs(dec.transform_sharp(alpha)) / dec.subset.size)
+    ratios = [abs(dec.transform_sharp(alpha)) / dec.subset.size
+              for alpha in edges[:, ::stride].T.ravel().tolist()]
     rows.append(leq_row("bohr-sum-at-cover", {"points": len(dec.cover.points)},
                         worst_center, 7.0 * eps,
                         note="|S_M(y)/|B| - 1| at the cover points"))

@@ -132,7 +132,7 @@ def suite_transference(ctx: PrimeContext, seed: int) -> list[CheckRow]:
     subset = ex.subset_full(ctx, 100_000)
     dec = tr.decompose(ctx, subset, 3, 2, 4)
     rows = [tr.cover_consistency_row(dec.cover, dec.report),
-            tr.cover_sampler_row(subset, dec.cover, dec.report, seed),
+            tr.cover_sampler_row(subset, dec.cover, seed),
             tr.bohr_size_row(dec.bohr, subset.N),
             leq_row("reconstruction-residual", {"N": subset.N},
                     dec.metrics["identity_residual"], 1e-9,

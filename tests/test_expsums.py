@@ -158,6 +158,52 @@ def test_exp_sum_basics(ctx):
     assert exp_sum_at(s, 0.75) == pytest.approx(conj, abs=1e-6 * s.size)
 
 
+def test_exp_sum_weight_matrix_matches_complex_dots():
+    rng = np.random.default_rng(11)
+    ns = np.arange(-3000, 6001)
+    W = np.stack((rng.normal(size=ns.size), rng.random(ns.size),
+                  (rng.random(ns.size) < 0.1).astype(float)))
+    for alpha in (0.0, 0.123, 0.5, 0.987):
+        # theta is rounded exactly as in the complex form's imaginary part
+        theta = expsums.TWO_PI * alpha * ns
+        assert np.array_equal(theta, (expsums.TWO_PI * 1j * alpha * ns).imag)
+        got = exp_sum(ns, alpha, W)
+        assert got.shape == (3,)
+        phases = np.exp(2j * np.pi * alpha * ns)
+        for row, value in zip(W, got):
+            assert abs(value - np.dot(row.astype(complex), phases)) \
+                <= 1e-12 * np.abs(row).sum(), alpha
+        # unit rows read the phase pair back: exp_sum uses that theta
+        picks = np.array([0, 2999, 3000, 3001, ns.size - 1])
+        rows = np.zeros((picks.size, ns.size))
+        rows[np.arange(picks.size), picks] = 1.0
+        unit = exp_sum(ns, alpha, rows)
+        assert np.array_equal(unit.real, np.cos(theta[picks]))
+        assert np.array_equal(unit.imag, np.sin(theta[picks]))
+
+
+def test_exp_sum_over_many_alphas_matches_scalar(ctx):
+    s = subset_full(ctx, 10_000)
+    alphas = np.random.default_rng(12).random(100)
+    # from four points (many alphas per phase block) to more points than a
+    # block holds (one alpha per block)
+    for ns in (np.array([2, 4, 6, 8]), s.members[:5000],
+               np.arange(1, expsums.PHASE_BLOCK + 2)):
+        got = exp_sum(ns, alphas)
+        assert got.shape == alphas.shape
+        for alpha, value in zip(alphas, got):
+            assert abs(value - exp_sum(ns, alpha)) <= 1e-15 * len(ns)
+    assert exp_sum(s.members, np.empty(0)).shape == (0,)
+
+
+def test_exp_sum_over_many_alphas_beyond_memory_is_capacity_error(monkeypatch):
+    # refused before the phase block is allocated
+    monkeypatch.setattr(expsums, "_physical_memory", lambda: 1 << 16)
+    with pytest.raises(CapacityError, match="physical memory"):
+        exp_sum(np.arange(4096), np.zeros(100))
+    assert exp_sum(np.arange(4), np.zeros(100)).shape == (100,)
+
+
 def test_grid_sums_match_direct():
     # G below len(values) folds the support mod G; G above zero-pads it.
     # Only the half circle j <= G/2 is returned; the rest is its conjugate.
@@ -168,7 +214,7 @@ def test_grid_sums_match_direct():
         ell = np.arange(300) - offset
         for j in range(G):
             got = sums[j] if 2 * j <= G else np.conj(sums[G - j])
-            direct, = exp_sum(ell, j / G, values)
+            direct, = exp_sum(ell, j / G, values[None])
             assert abs(got - direct) <= 1e-9 * np.abs(values).sum(), (G, j)
 
 
@@ -197,7 +243,7 @@ def test_sweep_matches_one_shot_and_direct(G):
         assert np.abs(sums - one_shot).max() <= scale, (G, offset)
         ell = np.arange(300) - offset
         for j in range(0, G // 2 + 1, max(1, G // 600)):
-            direct, = exp_sum(ell, j / G, values)
+            direct, = exp_sum(ell, j / G, values[None])
             assert abs(sums[j] - direct) <= scale, (G, offset, j)
 
 

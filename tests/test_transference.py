@@ -102,7 +102,12 @@ def test_cover_sampler_row(ctx):
     subset = subset_full(ctx, 10_000)
     report = find_cusps(spectrum(subset, 2), 2)
     cover = build_cover(subset, report)
-    row = cover_sampler_row(subset, cover, report, seed=3)
+    # the row re-checks the samples the cover kept, not a second evaluation
+    assert list(cover.intervals) == sorted(
+        transference._cover_candidates(report, cover.Nprime))
+    assert np.array_equal(cover.samples, np.abs(transference._interval_samples(
+        subset, cover.intervals, cover.Nprime)))
+    row = cover_sampler_row(subset, cover, seed=3)
     assert row.lemma == "cover-sampler-vs-direct"
     assert row.params["samples"] == COVER_SAMPLER_CHECKS == 64
     assert row.status == "pass" and row.margin == row.rhs - row.lhs > 0
@@ -166,7 +171,7 @@ def test_decomposition_keeps_its_chain(dec1):
     assert dec1.A == dec1.report.A == dec1.cover.A == 1.0
     assert dec1.report.N == dec1.cover.N == 10_000
     assert cover_consistency_row(dec1.cover, dec1.report).status == "pass"
-    assert cover_sampler_row(dec1.subset, dec1.cover, dec1.report, 0).status == "pass"
+    assert cover_sampler_row(dec1.subset, dec1.cover, 0).status == "pass"
 
 
 def test_rho_properties(dec1):
@@ -245,13 +250,21 @@ def test_transforms_match_direct_sums(dec1):
     # the supported dot products equal the full sums over [-N, 2N]
     ell = np.arange(len(dec1.f)) - dec1.offset
     for alpha in (0.0, 0.123, 0.5, 0.987):
-        sharp, star = dec1.transforms(alpha)
+        sharp, star, _ = dec1.transforms(alpha)
         assert (sharp, star) == (dec1.transform_sharp(alpha),
                                  dec1.transform_star(alpha))
         phases = np.exp(2j * np.pi * alpha * ell)
         assert abs(sharp - np.dot(dec1.f_sharp, phases)) <= 1e-9 * dec1.subset.size
         star_full = float(dec1.G_val) * np.dot(dec1.conv, phases)
         assert abs(star - star_full) <= 1e-9 * dec1.subset.size
+
+
+def test_transforms_carry_the_prime_sum(dec1):
+    # T* rides on the phases of f_sharp and f*: every prime is in their support
+    size = dec1.subset.size
+    for alpha in (0.0, 0.123, 0.5, 0.987, 1 / dec1.M):
+        _, _, t = dec1.transforms(alpha)
+        assert abs(t - exp_sum_at(dec1.subset, alpha)) <= 1e-12 * size, alpha
 
 def test_f_star_support(ctx, dec1):
     # f* = G conv vanishes off gcd(ell, M) = 1 and is non-negative
