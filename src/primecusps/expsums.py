@@ -3,9 +3,12 @@
 Every sum of w_n e(alpha n) over integer points is evaluated here, except
 the phase matrices of cusps.large_sieve_check and
 IntervalPolynomial.__call__: exp_sum at one alpha, at an array of alphas
-(blocked phase matrices), or at one alpha for a matrix of real weight
-vectors (one cos/sin phase pair, two real matrix-vector products),
-exp_sum_at for T*(alpha) = sum over the prime subset of e(p alpha),
+(blocked phase matrices), or for a matrix of real weight vectors at one
+alpha or an array of them (one cos/sin phase pair per alpha, two real
+matrix-vector products); both array forms share the alphas out to WORKERS
+threads, one per CPU the process may use, each with buffers of its own and
+each alpha computed exactly as alone, so no sum depends on the thread
+count; exp_sum_at for T*(alpha) = sum over the prime subset of e(p alpha),
 exp_sums_on_progression at any ascending samples of an arithmetic
 progression by chirp-z (one kernel serves every block of consecutive
 samples, so transference evaluates a whole cover in one call), and
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,31 +113,118 @@ def subset_random(ctx: PrimeContext, N: int, density: float = 0.5,
     return PrimeSubset(N, ps[keep], f"random({density}, seed={seed})")
 
 
+def _cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        return os.cpu_count() or 1
+
+
+#: threads exp_sum spreads an array of alphas over: the CPUs this process
+#: may use
+WORKERS = _cpus()
+
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _run_on_workers(task, ranges) -> None:
+    """task(lo, hi) for every range, on the module's pool of WORKERS threads
+    (made on first use) when there is more than one.  Tasks never submit to
+    the pool, so callers on threads of their own (verify --threads) share it
+    without deadlock."""
+    global _pool
+    if len(ranges) <= 1:
+        for lo, hi in ranges:
+            task(lo, hi)
+        return
+    with _pool_lock:
+        if _pool is None:
+            # imported here: a module-level import raises every command's peak
+            from concurrent.futures import ThreadPoolExecutor
+            _pool = ThreadPoolExecutor(WORKERS, thread_name_prefix="exp_sum")
+    for future in [_pool.submit(task, lo, hi) for lo, hi in ranges]:
+        future.result()
+
+
+def _split(n: int, parts: int) -> list[tuple[int, int]]:
+    """range(n) cut into min(parts, n) contiguous (lo, hi) pieces of near
+    equal length."""
+    parts = min(parts, n)
+    return [(n * i // parts, n * (i + 1) // parts) for i in range(parts)]
+
+
+def _phase_block_sums(ns: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """sum over ns of e(alpha n) at each alpha, from phase matrices of at
+    most PHASE_BLOCK entries (one row when ns is longer), on the workers."""
+    rows = max(1, PHASE_BLOCK // max(1, len(ns)))
+    ranges = _split(len(alphas), min(WORKERS, -(-len(alphas) // rows)))
+    # each worker's theta and phases, 24 bytes an entry, beside the output
+    require_memory(24 * len(ranges) * min(rows, len(alphas)) * len(ns)
+                   + 16 * len(alphas),
+                   f"sums at {len(alphas)} alphas over {len(ns)} points")
+    out = np.empty(len(alphas), dtype=complex)
+
+    def task(lo, hi):
+        theta = np.empty((min(rows, hi - lo), len(ns)))
+        phases = np.empty(theta.shape, dtype=complex)
+        for i in range(lo, hi, rows):
+            k = min(rows, hi - i)
+            np.multiply.outer(TWO_PI * alphas[i : i + k], ns, out=theta[:k])
+            np.multiply(1j, theta[:k], out=phases[:k])
+            out[i : i + k] = np.exp(phases[:k], out=phases[:k]).sum(axis=1)
+
+    _run_on_workers(task, ranges)
+    return out
+
+
+def _weighted_sums(ns: np.ndarray, alphas: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_n weights[i, n] e(alpha n), one row per alpha, on the workers:
+    each alpha takes theta = 2 pi alpha n, rounded as the complex form
+    rounds it, and W @ cos(theta), W @ sin(theta), in its worker's
+    buffers."""
+    ranges = _split(len(alphas), WORKERS)
+    # each worker's theta, cos and sin, beside the output
+    require_memory(24 * len(ranges) * len(ns) + 16 * len(alphas) * len(weights),
+                   f"{len(weights)} weighted sums at {len(alphas)} alphas "
+                   f"over {len(ns)} points")
+    out = np.empty((len(alphas), len(weights)), dtype=complex)
+
+    def task(lo, hi):
+        theta, c, s = np.empty((3, len(ns)))
+        for i in range(lo, hi):
+            np.multiply(TWO_PI * alphas[i], ns, out=theta)
+            np.cos(theta, out=c)
+            np.sin(theta, out=s)
+            out[i] = weights @ c + 1j * (weights @ s)
+
+    _run_on_workers(task, ranges)
+    return out
+
+
 def exp_sum(ns: np.ndarray, alpha, weights: np.ndarray = None):
-    """sum over n in ns of e(alpha n), in one of three forms.
+    """sum over n in ns of e(alpha n), in one of four forms.
 
     At one alpha it is a complex.  At a 1-D array of alphas it is the array
     of their sums, from phase matrices of at most PHASE_BLOCK entries (one
-    row when ns is longer), each checked against physical memory before it
-    is allocated.  At one alpha with a 2-D real weight matrix W, one row
-    per weight vector over ns, it is the array of sum_n W[i, n] e(alpha n)
-    from one real phase pair: theta = 2 pi alpha n, rounded as the complex
-    form rounds it, and the products W @ cos(theta), W @ sin(theta)."""
-    if weights is not None:
-        theta = TWO_PI * alpha * ns
-        return weights @ np.cos(theta) + 1j * (weights @ np.sin(theta))
+    row when ns is longer).  With a 2-D real weight matrix W, one row per
+    weight vector over ns, it is the array of sum_n W[i, n] e(alpha n) at
+    one alpha, and an array with one such row per alpha at a 1-D array of
+    alphas; each alpha takes one real phase pair: theta = 2 pi alpha n,
+    rounded as the complex form rounds it, and the products W @ cos(theta),
+    W @ sin(theta).  An array of alphas is cut into one contiguous piece
+    per worker (at most WORKERS); every worker evaluates its alphas in
+    buffers of its own, all of them checked against physical memory before
+    any is allocated, and each sum is bitwise the one its alpha gets
+    alone."""
     if np.ndim(alpha) == 0:
-        return complex(np.exp(TWO_PI * 1j * alpha * ns).sum())
+        if weights is None:
+            return complex(np.exp(TWO_PI * 1j * alpha * ns).sum())
+        return _weighted_sums(ns, np.array([alpha], dtype=float), weights)[0]
     alphas = np.asarray(alpha, dtype=float)
-    rows = max(1, PHASE_BLOCK // max(1, len(ns)))
-    # theta and its phases, 24 bytes an entry, beside the output
-    require_memory(24 * min(rows, len(alphas)) * len(ns) + 16 * len(alphas),
-                   f"sums at {len(alphas)} alphas over {len(ns)} points")
-    out = np.empty(len(alphas), dtype=complex)
-    for i in range(0, len(alphas), rows):
-        theta = np.multiply.outer(TWO_PI * alphas[i : i + rows], ns)
-        out[i : i + rows] = np.exp(1j * theta).sum(axis=1)
-    return out
+    if weights is None:
+        return _phase_block_sums(ns, alphas)
+    return _weighted_sums(ns, alphas, weights)
 
 
 def exp_sum_at(subset: PrimeSubset, alpha: float) -> complex:

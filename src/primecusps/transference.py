@@ -18,8 +18,8 @@ import numpy as np
 
 from .arith import CapacityError, PrimeContext
 from .cusps import REEVAL_TOL, CuspReport, find_cusps
-from .expsums import (PrimeSubset, exp_sum, exp_sum_at, exp_sums_on_progression,
-                      grid_blocks, require_memory, spectrum)
+from .expsums import (PHASE_BLOCK, PrimeSubset, exp_sum, exp_sum_at,
+                      exp_sums_on_progression, grid_blocks, require_memory, spectrum)
 from .gfunctions import g_sifted
 from .report import CheckRow, FLOAT_SLACK, exact_leq_row, leq_row
 
@@ -174,18 +174,28 @@ def check_h1(ctx: PrimeContext, M: int, z0) -> list[str]:
 
 
 def build_bohr(cover: Cover, M: int, N: int) -> BohrSet:
-    """Direct enumeration of {n <= N : M | n, ||y n|| <= eps for y in Xi}."""
+    """{n <= N : M | n, ||y n|| <= eps for y in Xi}, Xi the nonzero reduced
+    cover points, sieved over the multiples n = k M.
+
+    Each pass tests as many frequencies against the surviving k as fit in
+    PHASE_BLOCK entries, at least one: the first tests one frequency
+    against all N/M multiples, later ones many frequencies against the few
+    survivors, so working memory stays O(N/M).  A test is
+    min(fr, 1 - fr) <= eps with fr = (k y) % 1 in floats, the same for
+    every order of the passes.  Raises ValueError for M < 1 and for an
+    empty set."""
     if M < 1:
         raise ValueError(f"M={M} must be >= 1")
     freqs = [y for y in cover.reduced(M) if y != 0.0]
     ks = np.arange(1, N // M + 1, dtype=np.int64)
-    for i in range(0, len(freqs), 64):
-        ys = np.array(freqs[i : i + 64])
-        fr = (ks[None, :] * ys[:, None]) % 1.0
-        ok = (np.minimum(fr, 1.0 - fr) <= cover.eps).all(axis=0)
-        ks = ks[ok]  # survivors shrink fast, keeping later blocks cheap
-        if len(ks) == 0:
-            break
+    i = 0
+    while i < len(freqs) and len(ks):
+        rows = max(1, PHASE_BLOCK // len(ks))
+        fr = np.multiply.outer(freqs[i : i + rows], ks)
+        np.remainder(fr, 1.0, out=fr)
+        np.minimum(fr, 1.0 - fr, out=fr)
+        ks = ks[(fr <= cover.eps).all(axis=0)]
+        i += rows
     elements = (ks * M).astype(np.int64)
     if len(elements) == 0:
         raise ValueError("empty Bohr set: decomposition impossible at these parameters")
@@ -277,11 +287,14 @@ class Decomposition:
     def transform_star(self, alpha: float) -> complex:
         return self.transforms(alpha)[1]
 
-    def transforms(self, alpha: float) -> tuple[complex, complex, complex]:
+    def transforms(self, alpha):
         """(S(f_sharp, alpha), S(f*, alpha), T*(alpha)) from one phase
-        vector over the shared support."""
-        sharp, star, primes = exp_sum(self._ell, alpha, self._weights).tolist()
-        return sharp, float(self.G_val) * star, primes
+        vector over the shared support; at a 1-D array of alphas, the list
+        of those triples, the alphas shared out to the exp_sum workers."""
+        G = float(self.G_val)
+        sums = exp_sum(self._ell, alpha, self._weights).reshape(-1, 3).tolist()
+        triples = [(sharp, G * star, primes) for sharp, star, primes in sums]
+        return triples[0] if np.ndim(alpha) == 0 else triples
 
 
 def default_z(N: int, M: int, z0) -> float:
@@ -358,29 +371,30 @@ def transform_checks(dec: Decomposition, seed: int) -> list[CheckRow]:
     S(f*, a/M) = G T*(a/M) exactly (the Bohr phases collapse); at random
     alpha, S(f_sharp, alpha) = T*(alpha)(1 - |S_M(alpha)/|B||^2); and the
     non-negativity and support constraints on f_flat.  Each alpha takes
-    S(f_sharp), S(f*) and T* from one phase vector; the Bohr sums S_M at
-    all random alphas come from one batched exp_sum."""
+    S(f_sharp), S(f*) and T* from one phase vector, and all M + N_ALPHA
+    alphas from one batched call; the Bohr sums S_M at the random alphas
+    come from one batched exp_sum."""
     rows = []
     T0 = float(dec.subset.size)
     G = float(dec.G_val)
 
+    rng = np.random.default_rng(seed)
+    alphas = rng.random(N_ALPHA)
+    sums = dec.transforms(np.concatenate(([a / dec.M for a in range(dec.M)], alphas)))
+
     worst = 0.0
-    for a in range(dec.M):
-        _, lhs, t = dec.transforms(a / dec.M)
+    for _, lhs, t in sums[: dec.M]:
         rhs = G * t
         worst = max(worst, abs(lhs - rhs) / abs(rhs))
     rows.append(leq_row("transform-at-M-fractions", {"M": dec.M},
                         worst, 1e-6, note="relative gap of S(f*, a/M) vs G T*(a/M)"))
 
-    rng = np.random.default_rng(seed)
-    alphas = rng.random(N_ALPHA)
     worst = 0.0
     excess_sharp = 0.0  # |S(f_sharp)| - |T*| must stay <= 0
     excess_flat = 0.0
     vlog = float(dec.V_val) * math.log(dec.N)
     bohr = (exp_sum(dec.bohr.elements, alphas) / dec.bohr.size).tolist()
-    for a, sm in zip(alphas.tolist(), bohr):
-        lhs, star, t = dec.transforms(a)
+    for sm, (lhs, star, t) in zip(bohr, sums[dec.M :]):
         worst = max(worst, abs(lhs - t * (1.0 - abs(sm) ** 2)))
         excess_sharp = max(excess_sharp, abs(lhs) - abs(t))
         flat = vlog * (star / float(dec.G_val))
@@ -435,8 +449,8 @@ def cusp_suppression_report(dec: Decomposition, seed: int) -> list[CheckRow]:
     worst_center = float(gaps[: len(pts)].max(initial=0.0))
     worst_edge = float(gaps[len(pts):].max(initial=0.0))
     stride = max(1, len(pts) // 32)  # the transform record is a subsample
-    ratios = [abs(dec.transform_sharp(alpha)) / dec.subset.size
-              for alpha in edges[:, ::stride].T.ravel().tolist()]
+    ratios = [abs(sharp) / dec.subset.size
+              for sharp, _, _ in dec.transforms(edges[:, ::stride].T.ravel())]
     rows.append(leq_row("bohr-sum-at-cover", {"points": len(dec.cover.points)},
                         worst_center, 7.0 * eps,
                         note="|S_M(y)/|B| - 1| at the cover points"))

@@ -1,6 +1,8 @@
 """Prime subsets, exponential sums and FFT spectra, the local model, and the
 Fejer-weighted interval polynomial."""
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -180,24 +182,71 @@ def test_exp_sum_weight_matrix_matches_complex_dots():
         unit = exp_sum(ns, alpha, rows)
         assert np.array_equal(unit.real, np.cos(theta[picks]))
         assert np.array_equal(unit.imag, np.sin(theta[picks]))
+    # at an array of alphas, one row per alpha, bitwise the one-alpha rows
+    # however the alphas fall to the workers
+    for count in (0, 1, expsums.WORKERS + 1, 1000):
+        alphas = rng.random(count)
+        got = exp_sum(ns, alphas, W)
+        assert got.shape == (count, 3)
+        loop = np.reshape([exp_sum(ns, a, W) for a in alphas], (count, 3))
+        assert np.array_equal(got, loop), count
 
 
 def test_exp_sum_over_many_alphas_matches_scalar(ctx):
     s = subset_full(ctx, 10_000)
-    alphas = np.random.default_rng(12).random(100)
+    alphas = np.random.default_rng(12).random(1000)
     # from four points (many alphas per phase block) to more points than a
-    # block holds (one alpha per block)
-    for ns in (np.array([2, 4, 6, 8]), s.members[:5000],
-               np.arange(1, expsums.PHASE_BLOCK + 2)):
-        got = exp_sum(ns, alphas)
-        assert got.shape == alphas.shape
-        for alpha, value in zip(alphas, got):
-            assert abs(value - exp_sum(ns, alpha)) <= 1e-15 * len(ns)
-    assert exp_sum(s.members, np.empty(0)).shape == (0,)
+    # block holds (one alpha per block), bitwise the one-alpha sums however
+    # the alphas fall to the workers
+    every = (0, 1, expsums.WORKERS + 1, 1000)
+    for ns, counts in ((np.array([2, 4, 6, 8]), every), (s.members[:5000], every),
+                       (np.arange(1, expsums.PHASE_BLOCK + 2), every[:3])):
+        for count in counts:
+            got = exp_sum(ns, alphas[:count])
+            assert got.shape == (count,)
+            assert np.array_equal(got, [exp_sum(ns, a) for a in alphas[:count]]), \
+                (len(ns), count)
+
+
+def test_exp_sum_from_more_threads_than_workers(monkeypatch):
+    # callers on threads of their own share one pool, made on first use
+    # under contention; every result lands in its own slot
+    rng = np.random.default_rng(13)
+    ns = np.arange(-500, 1501)
+    W = rng.normal(size=(3, ns.size))
+    alphas = rng.random(4 * expsums.WORKERS + 1)
+    serial = ([exp_sum(ns, a) for a in alphas], [exp_sum(ns, a, W) for a in alphas])
+    monkeypatch.setattr(expsums, "_pool", None)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    callers = ThreadPoolExecutor(2 * expsums.WORKERS + 1)
+    try:
+        runs = [callers.submit(lambda: (exp_sum(ns, alphas), exp_sum(ns, alphas, W)))
+                for _ in range(8 * expsums.WORKERS)]
+        results = [run.result(timeout=60) for run in runs]
+    finally:
+        sys.setswitchinterval(interval)
+        callers.shutdown(wait=False, cancel_futures=True)
+        if expsums._pool is not None:
+            expsums._pool.shutdown(wait=False)
+    for plain, weighted in results:
+        assert np.array_equal(plain, serial[0]) and np.array_equal(weighted, serial[1])
 
 
 def test_exp_sum_over_many_alphas_beyond_memory_is_capacity_error(monkeypatch):
-    # refused before the phase block is allocated
+    # refused before any buffer is allocated, counting the buffers of every
+    # worker: with room for all of them but not the output, both forms fail
+    ns = np.arange(4096)  # 16 alphas a phase block of 24-byte entries
+    alphas = np.zeros(16 * expsums.WORKERS)  # one phase block per worker
+    W = np.ones((3, ns.size))
+    for args, buffers, output in (((ns, alphas), 24 * 16 * ns.size, 16 * alphas.size),
+                                  ((ns, alphas, W), 24 * ns.size, 48 * alphas.size)):
+        room = expsums.WORKERS * buffers
+        monkeypatch.setattr(expsums, "_physical_memory", lambda: room)
+        with pytest.raises(CapacityError, match="physical memory"):
+            exp_sum(*args)
+        monkeypatch.setattr(expsums, "_physical_memory", lambda: room + output)
+        assert len(exp_sum(*args)) == alphas.size
     monkeypatch.setattr(expsums, "_physical_memory", lambda: 1 << 16)
     with pytest.raises(CapacityError, match="physical memory"):
         exp_sum(np.arange(4096), np.zeros(100))

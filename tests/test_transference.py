@@ -5,6 +5,8 @@ cusps, a full Bohr set, instant decomposition.  The acceptance gate runs
 the heavier (10^5, 3, 2, 4) instance.
 """
 import math
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -129,6 +131,61 @@ def test_bohr_trivial_frequency(ctx):
     # a wide eps makes every constraint vacuous
     wide = Cover(1.0, 10_000, 2_400_000, 0.5, (0.0, 0.37, 0.61))
     assert build_bohr(wide, 4, 10_000).size == 2500
+
+
+def _blocked_bohr(cover, M, N):
+    """The Bohr set by 64-frequency blocks over every multiple at once, the
+    enumeration the survivor sieve replaced: the reference for it."""
+    freqs = [y for y in cover.reduced(M) if y != 0.0]
+    ks = np.arange(1, N // M + 1, dtype=np.int64)
+    for i in range(0, len(freqs), 64):
+        ys = np.array(freqs[i : i + 64])
+        fr = (ks[None, :] * ys[:, None]) % 1.0
+        ks = ks[(np.minimum(fr, 1.0 - fr) <= cover.eps).all(axis=0)]
+    return ks * M
+
+
+def _synthetic_cover(rng, N, M, count, eps=0.01):
+    """count cover points whose reductions mod M sit within 2e-6 of
+    multiples of 1/8 (a few of them exact): the Bohr set keeps multiples of
+    8 M up to a cut where the largest offset reaches eps."""
+    freqs = rng.integers(0, 8, count) / 8 + rng.uniform(-2e-6, 2e-6, count)
+    freqs[:5] = np.arange(5) / 8
+    return Cover(4.0, N, 960 * N, eps, tuple((freqs % 1.0 / M).tolist()))
+
+
+@pytest.mark.parametrize("M", [1, 2, 6])
+def test_bohr_sieve_matches_blocked_enumeration(M):
+    rng = np.random.default_rng(40 + M)
+    N = 60_000
+    near_eighths = _synthetic_cover(rng, N, M, 1200)
+    # at eps just below 1/2 each frequency removes about 0.2 % of what is
+    # left, so the first few hundred passes test one frequency each
+    wide = Cover(4.0, N, 960 * N, 0.499, tuple((rng.random(1200) / M).tolist()))
+    for cover in (near_eighths, wide):
+        bohr = build_bohr(cover, M, N)
+        assert len(bohr.frequencies) >= 1000 and bohr.size > 0
+        assert np.array_equal(bohr.elements, _blocked_bohr(cover, M, N))
+    # frequencies spread over the circle leave nothing
+    spread = Cover(4.0, N, 960 * N, 0.01, tuple(rng.random(1200).tolist()))
+    assert len(_blocked_bohr(spread, M, N)) == 0
+    with pytest.raises(ValueError, match="empty Bohr set"):
+        build_bohr(spread, M, N)
+
+
+def test_bohr_sieve_memory_is_linear_in_the_multiples():
+    # the first pass holds one frequency against all N/M multiples; 64 rows
+    # of them at once traced about 77 MB at this size
+    N, M = 100_000, 2
+    cover = _synthetic_cover(np.random.default_rng(45), N, M, 1200)
+    tracemalloc.start()
+    try:
+        bohr = build_bohr(cover, M, N)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(bohr.frequencies) >= 1000 and bohr.size > 0
+    assert peak <= 16 * 8 * (N // M), peak
 
 
 def test_bohr_empty_is_domain_error(ctx):
@@ -257,6 +314,20 @@ def test_transforms_match_direct_sums(dec1):
         assert abs(sharp - np.dot(dec1.f_sharp, phases)) <= 1e-9 * dec1.subset.size
         star_full = float(dec1.G_val) * np.dot(dec1.conv, phases)
         assert abs(star - star_full) <= 1e-9 * dec1.subset.size
+
+
+def test_transforms_over_many_alphas_match_one_at_a_time(dec1):
+    alphas = np.random.default_rng(9).random(37)
+    assert dec1.transforms(alphas) == [dec1.transforms(a) for a in alphas.tolist()]
+    assert dec1.transforms(np.empty(0)) == []
+
+
+def test_transform_checks_from_two_threads(dec1):
+    # both callers share the exp_sum workers
+    serial = transform_checks(dec1, 1)
+    with ThreadPoolExecutor(2) as pool:
+        runs = [pool.submit(transform_checks, dec1, 1) for _ in range(2)]
+        assert [run.result(timeout=120) for run in runs] == [serial, serial]
 
 
 def test_transforms_carry_the_prime_sum(dec1):
