@@ -1,18 +1,20 @@
 """Prime exponential sums and their local model.
 
 Every sum of w_n e(alpha n) over integer points is evaluated here, except
-the phase matrices of cusps.large_sieve_check and
-IntervalPolynomial.__call__: exp_sum at one alpha, at an array of alphas
-(blocked phase matrices), or for a matrix of real weight vectors at one
-alpha or an array of them (one cos/sin phase pair per alpha, two real
-matrix-vector products); both array forms share the alphas out to WORKERS
-threads, one per CPU the process may use, each with buffers of its own and
-each alpha computed exactly as alone, so no sum depends on the thread
-count; exp_sum_at for T*(alpha) = sum over the prime subset of e(p alpha),
-exp_sums_on_progression at any ascending samples of an arithmetic
-progression by chirp-z (one kernel serves every block of consecutive
-samples, so transference evaluates a whole cover in one call), and
-grid_blocks at every j/G.  Real weights make
+the points-by-primes phase matrix of cusps.large_sieve_check, which serves
+its primal and its dual side at once.  Off the grid there is one
+evaluator, exp_sum, built on one per-alpha _kernel: the plain sum
+sum_n e(alpha n), or for a matrix of real weight vectors one cos/sin phase
+pair and two real matrix-vector products.  It has two forms: at one alpha
+the kernel's value, and at an array of alphas the same kernel looped over
+one contiguous piece of the alphas per worker, WORKERS threads, one per
+CPU the process may use, so every sum is bitwise the one its alpha gets
+alone and none depends on the thread count.  exp_sum_at is T*(alpha) =
+sum over the prime subset of e(p alpha); the interval polynomial and the
+local model go through exp_sum too.  exp_sums_on_progression evaluates any
+ascending samples of an arithmetic progression by chirp-z (one kernel
+serves every block of consecutive samples, so transference evaluates a
+whole cover in one call), and grid_blocks every j/G.  Real weights make
 the sum at -alpha the conjugate of the sum at alpha, so grid_blocks covers
 only the half circle 0 <= j <= G/2, on one path: it sweeps G = R L by the
 residues r <= R/2 of j mod R, one real FFT for r = 0 and one complex
@@ -39,9 +41,6 @@ import numpy as np
 from .arith import CapacityError, PrimeContext
 
 TWO_PI = 2.0 * np.pi
-
-#: most phase-matrix entries exp_sum holds at once over many alphas
-PHASE_BLOCK = 1 << 16
 
 #: floor(sqrt(2) * 2^128): 128 fractional bits, enough that the membership
 #: test {p sqrt(2)} <= 1/2 is exact for any p addressable here
@@ -154,77 +153,56 @@ def _split(n: int, parts: int) -> list[tuple[int, int]]:
     return [(n * i // parts, n * (i + 1) // parts) for i in range(parts)]
 
 
-def _phase_block_sums(ns: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-    """sum over ns of e(alpha n) at each alpha, from phase matrices of at
-    most PHASE_BLOCK entries (one row when ns is longer), on the workers."""
-    rows = max(1, PHASE_BLOCK // max(1, len(ns)))
-    ranges = _split(len(alphas), min(WORKERS, -(-len(alphas) // rows)))
-    # each worker's theta and phases, 24 bytes an entry, beside the output
-    require_memory(24 * len(ranges) * min(rows, len(alphas)) * len(ns)
-                   + 16 * len(alphas),
-                   f"sums at {len(alphas)} alphas over {len(ns)} points")
-    out = np.empty(len(alphas), dtype=complex)
+def _kernel(ns: np.ndarray, weights: np.ndarray = None):
+    """The per-alpha evaluator behind exp_sum, over buffers of its own (16
+    bytes a point).  Without weights, alpha -> sum_n e(alpha n), a complex;
+    with a 2-D real weight matrix W, alpha -> W @ cos(theta) + 1j (W @
+    sin(theta)), theta = 2 pi alpha n rounded as the complex form rounds
+    it."""
+    if weights is None:
+        phases = np.empty(len(ns), dtype=complex)
 
-    def task(lo, hi):
-        theta = np.empty((min(rows, hi - lo), len(ns)))
-        phases = np.empty(theta.shape, dtype=complex)
-        for i in range(lo, hi, rows):
-            k = min(rows, hi - i)
-            np.multiply.outer(TWO_PI * alphas[i : i + k], ns, out=theta[:k])
-            np.multiply(1j, theta[:k], out=phases[:k])
-            out[i : i + k] = np.exp(phases[:k], out=phases[:k]).sum(axis=1)
+        def at(alpha):
+            np.multiply(TWO_PI * 1j * alpha, ns, out=phases)
+            return complex(np.exp(phases, out=phases).sum())
+        return at
+    theta, c = np.empty((2, len(ns)))
 
-    _run_on_workers(task, ranges)
-    return out
-
-
-def _weighted_sums(ns: np.ndarray, alphas: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_n weights[i, n] e(alpha n), one row per alpha, on the workers:
-    each alpha takes theta = 2 pi alpha n, rounded as the complex form
-    rounds it, and W @ cos(theta), W @ sin(theta), in its worker's
-    buffers."""
-    ranges = _split(len(alphas), WORKERS)
-    # each worker's theta, cos and sin, beside the output
-    require_memory(24 * len(ranges) * len(ns) + 16 * len(alphas) * len(weights),
-                   f"{len(weights)} weighted sums at {len(alphas)} alphas "
-                   f"over {len(ns)} points")
-    out = np.empty((len(alphas), len(weights)), dtype=complex)
-
-    def task(lo, hi):
-        theta, c, s = np.empty((3, len(ns)))
-        for i in range(lo, hi):
-            np.multiply(TWO_PI * alphas[i], ns, out=theta)
-            np.cos(theta, out=c)
-            np.sin(theta, out=s)
-            out[i] = weights @ c + 1j * (weights @ s)
-
-    _run_on_workers(task, ranges)
-    return out
+    def at(alpha):
+        np.multiply(TWO_PI * alpha, ns, out=theta)
+        re = weights @ np.cos(theta, out=c)
+        return re + 1j * (weights @ np.sin(theta, out=theta))
+    return at
 
 
 def exp_sum(ns: np.ndarray, alpha, weights: np.ndarray = None):
-    """sum over n in ns of e(alpha n), in one of four forms.
+    """sum over n in ns of e(alpha n), or sum_n W[i, n] e(alpha n) for each
+    row of a 2-D real weight matrix W over ns, from one _kernel.
 
-    At one alpha it is a complex.  At a 1-D array of alphas it is the array
-    of their sums, from phase matrices of at most PHASE_BLOCK entries (one
-    row when ns is longer).  With a 2-D real weight matrix W, one row per
-    weight vector over ns, it is the array of sum_n W[i, n] e(alpha n) at
-    one alpha, and an array with one such row per alpha at a 1-D array of
-    alphas; each alpha takes one real phase pair: theta = 2 pi alpha n,
-    rounded as the complex form rounds it, and the products W @ cos(theta),
-    W @ sin(theta).  An array of alphas is cut into one contiguous piece
-    per worker (at most WORKERS); every worker evaluates its alphas in
-    buffers of its own, all of them checked against physical memory before
-    any is allocated, and each sum is bitwise the one its alpha gets
-    alone."""
-    if np.ndim(alpha) == 0:
-        if weights is None:
-            return complex(np.exp(TWO_PI * 1j * alpha * ns).sum())
-        return _weighted_sums(ns, np.array([alpha], dtype=float), weights)[0]
-    alphas = np.asarray(alpha, dtype=float)
-    if weights is None:
-        return _phase_block_sums(ns, alphas)
-    return _weighted_sums(ns, alphas, weights)
+    At one alpha it is the kernel's value: a complex, or an array with one
+    entry per row of W.  At a 1-D array of alphas it is the array of those
+    values, one per alpha: the alphas are cut into one contiguous piece per
+    worker (at most WORKERS), each worker loops a kernel of its own over
+    its piece, so each sum is bitwise the one its alpha gets alone.  The
+    kernels' buffers and the output are checked against physical memory
+    before any is allocated."""
+    scalar = np.ndim(alpha) == 0
+    alphas = np.atleast_1d(np.asarray(alpha, dtype=float))
+    ranges = _split(len(alphas), WORKERS)
+    rows = 1 if weights is None else len(weights)
+    require_memory(16 * len(ranges) * len(ns) + 16 * rows * len(alphas),
+                   f"{rows} sums at {len(alphas)} alphas over {len(ns)} points")
+    if scalar:
+        return _kernel(ns, weights)(alpha)
+    out = np.empty(len(alphas) if weights is None else (len(alphas), rows), dtype=complex)
+
+    def task(lo, hi):
+        at = _kernel(ns, weights)
+        for i in range(lo, hi):
+            out[i] = at(alphas[i])
+
+    _run_on_workers(task, ranges)
+    return out
 
 
 def exp_sum_at(subset: PrimeSubset, alpha: float) -> complex:
@@ -316,13 +294,13 @@ def grid_blocks(values: np.ndarray, G: int, offset: int = 0):
     return _residue_blocks(values, G, G if G % L else L, offset)
 
 
-def grid_sums(values: np.ndarray, G: int, offset: int = 0) -> np.ndarray:
-    """The dense half circle of grid_blocks: sum_i values[i] e((i - offset)
-    j/G) at every 0 <= j <= G/2.  Raises CapacityError, before anything of
-    grid size is allocated, when the G//2 + 1 outputs would not fit in
-    physical memory."""
+def grid_sums(values: np.ndarray, G: int) -> np.ndarray:
+    """The dense half circle of grid_blocks: sum_i values[i] e(i j/G) at
+    every 0 <= j <= G/2.  Raises CapacityError, before anything of grid size
+    is allocated, when the G//2 + 1 outputs would not fit in physical
+    memory."""
     require_memory(16 * (G // 2 + 1), f"a grid of {G} points")
-    blocks = grid_blocks(values, G, offset)  # checks its input before out exists
+    blocks = grid_blocks(values, G)  # checks its input before out exists
     out = np.empty(G // 2 + 1, dtype=complex)
     for j, sums in blocks:
         out[j] = sums
@@ -466,13 +444,12 @@ def rough_integers(ctx: PrimeContext, N: int, z0) -> np.ndarray:
     return np.flatnonzero(ctx.sifted_mask(N, z0)).astype(np.int64)
 
 
-def local_model_full(ctx: PrimeContext, N: int, z0, alpha: float,
-                     _rough=None) -> complex:
+def local_model_full(ctx: PrimeContext, N: int, z0, alpha):
     """(1 / (V(z0) log N)) sum over z0-rough n <= N of e(n alpha): the
-    rough-number proxy for the prime exponential sum."""
-    ns = rough_integers(ctx, N, z0) if _rough is None else _rough
+    rough-number proxy for the prime exponential sum, at one alpha or, as
+    exp_sum takes them, at a 1-D array of alphas."""
     V = float(ctx.mertens_product(z0))
-    return exp_sum(ns, alpha) / (V * math.log(N))
+    return exp_sum(rough_integers(ctx, N, z0), alpha) / (V * math.log(N))
 
 
 # -- interval polynomial ---------------------------------------------------
@@ -498,9 +475,12 @@ class IntervalPolynomial:
         return complex(self.coeffs[self.H + h])
 
     def __call__(self, x):
+        """The polynomial's real value at x or at each x of a 1-D array:
+        Re sum_h c_h e(h x) = Re S(Re c) - Im S(Im c), both sums from one
+        exp_sum."""
         hs = np.arange(-self.H, self.H + 1)
-        phases = np.exp(TWO_PI * 1j * np.multiply.outer(np.asarray(x, dtype=float), hs))
-        return (phases @ self.coeffs).real
+        sums = exp_sum(hs, x, np.stack((self.coeffs.real, self.coeffs.imag)))
+        return sums[..., 0].real - sums[..., 1].imag
 
 
 def fejer_interval_polynomial(lo: float, hi: float, H: int) -> IntervalPolynomial:

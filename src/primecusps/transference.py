@@ -6,7 +6,11 @@ of the prime indicator, where f_flat = V(z0) log N (f * rho) is sieve-dense
 and non-negative and S(f_sharp, alpha) = T*(alpha) (1 - |S_M(alpha)/|B||^2)
 is small at every covered cusp.  All three arrays live on the full
 convolution support [-N, 2N]; the transform identities are re-verified
-numerically rather than assumed.
+numerically rather than assumed.  Every off-grid sum here, the transforms
+of f_sharp and f* with T* beside them and the Bohr sums S_M, is one
+expsums.exp_sum call at one alpha or at an array of them (one per-alpha
+kernel, shared out to the workers); the measured supremum is a
+grid_blocks sweep and the cover one chirp-z call.
 """
 from __future__ import annotations
 
@@ -18,8 +22,8 @@ import numpy as np
 
 from .arith import CapacityError, PrimeContext
 from .cusps import REEVAL_TOL, CuspReport, find_cusps
-from .expsums import (PHASE_BLOCK, PrimeSubset, exp_sum, exp_sum_at,
-                      exp_sums_on_progression, grid_blocks, require_memory, spectrum)
+from .expsums import (PrimeSubset, exp_sum, exp_sum_at, exp_sums_on_progression,
+                      grid_blocks, require_memory, spectrum)
 from .gfunctions import g_sifted
 from .report import CheckRow, FLOAT_SLACK, exact_leq_row, leq_row
 
@@ -28,6 +32,9 @@ INTERVAL_SAMPLES = 3
 
 #: chirp-z cover samples re-evaluated directly by cover_sampler_row
 COVER_SAMPLER_CHECKS = 64
+
+#: most frequency-by-multiple entries a build_bohr pass holds at once
+PHASE_BLOCK = 1 << 16
 
 #: random alphas at which transform_checks re-verifies the f_sharp product
 N_ALPHA = 1000
@@ -306,10 +313,13 @@ def decompose(ctx: PrimeContext, subset: PrimeSubset, z0, M: int, A: float,
     """Build the full decomposition at the given desk-scale parameters:
     spectrum, A-cusp report, cover, Bohr set, then f_flat and f_sharp.
 
-    z defaults to sqrt(N/(M z0)) and may not be below it (the sieve window
-    must reach the complement of the primes) nor below z0; both are checked
-    before any spectrum work.  Hypothesis (H1) violations on M are reported
-    in the metrics, not fatal."""
+    M must be >= 1.  z defaults to sqrt(N/(M z0)) and may not be below it
+    (the sieve window must reach the complement of the primes) nor below
+    z0, nor past the prime table; all of it is checked before any spectrum
+    work.  Hypothesis (H1) violations on M are reported in the metrics, not
+    fatal."""
+    if M < 1:
+        raise ValueError(f"M={M} must be >= 1")
     N = subset.N
     zmin = default_z(N, M, z0)
     if z is None:
@@ -318,6 +328,8 @@ def decompose(ctx: PrimeContext, subset: PrimeSubset, z0, M: int, A: float,
         raise ValueError(f"z={z} is below sqrt(N/(M z0)) = {zmin:.6g}")
     if z < z0:
         raise ValueError(f"z={z} must be >= z0={z0}")
+    if math.floor(z) > ctx.limit:
+        raise CapacityError(f"z={z} exceeds prime table limit {ctx.limit}")
     report = find_cusps(spectrum(subset, A), A)
     cover = build_cover(subset, report)
     bohr = build_bohr(cover, M, N)

@@ -194,6 +194,23 @@ def test_decompose_domain_error(tmp_path, capsys):
     assert "empty Bohr set" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value, named", [
+    ("--M", "0", "M=0"), ("--M", "-6", "M=-6"), ("--z", "1e9", "z=")])
+def test_decompose_parameters_checked_before_the_spectrum(tmp_path, capsys, monkeypatch,
+                                                          flag, value, named):
+    from primecusps import transference
+
+    def no_spectrum(*args):
+        raise AssertionError("spectrum reached")
+    monkeypatch.setattr(transference, "spectrum", no_spectrum)
+    out = tmp_path / "x.json"
+    assert run(["decompose", "--N", "10000", "--A", "2", flag, value,
+                "--output", str(out)]) == 1
+    err = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
+    assert len(err) == 1 and named in err[0], err
+    assert not out.exists()
+
+
 def test_verify_clean_suite(tmp_path):
     out = tmp_path / "v.json"
     assert run(["verify", "--suite", "large-sieve",

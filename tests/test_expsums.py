@@ -195,12 +195,11 @@ def test_exp_sum_weight_matrix_matches_complex_dots():
 def test_exp_sum_over_many_alphas_matches_scalar(ctx):
     s = subset_full(ctx, 10_000)
     alphas = np.random.default_rng(12).random(1000)
-    # from four points (many alphas per phase block) to more points than a
-    # block holds (one alpha per block), bitwise the one-alpha sums however
-    # the alphas fall to the workers
+    # from four points to 65,537, bitwise the one-alpha sums however the
+    # alphas fall to the workers
     every = (0, 1, expsums.WORKERS + 1, 1000)
     for ns, counts in ((np.array([2, 4, 6, 8]), every), (s.members[:5000], every),
-                       (np.arange(1, expsums.PHASE_BLOCK + 2), every[:3])):
+                       (np.arange(1, 65538), every[:3])):
         for count in counts:
             got = exp_sum(ns, alphas[:count])
             assert got.shape == (count,)
@@ -233,20 +232,60 @@ def test_exp_sum_from_more_threads_than_workers(monkeypatch):
         assert np.array_equal(plain, serial[0]) and np.array_equal(weighted, serial[1])
 
 
+@pytest.mark.parametrize("workers", [1, 3, 7])
+def test_exp_sum_does_not_depend_on_the_worker_count(monkeypatch, workers):
+    # both array forms, bitwise the one-alpha kernel, from no alphas and
+    # fewer alphas than workers up to many alphas a worker
+    rng = np.random.default_rng(14)
+    ns = np.arange(-700, 2300)
+    W = rng.normal(size=(3, ns.size))
+    monkeypatch.setattr(expsums, "WORKERS", workers)
+    monkeypatch.setattr(expsums, "_pool", None)
+    plain, weighted = expsums._kernel(ns), expsums._kernel(ns, W)
+    try:
+        for count in (0, 1, 2, workers + 1, 40):
+            alphas = rng.random(count)
+            got = exp_sum(ns, alphas)
+            assert got.shape == (count,)
+            assert np.array_equal(got, [plain(a) for a in alphas]), count
+            got = exp_sum(ns, alphas, W)
+            assert got.shape == (count, 3)
+            assert np.array_equal(got, np.reshape([weighted(a) for a in alphas],
+                                                  (count, 3))), count
+    finally:
+        if expsums._pool is not None:
+            expsums._pool.shutdown(wait=True)
+
+
 def test_exp_sum_over_many_alphas_beyond_memory_is_capacity_error(monkeypatch):
-    # refused before any buffer is allocated, counting the buffers of every
-    # worker: with room for all of them but not the output, both forms fail
-    ns = np.arange(4096)  # 16 alphas a phase block of 24-byte entries
-    alphas = np.zeros(16 * expsums.WORKERS)  # one phase block per worker
+    # refused before any kernel is made, counting the 16-byte-a-point buffers
+    # of every worker beside the output: with room for all the buffers but
+    # not the output, both forms fail; with room for both, they run
+    made = []
+    kernel = expsums._kernel
+    monkeypatch.setattr(expsums, "_kernel", lambda *a: made.append(1) or kernel(*a))
+    monkeypatch.setattr(expsums, "WORKERS", 3)
+    ns = np.arange(4096)
+    alphas = np.zeros(12)  # four alphas a worker
     W = np.ones((3, ns.size))
-    for args, buffers, output in (((ns, alphas), 24 * 16 * ns.size, 16 * alphas.size),
-                                  ((ns, alphas, W), 24 * ns.size, 48 * alphas.size)):
-        room = expsums.WORKERS * buffers
-        monkeypatch.setattr(expsums, "_physical_memory", lambda: room)
+    buffers = 3 * 16 * ns.size
+    for args, output in (((ns, alphas), 16 * alphas.size),
+                         ((ns, alphas, W), 48 * alphas.size)):
+        monkeypatch.setattr(expsums, "_physical_memory", lambda: buffers + output - 1)
         with pytest.raises(CapacityError, match="physical memory"):
             exp_sum(*args)
-        monkeypatch.setattr(expsums, "_physical_memory", lambda: room + output)
+        assert not made
+        monkeypatch.setattr(expsums, "_physical_memory", lambda: buffers + output)
         assert len(exp_sum(*args)) == alphas.size
+        assert len(made) == 3
+        made.clear()
+    # one alpha: one kernel's buffers and its output
+    monkeypatch.setattr(expsums, "_physical_memory", lambda: 16 * ns.size + 15)
+    with pytest.raises(CapacityError, match="physical memory"):
+        exp_sum(ns, 0.25)
+    assert not made
+    monkeypatch.setattr(expsums, "_physical_memory", lambda: 16 * ns.size + 16)
+    assert exp_sum(ns, 0.0) == ns.size
     monkeypatch.setattr(expsums, "_physical_memory", lambda: 1 << 16)
     with pytest.raises(CapacityError, match="physical memory"):
         exp_sum(np.arange(4096), np.zeros(100))
@@ -258,8 +297,12 @@ def test_grid_sums_match_direct():
     # Only the half circle j <= G/2 is returned; the rest is its conjugate.
     values = np.random.default_rng(5).normal(size=300)
     for G, offset in ((64, 0), (100, 37), (101, 5), (300, 0), (512, 120)):
-        sums = grid_sums(values, G, offset)
-        assert sums.shape == (G // 2 + 1,)
+        assert grid_sums(values, G).shape == (G // 2 + 1,)
+        sums = np.empty(G // 2 + 1, dtype=complex)
+        for j, block in grid_blocks(values, G, offset):
+            sums[j] = block
+        if offset == 0:
+            assert np.array_equal(grid_sums(values, G), sums)
         ell = np.arange(300) - offset
         for j in range(G):
             got = sums[j] if 2 * j <= G else np.conj(sums[G - j])
@@ -286,7 +329,8 @@ def test_sweep_matches_one_shot_and_direct(G):
             seen[j] += 1
             sums[j] = block
         assert (seen == 1).all(), (G, offset)
-        assert np.array_equal(grid_sums(values, G, offset), sums)
+        if offset == 0:
+            assert np.array_equal(grid_sums(values, G), sums)
         folded = np.pad(values, (0, -len(values) % G)).reshape(-1, G).sum(axis=0)
         one_shot = np.conj(np.fft.rfft(folded, G)) * np.exp(-2j * np.pi * (js * offset % G) / G)
         assert np.abs(sums - one_shot).max() <= scale, (G, offset)
@@ -423,10 +467,19 @@ def test_local_model_full_tracks_spectrum(ctx):
     s = subset_full(ctx, N)
     t0 = s.size
     # near the main cusp the model carries the right scale
-    for alpha in (0.0, 1e-6, 2e-6):
+    alphas = (0.0, 1e-6, 2e-6)
+    for alpha in alphas:
         t = exp_sum_at(s, alpha)
         m = local_model_full(ctx, N, 3, alpha)
         assert abs(t - m) <= 0.2 * t0
+    # at an array of alphas, the one-alpha values up to numpy's complex
+    # division, which rounds differently from Python's
+    rng = np.random.default_rng(15)
+    alphas = np.concatenate((alphas, rng.random(20)))
+    got = local_model_full(ctx, N, 3, alphas)
+    assert got.shape == alphas.shape
+    assert np.allclose(got, [local_model_full(ctx, N, 3, a) for a in alphas],
+                       rtol=1e-15, atol=0)
 
 
 def test_vaaler_zero_coefficient_exact():
@@ -459,6 +512,16 @@ def test_vaaler_values_in_unit_range():
     outside = (xs < 0.15) | (xs > 0.5)
     assert vals[inside].mean() > 0.8
     assert vals[outside].mean() < 0.2
+
+
+def test_interval_polynomial_value_matches_its_coefficients():
+    poly = fejer_interval_polynomial(0.9, 0.15, 25)
+    hs = np.arange(-25, 26)
+    xs = np.random.default_rng(16).random(200)
+    direct = (np.exp(2j * np.pi * np.outer(xs, hs)) @ poly.coeffs).real
+    assert np.abs(poly(xs) - direct).max() <= 1e-12
+    assert isinstance(poly(0.3), float)
+    assert poly(0.3) == poly(np.array([0.3]))[0]
 
 
 def test_vaaler_argument_validation():
