@@ -4,8 +4,14 @@ Every sum of w_n e(alpha n) over integer points is evaluated here, except
 the points-by-primes phase matrix of cusps.large_sieve_check, which serves
 its primal and its dual side at once.  Off the grid there is one
 evaluator, exp_sum, built on one per-alpha _kernel: the plain sum
-sum_n e(alpha n), or for a matrix of real weight vectors one cos/sin phase
-pair and two real matrix-vector products.  It has two forms: at one alpha
+sum_n e(alpha n), or for a matrix of real weight vectors two real
+matrix-vector products with the terms' real and imaginary parts.  Every
+term is e^{i theta_n} at theta_n = fl(fl(2 pi alpha) n) to within
+TERM_ERROR = 2^-49.  Where the points are integers with |n| and
+|2 pi alpha n| below PHASE_LIMIT = 2^27 and two tables over the digits of
+n = lo + H h + l are shorter than the points, a term is two table entries
+at exact phases times an exact rounding correction, with no libm call per
+point; elsewhere it is libm's e^{i theta_n}.  It has two forms: at one alpha
 the kernel's value, and at an array of alphas the same kernel looped over
 one contiguous piece of the alphas per worker, WORKERS threads, one per
 CPU the process may use, so every sum is bitwise the one its alpha gets
@@ -153,25 +159,124 @@ def _split(n: int, parts: int) -> list[tuple[int, int]]:
     return [(n * i // parts, n * (i + 1) // parts) for i in range(parts)]
 
 
-def _kernel(ns: np.ndarray, weights: np.ndarray = None):
-    """The per-alpha evaluator behind exp_sum, over buffers of its own (16
-    bytes a point).  Without weights, alpha -> sum_n e(alpha n), a complex;
-    with a 2-D real weight matrix W, alpha -> W @ cos(theta) + 1j (W @
-    sin(theta)), theta = 2 pi alpha n rounded as the complex form rounds
-    it."""
+#: the table path's reach: every |n| and every |2 pi alpha n| stays below it.
+#: Then n has at most 27 bits, so each 26-bit Veltkamp half of 2 pi alpha
+#: times n is exact, and theta_n's rounding error delta_n is at most 2^-27,
+#: where 1 - i delta_n is e^{-i delta_n} to within delta_n^2/2 <= 2^-55
+PHASE_LIMIT = 1 << 27
+
+#: bound on |term - e^{i theta_n}| for every term either path computes,
+#: theta_n = fl(fl(2 pi alpha) n): 16 units of roundoff u = 2^-53.  A table
+#: entry is within 3.25 u of e^{icx} (2 for libm's ulp a component, 1 for
+#: the product with 1 + i delta_x, 1/4 for its truncation), the product of
+#: two entries adds sqrt(5) u and the correction 1.25 u: about 10 u at
+#: worst, 3.3 u measured.  libm's terms are within a few u.
+TERM_ERROR = 2.0 ** -49
+
+#: 2^27 + 1: Veltkamp's splitter, c = c_hi + c_lo in two 26-bit halves
+_SPLITTER = 134217729.0
+
+
+def _table_shape(ns: np.ndarray):
+    """(lo, H, rows, reach) of the split n = lo + H h + l, 0 <= l < H,
+    0 <= h < rows, H = 2^ceil(bits(span)/2), reach = max(|n|, 1), when ns
+    are integers below PHASE_LIMIT and the two tables, H + rows entries,
+    are shorter than ns; None where every phase goes direct."""
+    if len(ns) == 0 or not np.issubdtype(ns.dtype, np.integer):
+        return None
+    lo, hi = int(ns.min()), int(ns.max())
+    reach = max(-lo, hi, 1)
+    if reach >= PHASE_LIMIT:
+        return None
+    span = hi - lo
+    H = 1 << -(-span.bit_length() // 2)
+    rows = span // H + 1
+    return (lo, H, rows, reach) if H + rows < len(ns) else None
+
+
+def _digits(ns: np.ndarray, shape):
+    """What every kernel of one call reads, or None without a table shape:
+    n as a float, the table points 0..H-1 then lo + H h, the digits h and l
+    of each n, H and the reach."""
+    if shape is None:
+        return None
+    lo, H, rows, reach = shape
+    l = np.subtract(ns, lo, dtype=np.intp)
+    h = l >> (H.bit_length() - 1)
+    l &= H - 1
+    x = np.concatenate((np.arange(H), lo + H * np.arange(rows))).astype(float)
+    return ns.astype(float), x, h, l, H, reach
+
+
+def _direct(ns: np.ndarray, weights, buf: np.ndarray):
+    """alpha -> the sum with every e^{i theta_n} from libm, over buf: 2 len(ns)
+    floats."""
     if weights is None:
-        phases = np.empty(len(ns), dtype=complex)
+        phases = buf.view(complex)
 
         def at(alpha):
             np.multiply(TWO_PI * 1j * alpha, ns, out=phases)
             return complex(np.exp(phases, out=phases).sum())
         return at
-    theta, c = np.empty((2, len(ns)))
+    theta, c = buf.reshape(2, -1)
 
     def at(alpha):
         np.multiply(TWO_PI * alpha, ns, out=theta)
         re = weights @ np.cos(theta, out=c)
         return re + 1j * (weights @ np.sin(theta, out=theta))
+    return at
+
+
+def _kernel(ns: np.ndarray, weights, digits):
+    """The per-alpha evaluator behind exp_sum, over buffers of its own.
+    Without weights, alpha -> sum_n e^{i theta_n}, a complex; with a 2-D
+    real weight matrix W, alpha -> W @ Re + 1j (W @ Im) of the terms.  Every
+    term is e^{i theta_n} at the rounded phase theta_n = fl(fl(2 pi alpha) n)
+    to within TERM_ERROR.
+
+    With digits (from _digits) and |c| max|n| < PHASE_LIMIT, c = fl(2 pi
+    alpha), the terms come from two short tables at exact phases, TL[l] =
+    e^{icl} and TH[h] = e^{ic(lo + Hh)}, each entry e^{i fl(cx)} from libm
+    times 1 + i delta_x: the term is TH[h] TL[l] (1 - i delta_n), with
+    delta_n = cn - fl(cn) exact by Dekker's product on a Veltkamp split of c
+    (32 bytes a point).  Otherwise each term is libm's at theta_n, as the
+    complex form rounds it (16 bytes a point)."""
+    if digits is None:
+        return _direct(ns, weights, np.empty(2 * len(ns)))
+    n, x, h, l, H, reach = digits
+    P, Q = np.empty((2, len(ns)), dtype=complex)
+    # once P holds the product, Q's memory holds delta_n and then the terms
+    im, re = Q.view(float).reshape(2, -1)
+    direct = _direct(ns, weights, Q.view(float))
+
+    def at(alpha):
+        c = TWO_PI * alpha
+        if not abs(c) * reach < PHASE_LIMIT:
+            return direct(alpha)
+        g = _SPLITTER * c
+        c_hi = g - (g - c)
+        c_lo = c - c_hi
+        # the tables, low digits first: e^{i fl(cx)} (1 + i delta_x)
+        p = x * c
+        d = x * c_hi
+        d -= p
+        d += x * c_lo
+        e = np.exp(p * 1j) * (1.0 + 1j * d)
+        e[H:].take(h, out=P, mode="clip")
+        e[:H].take(l, out=Q, mode="clip")
+        np.multiply(P, Q, out=P)
+        np.multiply(n, c, out=im)  # delta_n = (c_hi n - fl(cn)) + c_lo n
+        np.multiply(n, c_hi, out=re)
+        np.subtract(re, im, out=re)
+        np.multiply(n, c_lo, out=im)
+        np.add(im, re, out=im)
+        np.multiply(im, P.imag, out=re)  # P (1 - i delta_n)
+        np.multiply(im, P.real, out=im)
+        np.add(P.real, re, out=re)
+        np.subtract(P.imag, im, out=im)
+        if weights is None:
+            return complex(re.sum(), im.sum())
+        return weights @ re + 1j * (weights @ im)
     return at
 
 
@@ -184,20 +289,30 @@ def exp_sum(ns: np.ndarray, alpha, weights: np.ndarray = None):
     values, one per alpha: the alphas are cut into one contiguous piece per
     worker (at most WORKERS), each worker loops a kernel of its own over
     its piece, so each sum is bitwise the one its alpha gets alone.  The
+    digit indices are built once a call and shared read-only.  They, the
     kernels' buffers and the output are checked against physical memory
     before any is allocated."""
     scalar = np.ndim(alpha) == 0
     alphas = np.atleast_1d(np.asarray(alpha, dtype=float))
     ranges = _split(len(alphas), WORKERS)
     rows = 1 if weights is None else len(weights)
-    require_memory(16 * len(ranges) * len(ns) + 16 * rows * len(alphas),
+    shape = _table_shape(ns)
+    if shape is None:  # each kernel's 16 bytes a point
+        shared, kernel = 0, 16 * len(ns)
+    else:
+        # a point's digits and float, shared, and each kernel's P and Q; a
+        # table point, shared, and each kernel's transient tables
+        entries = shape[1] + shape[2]
+        shared, kernel = 24 * len(ns) + 8 * entries, 32 * len(ns) + 64 * entries
+    require_memory(shared + kernel * len(ranges) + 16 * rows * len(alphas),
                    f"{rows} sums at {len(alphas)} alphas over {len(ns)} points")
+    digits = _digits(ns, shape)
     if scalar:
-        return _kernel(ns, weights)(alpha)
+        return _kernel(ns, weights, digits)(alpha)
     out = np.empty(len(alphas) if weights is None else (len(alphas), rows), dtype=complex)
 
     def task(lo, hi):
-        at = _kernel(ns, weights)
+        at = _kernel(ns, weights, digits)
         for i in range(lo, hi):
             out[i] = at(alphas[i])
 
@@ -311,6 +426,11 @@ def grid_sums(values: np.ndarray, G: int) -> np.ndarray:
 PROGRESSION_BLOCK = 1 << 15
 
 
+class PhaseOverflowError(CapacityError):
+    """exp_sums_on_progression's phases mod 2Q would overflow int64: its one
+    limit that a direct sum does not share."""
+
+
 def exp_sums_on_progression(subset: PrimeSubset, j0: int, step: int, Q: int,
                             ks) -> np.ndarray:
     """T*((j0 + step k)/Q) for each k of the ascending, distinct, non-negative
@@ -324,7 +444,8 @@ def exp_sums_on_progression(subset: PrimeSubset, j0: int, step: int, Q: int,
     FFTs in one working array, so memory stays O(N + block).  Every phase is
     reduced exactly in int64 to a multiple of 1/(2Q) before exp rounds it,
     so the error does not grow with j0 or k.  Raises CapacityError when
-    2Q(N + block) reaches 2^63 or a block would not fit in physical memory.
+    2Q(N + block) reaches 2^63 (PhaseOverflowError) or a block would not fit
+    in physical memory.
     """
     j0, step, Q = int(j0), int(step), int(Q)
     ks = np.asarray(ks, dtype=np.int64)
@@ -337,7 +458,7 @@ def exp_sums_on_progression(subset: PrimeSubset, j0: int, step: int, Q: int,
     ends = np.append(starts[1:], len(ks))
     block = min(int((ends - starts).max(initial=0)), PROGRESSION_BLOCK)
     if 2 * Q * (N + block) >= 1 << 63:
-        raise CapacityError(f"phases mod 2Q={2 * Q} at N={N} overflow int64")
+        raise PhaseOverflowError(f"phases mod 2Q={2 * Q} at N={N} overflow int64")
     if len(ks) == 0:
         return np.empty(0, dtype=complex)
     L = 1 << (N + block - 1).bit_length()       # L >= N + block: no aliasing

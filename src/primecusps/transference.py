@@ -7,10 +7,10 @@ and non-negative and S(f_sharp, alpha) = T*(alpha) (1 - |S_M(alpha)/|B||^2)
 is small at every covered cusp.  All three arrays live on the full
 convolution support [-N, 2N]; the transform identities are re-verified
 numerically rather than assumed.  Every off-grid sum here, the transforms
-of f_sharp and f* with T* beside them and the Bohr sums S_M, is one
-expsums.exp_sum call at one alpha or at an array of them (one per-alpha
-kernel, shared out to the workers); the measured supremum is a
-grid_blocks sweep and the cover one chirp-z call.
+of f_sharp and f* with T* beside them, the Bohr sums S_M and the cover's
+direct sums, is one expsums.exp_sum call at one alpha or at an array of
+them (one per-alpha kernel, shared out to the workers); the measured
+supremum is a grid_blocks sweep and the cover's samples one chirp-z call.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ import numpy as np
 
 from .arith import CapacityError, PrimeContext
 from .cusps import REEVAL_TOL, CuspReport, find_cusps
-from .expsums import (PrimeSubset, exp_sum, exp_sum_at, exp_sums_on_progression,
+from .expsums import (PhaseOverflowError, PrimeSubset, exp_sum, exp_sums_on_progression,
                       grid_blocks, require_memory, spectrum)
 from .gfunctions import g_sifted
 from .report import CheckRow, FLOAT_SLACK, exact_leq_row, leq_row
@@ -107,16 +107,22 @@ def _interval_samples(subset: PrimeSubset, idx, Nprime: int) -> np.ndarray:
     (2S a + 2s + 1)/(2S Nprime), term k = S a + s of one arithmetic
     progression with step 2, so the whole cover is one chirp-z call.  When
     its phases would overflow int64 there (N past ~5.7e7/sqrt(A)), every
-    sample is summed directly instead."""
+    sample is summed directly instead, in one exp_sum call; any other
+    CapacityError propagates."""
     S = INTERVAL_SAMPLES
     idx = np.asarray(idx, dtype=np.int64)
     ks = (S * idx[:, None] + np.arange(S)).ravel()
     try:
         samples = exp_sums_on_progression(subset, 1, 2, 2 * S * Nprime, ks)
-    except CapacityError:
-        samples = [exp_sum_at(subset, _sample_position(int(a), s, Nprime) % 1.0)
-                   for a in idx for s in range(S)]
+    except PhaseOverflowError:
+        samples = _direct_sums(subset, [_sample_position(int(a), s, Nprime)
+                                        for a in idx for s in range(S)])
     return np.reshape(samples, (len(idx), S))
+
+
+def _direct_sums(subset: PrimeSubset, positions) -> np.ndarray:
+    """T* at each position taken mod 1, from one exp_sum call."""
+    return exp_sum(subset.members, np.array([x % 1.0 for x in positions]))
 
 
 def build_cover(subset: PrimeSubset, report: CuspReport) -> Cover:
@@ -126,8 +132,8 @@ def build_cover(subset: PrimeSubset, report: CuspReport) -> Cover:
     meeting a detected arc (or holding one of its peaks) can reach the
     threshold, so sampling is confined to those.  The INTERVAL_SAMPLES
     samples per interval come from one chirp-z evaluation for the whole
-    cover; arc peaks and well-spaced points are evaluated directly.  Each
-    kept interval contributes its maximizing sample.
+    cover; arc peaks and well-spaced points are evaluated directly, in one
+    exp_sum call.  Each kept interval contributes its maximizing sample.
     """
     A, N = report.A, report.N
     Nprime = int(round(240 * A * N))
@@ -138,12 +144,14 @@ def build_cover(subset: PrimeSubset, report: CuspReport) -> Cover:
     candidates = _cover_candidates(report, Nprime)
     idx = np.array(sorted(candidates), dtype=np.int64)
     samples = np.abs(_interval_samples(subset, idx, Nprime))
+    extras = iter(np.abs(_direct_sums(
+        subset, [x for a_idx in idx.tolist() for x in candidates[a_idx]])).tolist())
     points = []
     for a_idx, mags in zip(idx.tolist(), samples):
         s = int(np.argmax(mags))
         best, pos = mags[s], _sample_position(a_idx, s, Nprime)
         for x in candidates[a_idx]:
-            val = abs(exp_sum_at(subset, x % 1.0))
+            val = next(extras)
             if val > best:
                 best, pos = val, x
         if best >= threshold:
@@ -153,14 +161,14 @@ def build_cover(subset: PrimeSubset, report: CuspReport) -> Cover:
 
 def cover_sampler_row(subset: PrimeSubset, cover: Cover, seed: int) -> CheckRow:
     """Re-evaluate COVER_SAMPLER_CHECKS seeded chirp-z samples the cover
-    kept with the direct sum."""
+    kept with the direct sum, all in one exp_sum call."""
     zoom = cover.samples.ravel()
     picks = np.random.default_rng(seed).choice(
         zoom.size, min(COVER_SAMPLER_CHECKS, zoom.size), replace=False)
     S = INTERVAL_SAMPLES
-    worst = max(abs(zoom[k] - abs(exp_sum_at(subset, _sample_position(
-        int(cover.intervals[k // S]), k % S, cover.Nprime) % 1.0)))
-        for k in picks)
+    direct = _direct_sums(subset, [_sample_position(int(cover.intervals[k // S]), k % S,
+                                                    cover.Nprime) for k in picks])
+    worst = np.abs(zoom[picks] - np.abs(direct)).max()
     return leq_row("cover-sampler-vs-direct",
                    {"N": cover.N, "A": cover.A, "samples": len(picks)},
                    worst, REEVAL_TOL * float(subset.size),
@@ -295,8 +303,8 @@ class Decomposition:
         return self.transforms(alpha)[1]
 
     def transforms(self, alpha):
-        """(S(f_sharp, alpha), S(f*, alpha), T*(alpha)) from one phase
-        vector over the shared support; at a 1-D array of alphas, the list
+        """(S(f_sharp, alpha), S(f*, alpha), T*(alpha)) from one set of
+        terms over the shared support; at a 1-D array of alphas, the list
         of those triples, the alphas shared out to the exp_sum workers."""
         G = float(self.G_val)
         sums = exp_sum(self._ell, alpha, self._weights).reshape(-1, 3).tolist()
@@ -383,7 +391,7 @@ def transform_checks(dec: Decomposition, seed: int) -> list[CheckRow]:
     S(f*, a/M) = G T*(a/M) exactly (the Bohr phases collapse); at random
     alpha, S(f_sharp, alpha) = T*(alpha)(1 - |S_M(alpha)/|B||^2); and the
     non-negativity and support constraints on f_flat.  Each alpha takes
-    S(f_sharp), S(f*) and T* from one phase vector, and all M + N_ALPHA
+    S(f_sharp), S(f*) and T* from one set of terms, and all M + N_ALPHA
     alphas from one batched call; the Bohr sums S_M at the random alphas
     come from one batched exp_sum."""
     rows = []

@@ -13,6 +13,7 @@ from primecusps.arith import CapacityError, build_context
 from primecusps.expsums import (
     PROGRESSION_BLOCK,
     SWEEP_BUDGET,
+    TERM_ERROR,
     IntervalPolynomial,
     PrimeSubset,
     exp_sum,
@@ -175,13 +176,20 @@ def test_exp_sum_weight_matrix_matches_complex_dots():
         for row, value in zip(W, got):
             assert abs(value - np.dot(row.astype(complex), phases)) \
                 <= 1e-12 * np.abs(row).sum(), alpha
-        # unit rows read the phase pair back: exp_sum uses that theta
-        picks = np.array([0, 2999, 3000, 3001, ns.size - 1])
+        # unit rows read single terms back: within TERM_ERROR of e^{i theta},
+        # and farther than that from e^{icn} at the unrounded cn, so
+        # exp_sum uses that theta (at alpha = 0 the two coincide)
+        picks = np.array([0, 1000, 5000, 7000, ns.size - 1])
         rows = np.zeros((picks.size, ns.size))
         rows[np.arange(picks.size), picks] = 1.0
         unit = exp_sum(ns, alpha, rows)
-        assert np.array_equal(unit.real, np.cos(theta[picks]))
-        assert np.array_equal(unit.imag, np.sin(theta[picks]))
+        rounded = theta[picks].astype(np.longdouble)
+        assert np.all(np.abs(unit.real - np.cos(rounded)) <= TERM_ERROR), alpha
+        assert np.all(np.abs(unit.imag - np.sin(rounded)) <= TERM_ERROR), alpha
+        if alpha:
+            exact = np.longdouble(expsums.TWO_PI * alpha) * ns[picks]
+            assert np.all(np.hypot(unit.real - np.cos(exact),
+                                   unit.imag - np.sin(exact)) > TERM_ERROR), alpha
     # at an array of alphas, one row per alpha, bitwise the one-alpha rows
     # however the alphas fall to the workers
     for count in (0, 1, expsums.WORKERS + 1, 1000):
@@ -241,7 +249,8 @@ def test_exp_sum_does_not_depend_on_the_worker_count(monkeypatch, workers):
     W = rng.normal(size=(3, ns.size))
     monkeypatch.setattr(expsums, "WORKERS", workers)
     monkeypatch.setattr(expsums, "_pool", None)
-    plain, weighted = expsums._kernel(ns), expsums._kernel(ns, W)
+    digits = expsums._digits(ns, expsums._table_shape(ns))
+    plain, weighted = expsums._kernel(ns, None, digits), expsums._kernel(ns, W, digits)
     try:
         for count in (0, 1, 2, workers + 1, 40):
             alphas = rng.random(count)
@@ -258,38 +267,88 @@ def test_exp_sum_does_not_depend_on_the_worker_count(monkeypatch, workers):
 
 
 def test_exp_sum_over_many_alphas_beyond_memory_is_capacity_error(monkeypatch):
-    # refused before any kernel is made, counting the 16-byte-a-point buffers
-    # of every worker beside the output: with room for all the buffers but
-    # not the output, both forms fail; with room for both, they run
+    # refused before any kernel is made, counting the digit indices shared by
+    # a call beside every worker's buffers and the output: on the table path
+    # 24 bytes a point and 8 a table entry shared, 32 and 64 a worker; on
+    # the direct path 16 bytes a point a worker.  With room for the indices
+    # and buffers but not the output, both forms fail; with room for all,
+    # they run
     made = []
     kernel = expsums._kernel
     monkeypatch.setattr(expsums, "_kernel", lambda *a: made.append(1) or kernel(*a))
     monkeypatch.setattr(expsums, "WORKERS", 3)
-    ns = np.arange(4096)
     alphas = np.zeros(12)  # four alphas a worker
-    W = np.ones((3, ns.size))
-    buffers = 3 * 16 * ns.size
-    for args, output in (((ns, alphas), 16 * alphas.size),
-                         ((ns, alphas, W), 48 * alphas.size)):
-        monkeypatch.setattr(expsums, "_physical_memory", lambda: buffers + output - 1)
+    table = np.arange(4096)  # H = 64, 64 rows: 128 entries
+    direct = np.arange(4096) ** 2  # H = 4096: tables longer than the points
+    assert expsums._table_shape(table) == (0, 64, 64, 4095)
+    assert expsums._table_shape(direct) is None
+    for ns, shared, worker in ((table, 24 * 4096 + 8 * 128, 32 * 4096 + 64 * 128),
+                               (direct, 0, 16 * 4096)):
+        W = np.ones((3, ns.size))
+        for args, output in (((ns, alphas), 16 * alphas.size),
+                             ((ns, alphas, W), 48 * alphas.size)):
+            room = shared + 3 * worker + output
+            monkeypatch.setattr(expsums, "_physical_memory", lambda: room - 1)
+            with pytest.raises(CapacityError, match="physical memory"):
+                exp_sum(*args)
+            assert not made
+            monkeypatch.setattr(expsums, "_physical_memory", lambda: room)
+            assert len(exp_sum(*args)) == alphas.size
+            assert len(made) == 3
+            made.clear()
+        # one alpha: one kernel's buffers and its output
+        room = shared + worker + 16
+        monkeypatch.setattr(expsums, "_physical_memory", lambda: room - 1)
         with pytest.raises(CapacityError, match="physical memory"):
-            exp_sum(*args)
+            exp_sum(ns, 0.25)
         assert not made
-        monkeypatch.setattr(expsums, "_physical_memory", lambda: buffers + output)
-        assert len(exp_sum(*args)) == alphas.size
-        assert len(made) == 3
+        monkeypatch.setattr(expsums, "_physical_memory", lambda: room)
+        assert exp_sum(ns, 0.0) == ns.size
         made.clear()
-    # one alpha: one kernel's buffers and its output
-    monkeypatch.setattr(expsums, "_physical_memory", lambda: 16 * ns.size + 15)
-    with pytest.raises(CapacityError, match="physical memory"):
-        exp_sum(ns, 0.25)
-    assert not made
-    monkeypatch.setattr(expsums, "_physical_memory", lambda: 16 * ns.size + 16)
-    assert exp_sum(ns, 0.0) == ns.size
     monkeypatch.setattr(expsums, "_physical_memory", lambda: 1 << 16)
     with pytest.raises(CapacityError, match="physical memory"):
         exp_sum(np.arange(4096), np.zeros(100))
     assert exp_sum(np.arange(4), np.zeros(100)).shape == (100,)
+
+
+@pytest.mark.parametrize("ns, table", [
+    (np.arange(-300, 901), True),                     # H = 64, 19 rows
+    (-97 * np.arange(1000, 0, -1), True),             # negative points
+    ((1 << 27) - 1 - np.arange(0, 3000, 2), True),    # |n| up to 2^27 - 1
+    (1 - (1 << 27) + np.arange(0, 3000, 2), True),
+    ((1 << 27) - np.arange(0, 3000, 2), False),       # |n| = 2^27 goes direct
+    (-(1 << 27) + np.arange(0, 3000, 2), False),
+    (np.arange(1200) ** 2, False),                    # tables longer than ns
+    (np.array([5, 5, 5]), True),                      # one row, one column
+    (np.array([7, 8]), False),
+    (np.array([-12345]), False),                      # one point
+    (np.array([], dtype=np.int64), False),
+])
+def test_table_phases_match_direct_and_long_double(ns, table):
+    # each term within TERM_ERROR of e^{i theta} at the rounded theta in long
+    # double, on either side of the table/direct choice: the table path
+    # where ns qualify and |2 pi alpha| max|n| < PHASE_LIMIT, libm's
+    # phases bitwise otherwise
+    assert (expsums._table_shape(ns) is not None) == table
+    reach = np.abs(ns).max(initial=0)
+    eye = np.eye(ns.size)
+    for alpha in (0.0, 0.5, -0.3, 0.987, 0.1, -0.15):
+        theta = np.multiply(expsums.TWO_PI * alpha, ns)
+        cos, sin = np.cos(theta), np.sin(theta)
+        wide = theta.astype(np.longdouble)
+        terms = exp_sum(ns, alpha, eye)  # row i picks term i
+        assert np.all(np.abs(terms.real - np.cos(wide)) <= TERM_ERROR), alpha
+        assert np.all(np.abs(terms.imag - np.sin(wide)) <= TERM_ERROR), alpha
+        assert np.all(np.abs(terms - (cos + 1j * sin)) <= 2 * TERM_ERROR), alpha
+        libm = np.array_equal(terms.real, cos) and np.array_equal(terms.imag, sin)
+        tables = table and abs(expsums.TWO_PI * alpha) * reach < expsums.PHASE_LIMIT
+        if not tables:
+            assert libm, alpha
+        elif alpha not in (0.0, 0.5) and ns.size > 3:  # some term rounds apart
+            assert not libm, alpha
+        total = exp_sum(ns, alpha)
+        assert abs(total - np.exp(1j * wide).sum()) <= ns.size * 4 * TERM_ERROR, alpha
+        assert exp_sum(ns, np.array([alpha, alpha]))[1] == total
 
 
 def test_grid_sums_match_direct():

@@ -11,10 +11,10 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from primecusps import transference
+from primecusps import expsums, transference
 from primecusps.arith import CapacityError
 from primecusps.cusps import find_cusps
-from primecusps.expsums import exp_sum, exp_sum_at, spectrum, subset_full
+from primecusps.expsums import PhaseOverflowError, exp_sum, exp_sum_at, spectrum, subset_full
 from primecusps.transference import (
     COVER_SAMPLER_CHECKS,
     BohrSet,
@@ -85,19 +85,29 @@ def test_cover_matches_direct_reference(ctx, A):
 
 
 def test_cover_falls_back_to_direct_sums(ctx, monkeypatch):
-    # a cover the evaluator cannot take (int64 capacity) is summed directly
+    # a cover whose chirp-z phases would overflow int64 is summed directly
     subset = subset_full(ctx, 10_000)
     report = find_cusps(spectrum(subset, 2), 2)
     refused = []
 
     def capped(sub, j0, step, Q, ks):
         refused.append(len(ks))
-        raise CapacityError("test cap")
+        raise PhaseOverflowError("test cap")
 
     monkeypatch.setattr(transference, "exp_sums_on_progression", capped)
     cover = build_cover(subset, report)
     assert len(refused) == 1 and refused[0] > 0
     assert cover.points == _direct_cover(subset, report, 2)
+
+
+def test_cover_beyond_memory_is_capacity_error(ctx, monkeypatch):
+    # only the int64 limit falls back: a chirp-z block that would not fit in
+    # physical memory raises, where direct sums would still fit
+    subset = subset_full(ctx, 10_000)
+    report = find_cusps(spectrum(subset, 2), 2)
+    monkeypatch.setattr(expsums, "_physical_memory", lambda: 1 << 18)
+    with pytest.raises(CapacityError, match="chirp-z block"):
+        build_cover(subset, report)
 
 
 def test_cover_sampler_row(ctx):
