@@ -4,13 +4,13 @@ sums, primorials, Farey fractions, and well-spaced point extraction.
 Everything downstream runs over a PrimeContext: the primes and the
 smallest-prime-factor table, sieved once up to a fixed limit.  Mobius and
 Euler-phi values of single integers are recovered by factoring through the
-smallest-prime-factor table; the scalar ramanujan_sum is built on them and
-stays the oracle.  Vector paths instead read whole arrays: the sifted mask
-(no prime factor below z0, coprime to d) from sifted_mask, and the Mobius,
-Euler-phi and squarefree tables, each built on first use.  ramanujan_table
-gathers a key's c_q(0..q-1) from them by von Sterneck's formula.  The
-context also keeps a lock-guarded store of exact prefix checkpoints, which
-gfunctions.g_sifted extends instead of re-summing from 1.
+smallest-prime-factor table; the scalar ramanujan_sum is built on them by
+von Sterneck's formula and stays the oracle.  Vector paths instead read
+whole arrays: the sifted mask (no prime factor below z0, coprime to d) from
+sifted_mask, and the Euler-phi and squarefree tables, each built on first
+use.  The context also keeps a lock-guarded store of exact prefix
+checkpoints, which gfunctions.g_sifted extends block by block instead of
+re-summing from 1.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ def circle_distance(x: float, y: float) -> float:
 class PrimeContext:
     """Primality and smallest-prime-factor tables up to `limit`.
 
-    The sieve tables are fixed at construction.  The Mobius, Euler-phi and
+    The sieve tables are fixed at construction.  The Euler-phi and
     squarefree tables are built on first use; two threads racing to build
     one build the same array, so either result may be kept.  The checkpoint
     store is mutated only under the context's lock.  A context is safe to
@@ -65,7 +65,6 @@ class PrimeContext:
         self.limit = limit
         self._spf = spf
         self.primes = primes
-        self._mobius_table = None
         self._phi_table = None
         self._squarefree_mask = None
         self._checkpoints: dict = {}
@@ -142,14 +141,6 @@ class PrimeContext:
         g = gcd(q, int(n))
         return self.mobius(q // g) * self.euler_phi(q) // self.euler_phi(q // g)
 
-    def ramanujan_table(self, q: int) -> np.ndarray:
-        """c_q(r) for r = 0..q-1 in one gather: von Sterneck's formula over
-        the Mobius and Euler-phi tables (phi(q/g) divides phi(q))."""
-        q = self._check_range(q)
-        cof = q // np.gcd(q, np.arange(q))
-        phi = self.phi_table
-        return self.mobius_table[cof] * (phi[q] // phi[cof])
-
     def primorial(self, z0: float) -> int:
         """P(z0) = product of primes p < z0; empty product is 1."""
         if z0 < 2:
@@ -188,16 +179,6 @@ class PrimeContext:
             for p in self.prime_factors(f):
                 mask[-start % p :: p] = False
         return mask
-
-    @property
-    def mobius_table(self) -> np.ndarray:
-        if self._mobius_table is None:
-            mu = np.ones(self.limit + 1, dtype=np.int8)
-            for p in self.primes:
-                mu[p::p] *= -1
-            mu[~self.squarefree_mask] = 0
-            self._mobius_table = mu
-        return self._mobius_table
 
     @property
     def phi_table(self) -> np.ndarray:

@@ -5,7 +5,8 @@ The central quantity is
     G_d(y; z0) = sum over ell <= y with (ell, d*P(z0)) = 1 of mu^2(ell)/phi(ell)
 
 where P(z0) is the product of the primes below z0.  Exact values are
-fractions; GProfile gives a vectorised float view for the large scans.
+fractions, summed in blocks of BLOCK integers from checkpoints kept on the
+PrimeContext; GProfile gives a vectorised float view for the large scans.
 xi_value and g_bracket evaluate the kernel behind the Fourier coefficients
 of the sieve weights.
 
@@ -40,14 +41,22 @@ def _floor(y) -> int:
     return math.floor(y)
 
 
+#: g_sifted sums whole blocks of this many integers and checkpoints each
+#: block boundary, so no segment's lcm of phi values grows with the query
+BLOCK = 512
+
+
 def g_sifted(ctx: PrimeContext, d, y, z0=2) -> Fraction:
     """Exact G_d(y; z0): sum of 1/phi(ell) over squarefree ell <= y
     coprime to d and free of prime factors below z0.
 
     d is an int or a tuple of factors, struck one at a time (d * tau may
-    pass the table limit).  The sum up to m = floor(y) extends the nearest
-    exact checkpoint at or below m, kept on ctx per set of struck primes,
-    by the segment's phi values only, then stores m as a new checkpoint."""
+    pass the table limit).  The sum up to m = floor(y) starts from the
+    nearest exact checkpoint at or below m, kept on ctx per set of struck
+    primes.  It is extended block by block to the last multiple of BLOCK
+    at or below m, storing every block boundary, and then by the tail up to
+    m, which is stored too.  Each block is summed once per set of struck
+    primes, and a query sums at most one partial block afresh."""
     factors = d if isinstance(d, tuple) else (d,)
     if any(f < 1 for f in factors):
         raise ValueError("d must be >= 1")
@@ -57,20 +66,26 @@ def g_sifted(ctx: PrimeContext, d, y, z0=2) -> Fraction:
     # the struck primes: those below z0 (by count) and those of d above it
     extra = {p for f in factors for p in ctx.prime_factors(f) if p >= z0}
     key = (len(ctx.primes_below(z0)), tuple(sorted(extra)))
-    m0, g0 = ctx.checkpoint_below(key, m)
-    if m0 == m:
-        return g0
-    mask = (ctx.sifted_mask(m, z0, factors, start=m0 + 1)
-            & ctx.squarefree_mask[m0 + 1 : m + 1])
-    phi = ctx.phi_table[m0 + 1 : m + 1][mask]
-    # group equal phi values and accumulate over one common denominator:
-    # a single reduction instead of thousands of fraction additions
+    m0, g = ctx.checkpoint_below(key, m)
+    while m0 < m:
+        m1 = min(m0 - m0 % BLOCK + BLOCK, m)
+        g += _segment_sum(ctx, factors, z0, m0, m1)
+        ctx.add_checkpoint(key, m1, g)
+        m0 = m1
+    return g
+
+
+def _segment_sum(ctx: PrimeContext, factors: tuple, z0, m0: int, m1: int) -> Fraction:
+    """Sum of 1/phi(ell) over the admissible ell in (m0, m1], the equal phi
+    values grouped and added over one common denominator: a single
+    reduction instead of thousands of fraction additions."""
+    mask = (ctx.sifted_mask(m1, z0, factors, start=m0 + 1)
+            & ctx.squarefree_mask[m0 + 1 : m1 + 1])
+    phi = ctx.phi_table[m0 + 1 : m1 + 1][mask]
     values, counts = np.unique(phi, return_counts=True)
     values, counts = values.tolist(), counts.tolist()
     den = math.lcm(*values) if values else 1
-    g = g0 + Fraction(sum(c * (den // v) for v, c in zip(values, counts)), den)
-    ctx.add_checkpoint(key, m, g)
-    return g
+    return Fraction(sum(c * (den // v) for v, c in zip(values, counts)), den)
 
 
 def g_value(ctx: PrimeContext, d: int, y) -> Fraction:

@@ -14,7 +14,10 @@ over squarefree q <= z^2 built from the same primes (c_q is the Ramanujan
 sum).  Everything is kept in exact rational arithmetic; the equality of
 beta_direct and beta_fourier is the module's primary oracle, and
 wq_bound_report re-checks the pointwise w_q estimates where their
-hypotheses hold.
+hypotheses hold.  The two Fourier paths stay independent: beta_fourier
+evaluates each c_q(n) by von Sterneck's formula (PrimeContext.ramanujan_sum),
+while beta_fourier_many swaps the sums by Kluyver's formula
+c_q(n) = sum_{d | (q, n)} d mu(q/d) into beta(n) = sum_{d | n} W_d.
 """
 from __future__ import annotations
 
@@ -88,8 +91,9 @@ def build_weights(ctx: PrimeContext, params: SieveParams) -> SieveWeights:
     z0, z, tau = params.z0, params.z, params.tau
     zf = Fraction(z)
     zi = math.floor(zf)
-    if zi * zi > ctx.limit:
-        raise CapacityError(f"z^2 = {zi * zi} exceeds prime table limit {ctx.limit}")
+    if math.floor(zf * zf) > ctx.limit:
+        raise CapacityError(f"floor(z^2) = {math.floor(zf * zf)} exceeds "
+                            f"prime table limit {ctx.limit}")
     for p in ctx.primes_below(z0):
         if tau % int(p) == 0:
             raise ValueError(f"tau={tau} shares the prime {p} with the small-prime block")
@@ -135,18 +139,44 @@ def beta_fourier(ctx: PrimeContext, weights: SieveWeights, n: int) -> Fraction:
     return total
 
 
+def _kluyver_numerators(ctx: PrimeContext, weights: SieveWeights) -> tuple[dict[int, int], int]:
+    """(W, den): the integers W[d] = den * d * sum_{q : d | q} mu(q/d) w_q
+    over the common denominator den of the w_q, nonzero ones only.
+
+    By Kluyver's formula c_q(n) = sum_{d | (q, n)} d mu(q/d), beta(n) =
+    sum_q w_q c_q(n) = sum_{d | n} W[d] / den.  The inner Mobius sums come
+    from one prime-by-prime transform over the keys, F[q/p] -= F[q] for
+    each prime key p dividing q, which needs every divisor of every key to
+    be a key too."""
+    den = math.lcm(*(wq.denominator for wq in weights.w.values()))
+    F = {q: weights.w[q].numerator * (den // weights.w[q].denominator)
+         for q in sorted(weights.w)}
+    for q in F:
+        if q > 1 and ctx.spf(q) not in F:
+            raise ValueError(f"key {q} lacks its divisor {ctx.spf(q)}")
+    for p in [q for q in F if q > 1 and ctx.spf(q) == q]:
+        # ascending q: F[q] is read before F[q p] is subtracted from it
+        for q in F:
+            if q % p == 0:
+                if q // p not in F:
+                    raise ValueError(f"key {q} lacks its divisor {q // p}")
+                F[q // p] -= F[q]
+    return {d: d * f for d, f in F.items() if f}, den
+
+
 def beta_fourier_many(ctx: PrimeContext, weights: SieveWeights,
                       ns) -> list[Fraction]:
-    """beta_fourier over many n: one shared denominator, and each key's
-    Ramanujan sums gathered from its table c_q(0..q-1) for all n at once."""
+    """beta_fourier over many n, swapped by Kluyver's formula into
+    beta(n) = sum_{d | n} W_d: each nonzero W_d is added to the n divisible
+    by d, over one common denominator.  The key set must be closed under
+    divisors (ValueError otherwise); no Ramanujan sum is evaluated."""
     ns = np.asarray(list(ns), dtype=np.int64)
     if ns.size and ns.min() < 1:
         raise ValueError(f"n={int(ns.min())} must be >= 1")
-    den = math.lcm(*(wq.denominator for wq in weights.w.values()))
+    W, den = _kluyver_numerators(ctx, weights)
     total = np.zeros(ns.size, dtype=object)
-    for q, wq in weights.w.items():
-        column = ctx.ramanujan_table(q)[ns % q].astype(object)
-        total += wq.numerator * (den // wq.denominator) * column
+    for d, wd in W.items():
+        total[np.flatnonzero(ns % d == 0)] += wd
     return [Fraction(s, den) for s in total.tolist()]
 
 

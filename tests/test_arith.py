@@ -79,22 +79,6 @@ def test_ramanujan_sum_matches_exponential(ctx):
             assert abs(ctx.ramanujan_sum(q, n) - direct) < 1e-6
 
 
-def test_ramanujan_table_matches_scalar(ctx):
-    # every residue for q <= 500; beyond, the scalar oracle is called once
-    # per gcd(q, r), the only way c_q(r) depends on r
-    for q in range(1, 3001):
-        table = ctx.ramanujan_table(q)
-        assert table.shape == (q,)
-        if q <= 500:
-            assert table.tolist() == [ctx.ramanujan_sum(q, r) for r in range(q)]
-            continue
-        g = np.gcd(q, np.arange(q))
-        lookup = np.zeros(q + 1, dtype=np.int64)
-        for d in np.unique(g).tolist():
-            lookup[d] = ctx.ramanujan_sum(q, d)
-        assert np.array_equal(table, lookup[g]), q
-
-
 def test_primorial_and_mertens(ctx):
     assert ctx.primorial(3) == 2
     assert ctx.mertens_product(3) == Fraction(1, 2)

@@ -10,6 +10,7 @@ import pytest
 
 from primecusps.arith import CapacityError, build_context
 from primecusps.gfunctions import (
+    BLOCK,
     G_CONSTANT,
     GProfile,
     explicit_estimate_report,
@@ -119,6 +120,27 @@ def test_g_checkpoints_shared_across_threads(checkpoint_reference):
                 assert ms == sorted(set(ms))
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_g_checkpoints_bound_the_work(monkeypatch):
+    # shuffled G(z), G(z^2) queries: every segment summed spans at most one
+    # block, and the integers summed in all come to at most the largest m
+    # plus one block per query
+    ctx = build_context(120 * 120)
+    spans = []
+    real = ctx.sifted_mask
+
+    def counted(n, z0=2, d=1, start=0):
+        spans.append(n + 1 - start)
+        return real(n, z0, d, start)
+    monkeypatch.setattr(ctx, "sifted_mask", counted)
+    zs = list(range(2, 121))
+    random.Random(3).shuffle(zs)
+    ms = [m for z in zs for m in (z, z * z)]
+    for m in ms:
+        g_value(ctx, 1, m)
+    assert max(spans) <= BLOCK
+    assert sum(spans) <= max(ms) + len(ms) * BLOCK
 
 
 def test_g_monotonicity(ctx):

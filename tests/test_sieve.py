@@ -1,6 +1,7 @@
 """Enveloping-sieve weights: exact identities, envelope property, bounds."""
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from primecusps.arith import CapacityError, PrimeContext
+from primecusps.arith import CapacityError, PrimeContext, build_context
 from primecusps.gfunctions import g_sifted
 from primecusps import sieve
 from primecusps.sieve import (
@@ -83,6 +84,49 @@ def test_beta_fourier_many_uses_no_scalar_sums(ctx, monkeypatch):
         raise AssertionError("scalar ramanujan_sum called")
     monkeypatch.setattr(PrimeContext, "ramanujan_sum", refuse)
     assert beta_fourier_many(ctx, weights, ns) == direct
+
+
+def _fourier_cross_check(ctx, weights, ns):
+    # the Kluyver path against the scalar von Sterneck path, value by value
+    assert beta_fourier_many(ctx, weights, ns) == [
+        beta_fourier(ctx, weights, n) for n in ns]
+
+
+def test_beta_fourier_many_matches_scalar(ctx):
+    weights = build_weights(ctx, SieveParams(3, 30, 5))
+    rng = random.Random(0)
+    ns = rng.sample(range(1, ctx.limit + 1), 60) + [1, ctx.limit]
+    # products of the sieving primes, and with a struck prime beside them
+    products = [q for q in weights.w if q > 1]
+    ns += products + [5 * q for q in products if 5 * q <= ctx.limit]
+    _fourier_cross_check(ctx, weights, ns)
+
+
+def test_beta_fourier_many_matches_scalar_past_the_table(ctx):
+    # tau * 29 passes the 120000 table
+    weights = build_weights(ctx, SieveParams(3, 50, 4999))
+    ns = [4999, 2 * 4999, 3 * 4999, 21 * 4999, 3 * 7 * 11 * 13 * 17, 29 * 31 * 37]
+    ns += random.Random(1).sample(range(1, ctx.limit + 1), 30)
+    _fourier_cross_check(ctx, weights, ns)
+
+
+def test_beta_fourier_many_needs_divisor_closed_keys(ctx, w350):
+    for drop in (3, 7 * 11):
+        w = {q: v for q, v in w350.w.items() if q != drop}
+        open_keys = SieveWeights(w350.params, w350.G_val, w350.lam, w)
+        with pytest.raises(ValueError, match="lacks its divisor"):
+            beta_fourier_many(ctx, open_keys, [1, 2, 3])
+    # a key none of whose primes is a key
+    lonely = SieveWeights(w350.params, w350.G_val, w350.lam,
+                          {1: w350.w[1], 15: w350.w[15]})
+    with pytest.raises(ValueError, match="lacks its divisor"):
+        beta_fourier_many(ctx, lonely, [15])
+
+
+def test_weights_need_the_table_to_reach_z_squared():
+    # floor(z)^2 = 400 fits the table, but the keys run to floor(z^2) = 420
+    with pytest.raises(CapacityError, match="420"):
+        build_weights(build_context(400), SieveParams(2, 20.5, 1))
 
 
 def _trial_factor(n):
