@@ -23,17 +23,19 @@ serves every block of consecutive samples, so transference evaluates a
 whole cover in one call), and grid_blocks every j/G.  Real weights make
 the sum at -alpha the conjugate of the sum at alpha, so grid_blocks covers
 only the half circle 0 <= j <= G/2, on one path: it sweeps G = R L by the
-residues r <= R/2 of j mod R, one real FFT for r = 0 and one complex
-length-L FFT for each other r, in O(L) memory (L the power of two at or
-above the support when that divides G, else L = G and R = 1).  Each
-consumer keeps what it needs: grid_sums the dense half circle (the
-spectrum command and l1_estimate), spectrum(subset, A, G) a SpectrumGrid
-of only the samples with |T*| >= T*(0)/A, and
-transference.sharp_sup_report a running maximum.  grid_size gives the
-default 32N grid or checks a given one.  The local model replaces the
-primes by z0-rough integers weighted by 1/(V(z0) log N).
-fejer_interval_polynomial builds a trigonometric polynomial for an interval
-indicator; only acceptance criterion 10 checks it.
+residues r <= R/2 of j mod R, one real FFT for r = 0 and one complex FFT
+for each other r, in O(L) memory (L the power of two at or above the
+support when that divides G, else L = G and R = 1).  That FFT has length
+L/2 when every point of the support less the offset has one parity, as the
+primes of every prime subset do, and length L otherwise.  Each consumer
+keeps what it needs: grid_sums the dense half circle (the spectrum command
+and l1_estimate), spectrum(subset, A, G) a SpectrumGrid of only the
+samples with |T*| >= T*(0)/A, and transference.sharp_sup_report a running
+maximum.  grid_size gives the default 32N grid or checks a given one.
+The local model replaces the primes by z0-rough integers weighted by
+1/(V(z0) log N).  fejer_interval_polynomial builds a trigonometric
+polynomial for an interval indicator; only acceptance criterion 10 checks
+it.
 """
 from __future__ import annotations
 
@@ -367,13 +369,27 @@ def _residue_blocks(values: np.ndarray, G: int, L: int, offset: int):
     del real
     yield slice(0, half, R), np.conj(sums, out=sums)  # the FFT carries e(-sk/L)
     del sums
-    twisted = np.zeros(L, dtype=complex)  # zero off the slots at every residue
+    # when every shift has one parity c, s = 2t + c and sum_s u_s e(sk/L) =
+    # e(ck/L) sum_s u_s e(tk/(L/2)): the bottom half is a length-L/2 FFT of
+    # the weights at t mod L/2 times e(ck/L), the top half (-1)^c times it
+    parity = shift & 1
+    h = int(L >= 4 and len(shift) > 0 and bool((parity == parity[0]).all()))
+    c = int(parity[0]) if h else 0
+    n = L >> h
+    slots = (shift >> h) % n
+    twist = _phases(np.arange(n), L) if c else None  # e(k/L), k < L/2
+    twisted = np.zeros(n, dtype=complex)  # zero off the slots at every residue
     for r in range(1, R // 2 + 1):
         twisted[slots] = weights * _phases(shift * r % G, G)
-        full = np.fft.ifft(twisted, norm="forward")  # sum_s u_s e(+sk/L)
+        full = np.fft.ifft(twisted, norm="forward")  # sum_s u_s e(+(s >> h)k/n)
+        if c:
+            full *= twist
         yield slice(r, half, R), full[: L // 2]
         if 2 * r < R:  # residue R - r: the reversed conjugate of the top half
-            yield slice(R - r, half, R), np.conj(full[: L // 2 - 1 : -1])
+            top = np.conj(full[n - L // 2:][::-1])  # full[L/2:], or full at n = L/2
+            if c:
+                np.negative(top, out=top)
+            yield slice(R - r, half, R), top
         del full  # before the next transform allocates its own
 
 
@@ -391,11 +407,14 @@ def grid_blocks(values: np.ndarray, G: int, offset: int = 0):
     otherwise: for j = r + R k, the sum is
     sum_i [values[i] e((i - offset) r/G)] e((i - offset) k/L), one length-L
     FFT per residue of the twisted weights placed at (i - offset) mod L,
-    with (i - offset) r reduced mod G exactly in int64.  Residue 0 is one
-    real FFT; residue R - r is the reversed conjugate of residue r, so only
-    r <= R/2 is transformed, and memory stays O(L).  Raises ValueError for
-    complex weights and CapacityError, before any work, past SWEEP_BUDGET
-    points."""
+    with (i - offset) r reduced mod G exactly in int64.  When every shift
+    s = i - offset has one parity c and L >= 4, s = 2t + c halves it: the
+    FFT has length L/2 over the weights placed at t mod L/2, times e(ck/L),
+    and its top half k >= L/2 is (-1)^c times its bottom half.  Residue 0
+    is one real FFT of length L; residue R - r is the reversed conjugate of
+    the top half of residue r, so only r <= R/2 is transformed, and memory
+    stays O(L).  Raises ValueError for complex weights and CapacityError,
+    before any work, past SWEEP_BUDGET points."""
     if np.iscomplexobj(values):
         raise ValueError("grid sums take real weights")
     if G < 1:

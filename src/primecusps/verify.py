@@ -25,6 +25,9 @@ CUSP_GRID_A = (2, 4, 8, 16)
 #: seeded trials of the primal and dual large sieve in suite_large_sieve
 LARGE_SIEVE_TRIALS = 200
 
+#: kept spectrum samples each spectrum-sampler-vs-direct row re-evaluates
+SPECTRUM_SAMPLER_CHECKS = 64
+
 
 def _beta_grid_row(ctx, z0, z, tau, nmax) -> CheckRow:
     weights = sv.build_weights(ctx, sv.SieveParams(z0, z, tau))
@@ -105,13 +108,29 @@ def _criterion_subsets(ctx, N: int):
             ex.subset_random(ctx, N, 0.5, seed=42))
 
 
+def _spectrum_sampler_row(grid: ex.SpectrumGrid) -> CheckRow:
+    """Re-evaluate SPECTRUM_SAMPLER_CHECKS kept samples of the grid sweep,
+    picked at seed 42, with the direct sum, all in one exp_sum call."""
+    subset = grid.subset
+    picks = np.random.default_rng(42).choice(
+        len(grid.index), min(SPECTRUM_SAMPLER_CHECKS, len(grid.index)), replace=False)
+    direct = ex.exp_sum(subset.members, grid.index[picks] / grid.G)
+    worst = np.abs(grid.values[picks] - direct).max()
+    return leq_row("spectrum-sampler-vs-direct",
+                   {"subset": subset.label, "N": subset.N, "samples": len(picks)},
+                   worst, cu.REEVAL_TOL * float(subset.size),
+                   note="max |T* swept - T* direct| at seeded kept grid samples")
+
+
 def suite_cusps(ctx: PrimeContext) -> list[CheckRow]:
-    """Cusp counts and structure over the criterion subsets.  The suite does
-    not read --seed: its random subset is fixed at seed 42."""
+    """Cusp counts and structure over the criterion subsets, and the grid
+    sweep re-evaluated at seeded kept samples.  The suite does not read
+    --seed: its random subset and its samples are fixed at seed 42."""
     rows = []
     for N in (10_000, 100_000):
         for subset in _criterion_subsets(ctx, N):
             grid = ex.spectrum(subset, max(CUSP_GRID_A))
+            rows.append(_spectrum_sampler_row(grid))
             for A in CUSP_GRID_A:
                 rep = cu.find_cusps(grid, A)
                 count = len(rep.wellspaced)

@@ -369,6 +369,30 @@ def test_grid_sums_match_direct():
             assert abs(got - direct) <= 1e-9 * np.abs(values).sum(), (G, j)
 
 
+def _assert_sweep(values, G, offset):
+    """grid_blocks(values, G, offset) covers the half circle once, matches
+    grid_sums at offset 0 bitwise, and matches the one-shot rfft and the
+    direct sum within 1e-9 sum |w|."""
+    scale = 1e-9 * np.abs(values).sum()
+    js = np.arange(G // 2 + 1)
+    seen = np.zeros(G // 2 + 1, dtype=int)
+    sums = np.empty(G // 2 + 1, dtype=complex)
+    for j, block in grid_blocks(values, G, offset):
+        assert np.array_equal(j.start + j.step * np.arange(len(block)), js[j])
+        seen[j] += 1
+        sums[j] = block
+    assert (seen == 1).all(), (G, offset)
+    if offset == 0:
+        assert np.array_equal(grid_sums(values, G), sums)
+    folded = np.pad(values, (0, -len(values) % G)).reshape(-1, G).sum(axis=0)
+    one_shot = np.conj(np.fft.rfft(folded, G)) * np.exp(-2j * np.pi * (js * offset % G) / G)
+    assert np.abs(sums - one_shot).max() <= scale, (G, offset)
+    ell = np.arange(len(values)) - offset
+    for j in range(0, G // 2 + 1, max(1, G // 600)):
+        direct, = exp_sum(ell, j / G, values[None])
+        assert abs(sums[j] - direct) <= scale, (G, offset, j)
+
+
 @pytest.mark.parametrize("G", [
     100, 300, 301,      # below, at and just above len(values): R = 1, L = G
     512, 1280,          # R = 1, and G > L with L not dividing it: L = G
@@ -378,25 +402,64 @@ def test_sweep_matches_one_shot_and_direct(G):
     # 300 weights, so L = 512; some zero weights leave the support sparse
     values = np.random.default_rng(8).normal(size=300)
     values[::7] = 0.0
-    scale = 1e-9 * np.abs(values).sum()
-    js = np.arange(G // 2 + 1)
     for offset in (0, 37, 299):
-        seen = np.zeros(G // 2 + 1, dtype=int)
-        sums = np.empty(G // 2 + 1, dtype=complex)
-        for j, block in grid_blocks(values, G, offset):
-            assert np.array_equal(j.start + j.step * np.arange(len(block)), js[j])
-            seen[j] += 1
-            sums[j] = block
-        assert (seen == 1).all(), (G, offset)
-        if offset == 0:
-            assert np.array_equal(grid_sums(values, G), sums)
-        folded = np.pad(values, (0, -len(values) % G)).reshape(-1, G).sum(axis=0)
-        one_shot = np.conj(np.fft.rfft(folded, G)) * np.exp(-2j * np.pi * (js * offset % G) / G)
-        assert np.abs(sums - one_shot).max() <= scale, (G, offset)
-        ell = np.arange(300) - offset
-        for j in range(0, G // 2 + 1, max(1, G // 600)):
-            direct, = exp_sum(ell, j / G, values[None])
-            assert abs(sums[j] - direct) <= scale, (G, offset, j)
+        _assert_sweep(values, G, offset)
+
+
+def _keep_parity(values, parity):
+    """values with the entries of the other parity zeroed, for "odd" and
+    "even"; values itself otherwise."""
+    out = values.copy()
+    if parity == "odd":
+        out[::2] = 0.0
+    elif parity == "even":
+        out[1::2] = 0.0
+    return out
+
+
+@pytest.mark.parametrize("G", [512, 1024, 3 * 512, 32 * 512])  # R = 1, 2, 3, 32
+@pytest.mark.parametrize("parity", ["odd", "even", "one-point", "zero"])
+def test_sweep_on_one_parity_matches_one_shot_and_direct(G, parity):
+    # a support of one parity takes half-length transforms (the mixed one of
+    # the test above does not); offsets 0, odd and even keep that parity or
+    # flip it, and 120 makes shifts negative
+    values = np.random.default_rng(9).normal(size=300)
+    values[::7] = 0.0
+    if parity == "one-point":  # L = 2: too short to halve
+        values = values[1:2]
+    elif parity == "zero":  # an empty support
+        values = np.zeros(300)
+    else:
+        values = _keep_parity(values, parity)
+    for offset in (0, 37, 120):
+        _assert_sweep(values, G, offset)
+
+
+@pytest.mark.parametrize("parity, length", [("odd", 256), ("even", 256), ("mixed", 512)])
+def test_sweep_transform_lengths(monkeypatch, parity, length):
+    # L = 512 and R = 32: residues 1..16 each take one complex transform,
+    # of length L/2 when every shift has one parity
+    values = _keep_parity(np.random.default_rng(10).normal(size=300), parity)
+    lengths = []
+    ifft = np.fft.ifft
+
+    def recording(a, *args, **kwargs):
+        lengths.append(len(a))
+        return ifft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", recording)
+    for _ in grid_blocks(values, 32 * 512):
+        pass
+    assert lengths == [length] * 16
+
+
+def test_spectrum_half_turn(ctx):
+    # every member is an odd prime, so T*(1/2 - alpha) = -conj T*(alpha)
+    for subset in (subset_full(ctx, 10_000), subset_sqrt2(ctx, 10_000),
+                   subset_random(ctx, 10_000, 0.5, seed=42)):
+        sums = grid_sums(subset.indicator(), grid_size(subset.N))
+        err = np.abs(sums[::-1] + np.conj(sums)).max()
+        assert err <= 1e-12 * subset.size, (subset.label, err)
 
 
 def test_sparse_spectrum_keeps_the_dense_samples_above_its_floor(ctx):
