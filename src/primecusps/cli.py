@@ -36,12 +36,14 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One run; every field but command is a --flag and a config-file key."""
+    """One run; every field but command is a --flag and a config-file key,
+    and some command reads each.  There is no thread count (exp_sum uses
+    every CPU the process may use), no prime-table size (it follows N, or
+    zmax for verify) and no lower prime cutoff (P* lies in [sqrt(N), N])."""
     command: str
     N: int = None
     subset: str = "full"
     density: float = 0.5
-    pmin: int = None
     A: float = 4.0
     B: float = 2.0
     xi: float = 0.0
@@ -54,9 +56,7 @@ class RunConfig:
     zmax: int = 10_000
     format: str = "json"
     output: str = None
-    threads: int = 1
     seed: int = 0
-    limit: int = None
 
     def __post_init__(self):
         if self.subset not in ("full", "sqrt2", "random"):
@@ -67,8 +67,6 @@ class RunConfig:
                              f"choose from {', '.join(formats)}")
         if self.suite not in SUITE_NAMES + ("all",):
             raise UsageError(f"unknown suite {self.suite!r}")
-        if self.threads < 1:
-            raise UsageError("threads must be >= 1")
         if self.grid is not None and (self.grid < 1 or self.grid & (self.grid - 1)):
             raise UsageError(f"grid={self.grid} is not a power of two")
         if self.command != "verify":
@@ -142,11 +140,10 @@ def _echo(cfg: RunConfig) -> dict:
 
 def _subset(ctx, cfg: RunConfig) -> ex.PrimeSubset:
     if cfg.subset == "full":
-        return ex.subset_full(ctx, cfg.N, pmin=cfg.pmin)
+        return ex.subset_full(ctx, cfg.N)
     if cfg.subset == "sqrt2":
-        return ex.subset_sqrt2(ctx, cfg.N, pmin=cfg.pmin)
-    return ex.subset_random(ctx, cfg.N, cfg.density, seed=cfg.seed,
-                            pmin=cfg.pmin)
+        return ex.subset_sqrt2(ctx, cfg.N)
+    return ex.subset_random(ctx, cfg.N, cfg.density, seed=cfg.seed)
 
 
 def _out_path(cfg: RunConfig, ext: str) -> str:
@@ -260,8 +257,7 @@ def cmd_decompose(ctx, cfg: RunConfig) -> int:
 
 
 def cmd_verify(ctx, cfg: RunConfig) -> int:
-    rows = run_suite(ctx, cfg.suite, seed=cfg.seed, zmax=cfg.zmax,
-                     threads=cfg.threads)
+    rows = run_suite(ctx, cfg.suite, seed=cfg.seed, zmax=cfg.zmax)
     payload = {"schema": SCHEMA, "seed": cfg.seed, "config": _echo(cfg),
                "suite": cfg.suite, "rows": [r.to_dict() for r in rows],
                "clean": all_clean(rows)}
@@ -286,8 +282,8 @@ _COMMANDS = {
 
 
 def _context_limit(cfg: RunConfig) -> int:
-    if cfg.limit is not None:
-        return cfg.limit
+    """The prime table covers the scans to zmax, or the primes to N; a z
+    past N stays a domain error that names z, never a larger table."""
     if cfg.command == "verify":
         return max(120_000, cfg.zmax)
     return max(1000, cfg.N)

@@ -84,37 +84,34 @@ class PrimeSubset:
         return out
 
 
-def _range_primes(ctx: PrimeContext, N: int, pmin=None) -> np.ndarray:
+def _range_primes(ctx: PrimeContext, N: int) -> np.ndarray:
+    """The primes in [sqrt(N), N]."""
     if N < 100:
         raise ValueError(f"N={N} must be >= 100")
     if N > ctx.limit:
         raise CapacityError(f"N={N} exceeds prime table limit {ctx.limit}")
-    ps = ctx.primes_below(N + 1)
-    if pmin is None:
-        keep = ps.astype(np.int64) ** 2 >= N
-    else:
-        keep = ps >= pmin
-    return ps[keep].astype(np.int64)
+    ps = ctx.primes_below(N + 1)  # int64
+    return ps[ps * ps >= N]
 
 
-def subset_full(ctx: PrimeContext, N: int, pmin=None) -> PrimeSubset:
-    """All primes in [sqrt(N), N] (or [pmin, N] when a cutoff is given)."""
-    return PrimeSubset(N, _range_primes(ctx, N, pmin), "full")
+def subset_full(ctx: PrimeContext, N: int) -> PrimeSubset:
+    """All primes in [sqrt(N), N]."""
+    return PrimeSubset(N, _range_primes(ctx, N), "full")
 
 
-def subset_sqrt2(ctx: PrimeContext, N: int, pmin=None) -> PrimeSubset:
+def subset_sqrt2(ctx: PrimeContext, N: int) -> PrimeSubset:
     """Primes p in range with {p sqrt(2)} <= 1/2, decided in fixed point."""
-    ps = _range_primes(ctx, N, pmin)
+    ps = _range_primes(ctx, N)
     keep = [((int(p) * _SQRT2_FIX) & _FRAC_MASK) <= _HALF_FIX for p in ps]
     return PrimeSubset(N, ps[np.array(keep)], "sqrt2")
 
 
 def subset_random(ctx: PrimeContext, N: int, density: float = 0.5,
-                  seed: int = 0, pmin=None) -> PrimeSubset:
+                  seed: int = 0) -> PrimeSubset:
     """Seeded random subsequence of the range primes at the given density."""
     if not 0 < density <= 1:
         raise ValueError(f"density={density} must lie in (0, 1]")
-    ps = _range_primes(ctx, N, pmin)
+    ps = _range_primes(ctx, N)
     rng = np.random.default_rng(seed)
     keep = rng.random(len(ps)) < density
     return PrimeSubset(N, ps[keep], f"random({density}, seed={seed})")
@@ -138,8 +135,8 @@ _pool_lock = threading.Lock()
 def _run_on_workers(task, ranges) -> None:
     """task(lo, hi) for every range, on the module's pool of WORKERS threads
     (made on first use) when there is more than one.  Tasks never submit to
-    the pool, so callers on threads of their own (verify --threads) share it
-    without deadlock."""
+    the pool, so callers on threads of their own share it without
+    deadlock."""
     global _pool
     if len(ranges) <= 1:
         for lo, hi in ranges:

@@ -177,18 +177,11 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES)
 
 
-def run_suite(ctx: PrimeContext, name: str, seed: int, zmax: int,
-              threads: int) -> list[CheckRow]:
+def run_suite(ctx: PrimeContext, name: str, seed: int, zmax: int) -> list[CheckRow]:
+    """The rows of one suite, or of every suite in SUITE_NAMES order for
+    "all", on the calling thread; exp_sum's workers are the parallelism."""
     if name == "all":
-        names = list(SUITE_NAMES)
-        if threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                parts = list(pool.map(
-                    lambda n: run_suite(ctx, n, seed, zmax, 1), names))
-        else:
-            parts = [run_suite(ctx, n, seed, zmax, 1) for n in names]
-        return [row for part in parts for row in part]
+        return [row for n in SUITE_NAMES for row in run_suite(ctx, n, seed, zmax)]
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from "
                          f"{', '.join(SUITE_NAMES)} or all")

@@ -3,9 +3,7 @@ import json
 
 import pytest
 
-from primecusps.arith import CapacityError, build_context
 from primecusps.cli import build_config, main, UsageError
-from primecusps.gfunctions import explicit_estimate_report
 
 
 def run(args):
@@ -28,11 +26,14 @@ def test_unknown_values_are_usage_errors(tmp_path):
     assert run(["verify", "--format", "csv"]) == 2
     assert run(["cusps", "--N", "2000", "--format", "plotdata"]) == 2
     assert run(["decompose", "--N", "10000", "--format", "plotdata"]) == 2
-    # --mode is gone, as a flag and as a config key
-    assert run(["spectrum", "--N", "2000", "--mode", "fast"]) == 2
-    cfgfile = tmp_path / "mode.cfg"
-    cfgfile.write_text("N = 2000\nmode = fast\n")
-    assert run(["spectrum", "--config", str(cfgfile)]) == 2
+    # --mode, --threads, --limit and --pmin are gone, as flags and as
+    # config keys
+    for key, value in (("mode", "fast"), ("threads", "2"), ("limit", "5000"),
+                       ("pmin", "2")):
+        assert run(["spectrum", "--N", "2000", f"--{key}", value]) == 2
+        cfgfile = tmp_path / f"{key}.cfg"
+        cfgfile.write_text(f"N = 2000\n{key} = {value}\n")
+        assert run(["spectrum", "--config", str(cfgfile)]) == 2
 
 
 def test_non_finite_floats_are_usage_errors(capsys):
@@ -52,14 +53,6 @@ def test_grid_must_be_power_of_two(capsys):
     assert run(["spectrum", "--N", "2000", "--grid", "0"]) == 2
     with pytest.raises(UsageError):
         build_config(["cusps", "--N", "2000", "--grid", "100000"])
-
-
-def test_N_beyond_limit_is_capacity_failure(tmp_path, capsys):
-    code = run(["spectrum", "--N", "100000", "--limit", "50000",
-                "--output", str(tmp_path / "s.json")])
-    assert code == 1
-    assert "exceeds prime table limit" in capsys.readouterr().err
-    assert not (tmp_path / "s.json").exists()
 
 
 def test_grid_beyond_memory_is_capacity_failure(tmp_path, capsys):
@@ -231,17 +224,6 @@ def test_verify_red_suite(tmp_path, capsys):
     assert "mertens-product-lower-refined" in err
     d = json.loads(out.read_text())
     assert not d["clean"]
-
-
-def test_zmax_beyond_limit_is_capacity_failure(tmp_path, capsys):
-    # the scans are never clipped to the table: zmax past --limit is an error
-    code = run(["verify", "--suite", "g-functions", "--zmax", "5000",
-                "--limit", "3000", "--output", str(tmp_path / "v.json")])
-    assert code == 1
-    err = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
-    assert len(err) == 1 and "5000" in err[0] and "3000" in err[0]
-    with pytest.raises(CapacityError):
-        explicit_estimate_report(build_context(3000), 5000)
 
 
 def test_zmax_below_the_scan_domain_is_domain_error(tmp_path, capsys):

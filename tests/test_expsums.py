@@ -80,13 +80,15 @@ def test_subset_beyond_table_is_capacity_error():
         subset_full(build_context(1000), 5000)
 
 
-@pytest.mark.parametrize("kind", ["full", "sqrt2", "random", "pmin"])
+@pytest.mark.parametrize("kind", ["full", "sqrt2", "random", "all-primes"])
 def test_progression_matches_direct(ctx, kind):
     N = 10_000
+    # all-primes takes every prime up to N, the even prime 2 included
     subset = {"full": lambda: subset_full(ctx, N),
               "sqrt2": lambda: subset_sqrt2(ctx, N),
               "random": lambda: subset_random(ctx, N, 0.5, seed=11),
-              "pmin": lambda: subset_full(ctx, N, pmin=2)}[kind]()
+              "all-primes": lambda: PrimeSubset(N, ctx.primes_below(N + 1),
+                                                "all-primes")}[kind]()
     tol = 1e-9 * subset.size
     Q = 6 * 240 * 4 * N
     cases = [

@@ -299,6 +299,12 @@ def test_report_statuses(ctx):
         -0.0013525373530547669, rel=1e-9)
 
 
+def test_zmax_beyond_table_is_capacity_error():
+    # the scans are never clipped to the table: zmax past it is an error
+    with pytest.raises(CapacityError, match="zmax=5000 .* 3000"):
+        explicit_estimate_report(build_context(3000), 5000)
+
+
 def test_report_passing_rows_have_margins(ctx):
     for r in explicit_estimate_report(ctx, 10_000):
         if r.status == "pass" and r.margin is not None:
