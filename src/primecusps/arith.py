@@ -162,7 +162,7 @@ class PrimeContext:
 
     # -- shared masks and lazy tables (used by the exact and float G sums) --
 
-    def sifted_mask(self, n: int, z0=2, d=1, start: int = 0) -> np.ndarray:
+    def sifted_mask(self, n: int, z0, d=1, start: int = 0) -> np.ndarray:
         """Bool array over [start, n]: True at m >= 1 with no prime factor
         below z0 and gcd(m, d) = 1.  d is an int or a tuple of factors whose
         primes are struck one factor at a time, so their product may pass

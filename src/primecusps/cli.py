@@ -133,11 +133,6 @@ def build_config(argv) -> RunConfig:
     return RunConfig(command=args.command, **merged)
 
 
-def _echo(cfg: RunConfig) -> dict:
-    out = {k: v for k, v in asdict(cfg).items() if v is not None}
-    return out
-
-
 def _subset(ctx, cfg: RunConfig) -> ex.PrimeSubset:
     if cfg.subset == "full":
         return ex.subset_full(ctx, cfg.N)
@@ -146,20 +141,28 @@ def _subset(ctx, cfg: RunConfig) -> ex.PrimeSubset:
     return ex.subset_random(ctx, cfg.N, cfg.density, seed=cfg.seed)
 
 
-def _out_path(cfg: RunConfig, ext: str) -> str:
-    return cfg.output or f"primecusps-{cfg.command}.{ext}"
-
-
-def _write(path: str, text: str) -> str:
+def _write(path: str, text: str) -> None:
     try:
         with open(path, "w") as fh:
             fh.write(text)
     except OSError as err:
         raise RuntimeError(f"cannot write {path}: {err}")
+
+
+def _emit(cfg: RunConfig, ext: str, text: str) -> str:
+    """Write the command's artifact (--output, or primecusps-<command>.<ext>)
+    and print its path."""
+    path = cfg.output or f"primecusps-{cfg.command}.{ext}"
+    _write(path, text)
+    print(path)
     return path
 
 
-def _json_text(payload: dict) -> str:
+def _json_report(cfg: RunConfig, **fields) -> str:
+    """The JSON artifact: schema, seed and the set config values, then the
+    command's fields, keys sorted."""
+    config = {k: v for k, v in asdict(cfg).items() if v is not None}
+    payload = {"schema": SCHEMA, "seed": cfg.seed, "config": config, **fields}
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
@@ -173,7 +176,7 @@ def cmd_spectrum(ctx, cfg: RunConfig) -> int:
     if cfg.format == "plotdata":
         alphas = np.arange(G) / G
         lines = [f"{a:.12g} {float(r)!r}" for a, r in zip(alphas, ratio)]
-        path = _write(_out_path(cfg, "txt"), "\n".join(lines) + "\n")
+        path = _emit(cfg, "txt", "\n".join(lines) + "\n")
         overlay = [f"{float(fp):.12g} {fp.denominator} "
                    f"{1 if ctx.is_squarefree(fp.denominator) else 0}"
                    for fp in farey_points(cfg.Q)]
@@ -181,16 +184,12 @@ def cmd_spectrum(ctx, cfg: RunConfig) -> int:
     elif cfg.format == "csv":
         lines = ["alpha,ratio"]
         lines += [f"{j / G:.12g},{r:.10g}" for j, r in enumerate(ratio)]
-        path = _write(_out_path(cfg, "csv"), "\n".join(lines) + "\n")
+        _emit(cfg, "csv", "\n".join(lines) + "\n")
     else:
-        payload = {
-            "schema": SCHEMA, "seed": cfg.seed, "config": _echo(cfg),
-            "N": subset.N, "size": subset.size, "K": subset.K,
-            "grid": G, "l1_estimate": ex.l1_estimate(sums, G),
-            "ratio_min": float(ratio.min()), "ratio_max": float(ratio.max()),
-        }
-        path = _write(_out_path(cfg, "json"), _json_text(payload))
-    print(path)
+        _emit(cfg, "json", _json_report(
+            cfg, N=subset.N, size=subset.size, K=subset.K,
+            grid=G, l1_estimate=ex.l1_estimate(sums, G),
+            ratio_min=float(ratio.min()), ratio_max=float(ratio.max())))
     return 0
 
 
@@ -199,37 +198,30 @@ def cmd_cusps(ctx, cfg: RunConfig) -> int:
     grid = ex.spectrum(subset, cfg.A, cfg.grid)
     report = cu.find_cusps(grid, cfg.A)
     rows = cu.structure_check(report, subset)
-    rows.append(cu.farey_census_report(ctx, report))
+    rows.append(cu.farey_census_report(report))
     if cfg.format == "csv":
         lines = ["lo,hi,peak_pos,peak_height"]
         lines += [f"{a.lo:.12g},{a.hi:.12g},{a.peak.position:.12g},"
                   f"{a.peak.weight:.10g}" for a in report.arcs]
-        path = _write(_out_path(cfg, "csv"), "\n".join(lines) + "\n")
+        _emit(cfg, "csv", "\n".join(lines) + "\n")
     else:
-        payload = {
-            "schema": SCHEMA, "seed": cfg.seed, "config": _echo(cfg),
-            "N": report.N, "A": report.A, "K": report.K,
-            "threshold": report.threshold, "bound": report.bound,
-            "count": len(report.wellspaced), "count_ok": report.count_ok,
-            "measure_estimate": report.measure_estimate,
-            "arcs": [{"lo": a.lo, "hi": a.hi, "peak_pos": a.peak.position,
-                      "peak_height": a.peak.weight} for a in report.arcs],
-            "wellspaced": [{"position": p.position, "weight": p.weight}
-                           for p in report.wellspaced],
-            "checks": [r.to_dict() for r in rows],
-        }
-        path = _write(_out_path(cfg, "json"), _json_text(payload))
-    print(path)
+        _emit(cfg, "json", _json_report(
+            cfg, N=report.N, A=report.A, K=report.K,
+            threshold=report.threshold, bound=report.bound,
+            count=len(report.wellspaced), count_ok=report.count_ok,
+            measure_estimate=report.measure_estimate,
+            arcs=[{"lo": a.lo, "hi": a.hi, "peak_pos": a.peak.position,
+                   "peak_height": a.peak.weight} for a in report.arcs],
+            wellspaced=[{"position": p.position, "weight": p.weight}
+                        for p in report.wellspaced],
+            checks=[r.to_dict() for r in rows]))
     return 0 if report.count_ok and all_clean(rows) else 1
 
 
 def cmd_companions(ctx, cfg: RunConfig) -> int:
     subset = _subset(ctx, cfg)
     result = cu.companion_search(subset, cfg.xi, cfg.A, cfg.B)
-    payload = {"schema": SCHEMA, "seed": cfg.seed, "config": _echo(cfg),
-               **result}
-    path = _write(_out_path(cfg, "json"), _json_text(payload))
-    print(path)
+    _emit(cfg, "json", _json_report(cfg, **result))
     return 0 if result["ok"] else 1
 
 
@@ -243,26 +235,18 @@ def cmd_decompose(ctx, cfg: RunConfig) -> int:
     # any power of two serves the supremum, one below N included
     sup = tr.sharp_sup_report(dec, min(cfg.grid or ex.grid_size(cfg.N), 1 << 20))
     if cfg.format == "csv":
-        path = _write(_out_path(cfg, "csv"), tr.decomposition_csv(dec))
+        _emit(cfg, "csv", tr.decomposition_csv(dec))
     else:
-        payload = {
-            "schema": SCHEMA, "seed": cfg.seed, "config": _echo(cfg),
-            "M": M, "z": dec.z, "G": float(dec.G_val), "V": float(dec.V_val),
-            "metrics": dec.metrics, "sup": sup,
-            "checks": [r.to_dict() for r in rows],
-        }
-        path = _write(_out_path(cfg, "json"), _json_text(payload))
-    print(path)
+        _emit(cfg, "json", _json_report(
+            cfg, M=M, z=dec.z, G=float(dec.G_val), V=float(dec.V_val),
+            metrics=dec.metrics, sup=sup, checks=[r.to_dict() for r in rows]))
     return 0 if all_clean(rows) else 1
 
 
 def cmd_verify(ctx, cfg: RunConfig) -> int:
     rows = run_suite(ctx, cfg.suite, seed=cfg.seed, zmax=cfg.zmax)
-    payload = {"schema": SCHEMA, "seed": cfg.seed, "config": _echo(cfg),
-               "suite": cfg.suite, "rows": [r.to_dict() for r in rows],
-               "clean": all_clean(rows)}
-    path = _write(_out_path(cfg, "json"), _json_text(payload))
-    print(path)
+    _emit(cfg, "json", _json_report(cfg, suite=cfg.suite, clean=all_clean(rows),
+                                    rows=[r.to_dict() for r in rows]))
     if not all_clean(rows):
         for r in rows:
             if r.status == "fail":

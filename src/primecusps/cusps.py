@@ -4,10 +4,12 @@ An A-cusp is a point alpha with |T*(alpha)| >= T*(0)/A.  The detector
 reads the half-circle grid samples at or above the threshold (the
 spectrum keeps only those, so the grid costs O(N) memory), finds and
 refines the runs on the half circle (merging runs split at grid
-resolution, bisecting arc endpoints against the direct sum), reflects each
-arc to its mirror, and extracts a (1/N)-well spaced subset whose count is
-tested against the 19 A^2 K log(2A) bound.  structure_check finds the arc
-holding a point by bisection on the arc starts.
+resolution, bisecting arc endpoints against the direct sum), seeds the
+rational cusps a/q (q squarefree, phi(q) <= A) that fall between grid
+samples, reflects each arc to its mirror, and extracts a (1/N)-well
+spaced subset whose count is tested against the 19 A^2 K log(2A) bound.
+structure_check finds the arc holding a point by bisection on the arc
+starts.
 The same module hosts the arithmetic structure checks on the cusp set
 (symmetry, rational shifts, companions) and the explicit large sieve
 inequalities the counting argument rests on.
@@ -17,16 +19,20 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from .arith import PrimeContext, WeightedPoint, circle_distance, extract_well_spaced
-from .expsums import PrimeSubset, SpectrumGrid, exp_sum_at, grid_sums
-from .report import CheckRow, leq_row, na_row
+from .expsums import TWO_PI, PrimeSubset, SpectrumGrid, exp_sum_at, grid_sums
+from .report import CheckRow, exact_leq_row, leq_row, na_row
 
 #: arcs are refined until the endpoint bracket is this fraction of 1/N
 ENDPOINT_RESOLUTION = 1.0 / 1024.0
+#: a point this close to an arc, as a fraction of 1/N, counts as in it:
+#: arc endpoints are bisected to ENDPOINT_RESOLUTION / N
+ARC_SLACK = 4.0 * ENDPOINT_RESOLUTION
 #: direct re-evaluation tolerance, as a fraction of T*(0)
 REEVAL_TOL = 1e-6
 #: the A of each large-sieve level-set corollary row
@@ -44,7 +50,7 @@ class CuspArc:
     def length(self) -> float:
         return (self.hi - self.lo) % 1.0 if self.hi != self.lo else 0.0
 
-    def contains(self, x: float, slack: float = 0.0) -> bool:
+    def contains(self, x: float, slack: float) -> bool:
         return ((x - self.lo) % 1.0) <= (self.hi - self.lo) % 1.0 + slack \
             or ((self.lo - x) % 1.0) <= slack
 
@@ -100,16 +106,14 @@ def _golden_peak(subset: PrimeSubset, lo: float, hi: float, width: float) -> tup
     return x % 1.0, abs(exp_sum_at(subset, x % 1.0))
 
 
-def _run_peak(subset: PrimeSubset, run: np.ndarray, mags: np.ndarray,
-              G: int, width: float) -> WeightedPoint:
-    """Golden-section peak around the run's best grid sample, or that
-    sample when it is higher."""
-    jstar = run[np.argmax(mags)]
-    peak_pos, peak_val = _golden_peak(subset, (jstar - 1) / G, (jstar + 1) / G, width)
-    grid_best = float(mags.max())
-    if grid_best > peak_val:  # golden section lost a multimodal bracket
-        peak_pos, peak_val = jstar / G, grid_best
-    return WeightedPoint(peak_pos, peak_val)
+def _peak(subset: PrimeSubset, lo: float, hi: float, best: WeightedPoint,
+          width: float) -> WeightedPoint:
+    """Golden-section peak of |T*| on [lo, hi] (unwrapped reals), or the
+    known point best when it is higher."""
+    position, value = _golden_peak(subset, lo, hi, width)
+    if best.weight > value:  # golden section lost a multimodal bracket
+        return best
+    return WeightedPoint(position, value)
 
 
 def _half_runs(index: np.ndarray, gap: int) -> list[np.ndarray]:
@@ -125,10 +129,14 @@ def find_cusps(grid: SpectrumGrid, A: float) -> CuspReport:
     separated by less than 1/(4N) are merged, endpoints are bisected to
     circle width 1/(1024 N), and the well-spaced subset is extracted
     greedily at delta = 1/N from the refined peaks and every above-threshold
-    grid sample.  T*(-alpha) = conj T*(alpha), so every run other than the
-    ones that are their own mirror (around 0 or 1/2, which bisect one
-    endpoint and reflect it) also gives the mirror arc (-hi, -lo).  A
-    threshold T*(0)/A below the grid's floor raises ValueError.
+    grid sample.  Every point a/q of rational_cusps with 0 < a/q < 1/2 that
+    lies in no run's arc (its arc is narrower than the grid step) is seeded
+    as an arc of its own, bisected from a/q out to its two grid neighbours
+    and golden-sectioned between them.  T*(-alpha) = conj T*(alpha), so
+    every arc other than the ones that are their own mirror (around 0 or
+    1/2, which bisect one endpoint and reflect it) also gives the mirror
+    arc (-hi, -lo).  A threshold T*(0)/A below the grid's floor raises
+    ValueError.
     """
     if not 1 <= A < math.inf:
         raise ValueError(f"A={A} must be finite and >= 1")
@@ -140,7 +148,7 @@ def find_cusps(grid: SpectrumGrid, A: float) -> CuspReport:
     index, absvals = grid.above(threshold)
     gap = max(2, math.ceil(G / (4.0 * N)))  # consecutive indices always share a run
 
-    arcs, mirrors, candidates = [], [], []
+    half, candidates = [], []  # half: (half-circle position, arc, its own mirror)
     runs = _half_runs(index, gap)
     starts = np.cumsum([0] + [len(run) for run in runs])
     for run, start in zip(runs, starts):
@@ -158,18 +166,29 @@ def find_cusps(grid: SpectrumGrid, A: float) -> CuspReport:
         else:
             lo_u = _bisect_crossing(subset, threshold, run[0] / G, (run[0] - 1) / G, width)
             hi_u = _bisect_crossing(subset, threshold, run[-1] / G, (run[-1] + 1) / G, width)
-        arc = CuspArc(lo_u % 1.0, hi_u % 1.0, _run_peak(subset, run, mags, G, width))
-        arcs.append(arc)
-        candidates.append(arc.peak)
+        jstar = run[np.argmax(mags)]
+        peak = _peak(subset, (jstar - 1) / G, (jstar + 1) / G,
+                     WeightedPoint(jstar / G, float(mags.max())), width)
+        half.append((run[0] / G, CuspArc(lo_u % 1.0, hi_u % 1.0, peak), at_zero or at_half))
         candidates.extend(WeightedPoint(j / G, float(m)) for j, m in zip(run, mags))
         candidates.extend(WeightedPoint((G - j) / G, float(m))
                           for j, m in zip(run, mags) if 0 < 2 * j < G)
-        if not (at_zero or at_half):
-            mirror = CuspArc((-arc.hi) % 1.0, (-arc.lo) % 1.0,
-                             WeightedPoint((-arc.peak.position) % 1.0, arc.peak.weight))
-            mirrors.append(mirror)
-            candidates.append(mirror.peak)
-    arcs.extend(reversed(mirrors))  # so the arcs run in circle order from 0
+    in_runs = _arc_membership([arc for _, arc, _ in half], ARC_SLACK / N)
+    for seed in rational_cusps(subset, A):
+        x = seed.position
+        if 0 < 2 * x < 1 and not in_runs(x):
+            j = math.floor(x * G)  # x is no grid point: q is neither 1 nor 2
+            arc = CuspArc(_bisect_crossing(subset, threshold, x, j / G, width),
+                          _bisect_crossing(subset, threshold, x, (j + 1) / G, width),
+                          _peak(subset, j / G, (j + 1) / G, seed, width))
+            half.append((x, arc, False))
+    half.sort(key=lambda entry: entry[0])
+    arcs = [arc for _, arc, _ in half]
+    mirrors = [CuspArc((-arc.hi) % 1.0, (-arc.lo) % 1.0,
+                       WeightedPoint((-arc.peak.position) % 1.0, arc.peak.weight))
+               for _, arc, own in half if not own]
+    candidates += [arc.peak for arc in arcs + mirrors]
+    arcs += reversed(mirrors)  # so the arcs run in circle order from 0
 
     wellspaced = extract_well_spaced(candidates, 1.0 / N)
     K = subset.K
@@ -177,6 +196,61 @@ def find_cusps(grid: SpectrumGrid, A: float) -> CuspReport:
     measure = sum(arc.length for arc in arcs)
     return CuspReport(subset.label, N, float(A), K, threshold,
                       tuple(arcs), tuple(wellspaced), bound, measure)
+
+
+# -- rational cusps -----------------------------------------------------------
+
+
+def rational_points(A: float) -> list[Fraction]:
+    """The reduced fractions a/q in [0, 1) with q squarefree and
+    phi(q) <= A, ascending in q and then a: where the local model puts
+    |T*| near T*(0)/phi(q).  phi(q) >= sqrt(q/2), so every such q is at
+    most 2 A^2."""
+    points = []
+    for q in range(1, math.floor(2 * A * A) + 1):
+        a = np.arange(q)
+        reduced = a[np.gcd(a, q) == 1].tolist()
+        if len(reduced) <= A and all(q % (k * k) for k in range(2, math.isqrt(q) + 1)):
+            points += [Fraction(r, q) for r in reduced]
+    return points
+
+
+def rational_cusps(subset: PrimeSubset, A: float) -> list[WeightedPoint]:
+    """The points a/q of rational_points(A) where |T*(a/q)| clears T*(0)/A
+    by more than its float error, each weighted by |T*(a/q)|.
+
+    With c_r the number of members = r mod q, T*(a/q) = sum_r c_r e(ra/q),
+    its phases ra reduced exactly mod q: each term is within about 24 units
+    of roundoff u of c_r e(ra/q), and the q-term sum adds at most 2q u
+    T*(0), so the error is below (2q + 32) u T*(0)."""
+    T0 = float(subset.size)
+    threshold = T0 / A
+    counts = {}
+    cusps = []
+    for x in rational_points(A):
+        q = x.denominator
+        if q not in counts:
+            counts[q] = np.bincount(subset.members % q, minlength=q)
+        r = np.arange(q)
+        value = abs(counts[q] @ np.exp(TWO_PI * 1j * (r * x.numerator % q / q)))
+        if value - (2 * q + 32) * 2.0 ** -53 * T0 >= threshold:
+            cusps.append(WeightedPoint(float(x), float(value)))
+    return cusps
+
+
+def rational_cusps_row(report: CuspReport, subset: PrimeSubset) -> CheckRow:
+    """rational-cusps-detected: the points of rational_cusps(subset, A)
+    outside every detected arc (within ARC_SLACK / N), against 0."""
+    in_arcs = _arc_membership(report.arcs, ARC_SLACK / report.N)
+    cusps = rational_cusps(subset, report.A)
+    missed = [p.position for p in cusps if not in_arcs(p.position)]
+    note = "rational A-cusps a/q (q squarefree, phi(q) <= A) outside every arc"
+    if missed:
+        note += ": " + ", ".join(f"{x:.6g}" for x in missed)
+    return exact_leq_row("rational-cusps-detected",
+                         {"subset": report.subset_label, "N": report.N, "A": report.A,
+                          "points": len(cusps)},
+                         len(missed), 0, note)
 
 
 # -- structure of the cusp set ---------------------------------------------
@@ -211,7 +285,7 @@ def structure_check(report: CuspReport, subset: PrimeSubset) -> list[CheckRow]:
     rows = []
     T0 = float(subset.size)
     tol = REEVAL_TOL * T0
-    in_arcs = _arc_membership(report.arcs, 4.0 * ENDPOINT_RESOLUTION / report.N)
+    in_arcs = _arc_membership(report.arcs, ARC_SLACK / report.N)
     worst = math.inf
     contained = True
     for pt in report.wellspaced:
@@ -413,24 +487,10 @@ def wq_weighted_sieve_report(ctx: PrimeContext, weights, u: np.ndarray,
 # -- rational-cusp census ---------------------------------------------------
 
 
-def bateman_count(ctx: PrimeContext, A: float) -> int:
-    """Number of reduced fractions a/q with q squarefree and phi(q) <= A:
-    sum of mu^2(q) phi(q) over those q (the a=0 point counted once at q=1)."""
-    total = 0
-    q = 1
-    # phi(q) > sqrt(q/2) for q > 6, so the scan below is exhaustive
-    while q <= max(6, int(4 * A * A) + 1):
-        if ctx.is_squarefree(q) and ctx.euler_phi(q) <= A:
-            total += ctx.euler_phi(q) if q > 1 else 1
-        q += 1
-    return total
-
-
-def farey_census_report(ctx: PrimeContext, report: CuspReport) -> CheckRow:
+def farey_census_report(report: CuspReport) -> CheckRow:
     """Order-of-magnitude comparison of the detected arc count with the
-    rational prediction (~ A^2/2 reduced fractions of squarefree
-    denominator with phi(q) <= A)."""
-    predicted = bateman_count(ctx, report.A)
+    rational prediction: the ~ A^2/2 points of rational_points(A)."""
+    predicted = len(rational_points(report.A))
     observed = len(report.arcs)
     ratio = observed / predicted if predicted else math.inf
     return CheckRow("cusp-farey-census",

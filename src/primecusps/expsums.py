@@ -13,9 +13,10 @@ n = lo + H h + l are shorter than the points, a term is two table entries
 at exact phases times an exact rounding correction, with no libm call per
 point; elsewhere it is libm's e^{i theta_n}.  It has two forms: at one alpha
 the kernel's value, and at an array of alphas the same kernel looped over
-one contiguous piece of the alphas per worker, WORKERS threads, one per
-CPU the process may use, so every sum is bitwise the one its alpha gets
-alone and none depends on the thread count.  exp_sum_at is T*(alpha) =
+one contiguous piece of the alphas per worker thread, at most WORKERS (one
+per CPU the process may use), which the call starts and joins before it
+returns, so every sum is bitwise the one its alpha gets alone and none
+depends on the thread count.  exp_sum_at is T*(alpha) =
 sum over the prime subset of e(p alpha); the interval polynomial and the
 local model go through exp_sum too.  exp_sums_on_progression evaluates any
 ascending samples of an arithmetic progression by chirp-z (one kernel
@@ -41,7 +42,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,8 +106,8 @@ def subset_sqrt2(ctx: PrimeContext, N: int) -> PrimeSubset:
     return PrimeSubset(N, ps[np.array(keep)], "sqrt2")
 
 
-def subset_random(ctx: PrimeContext, N: int, density: float = 0.5,
-                  seed: int = 0) -> PrimeSubset:
+def subset_random(ctx: PrimeContext, N: int, density: float,
+                  seed: int) -> PrimeSubset:
     """Seeded random subsequence of the range primes at the given density."""
     if not 0 < density <= 1:
         raise ValueError(f"density={density} must lie in (0, 1]")
@@ -127,28 +127,6 @@ def _cpus() -> int:
 #: threads exp_sum spreads an array of alphas over: the CPUs this process
 #: may use
 WORKERS = _cpus()
-
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _run_on_workers(task, ranges) -> None:
-    """task(lo, hi) for every range, on the module's pool of WORKERS threads
-    (made on first use) when there is more than one.  Tasks never submit to
-    the pool, so callers on threads of their own share it without
-    deadlock."""
-    global _pool
-    if len(ranges) <= 1:
-        for lo, hi in ranges:
-            task(lo, hi)
-        return
-    with _pool_lock:
-        if _pool is None:
-            # imported here: a module-level import raises every command's peak
-            from concurrent.futures import ThreadPoolExecutor
-            _pool = ThreadPoolExecutor(WORKERS, thread_name_prefix="exp_sum")
-    for future in [_pool.submit(task, lo, hi) for lo, hi in ranges]:
-        future.result()
 
 
 def _split(n: int, parts: int) -> list[tuple[int, int]]:
@@ -287,7 +265,9 @@ def exp_sum(ns: np.ndarray, alpha, weights: np.ndarray = None):
     entry per row of W.  At a 1-D array of alphas it is the array of those
     values, one per alpha: the alphas are cut into one contiguous piece per
     worker (at most WORKERS), each worker loops a kernel of its own over
-    its piece, so each sum is bitwise the one its alpha gets alone.  The
+    its piece, so each sum is bitwise the one its alpha gets alone.  More
+    than one piece runs on threads of the call's own, joined before it
+    returns, so callers on threads of their own share nothing.  The
     digit indices are built once a call and shared read-only.  They, the
     kernels' buffers and the output are checked against physical memory
     before any is allocated."""
@@ -310,12 +290,19 @@ def exp_sum(ns: np.ndarray, alpha, weights: np.ndarray = None):
         return _kernel(ns, weights, digits)(alpha)
     out = np.empty(len(alphas) if weights is None else (len(alphas), rows), dtype=complex)
 
-    def task(lo, hi):
+    def task(piece):
         at = _kernel(ns, weights, digits)
-        for i in range(lo, hi):
+        for i in range(*piece):
             out[i] = at(alphas[i])
 
-    _run_on_workers(task, ranges)
+    if len(ranges) > 1:
+        # imported here: a module-level import raises every command's peak
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(len(ranges), thread_name_prefix="exp_sum") as pool:
+            list(pool.map(task, ranges))  # raises a worker's error here
+    else:
+        for piece in ranges:
+            task(piece)
     return out
 
 

@@ -6,7 +6,7 @@ The central quantity is
 
 where P(z0) is the product of the primes below z0.  Exact values are
 fractions, summed in blocks of BLOCK integers from checkpoints kept on the
-PrimeContext; GProfile gives a vectorised float view for the large scans.
+PrimeContext; g_profile gives the float cumulative table the scans read.
 xi_value and g_bracket evaluate the kernel behind the Fourier coefficients
 of the sieve weights.
 
@@ -46,7 +46,7 @@ def _floor(y) -> int:
 BLOCK = 512
 
 
-def g_sifted(ctx: PrimeContext, d, y, z0=2) -> Fraction:
+def g_sifted(ctx: PrimeContext, d, y, z0) -> Fraction:
     """Exact G_d(y; z0): sum of 1/phi(ell) over squarefree ell <= y
     coprime to d and free of prime factors below z0.
 
@@ -132,7 +132,7 @@ def xi_value(ctx: PrimeContext, q: int, y) -> Fraction:
     return Fraction(total, ctx.euler_phi(q))
 
 
-def g_bracket(ctx: PrimeContext, q: int, z, z0=2, tau: int = 1) -> Fraction:
+def g_bracket(ctx: PrimeContext, q: int, z, z0, tau: int) -> Fraction:
     """Exact bracketed sum
 
         G_[q](z; z0, tau) = sum_{ell <= z/sqrt(q), (ell, q*tau*P(z0))=1}
@@ -160,28 +160,14 @@ def g_bracket(ctx: PrimeContext, q: int, z, z0=2, tau: int = 1) -> Fraction:
     return total
 
 
-class GProfile:
-    """Float cumulative table for y -> G_d(y; z0) at one fixed (d, z0).
-
-    cum[m] holds G_d(m; z0); lookups floor y to the step grid.
-    """
-
-    def __init__(self, ctx: PrimeContext, d: int = 1, z0=2, limit: int | None = None):
-        n = ctx.limit if limit is None else int(limit)  # sifted_mask raises past the table
-        mask = ctx.sifted_mask(n, z0, d) & ctx.squarefree_mask[: n + 1]
-        vals = np.zeros(n + 1)
-        vals[mask] = 1.0 / ctx.phi_table[: n + 1][mask]
-        self.cum = np.cumsum(vals)
-        self.d = d
-        self.z0 = z0
-
-    def __call__(self, y) -> float:
-        m = _floor(y)
-        if m >= len(self.cum):
-            raise CapacityError(f"y={y} exceeds profile limit {len(self.cum) - 1}")
-        if m < 0:
-            return 0.0
-        return float(self.cum[m])
+def g_profile(ctx: PrimeContext, d: int, z0, n: int) -> np.ndarray:
+    """Float cumulative table of y -> G_d(y; z0) at one fixed (d, z0): entry
+    m holds G_d(m; z0) for 0 <= m <= n.  Raises CapacityError for an n past
+    the prime table."""
+    mask = ctx.sifted_mask(n, z0, d) & ctx.squarefree_mask[: n + 1]
+    vals = np.zeros(n + 1)
+    vals[mask] = 1.0 / ctx.phi_table[: n + 1][mask]
+    return np.cumsum(vals)
 
 
 def _worst(margins: np.ndarray, labels: np.ndarray):
@@ -215,12 +201,13 @@ def explicit_estimate_report(ctx: PrimeContext, zmax: int) -> list[CheckRow]:
     rows: list[CheckRow] = []
     primes = ctx.primes[ctx.primes <= zmax]
     logs = np.log(primes.astype(float))
+    g = g_profile(ctx, 1, 2, zmax)  # plain G, shared by four scans
 
-    rows.append(_check_division_chain(ctx, min(zmax, 10_000)))
-    rows.append(_check_asymptotic_band(ctx, zmax))
+    rows.append(_check_division_chain(ctx, g[: min(zmax, 10_000) + 1]))
+    rows.append(_check_asymptotic_band(g))
     rows.append(_check_square_doubling(ctx))
-    rows.append(_check_log_gap_band(ctx, zmax))
-    rows.append(_check_lower_log_ratio(ctx, zmax))
+    rows.append(_check_log_gap_band(g))
+    rows.append(_check_lower_log_ratio(ctx, g))
 
     # the four estimates whose hypothesis set starts at z0 >= 35 with the
     # full primorial below z: smallest admissible z is ~2.0056e11
@@ -239,25 +226,27 @@ def explicit_estimate_report(ctx: PrimeContext, zmax: int) -> list[CheckRow]:
     return rows
 
 
-def _check_division_chain(ctx: PrimeContext, zcap: int) -> CheckRow:
+def _check_division_chain(ctx: PrimeContext, g: np.ndarray) -> CheckRow:
     # G_1(z/q; z0) <= (q/phi(q)) G_q(z/q; z0) <= G_1(z; z0) for every
-    # squarefree q <= 30 coprime to the primes below z0, integer z <= zcap.
+    # squarefree q <= 30 coprime to the primes below z0, integer z <= zcap;
+    # g is plain G to zcap.
+    zcap = len(g) - 1
     worst = math.inf
     at = {}
     for z0 in (2, 3, 5):
-        base = GProfile(ctx, 1, z0, zcap)
+        base = g if z0 == 2 else g_profile(ctx, 1, z0, zcap)
         zs = np.arange(1, zcap + 1)
         for q in range(2, 31):
             if not ctx.is_squarefree(q):
                 continue
             if q > 1 and ctx.spf(q) < z0:
                 continue
-            prof_q = GProfile(ctx, q, z0, zcap)
+            prof_q = g_profile(ctx, q, z0, zcap)
             ratio = q / ctx.euler_phi(q)
             idx = zs // q
-            lhs = base.cum[idx]
-            mid = ratio * prof_q.cum[idx]
-            rhs = base.cum[zs]
+            lhs = base[idx]
+            mid = ratio * prof_q[idx]
+            rhs = base[zs]
             m1 = mid - lhs
             m2 = rhs - mid
             m = min(float(m1.min()), float(m2.min()))
@@ -269,12 +258,12 @@ def _check_division_chain(ctx: PrimeContext, zcap: int) -> CheckRow:
                    note=f"both chain links, squarefree q <= 30, integer z <= {zcap}, z0 in (2,3,5)")
 
 
-def _check_asymptotic_band(ctx: PrimeContext, cap: int) -> CheckRow:
+def _check_asymptotic_band(cum: np.ndarray) -> CheckRow:
     # |G(z) - log z - c0| <= 2.44/sqrt(z); G steps at integers, so the upper
     # side binds at z = n and the lower side as z -> (n+1)-.
-    prof = GProfile(ctx, 1, 2, cap)
+    cap = len(cum) - 1
     ns = np.arange(1, cap + 1).astype(float)
-    g = prof.cum[1:cap + 1]
+    g = cum[1:cap + 1]
     up = ASYM_SLOPE / np.sqrt(ns) - (g - np.log(ns) - G_CONSTANT)
     dn = ASYM_SLOPE / np.sqrt(ns[:-1] + 1) - (np.log(ns[:-1] + 1) + G_CONSTANT - g[:-1])
     margin, z_at = _worst(np.concatenate([up, dn]), np.concatenate([ns, ns[:-1]]))
@@ -285,19 +274,19 @@ def _check_asymptotic_band(ctx: PrimeContext, cap: int) -> CheckRow:
 def _check_square_doubling(ctx: PrimeContext) -> CheckRow:
     # G(z^2) <= 2 G(z): on z in [n, n+1) the left side peaks at G(n^2+2n)
     ncap = min(345, math.isqrt(ctx.limit + 1) - 1)
-    prof = GProfile(ctx, 1, 2, ncap * ncap + 2 * ncap)
+    g = g_profile(ctx, 1, 2, ncap * ncap + 2 * ncap)
     ns = np.arange(2, ncap + 1)
-    margins = 2.0 * prof.cum[ns] - prof.cum[ns * ns + 2 * ns]
+    margins = 2.0 * g[ns] - g[ns * ns + 2 * ns]
     m, n_at = _worst(margins, ns)
     return leq_row("g-square-doubling", {"z": int(n_at), "zmax": ncap}, -m, 0.0,
                    note="checked on the binding grid G(n^2+2n) <= 2G(n)")
 
 
-def _check_log_gap_band(ctx: PrimeContext, cap: int) -> CheckRow:
+def _check_log_gap_band(cum: np.ndarray) -> CheckRow:
     # 1.2 <= G(z) - log z <= 1.4709 for z >= 10
-    prof = GProfile(ctx, 1, 2, cap)
+    cap = len(cum) - 1
     ns = np.arange(10, cap + 1)
-    g = prof.cum[ns]
+    g = cum[ns]
     upper = 1.4709 - (g - np.log(ns))            # binds at z = n
     nxt = np.minimum(ns + 1, cap)                # last interval capped at the scan end
     lower = (g - np.log(nxt)) - 1.2              # binds as z -> (n+1)-
@@ -306,37 +295,32 @@ def _check_log_gap_band(ctx: PrimeContext, cap: int) -> CheckRow:
                    note="1.2 <= G(z) - log z <= 1.4709 on [10, zmax]")
 
 
-def _check_lower_log_ratio(ctx: PrimeContext, cap: int) -> CheckRow:
+def _check_lower_log_ratio(ctx: PrimeContext, g: np.ndarray) -> CheckRow:
     # G(z; z0) >= e^-gamma log z / log(2 z0) for 2 <= z0 <= z.  The right
     # side grows as z0 shrinks, so each prime gap (p, p') binds at z0 -> p+,
     # with the profile taken at threshold p', which strikes every prime <= p.
+    # g is plain G to the scan's end.
+    cap = len(g) - 1
     eg = math.exp(-EULER_GAMMA)
     ps = [int(p) for p in ctx.primes[ctx.primes <= cap]]
     sampled = [p for p in ps if p <= 31]
     step = max(1, len(ps) // 30)
     sampled += ps[len(sampled)::step]
+    gaps = sorted(set(sampled))
+    nexts = [ps[ps.index(p) + 1] if p < ps[-1] else cap + 1 for p in gaps]
     worst = math.inf
     at = {}
-    for p in sorted(set(sampled)):
-        i = ps.index(p)
-        nxt = ps[i + 1] if i + 1 < len(ps) else cap + 1
-        prof = GProfile(ctx, 1, nxt, cap)
+    # threshold 2 (z0 = 2 exactly) strikes nothing: plain G, last
+    for p, nxt in zip(gaps + [2], nexts + [2]):
+        prof = g if nxt == 2 else g_profile(ctx, 1, nxt, cap)
         ms = np.arange(p, cap + 1)
         zs = np.minimum(ms + 1, cap).astype(float)  # binding z -> (m+1)-
-        margins = prof.cum[ms] - eg * np.log(zs) / math.log(2 * p)
+        margins = prof[ms] - eg * np.log(zs) / math.log(2 * p)
         m, m_at = _worst(margins, ms)
         if m < worst:
             worst = m
-            at = {"z0_gap": (p, min(nxt, cap)), "z": int(m_at)}
-    # z0 = 2 exactly: plain G, denominator log 4
-    prof = GProfile(ctx, 1, 2, cap)
-    ms = np.arange(2, cap + 1)
-    zs = np.minimum(ms + 1, cap).astype(float)
-    margins = prof.cum[ms] - eg * np.log(zs) / math.log(4)
-    m, m_at = _worst(margins, ms)
-    if m < worst:
-        worst = m
-        at = {"z0": 2, "z": int(m_at)}
+            where = {"z0": 2} if nxt == 2 else {"z0_gap": (p, min(nxt, cap))}
+            at = {**where, "z": int(m_at)}
     return leq_row("g-lower-log-ratio", at, -worst, 0.0,
                    note=f"G(z;z0) >= e^-gamma log z / log 2z0, z0 sampled on prime gaps up to {cap}")
 

@@ -7,7 +7,7 @@ may be "not-applicable" and still count as clean).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 PASS = "pass"
 FAIL = "fail"
@@ -28,18 +28,10 @@ class CheckRow:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "lemma": self.lemma,
-            "params": self.params,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "status": self.status,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
-def leq_row(lemma: str, params: dict, lhs, rhs, note: str = "") -> CheckRow:
+def leq_row(lemma: str, params: dict, lhs, rhs, note: str) -> CheckRow:
     """Row asserting lhs <= rhs, with a small relative slack for floats."""
     lhs_f, rhs_f = float(lhs), float(rhs)
     slack = FLOAT_SLACK * max(1.0, abs(rhs_f))
@@ -55,7 +47,7 @@ def leq_row(lemma: str, params: dict, lhs, rhs, note: str = "") -> CheckRow:
     )
 
 
-def exact_leq_row(lemma: str, params: dict, lhs, rhs, note: str = "") -> CheckRow:
+def exact_leq_row(lemma: str, params: dict, lhs, rhs, note: str) -> CheckRow:
     """Row asserting lhs <= rhs, no float slack."""
     ok = lhs <= rhs
     return CheckRow(

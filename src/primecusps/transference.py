@@ -54,10 +54,8 @@ class Cover:
     Nprime: int
     eps: float
     points: tuple
-    intervals: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64),
-                                  repr=False, compare=False)
-    samples: np.ndarray = field(default_factory=lambda: np.empty((0, INTERVAL_SAMPLES)),
-                                repr=False, compare=False)
+    intervals: np.ndarray = field(repr=False, compare=False)
+    samples: np.ndarray = field(repr=False, compare=False)
 
     def reduced(self, M: int) -> tuple:
         return tuple(sorted({(M * y) % 1.0 for y in self.points}))

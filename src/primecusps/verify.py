@@ -123,9 +123,10 @@ def _spectrum_sampler_row(grid: ex.SpectrumGrid) -> CheckRow:
 
 
 def suite_cusps(ctx: PrimeContext) -> list[CheckRow]:
-    """Cusp counts and structure over the criterion subsets, and the grid
-    sweep re-evaluated at seeded kept samples.  The suite does not read
-    --seed: its random subset and its samples are fixed at seed 42."""
+    """Cusp counts, structure and rational cusps over the criterion
+    subsets, and the grid sweep re-evaluated at seeded kept samples.  The
+    suite does not read --seed: its random subset and its samples are
+    fixed at seed 42."""
     rows = []
     for N in (10_000, 100_000):
         for subset in _criterion_subsets(ctx, N):
@@ -139,8 +140,9 @@ def suite_cusps(ctx: PrimeContext) -> list[CheckRow]:
                                     float(count), rep.bound,
                                     note="well-spaced cusps vs 19 A^2 K log(2A)"))
                 rows.extend(cu.structure_check(rep, subset))
+                rows.append(cu.rational_cusps_row(rep, subset))
                 if A == 4:
-                    rows.append(cu.farey_census_report(ctx, rep))
+                    rows.append(cu.farey_census_report(rep))
     full = ex.subset_full(ctx, 10_000)
     rows.append(cu.rational_shift_check(ctx, full, 0.0, 3, 2.0))
     rows.append(cu.rational_shift_check(ctx, full, 0.0, 4, 2.0))

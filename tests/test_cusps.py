@@ -1,5 +1,6 @@
 """Cusp detection geometry and the large-sieve inequality checkers."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,12 +9,14 @@ from primecusps.arith import WeightedPoint, build_context, circle_distance
 from primecusps.cusps import (
     ENDPOINT_RESOLUTION,
     CuspArc,
-    bateman_count,
     companion_search,
     farey_census_report,
     find_cusps,
     large_sieve_check,
     dilated_large_sieve_check,
+    rational_cusps,
+    rational_cusps_row,
+    rational_points,
     rational_shift_check,
     structure_check,
     wq_weighted_sieve_report,
@@ -257,23 +260,63 @@ def test_weighted_sieve_record_branch(ctx):
     assert "z1" in rows2[0].note
 
 
-def test_bateman_count(ctx):
-    # phi(q) <= A over squarefree q: A=2 admits q in {1, 2, 3, 6}
-    assert bateman_count(ctx, 2) == 1 + 1 + 2 + 2
-    assert bateman_count(ctx, 1) == 1 + 1
-    assert bateman_count(ctx, 4) > bateman_count(ctx, 2)
+def test_rational_points():
+    # phi(q) <= A over squarefree q: A=1 admits q in {1, 2}, A=2 also 3 and 6,
+    # A=4 also 5 and 10, the 14 points cusp-farey-census predicts at A=4
+    assert rational_points(1) == [Fraction(0), Fraction(1, 2)]
+    assert rational_points(2) == [Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3),
+                                  Fraction(1, 6), Fraction(5, 6)]
+    assert [x.denominator for x in rational_points(4)] == [1, 2, 3, 3] + [5] * 4 + [6, 6] + [10] * 4
+    # against a brute-force scan past the 2 A^2 cut
+    reduced = {q: [a for a in range(q) if math.gcd(a, q) == 1] for q in range(1, 600)}
+    squarefree = {q for q in reduced if all(q % (k * k) for k in range(2, q + 1))}
+    for A in (3.5, 8, 16):
+        brute = [Fraction(a, q) for q in sorted(squarefree) if len(reduced[q]) <= A
+                 for a in reduced[q]]
+        assert rational_points(A) == brute, A
 
 
-def test_farey_census(ctx, full4):
+def test_rational_cusps_match_direct_sums(ctx):
+    # the bincount values are |T*(a/q)| as the direct sum gives it, and a
+    # point is kept exactly when it clears T*(0)/A
+    subset = subset_full(ctx, 10_000)
+    for A in (2, 4, 8):
+        kept = {p.position: p.weight for p in rational_cusps(subset, A)}
+        for x in rational_points(A):
+            direct = abs(exp_sum_at(subset, float(x)))
+            if float(x) in kept:
+                assert kept[float(x)] == pytest.approx(direct, rel=1e-12)
+            else:
+                assert direct < subset.size / A + 1e-9 * subset.size, (A, x)
+
+
+def test_arcs_hold_the_rational_cusps_between_grid_samples(cusp_grid):
+    # at N = 10^5, A = 2 every member is +-1 mod 6 and |T*(a/6)| =
+    # |T*(a/3)| = 0.500003 T*(0) from the class counts alone, yet no sample
+    # j/2^22 near them reaches T*(0)/2: the detector seeds those four arcs
+    subset, _, reports = cusp_grid[0][("full", 100_000)]
+    report = reports[2]
+    for x in (1 / 6, 1 / 3, 2 / 3, 5 / 6):
+        assert any(arc.contains(x, 0.0) for arc in report.arcs), x
+        assert abs(exp_sum_at(subset, x)) >= report.threshold
+    assert len(report.arcs) == 6
+    assert rational_cusps_row(report, subset).lhs == 0.0
+    for (label, N), (subset, _, reports) in cusp_grid[0].items():
+        for A, report in reports.items():
+            row = rational_cusps_row(report, subset)
+            assert row.status == "pass" and row.params["points"] >= 2, (label, N, A)
+
+
+def test_farey_census(full4):
     subset, grid, report = full4
-    row = farey_census_report(ctx, report)
-    assert row.status == "pass"
+    row = farey_census_report(report)
+    assert row.status == "pass" and row.rhs == 14.0
     assert row.note
 
 
 def test_arc_contains_wraparound():
     arc = CuspArc(0.95, 0.05, WeightedPoint(0.99, 5.0))
-    assert arc.contains(0.97)
-    assert arc.contains(0.03)
-    assert not arc.contains(0.5)
+    assert arc.contains(0.97, 0.0)
+    assert arc.contains(0.03, 0.0)
+    assert not arc.contains(0.5, 0.0)
     assert arc.length == pytest.approx(0.1)

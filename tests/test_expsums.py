@@ -2,6 +2,7 @@
 Fejer-weighted interval polynomial."""
 import math
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -217,29 +218,47 @@ def test_exp_sum_over_many_alphas_matches_scalar(ctx):
                 (len(ns), count)
 
 
-def test_exp_sum_from_more_threads_than_workers(monkeypatch):
-    # callers on threads of their own share one pool, made on first use
-    # under contention; every result lands in its own slot
+def test_exp_sum_from_more_threads_than_workers():
+    # three callers on threads of their own, each call with workers of its
+    # own (at most 3 WORKERS at once); every result lands in its own slot
     rng = np.random.default_rng(13)
     ns = np.arange(-500, 1501)
     W = rng.normal(size=(3, ns.size))
     alphas = rng.random(4 * expsums.WORKERS + 1)
     serial = ([exp_sum(ns, a) for a in alphas], [exp_sum(ns, a, W) for a in alphas])
-    monkeypatch.setattr(expsums, "_pool", None)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
-    callers = ThreadPoolExecutor(2 * expsums.WORKERS + 1)
+    callers = ThreadPoolExecutor(3)
     try:
         runs = [callers.submit(lambda: (exp_sum(ns, alphas), exp_sum(ns, alphas, W)))
-                for _ in range(8 * expsums.WORKERS)]
+                for _ in range(12)]
         results = [run.result(timeout=60) for run in runs]
     finally:
         sys.setswitchinterval(interval)
         callers.shutdown(wait=False, cancel_futures=True)
-        if expsums._pool is not None:
-            expsums._pool.shutdown(wait=False)
     for plain, weighted in results:
         assert np.array_equal(plain, serial[0]) and np.array_equal(weighted, serial[1])
+
+
+def test_exp_sum_threads_end_with_the_call(monkeypatch):
+    # an alpha-array call runs its pieces on threads it starts and joins
+    # before it returns: none is left behind for a later call
+    monkeypatch.setattr(expsums, "WORKERS", 3)
+    kernel = expsums._kernel
+    ran_on = []
+
+    def spy(*args):
+        ran_on.append(threading.current_thread().name)
+        return kernel(*args)
+
+    monkeypatch.setattr(expsums, "_kernel", spy)
+    ns = np.arange(-500, 1501)
+    for alphas in (np.random.default_rng(15).random(10), np.zeros(3)):
+        assert len(exp_sum(ns, alphas)) == len(alphas)
+        # one kernel a piece, each on a worker thread
+        assert len(ran_on) == 3 and all(name.startswith("exp_sum") for name in ran_on)
+        assert [t.name for t in threading.enumerate() if t.name.startswith("exp_sum")] == []
+        ran_on.clear()
 
 
 @pytest.mark.parametrize("workers", [1, 3, 7])
@@ -250,22 +269,17 @@ def test_exp_sum_does_not_depend_on_the_worker_count(monkeypatch, workers):
     ns = np.arange(-700, 2300)
     W = rng.normal(size=(3, ns.size))
     monkeypatch.setattr(expsums, "WORKERS", workers)
-    monkeypatch.setattr(expsums, "_pool", None)
     digits = expsums._digits(ns, expsums._table_shape(ns))
     plain, weighted = expsums._kernel(ns, None, digits), expsums._kernel(ns, W, digits)
-    try:
-        for count in (0, 1, 2, workers + 1, 40):
-            alphas = rng.random(count)
-            got = exp_sum(ns, alphas)
-            assert got.shape == (count,)
-            assert np.array_equal(got, [plain(a) for a in alphas]), count
-            got = exp_sum(ns, alphas, W)
-            assert got.shape == (count, 3)
-            assert np.array_equal(got, np.reshape([weighted(a) for a in alphas],
-                                                  (count, 3))), count
-    finally:
-        if expsums._pool is not None:
-            expsums._pool.shutdown(wait=True)
+    for count in (0, 1, 2, workers + 1, 40):
+        alphas = rng.random(count)
+        got = exp_sum(ns, alphas)
+        assert got.shape == (count,)
+        assert np.array_equal(got, [plain(a) for a in alphas]), count
+        got = exp_sum(ns, alphas, W)
+        assert got.shape == (count, 3)
+        assert np.array_equal(got, np.reshape([weighted(a) for a in alphas],
+                                              (count, 3))), count
 
 
 def test_exp_sum_over_many_alphas_beyond_memory_is_capacity_error(monkeypatch):

@@ -12,9 +12,9 @@ from primecusps.arith import CapacityError, build_context
 from primecusps.gfunctions import (
     BLOCK,
     G_CONSTANT,
-    GProfile,
     explicit_estimate_report,
     g_bracket,
+    g_profile,
     g_sifted,
     g_value,
     ordered_splits,
@@ -168,17 +168,18 @@ def test_g_lower_bound_sampled(ctx):
 
 
 def test_exact_vs_floating_profile(ctx):
-    prof = GProfile(ctx, 1, 2, limit=3000)
+    prof = g_profile(ctx, 1, 2, 3000)
+    assert len(prof) == 3001
     for y in (2, 10, 100, 999, 3000):
         exact = float(g_value(ctx, 1, y))
-        assert abs(prof(y) - exact) <= 1e-12 * exact
-    prof5 = GProfile(ctx, 7, 5, limit=500)
+        assert abs(prof[y] - exact) <= 1e-12 * exact
+    prof5 = g_profile(ctx, 7, 5, 500)
     for y in (10, 250, 500):
         exact = float(g_sifted(ctx, 7, y, 5))
-        assert abs(prof5(y) - exact) <= 1e-12 * max(exact, 1.0)
+        assert abs(prof5[y] - exact) <= 1e-12 * max(exact, 1.0)
     # a profile past the table is an error, never a shorter profile
     with pytest.raises(CapacityError):
-        GProfile(ctx, 1, 2, limit=ctx.limit + 1)
+        g_profile(ctx, 1, 2, ctx.limit + 1)
 
 
 def test_xi_values(ctx):

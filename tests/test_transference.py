@@ -17,6 +17,7 @@ from primecusps.cusps import find_cusps
 from primecusps.expsums import PhaseOverflowError, exp_sum, exp_sum_at, spectrum, subset_full
 from primecusps.transference import (
     COVER_SAMPLER_CHECKS,
+    INTERVAL_SAMPLES,
     BohrSet,
     Cover,
     bohr_size_row,
@@ -34,6 +35,12 @@ from primecusps.transference import (
     _difference_counts,
     _integer_convolve,
 )
+
+
+def _cover(A, N, Nprime, eps, points):
+    """A cover of the given points that sampled no intervals."""
+    return Cover(A, N, Nprime, eps, points, np.empty(0, dtype=np.int64),
+                 np.empty((0, INTERVAL_SAMPLES)))
 
 
 @pytest.fixture(scope="module")
@@ -134,12 +141,12 @@ def test_cover_points_are_cusps(ctx):
 
 
 def test_bohr_trivial_frequency(ctx):
-    cover = Cover(1.0, 10_000, 2_400_000, 1.0 / 240, (0.0,))
+    cover = _cover(1.0, 10_000, 2_400_000, 1.0 / 240, (0.0,))
     bohr = build_bohr(cover, 2, 10_000)
     assert bohr.size == 5000
     assert bohr.elements[0] == 2 and bohr.elements[-1] == 10_000
     # a wide eps makes every constraint vacuous
-    wide = Cover(1.0, 10_000, 2_400_000, 0.5, (0.0, 0.37, 0.61))
+    wide = _cover(1.0, 10_000, 2_400_000, 0.5, (0.0, 0.37, 0.61))
     assert build_bohr(wide, 4, 10_000).size == 2500
 
 
@@ -161,7 +168,7 @@ def _synthetic_cover(rng, N, M, count, eps=0.01):
     8 M up to a cut where the largest offset reaches eps."""
     freqs = rng.integers(0, 8, count) / 8 + rng.uniform(-2e-6, 2e-6, count)
     freqs[:5] = np.arange(5) / 8
-    return Cover(4.0, N, 960 * N, eps, tuple((freqs % 1.0 / M).tolist()))
+    return _cover(4.0, N, 960 * N, eps, tuple((freqs % 1.0 / M).tolist()))
 
 
 @pytest.mark.parametrize("M", [1, 2, 6])
@@ -171,13 +178,13 @@ def test_bohr_sieve_matches_blocked_enumeration(M):
     near_eighths = _synthetic_cover(rng, N, M, 1200)
     # at eps just below 1/2 each frequency removes about 0.2 % of what is
     # left, so the first few hundred passes test one frequency each
-    wide = Cover(4.0, N, 960 * N, 0.499, tuple((rng.random(1200) / M).tolist()))
+    wide = _cover(4.0, N, 960 * N, 0.499, tuple((rng.random(1200) / M).tolist()))
     for cover in (near_eighths, wide):
         bohr = build_bohr(cover, M, N)
         assert len(bohr.frequencies) >= 1000 and bohr.size > 0
         assert np.array_equal(bohr.elements, _blocked_bohr(cover, M, N))
     # frequencies spread over the circle leave nothing
-    spread = Cover(4.0, N, 960 * N, 0.01, tuple(rng.random(1200).tolist()))
+    spread = _cover(4.0, N, 960 * N, 0.01, tuple(rng.random(1200).tolist()))
     assert len(_blocked_bohr(spread, M, N)) == 0
     with pytest.raises(ValueError, match="empty Bohr set"):
         build_bohr(spread, M, N)
