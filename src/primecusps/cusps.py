@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .arith import PrimeContext, WeightedPoint, circle_distance, extract_well_spaced
-from .expsums import TWO_PI, PrimeSubset, SpectrumGrid, exp_sum_at, grid_sums
+from .expsums import TWO_PI, PrimeSubset, SpectrumGrid, exp_sum, exp_sum_at, grid_sums
 from .report import CheckRow, exact_leq_row, leq_row, na_row
 
 #: arcs are refined until the endpoint bracket is this fraction of 1/N
@@ -274,6 +274,12 @@ def _arc_membership(arcs: Sequence[CuspArc], slack: float):
     return contains
 
 
+def _moduli(subset: PrimeSubset, positions: Sequence[float]) -> list[float]:
+    """|T*| at each position, from one alpha-array exp_sum call: each one
+    bitwise what exp_sum_at gives it alone."""
+    return [abs(complex(v)) for v in exp_sum(subset.members, positions)]
+
+
 def structure_check(report: CuspReport, subset: PrimeSubset) -> list[CheckRow]:
     """Exact consequences on the cusp set, re-verified directly.
 
@@ -288,12 +294,12 @@ def structure_check(report: CuspReport, subset: PrimeSubset) -> list[CheckRow]:
     in_arcs = _arc_membership(report.arcs, ARC_SLACK / report.N)
     worst = math.inf
     contained = True
-    for pt in report.wellspaced:
-        for pos in ((-pt.position) % 1.0, (0.5 + pt.position) % 1.0):
-            val = abs(exp_sum_at(subset, pos))
-            worst = min(worst, val - (report.threshold - tol))
-            if not in_arcs(pos):
-                contained = False
+    positions = [pos for pt in report.wellspaced
+                 for pos in ((-pt.position) % 1.0, (0.5 + pt.position) % 1.0)]
+    for pos, val in zip(positions, _moduli(subset, positions)):
+        worst = min(worst, val - (report.threshold - tol))
+        if not in_arcs(pos):
+            contained = False
     ok = worst >= 0 and contained
     rows.append(CheckRow("cusp-symmetry",
                          {"subset": report.subset_label, "N": report.N, "A": report.A,
@@ -309,18 +315,18 @@ def rational_shift_check(ctx: PrimeContext, subset: PrimeSubset, xi: float,
     """For squarefree q < sqrt(N) with phi(q) <= A |T*(xi)| / T*(0), some
     shift xi + a/q (a mod* q) must itself be an A-cusp."""
     T0 = float(subset.size)
-    Txi = abs(exp_sum_at(subset, xi % 1.0))
     params = {"xi": xi, "q": q, "A": A, "subset": subset.label}
     if not ctx.is_squarefree(q):
         return na_row("cusp-rational-shift", params, "q not squarefree")
     if q * q >= subset.N:
         return na_row("cusp-rational-shift", params, "q >= sqrt(N)")
+    shifts = [(xi + a / q) % 1.0 for a in (range(1, q) if q > 1 else [0])
+              if math.gcd(a, q) == 1]
+    Txi, *shifted = _moduli(subset, [xi % 1.0] + shifts)
     if Txi == 0.0 or ctx.euler_phi(q) > A * Txi / T0:
         return na_row("cusp-rational-shift", params,
                       "phi(q) above the A |T*(xi)|/T*(0) gate")
-    best = max(abs(exp_sum_at(subset, (xi + a / q) % 1.0))
-               for a in (range(1, q) if q > 1 else [0])
-               if math.gcd(a, q) == 1)
+    best = max(shifted)
     margin = (best - (T0 / A - REEVAL_TOL * T0)) / T0
     return CheckRow("cusp-rational-shift", params, float(best), T0 / A,
                     float(margin), "pass" if margin >= 0 else "fail",
@@ -338,17 +344,13 @@ def companion_search(subset: PrimeSubset, xi: float, A: float, B: float) -> dict
     if not (1 <= B <= math.sqrt(A)):
         raise ValueError(f"B={B} outside [1, sqrt(A)]")
     T0 = float(subset.size)
-    if abs(exp_sum_at(subset, xi % 1.0)) < T0 / B - REEVAL_TOL * T0:
+    positions = [(xi + a / q) % 1.0 for q in range(1, int(A / B) + 1)
+                 for a in range(q) if math.gcd(a, q) == 1]
+    Txi, *moduli = _moduli(subset, [xi % 1.0] + positions)
+    if Txi < T0 / B - REEVAL_TOL * T0:
         raise ValueError(f"xi={xi} is not a B-cusp (B={B})")
-    members = []
-    for q in range(1, int(A / B) + 1):
-        for a in range(q):
-            if math.gcd(a, q) != 1:
-                continue
-            pos = (xi + a / q) % 1.0
-            t = abs(exp_sum_at(subset, pos)) / T0
-            if t >= 1.0 / A:
-                members.append((pos, t))
+    members = [(pos, t) for pos, t in zip(positions, (m / T0 for m in moduli))
+               if t >= 1.0 / A]
     Z = max((t for _, t in members), default=0.0)
     bound = 0.0
     if Z > 0:

@@ -24,14 +24,20 @@ serves every block of consecutive samples, so transference evaluates a
 whole cover in one call), and grid_blocks every j/G.  Real weights make
 the sum at -alpha the conjugate of the sum at alpha, so grid_blocks covers
 only the half circle 0 <= j <= G/2, on one path: it sweeps G = R L by the
-residues r <= R/2 of j mod R, one real FFT for r = 0 and one complex FFT
-for each other r, in O(L) memory (L the power of two at or above the
+residues r <= R/2 of j mod R, one real FFT for r = 0 on the calling thread
+and one complex FFT for each other r (L the power of two at or above the
 support when that divides G, else L = G and R = 1).  That FFT has length
 L/2 when every point of the support less the offset has one parity, as the
-primes of every prime subset do, and length L otherwise.  Each consumer
-keeps what it needs: grid_sums the dense half circle (the spectrum command
-and l1_estimate), spectrum(subset, A, G) a SpectrumGrid of only the
-samples with |T*| >= T*(0)/A, and transference.sharp_sup_report a running
+primes of every prime subset do, and length L otherwise.  The residues
+r >= 1 are cut into one contiguous piece per worker thread, each with one
+buffer it transforms in place, so memory stays O(L) a worker and no sum
+depends on the thread count; exp_sum and the sweep start and join their
+threads through one helper, _on_workers.  A consumer reduces each block on
+the worker's thread, reading the block of residue R - r from the same
+buffer as mirrored(top, sign): grid_sums writes the dense half circle (the
+spectrum command and l1_estimate), spectrum(subset, A, G) keeps a
+SpectrumGrid of only the samples with |T*| >= T*(0)/A, swept from the
+members with no dense indicator, and transference.sharp_sup_report a
 maximum.  grid_size gives the default 32N grid or checks a given one.
 The local model replaces the primes by z0-rough integers weighted by
 1/(V(z0) log N).  fejer_interval_polynomial builds a trigonometric
@@ -42,6 +48,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -124,8 +131,8 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-#: threads exp_sum spreads an array of alphas over: the CPUs this process
-#: may use
+#: threads exp_sum spreads an array of alphas over, and a sweep its
+#: residues: the CPUs this process may use
 WORKERS = _cpus()
 
 
@@ -134,6 +141,19 @@ def _split(n: int, parts: int) -> list[tuple[int, int]]:
     equal length."""
     parts = min(parts, n)
     return [(n * i // parts, n * (i + 1) // parts) for i in range(parts)]
+
+
+def _on_workers(task, pieces, name: str) -> list:
+    """[task(piece) for piece in pieces], in piece order.  More than one
+    piece runs one a thread, on threads named after `name` that the call
+    starts and joins before it returns; a piece's error is raised here.
+    The package starts no thread anywhere else."""
+    if len(pieces) < 2:
+        return [task(piece) for piece in pieces]
+    # imported here: a module-level import raises every command's peak
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(len(pieces), thread_name_prefix=name) as pool:
+        return list(pool.map(task, pieces))
 
 
 #: the table path's reach: every |n| and every |2 pi alpha n| stays below it.
@@ -295,14 +315,7 @@ def exp_sum(ns: np.ndarray, alpha, weights: np.ndarray = None):
         for i in range(*piece):
             out[i] = at(alphas[i])
 
-    if len(ranges) > 1:
-        # imported here: a module-level import raises every command's peak
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(len(ranges), thread_name_prefix="exp_sum") as pool:
-            list(pool.map(task, ranges))  # raises a worker's error here
-    else:
-        for piece in ranges:
-            task(piece)
+    _on_workers(task, ranges, "exp_sum")
     return out
 
 
@@ -337,22 +350,35 @@ def _phases(m: np.ndarray, Q: int) -> np.ndarray:
     return np.exp(TWO_PI * 1j * (m / Q))
 
 
-def _residue_blocks(values: np.ndarray, G: int, L: int, offset: int):
+#: support points a sweep worker twists and places at once, so that its
+#: temporaries stay far below its buffer
+PLACE_CHUNK = 1 << 12
+
+
+def _sweep(support: np.ndarray, weights, length: int, G: int, offset: int):
+    """The residue sweep of grid_blocks over the weights (an array over the
+    support, or one weight for every point) at the ascending support points
+    of [0, length), checked and planned: returns run(consume), which sweeps
+    and returns consume's results in residue order (see grid_blocks)."""
+    if G < 1:
+        raise ValueError(f"grid size {G} must be >= 1")
+    if G > SWEEP_BUDGET:
+        raise CapacityError(f"a grid of {G} points is above the sweep budget "
+                            f"of {SWEEP_BUDGET} points")
+    weights = np.broadcast_to(weights, support.shape)
+    if length > G:  # e(i j/G) has period G in i: fold the support in mod G
+        values = np.zeros(length)
+        values[support] = weights
+        values = np.pad(values, (0, -length % G)).reshape(-1, G).sum(axis=0)
+        support = np.flatnonzero(values)
+        weights, length = values[support], G
+    L = 1 << max(1, (length - 1).bit_length())
+    if G % L:
+        L = G
     R = G // L
     half = G // 2 + 1
-    support = np.flatnonzero(values)
-    weights = values[support]
     # |shift| < G and r <= R/2, so |shift r| < G^2/4 <= 2^62 within the budget
     shift = support - offset % G
-    # e((i - offset) k/L) depends only on (i - offset) mod L, and the support
-    # is distinct mod L: in those slots the FFT carries the offset itself
-    slots = shift % L
-    real = np.zeros(L)
-    real[slots] = weights
-    sums = np.fft.rfft(real)
-    del real
-    yield slice(0, half, R), np.conj(sums, out=sums)  # the FFT carries e(-sk/L)
-    del sums
     # when every shift has one parity c, s = 2t + c and sum_s u_s e(sk/L) =
     # e(ck/L) sum_s u_s e(tk/(L/2)): the bottom half is a length-L/2 FFT of
     # the weights at t mod L/2 times e(ck/L), the top half (-1)^c times it
@@ -360,68 +386,129 @@ def _residue_blocks(values: np.ndarray, G: int, L: int, offset: int):
     h = int(L >= 4 and len(shift) > 0 and bool((parity == parity[0]).all()))
     c = int(parity[0]) if h else 0
     n = L >> h
-    slots = (shift >> h) % n
-    twist = _phases(np.arange(n), L) if c else None  # e(k/L), k < L/2
-    twisted = np.zeros(n, dtype=complex)  # zero off the slots at every residue
-    for r in range(1, R // 2 + 1):
-        twisted[slots] = weights * _phases(shift * r % G, G)
-        full = np.fft.ifft(twisted, norm="forward")  # sum_s u_s e(+(s >> h)k/n)
-        if c:
-            full *= twist
-        yield slice(r, half, R), full[: L // 2]
-        if 2 * r < R:  # residue R - r: the reversed conjugate of the top half
-            top = np.conj(full[n - L // 2:][::-1])  # full[L/2:], or full at n = L/2
-            if c:
-                np.negative(top, out=top)
-            yield slice(R - r, half, R), top
-        del full  # before the next transform allocates its own
+    # a worker holds its buffer of n complex values, and pocketfft two
+    # working arrays as long beside it while it transforms: 48 n bytes.
+    # Residues 1..R/2 go to as many workers as that leaves room for, one
+    # contiguous piece each
+    need = 48 * n
+    have = _physical_memory()
+    workers = WORKERS if have is None else max(1, min(WORKERS, have // need))
+    pieces = [(lo + 1, hi + 1) for lo, hi in _split(R // 2, workers)]
+    require_memory(need * len(pieces),
+                   f"{len(pieces)} sweep workers of {n} points for a grid of {G} points")
+
+    def run(consume):
+        # e((i - offset) k/L) depends only on (i - offset) mod L, and the
+        # support is distinct mod L: in those slots the FFT carries the offset
+        real = np.zeros(L)
+        real[shift % L] = weights
+        sums = np.fft.rfft(real)
+        del real
+        # the FFT carries e(-sk/L)
+        done = [consume(slice(0, half, R), np.conj(sums, out=sums), None)]
+        del sums
+        slots = (shift >> h) % n
+        twist = _phases(np.arange(n), L) if c else None  # e(k/L), k < L/2
+        sign = -1 if c else 1
+        # the workers' buffers come from the calling thread: memory freed
+        # on a worker stays with that thread's malloc arena, which at
+        # N = 10^6 held 16 MB more at the peak
+        bufs = np.empty((len(pieces), n), dtype=complex)
+
+        def residues(task):
+            piece, buf = task
+            block = buf[: L // 2]
+            # residue R - r is sign conj(top[::-1]): the top half buf[L/2:],
+            # or the block itself at n = L/2
+            top = block if h else buf[L // 2:]
+            out = []
+            for r in range(*piece):
+                buf.fill(0.0)
+                for lo in range(0, len(shift), PLACE_CHUNK):
+                    at = slice(lo, lo + PLACE_CHUNK)
+                    buf[slots[at]] = weights[at] * _phases(shift[at] * r % G, G)
+                np.fft.ifft(buf, norm="forward", out=buf)  # sum_s u_s e(+(s >> h)k/n)
+                if c:
+                    buf *= twist
+                mirror = (slice(R - r, half, R), top, sign) if 2 * r < R else None
+                out.append(consume(slice(r, half, R), block, mirror))
+            return out
+
+        for part in _on_workers(residues, list(zip(pieces, bufs)), "sweep"):
+            done += part
+        return done
+    return run
+
+
+def mirrored(top: np.ndarray, sign: int, out: np.ndarray = None) -> np.ndarray:
+    """sign conj(top[::-1]): the sums of the mirror block a sweep passes
+    as (j, top, sign), written into out when it is given."""
+    out = np.conjugate(top[::-1], out=out)
+    if sign < 0:
+        np.negative(out, out=out)
+    return out
 
 
 def grid_blocks(values: np.ndarray, G: int, offset: int = 0):
-    """sum_i values[i] e((i - offset) j/G) for 0 <= j <= G/2, in blocks.
+    """sum_i values[i] e((i - offset) j/G) for 0 <= j <= G/2, in blocks
+    handed to a consumer.
 
-    Returns an iterator of (j, sums) pairs: j is a slice of half-circle
-    indices with an explicit step and sums holds the sums at them, so
-    sums[i] belongs to j.start + j.step i; the blocks cover every
-    0 <= j <= G/2 once.  The weights are real, so the sum at j > G/2 is the
-    conjugate of the one at G - j.  A support longer than G is folded in
-    mod G first, since e(i j/G) has period G in i.  The grid G = R L is
-    swept by residue (the four-step FFT), with L the smallest power of two
-    (>= 2) at or above the support when that divides G, and L = G (R = 1)
-    otherwise: for j = r + R k, the sum is
+    Checks its input and returns run(consume).  run calls
+    consume(j, sums, mirror) once per swept residue and returns the list of
+    its results in residue order: j is a slice of half-circle indices with
+    an explicit step and sums holds the sums at them, so sums[i] belongs to
+    j.start + j.step i.  mirror is None or the block of a second residue as
+    (j, top, sign), its sums mirrored(top, sign) = sign conj(top[::-1]),
+    never materialised; top may be sums itself.  The blocks cover every
+    0 <= j <= G/2 once.  sums and top are views of a worker's buffer, valid
+    only during the call, and consume runs on the worker's thread, so it
+    reduces them there and returns something small.  The weights are real,
+    so the sum at j > G/2 is the conjugate of the one at G - j.  A support
+    longer than G is folded in mod G first, since e(i j/G) has period G
+    in i.
+
+    The grid G = R L is swept by residue (the four-step FFT), with L the
+    smallest power of two (>= 2) at or above the support when that divides
+    G, and L = G (R = 1) otherwise: for j = r + R k, the sum is
     sum_i [values[i] e((i - offset) r/G)] e((i - offset) k/L), one length-L
     FFT per residue of the twisted weights placed at (i - offset) mod L,
     with (i - offset) r reduced mod G exactly in int64.  When every shift
     s = i - offset has one parity c and L >= 4, s = 2t + c halves it: the
     FFT has length L/2 over the weights placed at t mod L/2, times e(ck/L),
     and its top half k >= L/2 is (-1)^c times its bottom half.  Residue 0
-    is one real FFT of length L; residue R - r is the reversed conjugate of
-    the top half of residue r, so only r <= R/2 is transformed, and memory
-    stays O(L).  Raises ValueError for complex weights and CapacityError,
-    before any work, past SWEEP_BUDGET points."""
+    is one real FFT of length L on the calling thread; residue R - r is the
+    mirror of the top half of residue r, so only r <= R/2 is transformed.
+    Residues 1..R/2 are cut into one contiguous piece per worker (at most
+    WORKERS, and no more than physical memory holds at 48 n bytes each for
+    an FFT of length n), and each worker transforms its residues in place
+    in one buffer of its own, allocated once a sweep, so memory stays O(L)
+    a worker whatever G, and every sum is bitwise the same whatever the
+    thread count.  Raises ValueError for complex weights, and
+    CapacityError, before any work, past SWEEP_BUDGET points or when not
+    even one worker would fit in physical memory."""
     if np.iscomplexobj(values):
         raise ValueError("grid sums take real weights")
-    if G < 1:
-        raise ValueError(f"grid size {G} must be >= 1")
-    if G > SWEEP_BUDGET:
-        raise CapacityError(f"a grid of {G} points is above the sweep budget "
-                            f"of {SWEEP_BUDGET} points")
-    if len(values) > G:
-        values = np.pad(values, (0, -len(values) % G)).reshape(-1, G).sum(axis=0)
-    L = 1 << max(1, (len(values) - 1).bit_length())
-    return _residue_blocks(values, G, G if G % L else L, offset)
+    support = np.flatnonzero(values)
+    return _sweep(support, values[support], len(values), G, offset)
 
 
 def grid_sums(values: np.ndarray, G: int) -> np.ndarray:
     """The dense half circle of grid_blocks: sum_i values[i] e(i j/G) at
-    every 0 <= j <= G/2.  Raises CapacityError, before anything of grid size
-    is allocated, when the G//2 + 1 outputs would not fit in physical
+    every 0 <= j <= G/2, each block and mirror written into its own
+    slice.  Raises CapacityError, before anything of grid size is
+    allocated, when the G//2 + 1 outputs would not fit in physical
     memory."""
     require_memory(16 * (G // 2 + 1), f"a grid of {G} points")
-    blocks = grid_blocks(values, G)  # checks its input before out exists
+    run = grid_blocks(values, G)  # checks its input before out exists
     out = np.empty(G // 2 + 1, dtype=complex)
-    for j, sums in blocks:
+
+    def write(j, sums, mirror):
         out[j] = sums
+        if mirror:
+            j, top, sign = mirror
+            mirrored(top, sign, out[j])
+
+    run(write)
     return out
 
 
@@ -527,27 +614,62 @@ def grid_size(N: int, G=None) -> int:
     return G
 
 
+#: samples a spectrum's floor test takes at once, so that no worker holds
+#: the magnitudes of a whole block
+FLOOR_CHUNK = 1 << 15
+
+
 def spectrum(subset: PrimeSubset, A: float, G=None) -> SpectrumGrid:
     """The samples with |T*| >= T*(0)/A on the half circle of the grid j/G
     (grid_size(N, G)), the ones a cusp search at that A or a smaller one
-    reads, swept by grid_blocks over the member indicator.  Memory stays
-    O(N) whatever G, plus the kept samples; raises CapacityError once those
-    would not fit in physical memory."""
+    reads.  The members go to the residue sweep of grid_blocks at unit
+    weight, as points of [0, N], with no dense indicator.  Each worker
+    tests its blocks against the floor FLOOR_CHUNK samples at a time, once
+    for a block and its mirror when the mirror reads the block itself, and
+    keeps copies of the samples above it; the kept samples are counted
+    against physical memory as the sweep goes.  Memory stays O(N) whatever
+    G, plus the kept samples; raises CapacityError once those would not
+    fit in physical memory."""
     G = grid_size(subset.N, G)
     if not 1 <= A < math.inf:
         raise ValueError(f"A={A} must be finite and >= 1")
     floor = float(subset.size) / A
-    index, values, kept = [], [], 0
-    for j, sums in grid_blocks(subset.indicator(), G):
-        keep = np.flatnonzero(np.abs(sums) >= floor)
-        kept += len(keep)
+    run = _sweep(subset.members, 1.0, subset.N + 1, G, 0)
+    lock = threading.Lock()
+    kept = 0
+
+    def count(more):
+        nonlocal kept
+        with lock:
+            kept += more
+            total = kept
         # a kept sample costs 24 bytes as it is gathered and at most 56 in
         # the sort below; a small floor keeps almost the whole half circle
-        require_memory(56 * kept, f"{kept} samples above T*(0)/{A} of a grid of {G} points")
-        index.append(j.start + j.step * keep)
-        values.append(sums[keep])
-    index = np.concatenate(index)
-    values = np.concatenate(values)
+        require_memory(56 * total, f"{total} samples above T*(0)/{A} of a grid of {G} points")
+
+    def keep(j, sums, mirror):
+        index, values = [], []
+        for lo in range(0, len(sums), FLOOR_CHUNK):
+            part = sums[lo : lo + FLOOR_CHUNK]
+            at = np.flatnonzero(np.abs(part) >= floor)
+            index.append(j.start + j.step * (lo + at))
+            values.append(part[at])
+            more = len(at)
+            if mirror:
+                jm, top, sign = mirror
+                if top is not sums:
+                    part = top[lo : lo + FLOOR_CHUNK]
+                    at = np.flatnonzero(np.abs(part) >= floor)
+                # top[i] lands at mirror position len(top) - 1 - i
+                index.append(jm.start + jm.step * (len(top) - 1 - lo - at[::-1]))
+                values.append(mirrored(part[at], sign))
+                more += len(at)
+            count(more)
+        return index, values
+
+    blocks = run(keep)
+    index = np.concatenate([i for got, _ in blocks for i in got])
+    values = np.concatenate([v for _, got in blocks for v in got])
     order = np.argsort(index)
     return SpectrumGrid(subset, G, values[order], index[order], floor)
 

@@ -441,9 +441,15 @@ def sharp_sup_report(dec: Decomposition, grid_size: int = 1 << 20) -> dict:
     """Measured sup over a dense grid of |S(f_sharp, alpha)| / T*(0),
     reported against 1/A (the regime where 1/A is guaranteed needs an
     astronomically large z0, so this is a record, not an assertion).  The
-    grid is swept block by block and only the running maximum is kept."""
-    sup = max(float(np.abs(sums).max())
-              for _, sums in grid_blocks(dec.f_sharp, grid_size, dec.offset))
+    grid is swept block by block, and each residue's maximum is taken on
+    its worker, so only one number a residue is kept."""
+    def peak(j, sums, mirror):
+        top = float(np.abs(sums).max())
+        if mirror and mirror[1] is not sums:  # else the same magnitudes
+            top = max(top, float(np.abs(mirror[1]).max()))
+        return top
+
+    sup = max(grid_blocks(dec.f_sharp, grid_size, dec.offset)(peak))
     T0 = float(dec.subset.size)
     return {
         "sup_ratio": sup / T0,

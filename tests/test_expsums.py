@@ -26,6 +26,7 @@ from primecusps.expsums import (
     grid_sums,
     l1_estimate,
     local_model_full,
+    mirrored,
     rough_integers,
     spectrum,
     subset_full,
@@ -373,9 +374,7 @@ def test_grid_sums_match_direct():
     values = np.random.default_rng(5).normal(size=300)
     for G, offset in ((64, 0), (100, 37), (101, 5), (300, 0), (512, 120)):
         assert grid_sums(values, G).shape == (G // 2 + 1,)
-        sums = np.empty(G // 2 + 1, dtype=complex)
-        for j, block in grid_blocks(values, G, offset):
-            sums[j] = block
+        sums, _ = _half_circle(values, G, offset)
         if offset == 0:
             assert np.array_equal(grid_sums(values, G), sums)
         ell = np.arange(300) - offset
@@ -385,18 +384,36 @@ def test_grid_sums_match_direct():
             assert abs(got - direct) <= 1e-9 * np.abs(values).sum(), (G, j)
 
 
+def _half_circle(values, G, offset=0):
+    """The half circle of grid_blocks(values, G, offset), gathered from
+    copies of its blocks and of their mirrors, and the number of times each
+    j was written; every block's length matches its j."""
+    js = np.arange(G // 2 + 1)
+    seen = np.zeros(G // 2 + 1, dtype=int)
+    sums = np.empty(G // 2 + 1, dtype=complex)
+
+    def gather(j, block, mirror):
+        blocks = [(j, block.copy())]
+        if mirror:
+            j, top, sign = mirror
+            blocks.append((j, mirrored(top, sign)))
+        return blocks
+
+    for blocks in grid_blocks(values, G, offset)(gather):
+        for j, block in blocks:
+            assert np.array_equal(j.start + j.step * np.arange(len(block)), js[j])
+            seen[j] += 1
+            sums[j] = block
+    return sums, seen
+
+
 def _assert_sweep(values, G, offset):
     """grid_blocks(values, G, offset) covers the half circle once, matches
     grid_sums at offset 0 bitwise, and matches the one-shot rfft and the
     direct sum within 1e-9 sum |w|."""
     scale = 1e-9 * np.abs(values).sum()
     js = np.arange(G // 2 + 1)
-    seen = np.zeros(G // 2 + 1, dtype=int)
-    sums = np.empty(G // 2 + 1, dtype=complex)
-    for j, block in grid_blocks(values, G, offset):
-        assert np.array_equal(j.start + j.step * np.arange(len(block)), js[j])
-        seen[j] += 1
-        sums[j] = block
+    sums, seen = _half_circle(values, G, offset)
     assert (seen == 1).all(), (G, offset)
     if offset == 0:
         assert np.array_equal(grid_sums(values, G), sums)
@@ -464,9 +481,79 @@ def test_sweep_transform_lengths(monkeypatch, parity, length):
         return ifft(a, *args, **kwargs)
 
     monkeypatch.setattr(np.fft, "ifft", recording)
-    for _ in grid_blocks(values, 32 * 512):
-        pass
+    grid_blocks(values, 32 * 512)(lambda *block: None)
     assert lengths == [length] * 16
+
+
+def test_sweep_does_not_depend_on_the_worker_count(ctx, monkeypatch):
+    # residues 1..R/2 fall to one worker or to three (fewer at R = 2, 3):
+    # every sum is bitwise the same, and the sweep's threads end with it
+    values = np.random.default_rng(8).normal(size=300)
+    values[::7] = 0.0
+    subsets = (subset_full(ctx, 10_000), subset_random(ctx, 10_000, 0.5, seed=42))
+    runs = []
+    for workers in (1, 3):
+        monkeypatch.setattr(expsums, "WORKERS", workers)
+        ran_on = []
+
+        def on(j, block, mirror):
+            ran_on.append(threading.current_thread().name)
+
+        got = []
+        for parity in ("mixed", "odd", "even"):
+            part = _keep_parity(values, parity)
+            for G in (512, 1024, 3 * 512, 32 * 512):  # L = 512: R = 1, 2, 3, 32
+                got.append(grid_sums(part, G))
+                got += [_half_circle(part, G, offset)[0] for offset in (0, 37, 120)]
+        for subset in subsets:
+            for A in (2, 8):
+                grid = spectrum(subset, A)
+                got += [grid.index, grid.values]
+        grid_blocks(values, 32 * 512)(on)
+        assert [t.name for t in threading.enumerate() if t.name.startswith("sweep")] == []
+        # residue 0 on the calling thread; residues 1..16 there too with one
+        # worker, else on the sweep's threads
+        here = threading.current_thread().name
+        assert ran_on[0] == here and len(ran_on) == 17
+        assert all(name == here if workers == 1 else name.startswith("sweep")
+                   for name in ran_on[1:]), ran_on
+        runs.append(got)
+    assert len(runs[0]) == len(runs[1])
+    for one, three in zip(*runs):
+        assert one.dtype == three.dtype and np.array_equal(one, three)
+
+
+def test_sweep_workers_beyond_memory_is_capacity_error(ctx, monkeypatch):
+    # N = 10^4: L = 2^14, halved to n = 2^13, at R = 32.  A worker takes
+    # 48 n bytes, its buffer and pocketfft's two working arrays; the sweep
+    # runs as many of WORKERS as physical memory holds, and with room for
+    # none it refuses before any FFT runs
+    s = subset_full(ctx, 10_000)
+    monkeypatch.setattr(expsums, "WORKERS", 3)
+    transforms, pieces = [], []
+    for name in ("rfft", "ifft"):
+        def recording(a, *args, fft=getattr(np.fft, name), **kwargs):
+            transforms.append(len(a))
+            return fft(a, *args, **kwargs)
+        monkeypatch.setattr(np.fft, name, recording)
+    on_workers = expsums._on_workers
+    monkeypatch.setattr(expsums, "_on_workers",
+                        lambda task, p, name: pieces.append(len(p)) or on_workers(task, p, name))
+    worker = 48 * (1 << 13)
+    monkeypatch.setattr(expsums, "_physical_memory", lambda: worker - 1)
+    with pytest.raises(CapacityError, match="physical memory"):
+        spectrum(s, 4)
+    assert not transforms and not pieces
+    grids = []
+    for room, workers in ((worker, 1), (3 * worker - 1, 2), (3 * worker, 3)):
+        monkeypatch.setattr(expsums, "_physical_memory", lambda: room)
+        transforms.clear()
+        pieces.clear()
+        grids.append(spectrum(s, 4))
+        assert len(transforms) == 17 and pieces == [workers], (room, pieces)
+    for grid in grids[1:]:
+        assert np.array_equal(grid.index, grids[0].index)
+        assert np.array_equal(grid.values, grids[0].values)
 
 
 def test_spectrum_half_turn(ctx):
@@ -513,6 +600,28 @@ def test_sparse_spectrum_beyond_memory_is_capacity_error(ctx, monkeypatch):
     assert len(spectrum(s, 4).index) < 1000
     with pytest.raises(CapacityError, match="physical memory"):
         spectrum(s, 1e9)
+
+
+def test_spectrum_counts_kept_samples_across_workers(ctx, monkeypatch):
+    # eight workers, more than most test hosts have CPUs, switching threads
+    # every microsecond, add their kept samples to one count: with room for
+    # all K of them but one byte less than 56 K, a lost update would let
+    # the sweep through
+    s = subset_full(ctx, 10_000)
+    monkeypatch.setattr(expsums, "WORKERS", 8)
+    kept = len(spectrum(s, 1e9).index)
+    assert kept == grid_size(s.N) // 2 + 1
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            monkeypatch.setattr(expsums, "_physical_memory", lambda: 56 * kept - 1)
+            with pytest.raises(CapacityError, match=f"{kept} samples"):
+                spectrum(s, 1e9)
+            monkeypatch.setattr(expsums, "_physical_memory", lambda: 56 * kept)
+            assert len(spectrum(s, 1e9).index) == kept
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_sweep_beyond_budget_is_capacity_error(ctx):
