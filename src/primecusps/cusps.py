@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .arith import PrimeContext, WeightedPoint, circle_distance, extract_well_spaced
-from .expsums import TWO_PI, PrimeSubset, SpectrumGrid, exp_sum, exp_sum_at, grid_sums
+from .expsums import TWO_PI, PrimeSubset, SpectrumGrid, exp_sum_at, grid_sums
 from .report import CheckRow, exact_leq_row, leq_row, na_row
 
 #: arcs are refined until the endpoint bracket is this fraction of 1/N
@@ -275,9 +275,9 @@ def _arc_membership(arcs: Sequence[CuspArc], slack: float):
 
 
 def _moduli(subset: PrimeSubset, positions: Sequence[float]) -> list[float]:
-    """|T*| at each position, from one alpha-array exp_sum call: each one
-    bitwise what exp_sum_at gives it alone."""
-    return [abs(complex(v)) for v in exp_sum(subset.members, positions)]
+    """|T*| at each position, from one alpha-array exp_sum_at call: each
+    one bitwise what exp_sum_at gives it alone."""
+    return [abs(complex(v)) for v in exp_sum_at(subset, positions)]
 
 
 def structure_check(report: CuspReport, subset: PrimeSubset) -> list[CheckRow]:
@@ -373,17 +373,18 @@ def _check_spacing(positions: Sequence[float], delta: float) -> None:
 
 
 def large_sieve_check(positions: Sequence[float], u: np.ndarray,
-                      subset: PrimeSubset, delta: float,
-                      f: np.ndarray) -> list[CheckRow]:
-    """Both sides of the explicit prime large sieve inequalities.
+                      subset: PrimeSubset, f: np.ndarray) -> list[CheckRow]:
+    """Both sides of the explicit prime large sieve inequalities, for
+    positions delta-well spaced at delta = 1/N.
 
     Primal: sum over X of |sum_p u_p e(xp)|^2 against
     19 (N + 1/delta) log(2|X|) sum|u_p|^2 / log N.  Dual: roles of points
     and primes exchanged for the supplied f on X.  The level-set corollary
     is tested for each A in LEVEL_SET_A.
     """
-    _check_spacing(positions, delta)
     N = subset.N
+    delta = 1.0 / N
+    _check_spacing(positions, delta)
     xs = np.asarray([x % 1.0 for x in positions], dtype=float)
     u = np.asarray(u, dtype=complex)
     if len(u) != subset.size:
@@ -434,11 +435,13 @@ def _w_moment(u: np.ndarray, m: int) -> float:
     return float(np.sum((c * power)[np.gcd(a, m) == 1]))
 
 
-def dilated_large_sieve_check(u: np.ndarray, N: int, Q1: int, Q2: int, delta: int) -> CheckRow:
-    """sum_{Q1 <= q <= Q2} W(q delta)/q <= (N/Q1 + 2 delta Q2) sum|u_n|^2."""
+def dilated_large_sieve_check(u: np.ndarray, Q1: int, Q2: int, delta: int) -> CheckRow:
+    """sum_{Q1 <= q <= Q2} W(q delta)/q <= (N/Q1 + 2 delta Q2) sum|u_n|^2,
+    N = len(u)."""
     if not (1 <= Q1 <= Q2) or delta < 1:
         raise ValueError("need 1 <= Q1 <= Q2 and delta >= 1")
-    u = np.asarray(u, dtype=complex)[:N]
+    u = np.asarray(u, dtype=complex)
+    N = len(u)
     lhs = sum(_w_moment(u, q * delta) / q for q in range(Q1, Q2 + 1))
     rhs = (N / Q1 + 2.0 * delta * Q2) * float(np.sum(np.abs(u) ** 2))
     return leq_row("large-sieve-dilated",
@@ -447,9 +450,9 @@ def dilated_large_sieve_check(u: np.ndarray, N: int, Q1: int, Q2: int, delta: in
                    note="rational points with dilated denominators")
 
 
-def wq_weighted_sieve_report(ctx: PrimeContext, weights, u: np.ndarray,
-                             N: int) -> list[CheckRow]:
-    """The w_q-weighted large sieve bound, hypothesis-gated.
+def wq_weighted_sieve_report(ctx: PrimeContext, weights, u: np.ndarray) -> list[CheckRow]:
+    """The w_q-weighted large sieve bound over u_1..u_N, N = len(u),
+    hypothesis-gated.
 
     Requires z0 >= 35, primorial(z0) <= z, tau <= z^4 and a nonempty z1
     window [z0, sqrt(z)/log z].  The first two cannot be met below a prime
@@ -458,13 +461,14 @@ def wq_weighted_sieve_report(ctx: PrimeContext, weights, u: np.ndarray,
     if the hypotheses ever do hold.
     """
     z0, z, tau = weights.params.z0, weights.params.z, weights.params.tau
+    u = np.asarray(u, dtype=complex)
+    N = len(u)
     params = {"z0": z0, "z": z, "N": N}
     z1_hi = math.sqrt(z) / math.log(z)
     if z1_hi < z0:
         return [na_row("w-weighted-large-sieve", params,
                        "z1 range [z0, sqrt(z)/log z] is empty")]
     z1 = z0
-    u = np.asarray(u, dtype=complex)[:N]
     G = weights.G_val
     lhs = 0.0
     for q, wq in weights.w.items():

@@ -18,12 +18,13 @@ per CPU the process may use), which the call starts and joins before it
 returns, so every sum is bitwise the one its alpha gets alone and none
 depends on the thread count.  exp_sum_at is T*(alpha) =
 sum over the prime subset of e(p alpha); the interval polynomial and the
-local model go through exp_sum too.  exp_sums_on_progression evaluates any
-ascending samples of an arithmetic progression by chirp-z (one kernel
-serves every block of consecutive samples, so transference evaluates a
-whole cover in one call), and grid_blocks every j/G.  Real weights make
-the sum at -alpha the conjugate of the sum at alpha, so grid_blocks covers
-only the half circle 0 <= j <= G/2, on one path: it sweeps G = R L by the
+local model go through exp_sum too.  exp_sums_on_progression evaluates
+T*((2k + 1)/Q) at any ascending k by chirp-z, every phase an integer
+reduced exactly mod Q while (N + 1)(Q - 1) < 2^63 (one kernel serves every
+block of consecutive samples, so transference evaluates a whole cover in
+one call), and grid_blocks every j/G.  Real weights make the sum at
+-alpha the conjugate of the sum at alpha, so grid_blocks covers only the
+half circle 0 <= j <= G/2, on one path: it sweeps G = R L by the
 residues r <= R/2 of j mod R, one real FFT for r = 0 on the calling thread
 and one complex FFT for each other r (L the power of two at or above the
 support when that divides G, else L = G and R = 1).  That FFT has length
@@ -319,7 +320,8 @@ def exp_sum(ns: np.ndarray, alpha, weights: np.ndarray = None):
     return out
 
 
-def exp_sum_at(subset: PrimeSubset, alpha: float) -> complex:
+def exp_sum_at(subset: PrimeSubset, alpha):
+    """T*(alpha), at one alpha or at each of a 1-D array of alphas."""
     return exp_sum(subset.members, alpha)
 
 
@@ -517,38 +519,39 @@ PROGRESSION_BLOCK = 1 << 15
 
 
 class PhaseOverflowError(CapacityError):
-    """exp_sums_on_progression's phases mod 2Q would overflow int64: its one
+    """exp_sums_on_progression's phases mod Q would overflow int64: its one
     limit that a direct sum does not share."""
 
 
-def exp_sums_on_progression(subset: PrimeSubset, j0: int, step: int, Q: int,
-                            ks) -> np.ndarray:
-    """T*((j0 + step k)/Q) for each k of the ascending, distinct, non-negative
+def exp_sums_on_progression(subset: PrimeSubset, Q: int, ks) -> np.ndarray:
+    """T*((2k + 1)/Q) for each k of the ascending, distinct, non-negative
     sample indices ks, by Bluestein's chirp-z transform.
 
-    With W = e(step/Q), p k = (p^2 + k^2 - (k - p)^2)/2 turns the sum into
-    W^(k^2/2) sum_p [e(p j0/Q) W^(p^2/2)] W^(-(k-p)^2/2): one FFT
-    convolution per block of consecutive k.  ks is cut into blocks at every
-    gap and every PROGRESSION_BLOCK samples; the chirp and the kernel FFT
-    are built once, at the longest block, and each block costs two in-place
-    FFTs in one working array, so memory stays O(N + block).  Every phase is
-    reduced exactly in int64 to a multiple of 1/(2Q) before exp rounds it,
-    so the error does not grow with j0 or k.  Raises CapacityError when
-    2Q(N + block) reaches 2^63 (PhaseOverflowError) or a block would not fit
-    in physical memory.
+    For k = k0 + t, 2pt = p^2 + t^2 - (t - p)^2 turns the sum into
+    e(t^2/Q) sum_p [e((p j + p^2)/Q)] e(-(t - p)^2/Q) with j = 2 k0 + 1,
+    every exponent an integer over Q: one FFT convolution per block of
+    consecutive k.  ks is cut into blocks at every gap and every
+    PROGRESSION_BLOCK samples; the chirp m^2 mod Q and the kernel FFT are
+    built once, at the longest block, and each block costs two in-place
+    FFTs in one working array, so memory stays O(N + block).  Every phase
+    is reduced exactly in int64 to a multiple of 1/Q before exp rounds it,
+    so the error does not grow with k.  The largest int64 intermediate is
+    p (j mod Q) <= N (Q - 1); raises PhaseOverflowError, a CapacityError,
+    when (N + 1)(Q - 1) reaches 2^63, and CapacityError when a block would
+    not fit in physical memory.
     """
-    j0, step, Q = int(j0), int(step), int(Q)
+    Q = int(Q)
     ks = np.asarray(ks, dtype=np.int64)
     if Q < 1:
         raise ValueError(f"Q={Q} must be >= 1")
     if len(ks) and (ks[0] < 0 or np.any(np.diff(ks) <= 0)):
         raise ValueError("sample indices must be ascending, distinct and >= 0")
     N = subset.N
+    if (N + 1) * (Q - 1) >= 1 << 63:
+        raise PhaseOverflowError(f"phases mod Q={Q} at N={N} overflow int64")
     starts = np.flatnonzero(np.diff(ks, prepend=-2) != 1)  # the runs of ks
     ends = np.append(starts[1:], len(ks))
     block = min(int((ends - starts).max(initial=0)), PROGRESSION_BLOCK)
-    if 2 * Q * (N + block) >= 1 << 63:
-        raise PhaseOverflowError(f"phases mod 2Q={2 * Q} at N={N} overflow int64")
     if len(ks) == 0:
         return np.empty(0, dtype=complex)
     L = 1 << (N + block - 1).bit_length()       # L >= N + block: no aliasing
@@ -557,24 +560,25 @@ def exp_sums_on_progression(subset: PrimeSubset, j0: int, step: int, Q: int,
     require_memory(32 * L + 32 * max(N + 1, block), f"a chirp-z block of length {L}")
     kernel, u = np.empty((2, L), dtype=complex)
     out = np.empty(len(ks), dtype=complex)
-    Q2 = 2 * Q
-    m = np.arange(max(N + 1, block), dtype=np.int64)
-    chirp = (step % Q * m % Q2) * m % Q2        # step m^2 mod 2Q
-    kernel[:block] = np.exp(-TWO_PI * 1j * (chirp[:block] / Q2))
+    # (m mod Q)^2 <= min(N, Q - 1)^2 <= N (Q - 1) for m <= N, and below
+    # PROGRESSION_BLOCK^2 for the kernel's m past N
+    m = np.arange(max(N + 1, block), dtype=np.int64) % Q
+    chirp = m * m % Q
+    kernel[:block] = np.exp(-TWO_PI * 1j * (chirp[:block] / Q))
     kernel[block : L - N] = 0.0
-    kernel[L - N:] = np.exp(-TWO_PI * 1j * (chirp[N:0:-1] / Q2))
+    kernel[L - N:] = np.exp(-TWO_PI * 1j * (chirp[N:0:-1] / Q))
     np.fft.fft(kernel, out=kernel)
     P = subset.members
     for lo, hi in zip(starts.tolist(), ends.tolist()):
         for b in range(lo, hi, block):
             kb = min(block, hi - b)
-            jb = (j0 + step * int(ks[b])) % Q
+            jb = (2 * int(ks[b]) + 1) % Q
             u.fill(0.0)
-            u[P] = np.exp(TWO_PI * 1j * (((2 * (P * jb % Q) + chirp[P]) % Q2) / Q2))
+            u[P] = np.exp(TWO_PI * 1j * (((P * jb % Q + chirp[P]) % Q) / Q))
             np.fft.fft(u, out=u)
             u *= kernel
             np.fft.ifft(u, out=u)
-            out[b : b + kb] = np.exp(TWO_PI * 1j * (chirp[:kb] / Q2)) * u[:kb]
+            out[b : b + kb] = np.exp(TWO_PI * 1j * (chirp[:kb] / Q)) * u[:kb]
     return out
 
 

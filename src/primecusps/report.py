@@ -7,7 +7,7 @@ may be "not-applicable" and still count as clean).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 PASS = "pass"
 FAIL = "fail"
@@ -20,12 +20,12 @@ FLOAT_SLACK = 1e-9
 @dataclass
 class CheckRow:
     lemma: str
-    params: dict = field(default_factory=dict)
-    lhs: float | None = None
-    rhs: float | None = None
-    margin: float | None = None
-    status: str = PASS
-    note: str = ""
+    params: dict
+    lhs: float | None
+    rhs: float | None
+    margin: float | None
+    status: str
+    note: str
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -34,35 +34,18 @@ class CheckRow:
 def leq_row(lemma: str, params: dict, lhs, rhs, note: str) -> CheckRow:
     """Row asserting lhs <= rhs, with a small relative slack for floats."""
     lhs_f, rhs_f = float(lhs), float(rhs)
-    slack = FLOAT_SLACK * max(1.0, abs(rhs_f))
-    ok = lhs_f <= rhs_f + slack
-    return CheckRow(
-        lemma=lemma,
-        params=params,
-        lhs=lhs_f,
-        rhs=rhs_f,
-        margin=rhs_f - lhs_f,
-        status=PASS if ok else FAIL,
-        note=note,
-    )
+    ok = lhs_f <= rhs_f + FLOAT_SLACK * max(1.0, abs(rhs_f))
+    return CheckRow(lemma, params, lhs_f, rhs_f, rhs_f - lhs_f, PASS if ok else FAIL, note)
 
 
 def exact_leq_row(lemma: str, params: dict, lhs, rhs, note: str) -> CheckRow:
     """Row asserting lhs <= rhs, no float slack."""
-    ok = lhs <= rhs
-    return CheckRow(
-        lemma=lemma,
-        params=params,
-        lhs=float(lhs),
-        rhs=float(rhs),
-        margin=float(rhs - lhs),
-        status=PASS if ok else FAIL,
-        note=note,
-    )
+    return CheckRow(lemma, params, float(lhs), float(rhs), float(rhs - lhs),
+                    PASS if lhs <= rhs else FAIL, note)
 
 
 def na_row(lemma: str, params: dict, note: str) -> CheckRow:
-    return CheckRow(lemma=lemma, params=params, status=NOT_APPLICABLE, note=note)
+    return CheckRow(lemma, params, None, None, None, NOT_APPLICABLE, note)
 
 
 def all_clean(rows) -> bool:

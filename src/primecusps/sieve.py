@@ -39,7 +39,7 @@ DEFAULT_KEY_CAP = 500_000
 class SieveParams:
     z0: float
     z: float
-    tau: int = 1
+    tau: int
 
     def __post_init__(self):
         if self.z0 < 2:

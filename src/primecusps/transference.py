@@ -4,13 +4,15 @@
 
 of the prime indicator, where f_flat = V(z0) log N (f * rho) is sieve-dense
 and non-negative and S(f_sharp, alpha) = T*(alpha) (1 - |S_M(alpha)/|B||^2)
-is small at every covered cusp.  All three arrays live on the full
-convolution support [-N, 2N]; the transform identities are re-verified
-numerically rather than assumed.  Every off-grid sum here, the transforms
-of f_sharp and f* with T* beside them, the Bohr sums S_M and the cover's
-direct sums, is one expsums.exp_sum call at one alpha or at an array of
-them (one per-alpha kernel, shared out to the workers); the measured
-supremum is a grid_blocks sweep and the cover's samples one chirp-z call.
+is small at every covered cusp.  A Decomposition stores only f and
+f * rho, on the full convolution support [-N, 2N]; f_flat and f_sharp are
+derived from them on every read.  The transform identities are
+re-verified numerically rather than assumed.  Every off-grid sum here,
+the transforms of f_sharp and f* with T* beside them, the Bohr sums S_M
+and the cover's direct sums, is one expsums.exp_sum or exp_sum_at call at
+one alpha or at an array of them (one per-alpha kernel, shared out to the
+workers); the measured supremum is a grid_blocks sweep and the cover's
+samples one chirp-z call at T*((2k + 1)/Q).
 """
 from __future__ import annotations
 
@@ -21,9 +23,9 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import CapacityError, PrimeContext
-from .cusps import REEVAL_TOL, CuspReport, find_cusps
-from .expsums import (PhaseOverflowError, PrimeSubset, exp_sum, exp_sums_on_progression,
-                      grid_blocks, require_memory, spectrum)
+from .cusps import ENDPOINT_RESOLUTION, REEVAL_TOL, CuspReport, find_cusps
+from .expsums import (PhaseOverflowError, PrimeSubset, exp_sum, exp_sum_at,
+                      exp_sums_on_progression, grid_blocks, require_memory, spectrum)
 from .gfunctions import g_sifted
 from .report import CheckRow, FLOAT_SLACK, exact_leq_row, leq_row
 
@@ -102,25 +104,19 @@ def _cover_candidates(report: CuspReport, Nprime: int) -> dict[int, list[float]]
 def _interval_samples(subset: PrimeSubset, idx, Nprime: int) -> np.ndarray:
     """T* at the INTERVAL_SAMPLES samples of each interval in the ascending
     index list idx, shape (len(idx), S).  Sample s of interval a is
-    (2S a + 2s + 1)/(2S Nprime), term k = S a + s of one arithmetic
-    progression with step 2, so the whole cover is one chirp-z call.  When
-    its phases would overflow int64 there (N past ~5.7e7/sqrt(A)), every
-    sample is summed directly instead, in one exp_sum call; any other
-    CapacityError propagates."""
+    (2k + 1)/(2S Nprime) at k = S a + s, so the whole cover is one chirp-z
+    call.  When its phases would overflow int64 there (N past
+    ~8.0e7/sqrt(A)), every sample is summed directly instead, in one
+    exp_sum_at call; any other CapacityError propagates."""
     S = INTERVAL_SAMPLES
     idx = np.asarray(idx, dtype=np.int64)
     ks = (S * idx[:, None] + np.arange(S)).ravel()
     try:
-        samples = exp_sums_on_progression(subset, 1, 2, 2 * S * Nprime, ks)
+        samples = exp_sums_on_progression(subset, 2 * S * Nprime, ks)
     except PhaseOverflowError:
-        samples = _direct_sums(subset, [_sample_position(int(a), s, Nprime)
-                                        for a in idx for s in range(S)])
+        samples = exp_sum_at(subset, np.mod([_sample_position(int(a), s, Nprime)
+                                             for a in idx for s in range(S)], 1.0))
     return np.reshape(samples, (len(idx), S))
-
-
-def _direct_sums(subset: PrimeSubset, positions) -> np.ndarray:
-    """T* at each position taken mod 1, from one exp_sum call."""
-    return exp_sum(subset.members, np.array([x % 1.0 for x in positions]))
 
 
 def build_cover(subset: PrimeSubset, report: CuspReport) -> Cover:
@@ -131,7 +127,7 @@ def build_cover(subset: PrimeSubset, report: CuspReport) -> Cover:
     threshold, so sampling is confined to those.  The INTERVAL_SAMPLES
     samples per interval come from one chirp-z evaluation for the whole
     cover; arc peaks and well-spaced points are evaluated directly, in one
-    exp_sum call.  Each kept interval contributes its maximizing sample.
+    exp_sum_at call.  Each kept interval contributes its maximizing sample.
     """
     A, N = report.A, report.N
     Nprime = int(round(240 * A * N))
@@ -142,8 +138,8 @@ def build_cover(subset: PrimeSubset, report: CuspReport) -> Cover:
     candidates = _cover_candidates(report, Nprime)
     idx = np.array(sorted(candidates), dtype=np.int64)
     samples = np.abs(_interval_samples(subset, idx, Nprime))
-    extras = iter(np.abs(_direct_sums(
-        subset, [x for a_idx in idx.tolist() for x in candidates[a_idx]])).tolist())
+    extras = iter(np.abs(exp_sum_at(subset, np.mod(
+        [x for a_idx in idx.tolist() for x in candidates[a_idx]], 1.0))).tolist())
     points = []
     for a_idx, mags in zip(idx.tolist(), samples):
         s = int(np.argmax(mags))
@@ -159,13 +155,14 @@ def build_cover(subset: PrimeSubset, report: CuspReport) -> Cover:
 
 def cover_sampler_row(subset: PrimeSubset, cover: Cover, seed: int) -> CheckRow:
     """Re-evaluate COVER_SAMPLER_CHECKS seeded chirp-z samples the cover
-    kept with the direct sum, all in one exp_sum call."""
+    kept with the direct sum, all in one exp_sum_at call."""
     zoom = cover.samples.ravel()
     picks = np.random.default_rng(seed).choice(
         zoom.size, min(COVER_SAMPLER_CHECKS, zoom.size), replace=False)
     S = INTERVAL_SAMPLES
-    direct = _direct_sums(subset, [_sample_position(int(cover.intervals[k // S]), k % S,
-                                                    cover.Nprime) for k in picks])
+    direct = exp_sum_at(subset, np.mod([_sample_position(int(cover.intervals[k // S]),
+                                                         k % S, cover.Nprime)
+                                        for k in picks], 1.0))
     worst = np.abs(zoom[picks] - np.abs(direct)).max()
     return leq_row("cover-sampler-vs-direct",
                    {"N": cover.N, "A": cover.A, "samples": len(picks)},
@@ -186,9 +183,9 @@ def check_h1(ctx: PrimeContext, M: int, z0) -> list[str]:
     return bad
 
 
-def build_bohr(cover: Cover, M: int, N: int) -> BohrSet:
-    """{n <= N : M | n, ||y n|| <= eps for y in Xi}, Xi the nonzero reduced
-    cover points, sieved over the multiples n = k M.
+def build_bohr(cover: Cover, M: int) -> BohrSet:
+    """{n <= N : M | n, ||y n|| <= eps for y in Xi}, N = cover.N and Xi the
+    nonzero reduced cover points, sieved over the multiples n = k M.
 
     Each pass tests as many frequencies against the surviving k as fit in
     PHASE_BLOCK entries, at least one: the first tests one frequency
@@ -200,7 +197,7 @@ def build_bohr(cover: Cover, M: int, N: int) -> BohrSet:
     if M < 1:
         raise ValueError(f"M={M} must be >= 1")
     freqs = [y for y in cover.reduced(M) if y != 0.0]
-    ks = np.arange(1, N // M + 1, dtype=np.int64)
+    ks = np.arange(1, cover.N // M + 1, dtype=np.int64)
     i = 0
     while i < len(freqs) and len(ks):
         rows = max(1, PHASE_BLOCK // len(ks))
@@ -268,27 +265,43 @@ class Decomposition:
     M: int
     G_val: Fraction
     V_val: Fraction
-    offset: int
-    f: np.ndarray = field(repr=False)
+    f: np.ndarray = field(repr=False)          # the prime indicator at ell + N
     conv: np.ndarray = field(repr=False)       # (f * rho), so f* = G conv
-    f_flat: np.ndarray = field(repr=False)
-    f_sharp: np.ndarray = field(repr=False)
     metrics: dict = field(default_factory=dict)
-    # ell over the shared support of f_sharp and conv, and the rows f_sharp,
-    # conv and f on it; every prime lies in the support (f_sharp or conv is
-    # nonzero there), and a gather per call would cost ~10x the products
+    # ell over the shared support of f and conv, and the rows f_sharp, conv
+    # and f on it; every prime lies in the support, and a gather per call
+    # would cost ~10x the products
     _ell: np.ndarray = field(init=False, repr=False, compare=False)
     _weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        support = np.flatnonzero((self.f_sharp != 0) | (self.conv != 0))
+        support = np.flatnonzero((self.f != 0) | (self.conv != 0))
+        f, conv = self.f[support], self.conv[support]
         object.__setattr__(self, "_ell", support - self.offset)
-        object.__setattr__(self, "_weights", np.stack(
-            (self.f_sharp[support], self.conv[support], self.f[support])))
+        object.__setattr__(self, "_weights", np.stack((f - conv, conv, f)))
 
     @property
     def N(self) -> int:
         return self.subset.N
+
+    @property
+    def offset(self) -> int:
+        """The index of ell = 0 in f, conv and the arrays made from them."""
+        return self.subset.N
+
+    @property
+    def vlog(self) -> float:
+        return float(self.V_val) * math.log(self.N)
+
+    @property
+    def f_flat(self) -> np.ndarray:
+        """V(z0) log N (f * rho), a new array at every read."""
+        return self.vlog * self.conv
+
+    @property
+    def f_sharp(self) -> np.ndarray:
+        """f - (f * rho), a new array at every read."""
+        return self.f - self.conv
 
     @property
     def A(self) -> float:
@@ -338,7 +351,7 @@ def decompose(ctx: PrimeContext, subset: PrimeSubset, z0, M: int, A: float,
         raise CapacityError(f"z={z} exceeds prime table limit {ctx.limit}")
     report = find_cusps(spectrum(subset, A), A)
     cover = build_cover(subset, report)
-    bohr = build_bohr(cover, M, N)
+    bohr = build_bohr(cover, M)
 
     G = g_sifted(ctx, 1, z, z0)
     V = ctx.mertens_product(z0)
@@ -349,26 +362,22 @@ def decompose(ctx: PrimeContext, subset: PrimeSubset, z0, M: int, A: float,
     counts = _difference_counts(bohr, N)
     conv = _integer_convolve(subset.indicator(), counts) / float(bohr.size) ** 2
 
-    offset = N
     f = np.zeros(3 * N + 1)
-    f[subset.members + offset] = 1.0
-    vlog = float(V) * math.log(N)
-    f_flat = vlog * conv
-    f_sharp = f - conv
+    f[subset.members + N] = 1.0
 
-    dec = Decomposition(subset, report, cover, bohr, z0, float(z), M, G, V,
-                        offset, f, conv, f_flat, f_sharp, {})
+    dec = Decomposition(subset, report, cover, bohr, z0, float(z), M, G, V, f, conv)
+    flat = dec.f_flat
     # tail of f* beyond N, i.e. the gap between the full-support
     # transform and one truncated at N, measured at alpha = 0
-    tail = float(G) * float(conv[N + offset + 1 :].sum())
+    tail = float(G) * float(conv[2 * N + 1 :].sum())
     K = subset.K
     dec.metrics.update(
         h1_violations=check_h1(ctx, M, z0),
         bohr_size=bohr.size,
         cover_size=len(cover.points),
         eps=cover.eps,
-        identity_residual=_identity_residual(dec, vlog),
-        f_flat_max=float(f_flat.max()),
+        identity_residual=float(np.max(np.abs(flat / dec.vlog + dec.f_sharp - f))),
+        f_flat_max=float(flat.max()),
         f_flat_bound=2.0 * (1.0 + cover.eps) ** 2,
         truncation_gap_at_zero=tail,
         # the guaranteed regime needs log z0 of this size; hopeless, but shown
@@ -376,11 +385,6 @@ def decompose(ctx: PrimeContext, subset: PrimeSubset, z0, M: int, A: float,
                           - math.log(cover.eps),
     )
     return dec
-
-
-def _identity_residual(dec: Decomposition, vlog: float) -> float:
-    recon = dec.f_flat / vlog + dec.f_sharp
-    return float(np.max(np.abs(recon - dec.f)))
 
 
 def transform_checks(dec: Decomposition, seed: int) -> list[CheckRow]:
@@ -410,7 +414,7 @@ def transform_checks(dec: Decomposition, seed: int) -> list[CheckRow]:
     worst = 0.0
     excess_sharp = 0.0  # |S(f_sharp)| - |T*| must stay <= 0
     excess_flat = 0.0
-    vlog = float(dec.V_val) * math.log(dec.N)
+    vlog = dec.vlog
     bohr = (exp_sum(dec.bohr.elements, alphas) / dec.bohr.size).tolist()
     for sm, (lhs, star, t) in zip(bohr, sums[dec.M :]):
         worst = max(worst, abs(lhs - t * (1.0 - abs(sm) ** 2)))
@@ -427,9 +431,10 @@ def transform_checks(dec: Decomposition, seed: int) -> list[CheckRow]:
                         excess_flat, 1e-6 * T0,
                         note="|S(f_flat, alpha)| <= |T*(alpha)| V log N"))
 
-    bad_support = np.flatnonzero(dec.f_flat > FLOAT_SLACK)
+    f_flat = dec.f_flat
+    bad_support = np.flatnonzero(f_flat > FLOAT_SLACK)
     coprime_ok = all(math.gcd(int(i - dec.offset), dec.M) == 1 for i in bad_support)
-    nonneg = float(dec.f_flat.min())
+    nonneg = float(f_flat.min())
     ok = coprime_ok and nonneg >= -FLOAT_SLACK
     rows.append(CheckRow("flat-support", {"M": dec.M}, None, None, nonneg,
                          "pass" if ok else "fail",
@@ -508,7 +513,7 @@ def cover_consistency_row(cover: Cover, report: CuspReport) -> CheckRow:
         d = np.min(np.minimum((pts - wp.position) % 1.0,
                               (wp.position - pts) % 1.0)) if len(pts) else math.inf
         worst = max(worst, d)
-    tol = 1.0 / cover.Nprime + 1.0 / (1024.0 * cover.N)
+    tol = 1.0 / cover.Nprime + ENDPOINT_RESOLUTION / cover.N
     return exact_leq_row("cover-of-cusps",
                          {"cusp_points": len(report.wellspaced), "cover_points": len(pts)},
                          worst, tol, "max distance from a well-spaced cusp to the cover")
@@ -516,8 +521,9 @@ def cover_consistency_row(cover: Cover, report: CuspReport) -> CheckRow:
 
 def decomposition_csv(dec: Decomposition) -> str:
     """Rows n = 1..N of f, f_flat and f_sharp."""
+    f, flat, sharp = dec.f, dec.f_flat, dec.f_sharp
     lines = ["n,f,f_flat,f_sharp"]
     for n in range(1, dec.N + 1):
         i = n + dec.offset
-        lines.append(f"{n},{dec.f[i]:.0f},{dec.f_flat[i]:.12g},{dec.f_sharp[i]:.12g}")
+        lines.append(f"{n},{f[i]:.0f},{flat[i]:.12g},{sharp[i]:.12g}")
     return "\n".join(lines) + "\n"

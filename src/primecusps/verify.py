@@ -28,34 +28,38 @@ LARGE_SIEVE_TRIALS = 200
 #: kept spectrum samples each spectrum-sampler-vs-direct row re-evaluates
 SPECTRUM_SAMPLER_CHECKS = 64
 
+#: the n <= BETA_GRID_NMAX of each beta-fourier-equality row, and the
+#: primes p <= ENVELOPE_PMAX of the beta-envelope-primes row
+BETA_GRID_NMAX, ENVELOPE_PMAX = 200, 2000
 
-def _beta_grid_row(ctx, z0, z, tau, nmax) -> CheckRow:
+
+def _beta_grid_row(ctx, z0, z, tau) -> CheckRow:
     weights = sv.build_weights(ctx, sv.SieveParams(z0, z, tau))
-    ns = list(range(1, nmax + 1))
+    ns = list(range(1, BETA_GRID_NMAX + 1))
     four = sv.beta_fourier_many(ctx, weights, ns)
     bad = sum(1 for n, fv in zip(ns, four)
               if sv.beta_direct(ctx, weights, n) != fv)
     return exact_leq_row("beta-fourier-equality",
-                         {"z0": z0, "z": z, "tau": tau, "nmax": nmax}, bad, 0,
+                         {"z0": z0, "z": z, "tau": tau, "nmax": BETA_GRID_NMAX}, bad, 0,
                          "exact rational agreement of the square and its expansion")
 
 
-def _envelope_row(ctx, weights, pmax: int) -> CheckRow:
+def _envelope_row(ctx, weights) -> CheckRow:
     z = float(weights.params.z)
     bad = 0
-    for p in ctx.primes_between(math.floor(z) + 1, pmax):
+    for p in ctx.primes_between(math.floor(z) + 1, ENVELOPE_PMAX):
         if sv.beta_direct(ctx, weights, int(p)) != 1:
             bad += 1
-    return exact_leq_row("beta-envelope-primes", {"z": z, "pmax": pmax}, bad, 0,
+    return exact_leq_row("beta-envelope-primes", {"z": z, "pmax": ENVELOPE_PMAX}, bad, 0,
                          "beta(p) = 1 above the sieving window")
 
 
 def suite_sieve(ctx: PrimeContext, seed: int) -> list[CheckRow]:
     rows = []
     for z0, z, tau in ((2, 20, 1), (3, 30, 5), (5, 50, 7)):
-        rows.append(_beta_grid_row(ctx, z0, z, tau, 200))
+        rows.append(_beta_grid_row(ctx, z0, z, tau))
     w350 = sv.build_weights(ctx, sv.SieveParams(3, 50, 1))
-    rows.append(_envelope_row(ctx, w350, 2000))
+    rows.append(_envelope_row(ctx, w350))
     rows.extend(sv.wq_bound_report(ctx, w350))
     for z0, z in ((29, 100), (37, 150)):
         weights = sv.build_weights(ctx, sv.SieveParams(z0, z, 1))
@@ -63,7 +67,7 @@ def suite_sieve(ctx: PrimeContext, seed: int) -> list[CheckRow]:
     rng = np.random.default_rng(seed)
     u = rng.normal(size=400) + 1j * rng.normal(size=400)
     w275 = sv.build_weights(ctx, sv.SieveParams(2, 75, 1))
-    rows.extend(cu.wq_weighted_sieve_report(ctx, w275, u, len(u)))
+    rows.extend(cu.wq_weighted_sieve_report(ctx, w275, u))
     return rows
 
 
@@ -74,14 +78,13 @@ def _spaced_positions(rng, npts: int, delta: float) -> list[float]:
 
 def suite_large_sieve(ctx: PrimeContext, seed: int) -> list[CheckRow]:
     subset = ex.subset_full(ctx, 10_000)
-    delta = 1.0 / subset.N
     worst: dict[str, CheckRow] = {}
     for t in range(LARGE_SIEVE_TRIALS):
         rng = np.random.default_rng(seed * 1000 + t)
-        xs = _spaced_positions(rng, int(rng.integers(3, 40)), delta)
+        xs = _spaced_positions(rng, int(rng.integers(3, 40)), 1.0 / subset.N)
         u = rng.normal(size=subset.size) + 1j * rng.normal(size=subset.size)
         f = rng.normal(size=len(xs)) + 1j * rng.normal(size=len(xs))
-        for row in cu.large_sieve_check(xs, u, subset, delta, f=f):
+        for row in cu.large_sieve_check(xs, u, subset, f):
             cur = worst.get(row.lemma)
             if cur is None or row.margin < cur.margin:
                 worst[row.lemma] = row
@@ -96,7 +99,7 @@ def suite_large_sieve(ctx: PrimeContext, seed: int) -> list[CheckRow]:
         u = rng.normal(size=n) + 1j * rng.normal(size=n)
         q1 = int(rng.integers(1, 8))
         q2 = q1 + int(rng.integers(1, 30))
-        row = cu.dilated_large_sieve_check(u, n, q1, q2, int(rng.integers(1, 5)))
+        row = cu.dilated_large_sieve_check(u, q1, q2, int(rng.integers(1, 5)))
         if worst_dil is None or row.margin < worst_dil.margin:
             worst_dil = row
     rows.append(replace(worst_dil, note="worst of 100 seeded trials"))
@@ -110,11 +113,11 @@ def _criterion_subsets(ctx, N: int):
 
 def _spectrum_sampler_row(grid: ex.SpectrumGrid) -> CheckRow:
     """Re-evaluate SPECTRUM_SAMPLER_CHECKS kept samples of the grid sweep,
-    picked at seed 42, with the direct sum, all in one exp_sum call."""
+    picked at seed 42, with the direct sum, all in one exp_sum_at call."""
     subset = grid.subset
     picks = np.random.default_rng(42).choice(
         len(grid.index), min(SPECTRUM_SAMPLER_CHECKS, len(grid.index)), replace=False)
-    direct = ex.exp_sum(subset.members, grid.index[picks] / grid.G)
+    direct = ex.exp_sum_at(subset, grid.index[picks] / grid.G)
     worst = np.abs(grid.values[picks] - direct).max()
     return leq_row("spectrum-sampler-vs-direct",
                    {"subset": subset.label, "N": subset.N, "samples": len(picks)},

@@ -213,7 +213,7 @@ def test_large_sieve_rows(ctx):
     rng = np.random.default_rng(0)
     xs = [0.05, 0.3, 0.61, 0.93]
     u = rng.normal(size=subset.size) + 1j * rng.normal(size=subset.size)
-    rows = large_sieve_check(xs, u, subset, 1.0 / subset.N, np.ones(len(xs)))
+    rows = large_sieve_check(xs, u, subset, np.ones(len(xs)))
     names = {r.lemma for r in rows}
     assert {"large-sieve-primal", "large-sieve-dual",
             "large-sieve-level-sets"} <= names
@@ -235,27 +235,27 @@ def test_w_moment_brute_force():
 def test_dilated_sieve_closed_form():
     # constant u at Q1=Q2=1: W(1) = |sum u|^2 and the bound is N + 2 delta
     u = np.ones(50)
-    row = dilated_large_sieve_check(u, 50, 1, 1, 1)
+    row = dilated_large_sieve_check(u, 1, 1, 1)
     assert row.status == "pass"
     assert row.lhs == pytest.approx(2500.0)
     rng = np.random.default_rng(9)
     for _ in range(20):
         n = int(rng.integers(30, 200))
         u = rng.normal(size=n) + 1j * rng.normal(size=n)
-        row = dilated_large_sieve_check(u, n, int(rng.integers(1, 5)),
-                          int(rng.integers(5, 25)), int(rng.integers(1, 4)))
+        row = dilated_large_sieve_check(u, int(rng.integers(1, 5)),
+                                        int(rng.integers(5, 25)), int(rng.integers(1, 4)))
         assert row.status == "pass"
 
 
 def test_weighted_sieve_record_branch(ctx):
     u = np.ones(200)
     w = build_weights(ctx, SieveParams(2, 75, 1))
-    rows = wq_weighted_sieve_report(ctx, w, u, 200)
+    rows = wq_weighted_sieve_report(ctx, w, u)
     assert rows[0].status == "not-applicable"
     assert "record only" in rows[0].note and "z0 >= 35" in rows[0].note
     # empty dilation window short-circuits before any measurement
     w_small = build_weights(ctx, SieveParams(3, 30, 1))
-    rows2 = wq_weighted_sieve_report(ctx, w_small, u, 200)
+    rows2 = wq_weighted_sieve_report(ctx, w_small, u)
     assert rows2[0].status == "not-applicable"
     assert "z1" in rows2[0].note
 

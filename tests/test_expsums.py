@@ -16,6 +16,7 @@ from primecusps.expsums import (
     SWEEP_BUDGET,
     TERM_ERROR,
     IntervalPolynomial,
+    PhaseOverflowError,
     PrimeSubset,
     exp_sum,
     exp_sum_at,
@@ -94,20 +95,20 @@ def test_progression_matches_direct(ctx, kind):
     tol = 1e-9 * subset.size
     Q = 6 * 240 * 4 * N
     cases = [
-        (6 * 12_345 + 1, 2, Q, 1),                        # K = 1
-        (6 * 77_777 + 1, 2, Q, PROGRESSION_BLOCK + 40),   # two blocks
-        (Q - 7, 2, Q, 20),                                # wraps past alpha = 1
-        (5, -3, 1009, 50),                                # negative step
+        (Q, 3 * 12_345, 1),                         # one sample
+        (Q, 3 * 77_777, PROGRESSION_BLOCK + 40),    # two blocks
+        (Q, Q // 2 - 10, 20),                       # wraps past alpha = 1
+        (1009, 490, 50),                            # odd Q, wraps too
     ]
-    for j0, step, q, K in cases:
-        vals = exp_sums_on_progression(subset, j0, step, q, np.arange(K))
+    for q, k0, K in cases:
+        vals = exp_sums_on_progression(subset, q, np.arange(k0, k0 + K))
         assert vals.shape == (K,)
         ks = sorted({0, K - 1, *range(0, K, max(1, K // 25)),
                      *range(max(0, PROGRESSION_BLOCK - 2),
                             min(K, PROGRESSION_BLOCK + 2))})
         for k in ks:
-            direct = exp_sum_at(subset, ((j0 + step * k) % q) / q)
-            assert abs(vals[k] - direct) <= tol, (j0, step, q, K, k)
+            direct = exp_sum_at(subset, ((2 * (k0 + k) + 1) % q) / q)
+            assert abs(vals[k] - direct) <= tol, (q, k0, K, k)
 
 
 def test_progression_at_gapped_samples(ctx):
@@ -115,45 +116,43 @@ def test_progression_at_gapped_samples(ctx):
     # block, so that run is cut into a full block and a short one
     s = subset_full(ctx, 10_000)
     Q = 6 * 240 * 4 * s.N
-    j0 = 6 * 12_345 + 1
     long_run = np.arange(500, 500 + PROGRESSION_BLOCK + 40)
     ks = np.concatenate(([3], [7, 8, 9, 10], [40], long_run,
                          [PROGRESSION_BLOCK + 900, PROGRESSION_BLOCK + 2000],
                          [Q // 2 + 1, Q // 2 + 2, Q // 2 + 3, Q // 2 + 4]))
-    vals = exp_sums_on_progression(s, j0, 2, Q, ks)
+    vals = exp_sums_on_progression(s, Q, ks)
     assert vals.shape == ks.shape
     edge = 6 + PROGRESSION_BLOCK  # the first sample of the long run's second block
     checked = sorted({*range(7), *range(edge - 3, edge + 3), *range(6, edge, 997),
                       *range(len(ks) - 6, len(ks))})
     for i in checked:
-        direct = exp_sum_at(s, ((j0 + 2 * int(ks[i])) % Q) / Q)
+        direct = exp_sum_at(s, ((2 * int(ks[i]) + 1) % Q) / Q)
         assert abs(vals[i] - direct) <= 1e-9 * s.size, (i, ks[i])
 
 
 def test_progression_validation(ctx):
     s = subset_full(ctx, 10_000)
-    assert exp_sums_on_progression(s, 1, 2, 100, np.arange(0)).shape == (0,)
+    assert exp_sums_on_progression(s, 100, np.arange(0)).shape == (0,)
     with pytest.raises(ValueError):
-        exp_sums_on_progression(s, 1, 2, 0, np.arange(5))
+        exp_sums_on_progression(s, 0, np.arange(5))
     for ks in ([3, 1, 2], [1, 2, 2, 3], [-1, 0, 1]):  # unsorted, repeated, negative
         with pytest.raises(ValueError, match="ascending"):
-            exp_sums_on_progression(s, 1, 2, 100, ks)
+            exp_sums_on_progression(s, 100, ks)
     with pytest.raises(CapacityError):
-        exp_sums_on_progression(s, 1, 2, 1 << 50, np.arange(5))
+        exp_sums_on_progression(s, 1 << 50, np.arange(5))
 
 
 def test_progression_capacity_edge(ctx):
-    # the largest Q with 2Q(N + K) < 2^63 still reduces phases exactly
+    # the largest Q with (N + 1)(Q - 1) < 2^63 still reduces phases exactly
     s = subset_full(ctx, 10_000)
-    K = 5
-    Q = ((1 << 63) - 1) // (2 * (s.N + K))
-    j0 = Q - 12_345_678_901
-    vals = exp_sums_on_progression(s, j0, 7, Q, np.arange(K))
-    for k in range(K):
-        direct = exp_sum_at(s, ((j0 + 7 * k) % Q) / Q)
-        assert abs(vals[k] - direct) <= 1e-9 * s.size
-    with pytest.raises(CapacityError):
-        exp_sums_on_progression(s, j0, 7, Q + 1, np.arange(K))
+    Q = ((1 << 63) - 1) // (s.N + 1) + 1
+    ks = np.arange(5) + (Q - 12_345_678_901) // 2
+    vals = exp_sums_on_progression(s, Q, ks)
+    for k, val in zip(ks.tolist(), vals):
+        direct = exp_sum_at(s, ((2 * k + 1) % Q) / Q)
+        assert abs(val - direct) <= 1e-9 * s.size
+    with pytest.raises(PhaseOverflowError):
+        exp_sums_on_progression(s, Q + 1, ks)
 
 
 def test_exp_sum_basics(ctx):
@@ -638,7 +637,7 @@ def test_progression_beyond_memory_is_capacity_error():
     # refused before the chirp or the kernel (2^41 entries) is allocated
     huge = PrimeSubset(1 << 40, np.array([3], dtype=np.int64), "huge")
     with pytest.raises(CapacityError, match="physical memory"):
-        exp_sums_on_progression(huge, 1, 2, 100, np.arange(5))
+        exp_sums_on_progression(huge, 100, np.arange(5))
 
 
 def test_grid_beyond_memory_is_capacity_error():

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from primecusps.arith import CapacityError, PrimeContext, build_context
 from primecusps.gfunctions import g_sifted
 from primecusps import sieve
+from primecusps.report import CheckRow, na_row
 from primecusps.sieve import (
     SieveParams,
     SieveWeights,
@@ -213,7 +214,17 @@ def test_bound_report_names_failing_key(ctx, w350):
     assert (row.status, row.params["q"], row.margin) == ("fail", 7, -1.0)
 
 
+def test_check_rows_state_every_field():
+    # no field has a default, so no row becomes a pass by omission
+    with pytest.raises(TypeError):
+        CheckRow("x")
+    row = na_row("x", {}, "gated")
+    assert (row.lhs, row.rhs, row.margin, row.status) == (None, None, None, "not-applicable")
+
+
 def test_parameter_validation(ctx, monkeypatch):
+    with pytest.raises(TypeError):
+        SieveParams(3, 30)                            # tau has no default
     with pytest.raises(ValueError):
         SieveParams(1, 30, 1)
     with pytest.raises(ValueError):

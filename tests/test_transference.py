@@ -97,7 +97,7 @@ def test_cover_falls_back_to_direct_sums(ctx, monkeypatch):
     report = find_cusps(spectrum(subset, 2), 2)
     refused = []
 
-    def capped(sub, j0, step, Q, ks):
+    def capped(sub, Q, ks):
         refused.append(len(ks))
         raise PhaseOverflowError("test cap")
 
@@ -142,12 +142,12 @@ def test_cover_points_are_cusps(ctx):
 
 def test_bohr_trivial_frequency(ctx):
     cover = _cover(1.0, 10_000, 2_400_000, 1.0 / 240, (0.0,))
-    bohr = build_bohr(cover, 2, 10_000)
+    bohr = build_bohr(cover, 2)
     assert bohr.size == 5000
     assert bohr.elements[0] == 2 and bohr.elements[-1] == 10_000
     # a wide eps makes every constraint vacuous
     wide = _cover(1.0, 10_000, 2_400_000, 0.5, (0.0, 0.37, 0.61))
-    assert build_bohr(wide, 4, 10_000).size == 2500
+    assert build_bohr(wide, 4).size == 2500
 
 
 def _blocked_bohr(cover, M, N):
@@ -180,14 +180,14 @@ def test_bohr_sieve_matches_blocked_enumeration(M):
     # left, so the first few hundred passes test one frequency each
     wide = _cover(4.0, N, 960 * N, 0.499, tuple((rng.random(1200) / M).tolist()))
     for cover in (near_eighths, wide):
-        bohr = build_bohr(cover, M, N)
+        bohr = build_bohr(cover, M)
         assert len(bohr.frequencies) >= 1000 and bohr.size > 0
         assert np.array_equal(bohr.elements, _blocked_bohr(cover, M, N))
     # frequencies spread over the circle leave nothing
     spread = _cover(4.0, N, 960 * N, 0.01, tuple(rng.random(1200).tolist()))
     assert len(_blocked_bohr(spread, M, N)) == 0
     with pytest.raises(ValueError, match="empty Bohr set"):
-        build_bohr(spread, M, N)
+        build_bohr(spread, M)
 
 
 def test_bohr_sieve_memory_is_linear_in_the_multiples():
@@ -197,7 +197,7 @@ def test_bohr_sieve_memory_is_linear_in_the_multiples():
     cover = _synthetic_cover(np.random.default_rng(45), N, M, 1200)
     tracemalloc.start()
     try:
-        bohr = build_bohr(cover, M, N)
+        bohr = build_bohr(cover, M)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -209,7 +209,7 @@ def test_bohr_empty_is_domain_error(ctx):
     subset = subset_full(ctx, 10_000)
     cover = build_cover(subset, find_cusps(spectrum(subset, 4), 4))
     with pytest.raises(ValueError, match="empty Bohr set"):
-        build_bohr(cover, 2, 10_000)
+        build_bohr(cover, 2)
     with pytest.raises(ValueError, match="empty Bohr set"):
         decompose(ctx, subset, 3, 2, 4)
 
@@ -381,6 +381,13 @@ def test_sharp_sup_on_a_grid_below_the_support(dec1):
     sup = sharp_sup_report(dec1, 1024)
     direct = max(abs(dec1.transform_sharp(j / 1024)) for j in range(1024))
     assert abs(sup["sup_ratio"] - direct / dec1.subset.size) <= 1e-9
+
+
+def test_derived_arrays_are_bitwise_those_of_f_and_conv(dec1):
+    vlog = float(dec1.V_val) * math.log(dec1.N)
+    assert dec1.offset == dec1.N == 10_000
+    assert np.array_equal(dec1.f_flat, vlog * dec1.conv)
+    assert np.array_equal(dec1.f_sharp, dec1.f - dec1.conv)
 
 
 def test_csv_export(dec1):
