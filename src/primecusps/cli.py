@@ -197,8 +197,7 @@ def cmd_cusps(ctx, cfg: RunConfig) -> int:
     subset = _subset(ctx, cfg)
     grid = ex.spectrum(subset, cfg.A, cfg.grid)
     report = cu.find_cusps(grid, cfg.A)
-    rows = cu.structure_check(report, subset)
-    rows.append(cu.farey_census_report(report))
+    rows = [cu.structure_check(report), cu.farey_census_report(report)]
     if cfg.format == "csv":
         lines = ["lo,hi,peak_pos,peak_height"]
         lines += [f"{a.lo:.12g},{a.hi:.12g},{a.peak.position:.12g},"
@@ -206,10 +205,10 @@ def cmd_cusps(ctx, cfg: RunConfig) -> int:
         _emit(cfg, "csv", "\n".join(lines) + "\n")
     else:
         _emit(cfg, "json", _json_report(
-            cfg, N=report.N, A=report.A, K=report.K,
+            cfg, N=subset.N, A=report.A, K=subset.K,
             threshold=report.threshold, bound=report.bound,
             count=len(report.wellspaced), count_ok=report.count_ok,
-            measure_estimate=report.measure_estimate,
+            measure_estimate=sum(arc.length for arc in report.arcs),
             arcs=[{"lo": a.lo, "hi": a.hi, "peak_pos": a.peak.position,
                    "peak_height": a.peak.weight} for a in report.arcs],
             wellspaced=[{"position": p.position, "weight": p.weight}
@@ -226,12 +225,11 @@ def cmd_companions(ctx, cfg: RunConfig) -> int:
 
 
 def cmd_decompose(ctx, cfg: RunConfig) -> int:
-    subset = _subset(ctx, cfg)
     M = cfg.M if cfg.M is not None else int(ctx.primorial(cfg.z0))
-    dec = tr.decompose(ctx, subset, cfg.z0, M, cfg.A, z=cfg.z)
+    dec = tr.decompose(ctx, _subset(ctx, cfg), cfg.z0, M, cfg.A, z=cfg.z)
     rows = tr.transform_checks(dec, seed=cfg.seed + 1)
     rows.extend(tr.cusp_suppression_report(dec, seed=cfg.seed + 2))
-    rows.append(tr.bohr_size_row(dec.bohr, subset.N))
+    rows.append(tr.bohr_size_row(dec.bohr))
     # any power of two serves the supremum, one below N included
     sup = tr.sharp_sup_report(dec, min(cfg.grid or ex.grid_size(cfg.N), 1 << 20))
     if cfg.format == "csv":

@@ -55,17 +55,24 @@ class CuspArc:
             or ((self.lo - x) % 1.0) <= slack
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CuspReport:
-    subset_label: str
-    N: int
+    """The A-cusp arcs of subset, in circle order from 0, and their
+    (1/N)-well-spaced points."""
+    subset: PrimeSubset
     A: float
-    K: float
-    threshold: float
     arcs: tuple
     wellspaced: tuple
-    bound: float
-    measure_estimate: float
+
+    @property
+    def threshold(self) -> float:
+        """T*(0)/A."""
+        return float(self.subset.size) / self.A
+
+    @property
+    def bound(self) -> float:
+        """19 A^2 K log(2A), the bound on the well-spaced count."""
+        return 19.0 * self.A * self.A * self.subset.K * math.log(2.0 * self.A)
 
     @property
     def count_ok(self) -> bool:
@@ -85,8 +92,10 @@ def _bisect_crossing(subset: PrimeSubset, threshold: float,
     return inside % 1.0
 
 
-def _golden_peak(subset: PrimeSubset, lo: float, hi: float, width: float) -> tuple[float, float]:
-    """Golden-section maximum of |T*| on [lo, hi] (unwrapped reals)."""
+def _peak(subset: PrimeSubset, lo: float, hi: float, best: WeightedPoint,
+          width: float) -> WeightedPoint:
+    """Golden-section peak of |T*| on [lo, hi] (unwrapped reals), or the
+    known point best when it is higher."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - (b - a) * invphi
@@ -103,17 +112,10 @@ def _golden_peak(subset: PrimeSubset, lo: float, hi: float, width: float) -> tup
             d = a + (b - a) * invphi
             fd = abs(exp_sum_at(subset, d % 1.0))
     x = (a + b) / 2.0
-    return x % 1.0, abs(exp_sum_at(subset, x % 1.0))
-
-
-def _peak(subset: PrimeSubset, lo: float, hi: float, best: WeightedPoint,
-          width: float) -> WeightedPoint:
-    """Golden-section peak of |T*| on [lo, hi] (unwrapped reals), or the
-    known point best when it is higher."""
-    position, value = _golden_peak(subset, lo, hi, width)
+    value = abs(exp_sum_at(subset, x % 1.0))
     if best.weight > value:  # golden section lost a multimodal bracket
         return best
-    return WeightedPoint(position, value)
+    return WeightedPoint(x % 1.0, value)
 
 
 def _half_runs(index: np.ndarray, gap: int) -> list[np.ndarray]:
@@ -142,8 +144,7 @@ def find_cusps(grid: SpectrumGrid, A: float) -> CuspReport:
         raise ValueError(f"A={A} must be finite and >= 1")
     subset = grid.subset
     N, G = subset.N, grid.G
-    T0 = float(subset.size)
-    threshold = T0 / A
+    threshold = float(subset.size) / A
     width = ENDPOINT_RESOLUTION / N
     index, absvals = grid.above(threshold)
     gap = max(2, math.ceil(G / (4.0 * N)))  # consecutive indices always share a run
@@ -191,11 +192,7 @@ def find_cusps(grid: SpectrumGrid, A: float) -> CuspReport:
     arcs += reversed(mirrors)  # so the arcs run in circle order from 0
 
     wellspaced = extract_well_spaced(candidates, 1.0 / N)
-    K = subset.K
-    bound = 19.0 * A * A * K * math.log(2.0 * A)
-    measure = sum(arc.length for arc in arcs)
-    return CuspReport(subset.label, N, float(A), K, threshold,
-                      tuple(arcs), tuple(wellspaced), bound, measure)
+    return CuspReport(subset, float(A), tuple(arcs), tuple(wellspaced))
 
 
 # -- rational cusps -----------------------------------------------------------
@@ -238,17 +235,18 @@ def rational_cusps(subset: PrimeSubset, A: float) -> list[WeightedPoint]:
     return cusps
 
 
-def rational_cusps_row(report: CuspReport, subset: PrimeSubset) -> CheckRow:
+def rational_cusps_row(report: CuspReport) -> CheckRow:
     """rational-cusps-detected: the points of rational_cusps(subset, A)
     outside every detected arc (within ARC_SLACK / N), against 0."""
-    in_arcs = _arc_membership(report.arcs, ARC_SLACK / report.N)
+    subset = report.subset
+    in_arcs = _arc_membership(report.arcs, ARC_SLACK / subset.N)
     cusps = rational_cusps(subset, report.A)
     missed = [p.position for p in cusps if not in_arcs(p.position)]
     note = "rational A-cusps a/q (q squarefree, phi(q) <= A) outside every arc"
     if missed:
         note += ": " + ", ".join(f"{x:.6g}" for x in missed)
     return exact_leq_row("rational-cusps-detected",
-                         {"subset": report.subset_label, "N": report.N, "A": report.A,
+                         {"subset": subset.label, "N": subset.N, "A": report.A,
                           "points": len(cusps)},
                          len(missed), 0, note)
 
@@ -280,34 +278,32 @@ def _moduli(subset: PrimeSubset, positions: Sequence[float]) -> list[float]:
     return [abs(complex(v)) for v in exp_sum_at(subset, positions)]
 
 
-def structure_check(report: CuspReport, subset: PrimeSubset) -> list[CheckRow]:
+def structure_check(report: CuspReport) -> CheckRow:
     """Exact consequences on the cusp set, re-verified directly.
 
     For each well-spaced cusp alpha: |T*| at -alpha and 1/2+alpha must
     clear the threshold (within the re-evaluation tolerance) and both
-    points must land inside a detected arc.  Any failing row is a genuine
+    points must land inside a detected arc.  A failing row is a genuine
     defect: these are identities, not estimates.
     """
-    rows = []
-    T0 = float(subset.size)
-    tol = REEVAL_TOL * T0
-    in_arcs = _arc_membership(report.arcs, ARC_SLACK / report.N)
+    subset = report.subset
+    floor = report.threshold - REEVAL_TOL * float(subset.size)
+    in_arcs = _arc_membership(report.arcs, ARC_SLACK / subset.N)
     worst = math.inf
     contained = True
     positions = [pos for pt in report.wellspaced
                  for pos in ((-pt.position) % 1.0, (0.5 + pt.position) % 1.0)]
     for pos, val in zip(positions, _moduli(subset, positions)):
-        worst = min(worst, val - (report.threshold - tol))
+        worst = min(worst, val - floor)
         if not in_arcs(pos):
             contained = False
     ok = worst >= 0 and contained
-    rows.append(CheckRow("cusp-symmetry",
-                         {"subset": report.subset_label, "N": report.N, "A": report.A,
-                          "points": len(report.wellspaced)},
-                         None, None, None if worst is math.inf else float(worst),
-                         "pass" if ok else "fail",
-                         "re-evaluated |T*| at -alpha and 1/2+alpha, plus arc containment"))
-    return rows
+    return CheckRow("cusp-symmetry",
+                    {"subset": subset.label, "N": subset.N, "A": report.A,
+                     "points": len(report.wellspaced)},
+                    None, None, None if worst is math.inf else float(worst),
+                    "pass" if ok else "fail",
+                    "re-evaluated |T*| at -alpha and 1/2+alpha, plus arc containment")
 
 
 def rational_shift_check(ctx: PrimeContext, subset: PrimeSubset, xi: float,
@@ -320,8 +316,7 @@ def rational_shift_check(ctx: PrimeContext, subset: PrimeSubset, xi: float,
         return na_row("cusp-rational-shift", params, "q not squarefree")
     if q * q >= subset.N:
         return na_row("cusp-rational-shift", params, "q >= sqrt(N)")
-    shifts = [(xi + a / q) % 1.0 for a in (range(1, q) if q > 1 else [0])
-              if math.gcd(a, q) == 1]
+    shifts = [(xi + a / q) % 1.0 for a in range(q) if math.gcd(a, q) == 1]
     Txi, *shifted = _moduli(subset, [xi % 1.0] + shifts)
     if Txi == 0.0 or ctx.euler_phi(q) > A * Txi / T0:
         return na_row("cusp-rational-shift", params,
@@ -500,7 +495,7 @@ def farey_census_report(report: CuspReport) -> CheckRow:
     observed = len(report.arcs)
     ratio = observed / predicted if predicted else math.inf
     return CheckRow("cusp-farey-census",
-                    {"subset": report.subset_label, "N": report.N, "A": report.A},
+                    {"subset": report.subset.label, "N": report.subset.N, "A": report.A},
                     float(observed), float(predicted), None, "pass",
                     f"arc count vs squarefree Farey prediction, ratio {ratio:.2f} "
                     "(order-of-magnitude report)")

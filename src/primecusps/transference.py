@@ -4,15 +4,18 @@
 
 of the prime indicator, where f_flat = V(z0) log N (f * rho) is sieve-dense
 and non-negative and S(f_sharp, alpha) = T*(alpha) (1 - |S_M(alpha)/|B||^2)
-is small at every covered cusp.  A Decomposition stores only f and
-f * rho, on the full convolution support [-N, 2N]; f_flat and f_sharp are
-derived from them on every read.  The transform identities are
-re-verified numerically rather than assumed.  Every off-grid sum here,
-the transforms of f_sharp and f* with T* beside them, the Bohr sums S_M
-and the cover's direct sums, is one expsums.exp_sum or exp_sum_at call at
-one alpha or at an array of them (one per-alpha kernel, shared out to the
-workers); the measured supremum is a grid_blocks sweep and the cover's
-samples one chirp-z call at T*((2k + 1)/Q).
+is small at every covered cusp.  Each stage holds the stage it was built
+from and only what it computes itself: a Cover its CuspReport, a BohrSet
+its Cover, and a Decomposition its BohrSet and f * rho, on the full
+convolution support [-N, 2N].  f, f_flat and f_sharp are derived on every
+read, and N, A, eps and Nprime are read through the chain.  The transform
+identities are re-verified numerically rather than assumed.  Every
+off-grid sum here, the transforms of f_sharp and f* with T* beside them,
+the Bohr sums S_M and the cover's direct sums, is one expsums.exp_sum or
+exp_sum_at call at one alpha or at an array of them (one per-alpha
+kernel, shared out to the workers); the measured supremum is a
+grid_blocks sweep and the cover's samples one chirp-z call at
+T*((2k + 1)/Q).
 """
 from __future__ import annotations
 
@@ -45,29 +48,41 @@ N_ALPHA = 1000
 N_FUZZ = 10_000
 
 
-@dataclass(frozen=True)
+def _nprime(report: CuspReport) -> int:
+    """Nprime = 240 A N, the number of cover intervals."""
+    return int(round(240 * report.A * report.subset.N))
+
+
+@dataclass(frozen=True, eq=False)
 class Cover:
     """Points y with |T*(y)| >= T*(0)/A, one per short interval, so that
-    every A-cusp sits within 1/Nprime of some point.  A built cover keeps
-    the ascending indices of the intervals it sampled and |T*| at their
-    INTERVAL_SAMPLES samples, one row per interval."""
-    A: float
-    N: int
-    Nprime: int
-    eps: float
+    every A-cusp of the report sits within 1/Nprime of some point.  A built
+    cover keeps the ascending indices of the intervals it sampled and |T*|
+    at their INTERVAL_SAMPLES samples, one row per interval."""
+    report: CuspReport
     points: tuple
-    intervals: np.ndarray = field(repr=False, compare=False)
-    samples: np.ndarray = field(repr=False, compare=False)
+    intervals: np.ndarray = field(repr=False)
+    samples: np.ndarray = field(repr=False)
 
-    def reduced(self, M: int) -> tuple:
-        return tuple(sorted({(M * y) % 1.0 for y in self.points}))
+    @property
+    def Nprime(self) -> int:
+        return _nprime(self.report)
+
+    @property
+    def eps(self) -> float:
+        """1/(240 A), the Bohr radius."""
+        return 1.0 / (240.0 * self.report.A)
+
+    def frequencies(self, M: int) -> tuple:
+        """The nonzero M y mod 1, ascending: the frequencies Xi of B_M(eps)."""
+        return tuple(y for y in sorted({(M * y) % 1.0 for y in self.points}) if y != 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BohrSet:
+    """B_M(eps) over the cover's frequencies, as its ascending elements."""
+    cover: Cover
     M: int
-    eps: float
-    frequencies: tuple
     elements: np.ndarray = field(repr=False)
 
     @property
@@ -119,7 +134,7 @@ def _interval_samples(subset: PrimeSubset, idx, Nprime: int) -> np.ndarray:
     return np.reshape(samples, (len(idx), S))
 
 
-def build_cover(subset: PrimeSubset, report: CuspReport) -> Cover:
+def build_cover(report: CuspReport) -> Cover:
     """Select the interval representatives of the report's A-cusp set.
 
     The circle is cut into Nprime = 240 A N intervals.  Only intervals
@@ -129,12 +144,7 @@ def build_cover(subset: PrimeSubset, report: CuspReport) -> Cover:
     cover; arc peaks and well-spaced points are evaluated directly, in one
     exp_sum_at call.  Each kept interval contributes its maximizing sample.
     """
-    A, N = report.A, report.N
-    Nprime = int(round(240 * A * N))
-    eps = 1.0 / (240.0 * A)
-    T0 = float(subset.size)
-    threshold = T0 / A
-
+    subset, Nprime = report.subset, _nprime(report)
     candidates = _cover_candidates(report, Nprime)
     idx = np.array(sorted(candidates), dtype=np.int64)
     samples = np.abs(_interval_samples(subset, idx, Nprime))
@@ -148,24 +158,24 @@ def build_cover(subset: PrimeSubset, report: CuspReport) -> Cover:
             val = next(extras)
             if val > best:
                 best, pos = val, x
-        if best >= threshold:
+        if best >= report.threshold:
             points.append(pos % 1.0)
-    return Cover(A, N, Nprime, eps, tuple(sorted(points)), idx, samples)
+    return Cover(report, tuple(sorted(points)), idx, samples)
 
 
-def cover_sampler_row(subset: PrimeSubset, cover: Cover, seed: int) -> CheckRow:
+def cover_sampler_row(cover: Cover, seed: int) -> CheckRow:
     """Re-evaluate COVER_SAMPLER_CHECKS seeded chirp-z samples the cover
     kept with the direct sum, all in one exp_sum_at call."""
     zoom = cover.samples.ravel()
     picks = np.random.default_rng(seed).choice(
         zoom.size, min(COVER_SAMPLER_CHECKS, zoom.size), replace=False)
-    S = INTERVAL_SAMPLES
+    S, subset = INTERVAL_SAMPLES, cover.report.subset
     direct = exp_sum_at(subset, np.mod([_sample_position(int(cover.intervals[k // S]),
                                                          k % S, cover.Nprime)
                                         for k in picks], 1.0))
     worst = np.abs(zoom[picks] - np.abs(direct)).max()
     return leq_row("cover-sampler-vs-direct",
-                   {"N": cover.N, "A": cover.A, "samples": len(picks)},
+                   {"N": subset.N, "A": cover.report.A, "samples": len(picks)},
                    worst, REEVAL_TOL * float(subset.size),
                    note="max ||T*| chirp-z - |T*| direct| at seeded cover samples")
 
@@ -184,8 +194,8 @@ def check_h1(ctx: PrimeContext, M: int, z0) -> list[str]:
 
 
 def build_bohr(cover: Cover, M: int) -> BohrSet:
-    """{n <= N : M | n, ||y n|| <= eps for y in Xi}, N = cover.N and Xi the
-    nonzero reduced cover points, sieved over the multiples n = k M.
+    """{n <= N : M | n, ||y n|| <= eps for y in Xi}, Xi =
+    cover.frequencies(M), sieved over the multiples n = k M.
 
     Each pass tests as many frequencies against the surviving k as fit in
     PHASE_BLOCK entries, at least one: the first tests one frequency
@@ -196,26 +206,26 @@ def build_bohr(cover: Cover, M: int) -> BohrSet:
     empty set."""
     if M < 1:
         raise ValueError(f"M={M} must be >= 1")
-    freqs = [y for y in cover.reduced(M) if y != 0.0]
-    ks = np.arange(1, cover.N // M + 1, dtype=np.int64)
+    freqs, eps = cover.frequencies(M), cover.eps
+    ks = np.arange(1, cover.report.subset.N // M + 1, dtype=np.int64)
     i = 0
     while i < len(freqs) and len(ks):
         rows = max(1, PHASE_BLOCK // len(ks))
         fr = np.multiply.outer(freqs[i : i + rows], ks)
         np.remainder(fr, 1.0, out=fr)
         np.minimum(fr, 1.0 - fr, out=fr)
-        ks = ks[(fr <= cover.eps).all(axis=0)]
+        ks = ks[(fr <= eps).all(axis=0)]
         i += rows
     elements = (ks * M).astype(np.int64)
     if len(elements) == 0:
         raise ValueError("empty Bohr set: decomposition impossible at these parameters")
-    return BohrSet(M, cover.eps, freqs, elements)
+    return BohrSet(cover, M, elements)
 
 
-def bohr_size_row(bohr: BohrSet, N: int) -> CheckRow:
-    rhs = 0.5 * bohr.eps ** len(bohr.frequencies) * N / bohr.M
-    return CheckRow("bohr-size", {"M": bohr.M, "eps": bohr.eps,
-                                  "n_freq": len(bohr.frequencies)},
+def bohr_size_row(bohr: BohrSet) -> CheckRow:
+    eps, n_freq = bohr.cover.eps, len(bohr.cover.frequencies(bohr.M))
+    rhs = 0.5 * eps ** n_freq * bohr.cover.report.subset.N / bohr.M
+    return CheckRow("bohr-size", {"M": bohr.M, "eps": eps, "n_freq": n_freq},
                     float(bohr.size), rhs, float(bohr.size - rhs),
                     "pass" if bohr.size >= rhs else "fail",
                     "|B| against (1/2) eps^|Xi_M| N/M")
@@ -243,10 +253,10 @@ def _integer_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return rounded
 
 
-def _difference_counts(bohr: BohrSet, N: int) -> np.ndarray:
+def _difference_counts(bohr: BohrSet) -> np.ndarray:
     """counts[N + m] = #{(b1, b2) : b1 - b2 = m}, m in [-N, N]: the
     convolution of the indicator with its reverse."""
-    ind = np.zeros(N + 1)
+    ind = np.zeros(bohr.cover.report.subset.N + 1)
     ind[bohr.elements] = 1.0
     return _integer_convolve(ind, ind[::-1])
 
@@ -254,31 +264,30 @@ def _difference_counts(bohr: BohrSet, N: int) -> np.ndarray:
 # -- the decomposition ------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Decomposition:
-    subset: PrimeSubset
-    report: CuspReport
-    cover: Cover
     bohr: BohrSet
-    z0: float
     z: float
-    M: int
     G_val: Fraction
     V_val: Fraction
-    f: np.ndarray = field(repr=False)          # the prime indicator at ell + N
-    conv: np.ndarray = field(repr=False)       # (f * rho), so f* = G conv
-    metrics: dict = field(default_factory=dict)
+    conv: np.ndarray = field(repr=False)       # (f * rho) at ell + N, so f* = G conv
+    metrics: dict
     # ell over the shared support of f and conv, and the rows f_sharp, conv
     # and f on it; every prime lies in the support, and a gather per call
     # would cost ~10x the products
-    _ell: np.ndarray = field(init=False, repr=False, compare=False)
-    _weights: np.ndarray = field(init=False, repr=False, compare=False)
+    _ell: np.ndarray = field(init=False, repr=False)
+    _weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        support = np.flatnonzero((self.f != 0) | (self.conv != 0))
-        f, conv = self.f[support], self.conv[support]
+        f = self.f
+        support = np.flatnonzero((f != 0) | (self.conv != 0))
+        f, conv = f[support], self.conv[support]
         object.__setattr__(self, "_ell", support - self.offset)
         object.__setattr__(self, "_weights", np.stack((f - conv, conv, f)))
+
+    @property
+    def subset(self) -> PrimeSubset:
+        return self.bohr.cover.report.subset
 
     @property
     def N(self) -> int:
@@ -288,6 +297,19 @@ class Decomposition:
     def offset(self) -> int:
         """The index of ell = 0 in f, conv and the arrays made from them."""
         return self.subset.N
+
+    @property
+    def M(self) -> int:
+        return self.bohr.M
+
+    @property
+    def A(self) -> float:
+        return self.bohr.cover.report.A
+
+    @property
+    def f(self) -> np.ndarray:
+        """The prime indicator at ell + N, a new array at every read."""
+        return np.pad(self.subset.indicator(), self.N)
 
     @property
     def vlog(self) -> float:
@@ -302,10 +324,6 @@ class Decomposition:
     def f_sharp(self) -> np.ndarray:
         """f - (f * rho), a new array at every read."""
         return self.f - self.conv
-
-    @property
-    def A(self) -> float:
-        return self.report.A
 
     def transform_sharp(self, alpha: float) -> complex:
         return self.transforms(alpha)[0]
@@ -323,10 +341,6 @@ class Decomposition:
         return triples[0] if np.ndim(alpha) == 0 else triples
 
 
-def default_z(N: int, M: int, z0) -> float:
-    return math.sqrt(N / (M * z0))
-
-
 def decompose(ctx: PrimeContext, subset: PrimeSubset, z0, M: int, A: float,
               z=None) -> Decomposition:
     """Build the full decomposition at the given desk-scale parameters:
@@ -340,7 +354,7 @@ def decompose(ctx: PrimeContext, subset: PrimeSubset, z0, M: int, A: float,
     if M < 1:
         raise ValueError(f"M={M} must be >= 1")
     N = subset.N
-    zmin = default_z(N, M, z0)
+    zmin = math.sqrt(N / (M * z0))
     if z is None:
         z = zmin
     elif z < zmin - 1e-9:
@@ -349,8 +363,7 @@ def decompose(ctx: PrimeContext, subset: PrimeSubset, z0, M: int, A: float,
         raise ValueError(f"z={z} must be >= z0={z0}")
     if math.floor(z) > ctx.limit:
         raise CapacityError(f"z={z} exceeds prime table limit {ctx.limit}")
-    report = find_cusps(spectrum(subset, A), A)
-    cover = build_cover(subset, report)
+    cover = build_cover(find_cusps(spectrum(subset, A), A))
     bohr = build_bohr(cover, M)
 
     G = g_sifted(ctx, 1, z, z0)
@@ -359,32 +372,30 @@ def decompose(ctx: PrimeContext, subset: PrimeSubset, z0, M: int, A: float,
     # counts carries m = j - N, so the linear convolution index k holds
     # ell = k - N; on the support [-N, 2N] it is the integer
     # |B|^2 (f * rho)(ell) = #{(p, b1, b2) : p + b1 - b2 = ell}
-    counts = _difference_counts(bohr, N)
+    counts = _difference_counts(bohr)
     conv = _integer_convolve(subset.indicator(), counts) / float(bohr.size) ** 2
 
-    f = np.zeros(3 * N + 1)
-    f[subset.members + N] = 1.0
-
-    dec = Decomposition(subset, report, cover, bohr, z0, float(z), M, G, V, f, conv)
-    flat = dec.f_flat
-    # tail of f* beyond N, i.e. the gap between the full-support
-    # transform and one truncated at N, measured at alpha = 0
-    tail = float(G) * float(conv[2 * N + 1 :].sum())
-    K = subset.K
-    dec.metrics.update(
+    # f, f_flat = vlog conv and f_sharp = f - conv as the Decomposition
+    # derives them, for the metrics
+    f = np.pad(subset.indicator(), N)
+    vlog = float(V) * math.log(N)
+    flat = vlog * conv
+    metrics = dict(
         h1_violations=check_h1(ctx, M, z0),
         bohr_size=bohr.size,
         cover_size=len(cover.points),
         eps=cover.eps,
-        identity_residual=float(np.max(np.abs(flat / dec.vlog + dec.f_sharp - f))),
+        identity_residual=float(np.max(np.abs(flat / vlog + (f - conv) - f))),
         f_flat_max=float(flat.max()),
         f_flat_bound=2.0 * (1.0 + cover.eps) ** 2,
-        truncation_gap_at_zero=tail,
+        # tail of f* beyond N, i.e. the gap between the full-support
+        # transform and one truncated at N, measured at alpha = 0
+        truncation_gap_at_zero=float(G) * float(conv[2 * N + 1 :].sum()),
         # the guaranteed regime needs log z0 of this size; hopeless, but shown
-        guaranteed_log_z0=25000.0 * A ** 3 * math.log(2.0 * A) ** 2 * K
+        guaranteed_log_z0=25000.0 * A ** 3 * math.log(2.0 * A) ** 2 * subset.K
                           - math.log(cover.eps),
     )
-    return dec
+    return Decomposition(bohr, float(z), G, V, conv, metrics)
 
 
 def transform_checks(dec: Decomposition, seed: int) -> list[CheckRow]:
@@ -469,9 +480,10 @@ def cusp_suppression_report(dec: Decomposition, seed: int) -> list[CheckRow]:
     normalized Bohr sum must sit within 7 eps (resp. 14 eps) of 1; the
     elementary phase bound |e(u) - 1| <= 2 pi ||u|| is fuzzed alongside."""
     rows = []
-    eps = dec.cover.eps
+    cover = dec.bohr.cover
+    eps = cover.eps
     B = dec.bohr.size
-    pts = np.array(dec.cover.points)
+    pts = np.array(cover.points)
     # edges[:, i] = y_i -+ eps/N
     edges = np.stack(((pts - eps / dec.N) % 1.0, (pts + eps / dec.N) % 1.0))
     gaps = np.abs(exp_sum(dec.bohr.elements, np.concatenate((pts, edges.ravel()))) / B - 1.0)
@@ -480,10 +492,10 @@ def cusp_suppression_report(dec: Decomposition, seed: int) -> list[CheckRow]:
     stride = max(1, len(pts) // 32)  # the transform record is a subsample
     ratios = [abs(sharp) / dec.subset.size
               for sharp, _, _ in dec.transforms(edges[:, ::stride].T.ravel())]
-    rows.append(leq_row("bohr-sum-at-cover", {"points": len(dec.cover.points)},
+    rows.append(leq_row("bohr-sum-at-cover", {"points": len(pts)},
                         worst_center, 7.0 * eps,
                         note="|S_M(y)/|B| - 1| at the cover points"))
-    rows.append(leq_row("bohr-sum-at-cover-edge", {"points": len(dec.cover.points)},
+    rows.append(leq_row("bohr-sum-at-cover-edge", {"points": len(pts)},
                         worst_edge, 14.0 * eps,
                         note="same at alpha = y +- eps/N (doubled envelope)"))
     sup = max(ratios) if ratios else 0.0
@@ -504,16 +516,17 @@ def cusp_suppression_report(dec: Decomposition, seed: int) -> list[CheckRow]:
     return rows
 
 
-def cover_consistency_row(cover: Cover, report: CuspReport) -> CheckRow:
-    """Every well-spaced cusp must lie within 1/Nprime (plus refinement
-    slack) of some cover point."""
+def cover_consistency_row(cover: Cover) -> CheckRow:
+    """Every well-spaced cusp of the cover's report must lie within
+    1/Nprime (plus refinement slack) of some cover point."""
+    report = cover.report
     pts = np.array(cover.points)
     worst = 0.0
     for wp in report.wellspaced:
         d = np.min(np.minimum((pts - wp.position) % 1.0,
                               (wp.position - pts) % 1.0)) if len(pts) else math.inf
         worst = max(worst, d)
-    tol = 1.0 / cover.Nprime + ENDPOINT_RESOLUTION / cover.N
+    tol = 1.0 / cover.Nprime + ENDPOINT_RESOLUTION / report.subset.N
     return exact_leq_row("cover-of-cusps",
                          {"cusp_points": len(report.wellspaced), "cover_points": len(pts)},
                          worst, tol, "max distance from a well-spaced cusp to the cover")

@@ -142,8 +142,8 @@ def suite_cusps(ctx: PrimeContext) -> list[CheckRow]:
                                     {"subset": subset.label, "N": N, "A": A},
                                     float(count), rep.bound,
                                     note="well-spaced cusps vs 19 A^2 K log(2A)"))
-                rows.extend(cu.structure_check(rep, subset))
-                rows.append(cu.rational_cusps_row(rep, subset))
+                rows.append(cu.structure_check(rep))
+                rows.append(cu.rational_cusps_row(rep))
                 if A == 4:
                     rows.append(cu.farey_census_report(rep))
     full = ex.subset_full(ctx, 10_000)
@@ -155,9 +155,9 @@ def suite_cusps(ctx: PrimeContext) -> list[CheckRow]:
 def suite_transference(ctx: PrimeContext, seed: int) -> list[CheckRow]:
     subset = ex.subset_full(ctx, 100_000)
     dec = tr.decompose(ctx, subset, 3, 2, 4)
-    rows = [tr.cover_consistency_row(dec.cover, dec.report),
-            tr.cover_sampler_row(subset, dec.cover, seed),
-            tr.bohr_size_row(dec.bohr, subset.N),
+    rows = [tr.cover_consistency_row(dec.bohr.cover),
+            tr.cover_sampler_row(dec.bohr.cover, seed),
+            tr.bohr_size_row(dec.bohr),
             leq_row("reconstruction-residual", {"N": subset.N},
                     dec.metrics["identity_residual"], 1e-9,
                     note="max |f - f_flat/(V log N) - f_sharp|")]

@@ -75,8 +75,8 @@ def test_count_bound_formula(full4):
 
 def test_structure_rows(ctx, full4):
     subset, grid, report = full4
-    rows = structure_check(report, subset)
-    assert rows and all(r.status == "pass" for r in rows)
+    row = structure_check(report)
+    assert row.lemma == "cusp-symmetry" and row.status == "pass"
 
 
 def test_symmetry_directly(full4):
@@ -300,10 +300,10 @@ def test_arcs_hold_the_rational_cusps_between_grid_samples(cusp_grid):
         assert any(arc.contains(x, 0.0) for arc in report.arcs), x
         assert abs(exp_sum_at(subset, x)) >= report.threshold
     assert len(report.arcs) == 6
-    assert rational_cusps_row(report, subset).lhs == 0.0
+    assert rational_cusps_row(report).lhs == 0.0
     for (label, N), (subset, _, reports) in cusp_grid[0].items():
         for A, report in reports.items():
-            row = rational_cusps_row(report, subset)
+            row = rational_cusps_row(report)
             assert row.status == "pass" and row.params["points"] >= 2, (label, N, A)
 
 

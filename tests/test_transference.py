@@ -13,8 +13,9 @@ import pytest
 
 from primecusps import expsums, transference
 from primecusps.arith import CapacityError
-from primecusps.cusps import find_cusps
-from primecusps.expsums import PhaseOverflowError, exp_sum, exp_sum_at, spectrum, subset_full
+from primecusps.cusps import CuspReport, find_cusps
+from primecusps.expsums import (PhaseOverflowError, PrimeSubset, exp_sum, exp_sum_at,
+                                spectrum, subset_full)
 from primecusps.transference import (
     COVER_SAMPLER_CHECKS,
     INTERVAL_SAMPLES,
@@ -37,9 +38,12 @@ from primecusps.transference import (
 )
 
 
-def _cover(A, N, Nprime, eps, points):
-    """A cover of the given points that sampled no intervals."""
-    return Cover(A, N, Nprime, eps, points, np.empty(0, dtype=np.int64),
+def _cover(N, eps, points):
+    """A cover of the given points at Bohr radius eps (A = 1/(240 eps)),
+    over a stub report of a hand-made one-member subset of [0, N], that
+    sampled no intervals."""
+    report = CuspReport(PrimeSubset(N, np.array([N]), "stub"), 1.0 / (240.0 * eps), (), ())
+    return Cover(report, points, np.empty(0, dtype=np.int64),
                  np.empty((0, INTERVAL_SAMPLES)))
 
 
@@ -51,11 +55,11 @@ def dec1(ctx):
 def test_cover_basics(ctx):
     subset = subset_full(ctx, 10_000)
     report = find_cusps(spectrum(subset, 4), 4)
-    cover = build_cover(subset, report)
+    cover = build_cover(report)
     assert cover.Nprime == 240 * 4 * 10_000
     assert cover.eps == 1.0 / 960.0
     assert 0.0 in cover.points
-    row = cover_consistency_row(cover, report)
+    row = cover_consistency_row(cover)
     assert row.status == "pass"
 
 
@@ -87,7 +91,7 @@ def _direct_cover(subset, report, A):
 def test_cover_matches_direct_reference(ctx, A):
     subset = subset_full(ctx, 10_000)
     report = find_cusps(spectrum(subset, A), A)
-    cover = build_cover(subset, report)
+    cover = build_cover(report)
     assert cover.points == _direct_cover(subset, report, A)
 
 
@@ -102,7 +106,7 @@ def test_cover_falls_back_to_direct_sums(ctx, monkeypatch):
         raise PhaseOverflowError("test cap")
 
     monkeypatch.setattr(transference, "exp_sums_on_progression", capped)
-    cover = build_cover(subset, report)
+    cover = build_cover(report)
     assert len(refused) == 1 and refused[0] > 0
     assert cover.points == _direct_cover(subset, report, 2)
 
@@ -114,19 +118,19 @@ def test_cover_beyond_memory_is_capacity_error(ctx, monkeypatch):
     report = find_cusps(spectrum(subset, 2), 2)
     monkeypatch.setattr(expsums, "_physical_memory", lambda: 1 << 18)
     with pytest.raises(CapacityError, match="chirp-z block"):
-        build_cover(subset, report)
+        build_cover(report)
 
 
 def test_cover_sampler_row(ctx):
     subset = subset_full(ctx, 10_000)
     report = find_cusps(spectrum(subset, 2), 2)
-    cover = build_cover(subset, report)
+    cover = build_cover(report)
     # the row re-checks the samples the cover kept, not a second evaluation
     assert list(cover.intervals) == sorted(
         transference._cover_candidates(report, cover.Nprime))
     assert np.array_equal(cover.samples, np.abs(transference._interval_samples(
         subset, cover.intervals, cover.Nprime)))
-    row = cover_sampler_row(subset, cover, seed=3)
+    row = cover_sampler_row(cover, seed=3)
     assert row.lemma == "cover-sampler-vs-direct"
     assert row.params["samples"] == COVER_SAMPLER_CHECKS == 64
     assert row.status == "pass" and row.margin == row.rhs - row.lhs > 0
@@ -134,26 +138,26 @@ def test_cover_sampler_row(ctx):
 
 def test_cover_points_are_cusps(ctx):
     subset = subset_full(ctx, 10_000)
-    cover = build_cover(subset, find_cusps(spectrum(subset, 4), 4))
+    cover = build_cover(find_cusps(spectrum(subset, 4), 4))
     thr = subset.size / 4.0
     for y in cover.points[:: max(1, len(cover.points) // 50)]:
         assert abs(exp_sum_at(subset, y)) >= thr - 1e-6 * subset.size
 
 
 def test_bohr_trivial_frequency(ctx):
-    cover = _cover(1.0, 10_000, 2_400_000, 1.0 / 240, (0.0,))
+    cover = _cover(10_000, 1.0 / 240, (0.0,))
     bohr = build_bohr(cover, 2)
     assert bohr.size == 5000
     assert bohr.elements[0] == 2 and bohr.elements[-1] == 10_000
     # a wide eps makes every constraint vacuous
-    wide = _cover(1.0, 10_000, 2_400_000, 0.5, (0.0, 0.37, 0.61))
+    wide = _cover(10_000, 0.5, (0.0, 0.37, 0.61))
     assert build_bohr(wide, 4).size == 2500
 
 
 def _blocked_bohr(cover, M, N):
     """The Bohr set by 64-frequency blocks over every multiple at once, the
     enumeration the survivor sieve replaced: the reference for it."""
-    freqs = [y for y in cover.reduced(M) if y != 0.0]
+    freqs = list(cover.frequencies(M))
     ks = np.arange(1, N // M + 1, dtype=np.int64)
     for i in range(0, len(freqs), 64):
         ys = np.array(freqs[i : i + 64])
@@ -168,7 +172,7 @@ def _synthetic_cover(rng, N, M, count, eps=0.01):
     8 M up to a cut where the largest offset reaches eps."""
     freqs = rng.integers(0, 8, count) / 8 + rng.uniform(-2e-6, 2e-6, count)
     freqs[:5] = np.arange(5) / 8
-    return _cover(4.0, N, 960 * N, eps, tuple((freqs % 1.0 / M).tolist()))
+    return _cover(N, eps, tuple((freqs % 1.0 / M).tolist()))
 
 
 @pytest.mark.parametrize("M", [1, 2, 6])
@@ -178,13 +182,13 @@ def test_bohr_sieve_matches_blocked_enumeration(M):
     near_eighths = _synthetic_cover(rng, N, M, 1200)
     # at eps just below 1/2 each frequency removes about 0.2 % of what is
     # left, so the first few hundred passes test one frequency each
-    wide = _cover(4.0, N, 960 * N, 0.499, tuple((rng.random(1200) / M).tolist()))
+    wide = _cover(N, 0.499, tuple((rng.random(1200) / M).tolist()))
     for cover in (near_eighths, wide):
         bohr = build_bohr(cover, M)
-        assert len(bohr.frequencies) >= 1000 and bohr.size > 0
+        assert len(cover.frequencies(M)) >= 1000 and bohr.size > 0
         assert np.array_equal(bohr.elements, _blocked_bohr(cover, M, N))
     # frequencies spread over the circle leave nothing
-    spread = _cover(4.0, N, 960 * N, 0.01, tuple(rng.random(1200).tolist()))
+    spread = _cover(N, 0.01, tuple(rng.random(1200).tolist()))
     assert len(_blocked_bohr(spread, M, N)) == 0
     with pytest.raises(ValueError, match="empty Bohr set"):
         build_bohr(spread, M)
@@ -201,13 +205,13 @@ def test_bohr_sieve_memory_is_linear_in_the_multiples():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(bohr.frequencies) >= 1000 and bohr.size > 0
+    assert len(cover.frequencies(M)) >= 1000 and bohr.size > 0
     assert peak <= 16 * 8 * (N // M), peak
 
 
 def test_bohr_empty_is_domain_error(ctx):
     subset = subset_full(ctx, 10_000)
-    cover = build_cover(subset, find_cusps(spectrum(subset, 4), 4))
+    cover = build_cover(find_cusps(spectrum(subset, 4), 4))
     with pytest.raises(ValueError, match="empty Bohr set"):
         build_bohr(cover, 2)
     with pytest.raises(ValueError, match="empty Bohr set"):
@@ -242,15 +246,46 @@ def test_z_below_z0_fails_before_the_spectrum(ctx, monkeypatch):
 
 def test_decomposition_keeps_its_chain(dec1):
     # the report and cover decompose built are the ones the checks read
-    assert dec1.A == dec1.report.A == dec1.cover.A == 1.0
-    assert dec1.report.N == dec1.cover.N == 10_000
-    assert cover_consistency_row(dec1.cover, dec1.report).status == "pass"
-    assert cover_sampler_row(dec1.subset, dec1.cover, 0).status == "pass"
+    cover = dec1.bohr.cover
+    assert dec1.A == cover.report.A == 1.0
+    assert cover.report.subset.N == 10_000
+    assert cover_consistency_row(cover).status == "pass"
+    assert cover_sampler_row(cover, 0).status == "pass"
+
+
+def test_each_stage_holds_the_stage_it_was_built_from(ctx, monkeypatch):
+    # the chain decompose builds is held, not copied, and every value read
+    # through it is bitwise its defining formula
+    built = {}
+
+    def keep(fn):
+        def kept(*args):
+            built[fn.__name__] = out = fn(*args)
+            return out
+        return kept
+
+    for name in ("find_cusps", "build_cover", "build_bohr"):
+        monkeypatch.setattr(transference, name, keep(getattr(transference, name)))
+    A, N, M = 1.0, 10_000, 2
+    subset = subset_full(ctx, N)
+    dec = decompose(ctx, subset, 3, M, A)
+    report, cover, bohr = built["find_cusps"], built["build_cover"], built["build_bohr"]
+    assert report.subset is subset and cover.report is report
+    assert bohr.cover is cover and dec.bohr is bohr
+    assert report.threshold == float(subset.size) / A
+    assert report.bound == 19.0 * A * A * subset.K * math.log(2.0 * A)
+    assert cover.Nprime == int(round(240 * A * N))
+    assert cover.eps == 1.0 / (240.0 * A)
+    assert cover.frequencies(M) == tuple(
+        y for y in sorted({(M * y) % 1.0 for y in cover.points}) if y != 0.0)
+    f = np.zeros(3 * N + 1)
+    f[subset.members + N] = 1.0
+    assert np.array_equal(dec.f, f)
 
 
 def test_rho_properties(dec1):
     bohr = dec1.bohr
-    counts = _difference_counts(bohr, 10_000)
+    counts = _difference_counts(bohr)
     # counts[N + m] / |B|^2 is the probability rho at m, on [-N, N]
     assert counts.sum() == bohr.size ** 2
     assert counts[10_000] == bohr.size
@@ -261,7 +296,7 @@ def test_rho_properties(dec1):
 def test_triple_counts_are_exact(dec1):
     # |B|^2 (f * rho)(ell) = #{(p, b1, b2) : p + b1 - b2 = ell}, in integers
     N, bohr = 10_000, dec1.bohr
-    counts = _integer_convolve(dec1.subset.indicator(), _difference_counts(bohr, N))
+    counts = _integer_convolve(dec1.subset.indicator(), _difference_counts(bohr))
     assert counts.shape == (3 * N + 1,)
     assert np.array_equal(counts, np.rint(counts))
     assert counts.sum() == dec1.subset.size * bohr.size ** 2
@@ -282,8 +317,8 @@ def test_convolution_beyond_memory_is_capacity_error():
 
 def test_difference_counts_brute_force():
     elements = np.array([2, 4, 8, 14, 20], dtype=np.int64)
-    small = BohrSet(2, 0.1, (0.0,), elements)
-    counts = _difference_counts(small, 20)
+    small = BohrSet(_cover(20, 0.1, (0.0,)), 2, elements)
+    counts = _difference_counts(small)
     # brute force over ordered pairs
     brute = np.zeros(41)
     for a in elements:
@@ -291,9 +326,8 @@ def test_difference_counts_brute_force():
             brute[a - b + 20] += 1
     assert np.array_equal(counts, brute)
     assert counts[20] == 5
-    big = BohrSet(2, 0.1, (0.0,),
-                  np.arange(2, 6001, 2, dtype=np.int64))
-    cts = _difference_counts(big, 6000)
+    big = BohrSet(_cover(6000, 0.1, (0.0,)), 2, np.arange(2, 6001, 2, dtype=np.int64))
+    cts = _difference_counts(big)
     assert cts[6000] == 3000           # m = 0
     assert cts[6000 + 2] == 2999       # m = 2
     assert cts[6000 + 5999] == 0       # odd gap impossible
@@ -301,7 +335,7 @@ def test_difference_counts_brute_force():
 
 def test_bohr_sum_identity(dec1):
     bohr = dec1.bohr
-    counts = _difference_counts(bohr, 10_000)
+    counts = _difference_counts(bohr)
     B2 = bohr.size ** 2
     for alpha in (0.0, 0.123, 0.5, 0.987):
         s_rho = sum(float(counts[10_000 + m]) / B2 *
@@ -316,7 +350,7 @@ def test_decomposition_identities(ctx, dec1):
     assert dec1.metrics["h1_violations"] == []
     rows = transform_checks(dec1, 1)
     assert all(r.status == "pass" for r in rows)
-    assert bohr_size_row(dec1.bohr, 10_000).status == "pass"
+    assert bohr_size_row(dec1.bohr).status == "pass"
 
 
 
