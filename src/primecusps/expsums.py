@@ -19,10 +19,10 @@ returns, so every sum is bitwise the one its alpha gets alone and none
 depends on the thread count.  exp_sum_at is T*(alpha) =
 sum over the prime subset of e(p alpha); the interval polynomial and the
 local model go through exp_sum too.  exp_sums_on_progression evaluates
-T*((2k + 1)/Q) at any ascending k by chirp-z, every phase an integer
-reduced exactly mod Q while (N + 1)(Q - 1) < 2^63 (one kernel serves every
-block of consecutive samples, so transference evaluates a whole cover in
-one call), and grid_blocks every j/G.  Real weights make the sum at
+T*((2k + 1)/Q) at any ascending k from Taylor moments about the midpoint
+of each piece of consecutive samples, the moments of every piece from one
+weighted exp_sum call, so transference evaluates a whole cover in one
+call, and grid_blocks every j/G.  Real weights make the sum at
 -alpha the conjugate of the sum at alpha, so grid_blocks covers only the
 half circle 0 <= j <= G/2, on one path: it sweeps G = R L by the
 residues r <= R/2 of j mod R, one real FFT for r = 0 on the calling thread
@@ -514,31 +514,38 @@ def grid_sums(values: np.ndarray, G: int) -> np.ndarray:
     return out
 
 
-#: samples per chirp-z block; each block costs FFTs of length >= N + block
-PROGRESSION_BLOCK = 1 << 15
+#: most |2 pi W s| a moment expansion reaches, s a sample's offset from its
+#: piece's midpoint and W the half width of the support.  A reach of 1
+#: keeps the float error's factor e^reach near 2.7 and the moment rows at
+#: 19, 8 bytes a member each; a cover piece then spans about 460 A samples
+MOMENT_REACH = 1.0
 
-
-class PhaseOverflowError(CapacityError):
-    """exp_sums_on_progression's phases mod Q would overflow int64: its one
-    limit that a direct sum does not share."""
+#: terms of a moment expansion: the first m with MOMENT_REACH^m/m! < 2^-53
+MOMENT_ORDER = next(m for m in range(1, 200)
+                    if MOMENT_REACH ** m / math.factorial(m) < 2.0 ** -53)
 
 
 def exp_sums_on_progression(subset: PrimeSubset, Q: int, ks) -> np.ndarray:
     """T*((2k + 1)/Q) for each k of the ascending, distinct, non-negative
-    sample indices ks, by Bluestein's chirp-z transform.
+    sample indices ks, from Taylor moments about c = (min P* + max P*)/2.
 
-    For k = k0 + t, 2pt = p^2 + t^2 - (t - p)^2 turns the sum into
-    e(t^2/Q) sum_p [e((p j + p^2)/Q)] e(-(t - p)^2/Q) with j = 2 k0 + 1,
-    every exponent an integer over Q: one FFT convolution per block of
-    consecutive k.  ks is cut into blocks at every gap and every
-    PROGRESSION_BLOCK samples; the chirp m^2 mod Q and the kernel FFT are
-    built once, at the longest block, and each block costs two in-place
-    FFTs in one working array, so memory stays O(N + block).  Every phase
-    is reduced exactly in int64 to a multiple of 1/Q before exp rounds it,
-    so the error does not grow with k.  The largest int64 intermediate is
-    p (j mod Q) <= N (Q - 1); raises PhaseOverflowError, a CapacityError,
-    when (N + 1)(Q - 1) reaches 2^63, and CapacityError when a block would
-    not fit in physical memory.
+    With W = (max P* - min P*)/2, ks is cut into pieces of consecutive k
+    with 2 pi W (k_hi - k_lo)/Q <= R = MOMENT_REACH.  About a piece's
+    midpoint x = ((k_lo + k_hi + 1) mod Q)/Q, formed from integers, a
+    sample is x + s with |2 pi W s| <= R, and with ORDER = MOMENT_ORDER
+
+        T*(x + s) = e(c s) sum_{m < ORDER} mu_m (2 pi i W s)^m / m!,
+        mu_m = sum_p e(p x) ((p - c)/W)^m,
+
+    by Horner's rule.  The rows ((p - c)/W)^m, in [-1, 1], are built once
+    a call, after a check against physical memory, and the moments of
+    every piece come from one exp_sum call at the midpoints, so no sample
+    depends on the thread count.  With T0 = |P*| and u = 2^-53, the error
+    is at most T0 R^ORDER/ORDER! (ORDER + 1)/(ORDER + 1 - R) < u T0 from
+    the truncation, about e^R (TERM_ERROR + ORDER u) T0 from the floats,
+    and about 2 pi N u T0 from rounding x to a float alpha, as for
+    exp_sum_at.  Raises ValueError for Q < 1 and for bad ks, and
+    CapacityError when the rows would not fit in physical memory.
     """
     Q = int(Q)
     ks = np.asarray(ks, dtype=np.int64)
@@ -546,40 +553,31 @@ def exp_sums_on_progression(subset: PrimeSubset, Q: int, ks) -> np.ndarray:
         raise ValueError(f"Q={Q} must be >= 1")
     if len(ks) and (ks[0] < 0 or np.any(np.diff(ks) <= 0)):
         raise ValueError("sample indices must be ascending, distinct and >= 0")
-    N = subset.N
-    if (N + 1) * (Q - 1) >= 1 << 63:
-        raise PhaseOverflowError(f"phases mod Q={Q} at N={N} overflow int64")
-    starts = np.flatnonzero(np.diff(ks, prepend=-2) != 1)  # the runs of ks
-    ends = np.append(starts[1:], len(ks))
-    block = min(int((ends - starts).max(initial=0)), PROGRESSION_BLOCK)
     if len(ks) == 0:
         return np.empty(0, dtype=complex)
-    L = 1 << (N + block - 1).bit_length()       # L >= N + block: no aliasing
-    # the kernel and the working array of L complex values, the chirp and
-    # the phases made from it
-    require_memory(32 * L + 32 * max(N + 1, block), f"a chirp-z block of length {L}")
-    kernel, u = np.empty((2, L), dtype=complex)
-    out = np.empty(len(ks), dtype=complex)
-    # (m mod Q)^2 <= min(N, Q - 1)^2 <= N (Q - 1) for m <= N, and below
-    # PROGRESSION_BLOCK^2 for the kernel's m past N
-    m = np.arange(max(N + 1, block), dtype=np.int64) % Q
-    chirp = m * m % Q
-    kernel[:block] = np.exp(-TWO_PI * 1j * (chirp[:block] / Q))
-    kernel[block : L - N] = 0.0
-    kernel[L - N:] = np.exp(-TWO_PI * 1j * (chirp[N:0:-1] / Q))
-    np.fft.fft(kernel, out=kernel)
     P = subset.members
-    for lo, hi in zip(starts.tolist(), ends.tolist()):
-        for b in range(lo, hi, block):
-            kb = min(block, hi - b)
-            jb = (2 * int(ks[b]) + 1) % Q
-            u.fill(0.0)
-            u[P] = np.exp(TWO_PI * 1j * (((P * jb % Q + chirp[P]) % Q) / Q))
-            np.fft.fft(u, out=u)
-            u *= kernel
-            np.fft.ifft(u, out=u)
-            out[b : b + kb] = np.exp(TWO_PI * 1j * (chirp[:kb] / Q)) * u[:kb]
-    return out
+    lo, hi = int(P.min()), int(P.max())
+    c, W = (lo + hi) / 2, max(hi - lo, 1) / 2  # W > 0 for one member too
+    # a piece holds at most `step` samples and starts where a run's
+    # position is 0 mod step
+    step = min(int(MOMENT_REACH * Q / (TWO_PI * W)) + 1, len(ks))
+    starts = np.flatnonzero(np.diff(ks, prepend=-2) != 1)  # the runs of ks
+    pos = np.arange(len(ks)) - np.repeat(starts, np.diff(starts, append=len(ks)))
+    first = pos % step == 0
+    k_lo, k_hi = ks[first], ks[np.append(first[1:], True)]
+    piece = np.cumsum(first) - 1
+    mids = [(a + b + 1) % Q / Q for a, b in zip(k_lo.tolist(), k_hi.tolist())]
+    require_memory(8 * MOMENT_ORDER * len(P), f"{MOMENT_ORDER} moment rows over {len(P)} points")
+    rows = np.ones((MOMENT_ORDER, len(P)))
+    np.cumprod(np.broadcast_to((P - c) / W, rows[1:].shape), axis=0, out=rows[1:])
+    mu = exp_sum(P, mids, rows)
+    # 2 pi s = 2 pi (2k - k_lo - k_hi)/Q, each difference exact in int64
+    t = TWO_PI * (((ks - k_lo[piece]) - (k_hi[piece] - ks)) / float(Q))
+    z = 1j * W * t
+    acc = mu[piece, MOMENT_ORDER - 1]
+    for m in range(MOMENT_ORDER - 1, 0, -1):
+        acc = acc * (z / m) + mu[piece, m - 1]
+    return np.exp(1j * c * t) * acc
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,11 @@ convolution support [-N, 2N].  f, f_flat and f_sharp are derived on every
 read, and N, A, eps and Nprime are read through the chain.  The transform
 identities are re-verified numerically rather than assumed.  Every
 off-grid sum here, the transforms of f_sharp and f* with T* beside them,
-the Bohr sums S_M and the cover's direct sums, is one expsums.exp_sum or
-exp_sum_at call at one alpha or at an array of them (one per-alpha
-kernel, shared out to the workers); the measured supremum is a
-grid_blocks sweep and the cover's samples one chirp-z call at
-T*((2k + 1)/Q).
+the Bohr sums S_M, the cover's direct sums and the moments behind its
+samples, is one expsums.exp_sum or exp_sum_at call at one alpha or at an
+array of them (one per-alpha kernel, shared out to the workers); the
+measured supremum is a grid_blocks sweep, and the cover's samples are one
+exp_sums_on_progression call at T*((2k + 1)/Q).
 """
 from __future__ import annotations
 
@@ -27,15 +27,15 @@ import numpy as np
 
 from .arith import CapacityError, PrimeContext
 from .cusps import ENDPOINT_RESOLUTION, REEVAL_TOL, CuspReport, find_cusps
-from .expsums import (PhaseOverflowError, PrimeSubset, exp_sum, exp_sum_at,
-                      exp_sums_on_progression, grid_blocks, require_memory, spectrum)
+from .expsums import (PrimeSubset, exp_sum, exp_sum_at, exp_sums_on_progression,
+                      grid_blocks, require_memory, spectrum)
 from .gfunctions import g_sifted
 from .report import CheckRow, FLOAT_SLACK, exact_leq_row, leq_row
 
 #: samples per cover interval when hunting the interval maximum
 INTERVAL_SAMPLES = 3
 
-#: chirp-z cover samples re-evaluated directly by cover_sampler_row
+#: cover samples re-evaluated directly by cover_sampler_row
 COVER_SAMPLER_CHECKS = 64
 
 #: most frequency-by-multiple entries a build_bohr pass holds at once
@@ -119,19 +119,12 @@ def _cover_candidates(report: CuspReport, Nprime: int) -> dict[int, list[float]]
 def _interval_samples(subset: PrimeSubset, idx, Nprime: int) -> np.ndarray:
     """T* at the INTERVAL_SAMPLES samples of each interval in the ascending
     index list idx, shape (len(idx), S).  Sample s of interval a is
-    (2k + 1)/(2S Nprime) at k = S a + s, so the whole cover is one chirp-z
-    call.  When its phases would overflow int64 there (N past
-    ~8.0e7/sqrt(A)), every sample is summed directly instead, in one
-    exp_sum_at call; any other CapacityError propagates."""
+    (2k + 1)/(2S Nprime) at k = S a + s, so the whole cover is one
+    exp_sums_on_progression call, from Taylor moments over its runs of
+    consecutive samples."""
     S = INTERVAL_SAMPLES
-    idx = np.asarray(idx, dtype=np.int64)
-    ks = (S * idx[:, None] + np.arange(S)).ravel()
-    try:
-        samples = exp_sums_on_progression(subset, 2 * S * Nprime, ks)
-    except PhaseOverflowError:
-        samples = exp_sum_at(subset, np.mod([_sample_position(int(a), s, Nprime)
-                                             for a in idx for s in range(S)], 1.0))
-    return np.reshape(samples, (len(idx), S))
+    ks = (S * np.asarray(idx, dtype=np.int64)[:, None] + np.arange(S)).ravel()
+    return exp_sums_on_progression(subset, 2 * S * Nprime, ks).reshape(len(idx), S)
 
 
 def build_cover(report: CuspReport) -> Cover:
@@ -140,9 +133,10 @@ def build_cover(report: CuspReport) -> Cover:
     The circle is cut into Nprime = 240 A N intervals.  Only intervals
     meeting a detected arc (or holding one of its peaks) can reach the
     threshold, so sampling is confined to those.  The INTERVAL_SAMPLES
-    samples per interval come from one chirp-z evaluation for the whole
-    cover; arc peaks and well-spaced points are evaluated directly, in one
-    exp_sum_at call.  Each kept interval contributes its maximizing sample.
+    samples per interval come from one exp_sums_on_progression call for
+    the whole cover; arc peaks and well-spaced points are evaluated
+    directly, in one exp_sum_at call.  Each kept interval contributes its
+    maximizing sample.
     """
     subset, Nprime = report.subset, _nprime(report)
     candidates = _cover_candidates(report, Nprime)
@@ -164,8 +158,8 @@ def build_cover(report: CuspReport) -> Cover:
 
 
 def cover_sampler_row(cover: Cover, seed: int) -> CheckRow:
-    """Re-evaluate COVER_SAMPLER_CHECKS seeded chirp-z samples the cover
-    kept with the direct sum, all in one exp_sum_at call."""
+    """Re-evaluate COVER_SAMPLER_CHECKS seeded samples the cover kept, from
+    Taylor moments, with the direct sum, all in one exp_sum_at call."""
     zoom = cover.samples.ravel()
     picks = np.random.default_rng(seed).choice(
         zoom.size, min(COVER_SAMPLER_CHECKS, zoom.size), replace=False)
@@ -177,7 +171,7 @@ def cover_sampler_row(cover: Cover, seed: int) -> CheckRow:
     return leq_row("cover-sampler-vs-direct",
                    {"N": subset.N, "A": cover.report.A, "samples": len(picks)},
                    worst, REEVAL_TOL * float(subset.size),
-                   note="max ||T*| chirp-z - |T*| direct| at seeded cover samples")
+                   note="max ||T*| moments - |T*| direct| at seeded cover samples")
 
 
 def check_h1(ctx: PrimeContext, M: int, z0) -> list[str]:
@@ -444,7 +438,7 @@ def transform_checks(dec: Decomposition, seed: int) -> list[CheckRow]:
 
     f_flat = dec.f_flat
     bad_support = np.flatnonzero(f_flat > FLOAT_SLACK)
-    coprime_ok = all(math.gcd(int(i - dec.offset), dec.M) == 1 for i in bad_support)
+    coprime_ok = bool((np.gcd(bad_support - dec.offset, dec.M) == 1).all())
     nonneg = float(f_flat.min())
     ok = coprime_ok and nonneg >= -FLOAT_SLACK
     rows.append(CheckRow("flat-support", {"M": dec.M}, None, None, nonneg,

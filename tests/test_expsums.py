@@ -12,11 +12,10 @@ from hypothesis import given, settings, strategies as st
 from primecusps import expsums
 from primecusps.arith import CapacityError, build_context
 from primecusps.expsums import (
-    PROGRESSION_BLOCK,
+    MOMENT_REACH,
     SWEEP_BUDGET,
     TERM_ERROR,
     IntervalPolynomial,
-    PhaseOverflowError,
     PrimeSubset,
     exp_sum,
     exp_sum_at,
@@ -83,6 +82,14 @@ def test_subset_beyond_table_is_capacity_error():
         subset_full(build_context(1000), 5000)
 
 
+def _piece_length(subset, Q):
+    """Most consecutive samples exp_sums_on_progression expands about one
+    midpoint: 2 pi W (k_hi - k_lo)/Q <= MOMENT_REACH, W the half width of
+    the members."""
+    W = (int(subset.members.max()) - int(subset.members.min())) / 2
+    return int(MOMENT_REACH * Q / (2 * math.pi * W)) + 1
+
+
 @pytest.mark.parametrize("kind", ["full", "sqrt2", "random", "all-primes"])
 def test_progression_matches_direct(ctx, kind):
     N = 10_000
@@ -94,36 +101,40 @@ def test_progression_matches_direct(ctx, kind):
                                                 "all-primes")}[kind]()
     tol = 1e-9 * subset.size
     Q = 6 * 240 * 4 * N
+    step = _piece_length(subset, Q)
+    assert 1000 < step < 20_000
     cases = [
         (Q, 3 * 12_345, 1),                         # one sample
-        (Q, 3 * 77_777, PROGRESSION_BLOCK + 40),    # two blocks
+        (Q, 3 * 77_777, 3 * step + 40),             # four pieces
         (Q, Q // 2 - 10, 20),                       # wraps past alpha = 1
         (1009, 490, 50),                            # odd Q, wraps too
     ]
     for q, k0, K in cases:
         vals = exp_sums_on_progression(subset, q, np.arange(k0, k0 + K))
         assert vals.shape == (K,)
-        ks = sorted({0, K - 1, *range(0, K, max(1, K // 25)),
-                     *range(max(0, PROGRESSION_BLOCK - 2),
-                            min(K, PROGRESSION_BLOCK + 2))})
-        for k in ks:
+        # both sides of every piece cut
+        cuts = {i for cut in range(step, K, step) for i in range(cut - 2, cut + 2)}
+        for k in sorted({0, K - 1, *range(0, K, max(1, K // 25)), *cuts}):
             direct = exp_sum_at(subset, ((2 * (k0 + k) + 1) % q) / q)
             assert abs(vals[k] - direct) <= tol, (q, k0, K, k)
 
 
 def test_progression_at_gapped_samples(ctx):
-    # runs of length 1 and 4, isolated points, and one run longer than a
-    # block, so that run is cut into a full block and a short one
+    # runs of length 1 and 4, isolated points, and one run several pieces
+    # long, so that run is cut into three full pieces and a short one
     s = subset_full(ctx, 10_000)
     Q = 6 * 240 * 4 * s.N
-    long_run = np.arange(500, 500 + PROGRESSION_BLOCK + 40)
+    step = _piece_length(s, Q)
+    long_run = np.arange(500, 500 + 3 * step + 40)
     ks = np.concatenate(([3], [7, 8, 9, 10], [40], long_run,
-                         [PROGRESSION_BLOCK + 900, PROGRESSION_BLOCK + 2000],
+                         [3 * step + 900, 3 * step + 2000],
                          [Q // 2 + 1, Q // 2 + 2, Q // 2 + 3, Q // 2 + 4]))
     vals = exp_sums_on_progression(s, Q, ks)
     assert vals.shape == ks.shape
-    edge = 6 + PROGRESSION_BLOCK  # the first sample of the long run's second block
-    checked = sorted({*range(7), *range(edge - 3, edge + 3), *range(6, edge, 997),
+    # the long run starts at ks[6]; its pieces start every step samples
+    cuts = {i for cut in range(6 + step, 6 + len(long_run), step)
+            for i in range(cut - 3, cut + 3)}
+    checked = sorted({*range(7), *cuts, *range(6, 6 + len(long_run), 997),
                       *range(len(ks) - 6, len(ks))})
     for i in checked:
         direct = exp_sum_at(s, ((2 * int(ks[i]) + 1) % Q) / Q)
@@ -138,21 +149,44 @@ def test_progression_validation(ctx):
     for ks in ([3, 1, 2], [1, 2, 2, 3], [-1, 0, 1]):  # unsorted, repeated, negative
         with pytest.raises(ValueError, match="ascending"):
             exp_sums_on_progression(s, 100, ks)
-    with pytest.raises(CapacityError):
-        exp_sums_on_progression(s, 1 << 50, np.arange(5))
 
 
-def test_progression_capacity_edge(ctx):
-    # the largest Q with (N + 1)(Q - 1) < 2^63 still reduces phases exactly
+def test_progression_over_one_member():
+    # one member has no width: every sample is e(p (2k + 1)/Q) itself
+    p, Q = 9973, 1009
+    ks = np.arange(40, 90)
+    vals = exp_sums_on_progression(PrimeSubset(10_000, np.array([p]), "one"), Q, ks)
+    direct = np.exp(2j * math.pi * p * ((2 * ks + 1) % Q / Q))
+    assert np.abs(vals - direct).max() <= 1e-9
+
+
+def test_progression_past_int64_phases(ctx):
+    # past (N + 1)(Q - 1) = 2^63, where p (2k + 1) mod Q would overflow
+    # int64, the samples still match direct sums: the expansion reduces
+    # only the piece midpoints mod Q, as Python integers
     s = subset_full(ctx, 10_000)
-    Q = ((1 << 63) - 1) // (s.N + 1) + 1
-    ks = np.arange(5) + (Q - 12_345_678_901) // 2
-    vals = exp_sums_on_progression(s, Q, ks)
-    for k, val in zip(ks.tolist(), vals):
-        direct = exp_sum_at(s, ((2 * k + 1) % Q) / Q)
-        assert abs(val - direct) <= 1e-9 * s.size
-    with pytest.raises(PhaseOverflowError):
-        exp_sums_on_progression(s, Q + 1, ks)
+    edge = ((1 << 63) - 1) // (s.N + 1) + 1  # the last Q below that limit
+    for Q in (edge + 1, 1 << 50):
+        ks = np.arange(5) + (Q - 12_345_678_901) // 2
+        vals = exp_sums_on_progression(s, Q, ks)
+        for k, val in zip(ks.tolist(), vals):
+            direct = exp_sum_at(s, ((2 * k + 1) % Q) / Q)
+            assert abs(val - direct) <= 1e-9 * s.size, (Q, k)
+
+
+def test_progression_does_not_depend_on_the_worker_count(ctx, monkeypatch):
+    # one piece a sample at Q = 1009, then pieces of a long run: the
+    # moments of every piece are bitwise the same however the midpoints
+    # fall to the workers
+    s = subset_full(ctx, 10_000)
+    Q = 6 * 240 * 4 * s.N
+    for q, ks in ((1009, np.arange(490, 540)),
+                  (Q, np.arange(500, 500 + 5 * _piece_length(s, Q)))):
+        got = []
+        for workers in (1, 3):
+            monkeypatch.setattr(expsums, "WORKERS", workers)
+            got.append(exp_sums_on_progression(s, q, ks))
+        assert np.array_equal(got[0], got[1]), q
 
 
 def test_exp_sum_basics(ctx):
@@ -631,13 +665,6 @@ def test_sweep_beyond_budget_is_capacity_error(ctx):
         spectrum(s, 4, G)
     with pytest.raises(CapacityError, match="sweep budget"):
         grid_blocks(np.ones(10), G)
-
-
-def test_progression_beyond_memory_is_capacity_error():
-    # refused before the chirp or the kernel (2^41 entries) is allocated
-    huge = PrimeSubset(1 << 40, np.array([3], dtype=np.int64), "huge")
-    with pytest.raises(CapacityError, match="physical memory"):
-        exp_sums_on_progression(huge, 100, np.arange(5))
 
 
 def test_grid_beyond_memory_is_capacity_error():

@@ -14,8 +14,7 @@ import pytest
 from primecusps import expsums, transference
 from primecusps.arith import CapacityError
 from primecusps.cusps import CuspReport, find_cusps
-from primecusps.expsums import (PhaseOverflowError, PrimeSubset, exp_sum, exp_sum_at,
-                                spectrum, subset_full)
+from primecusps.expsums import PrimeSubset, exp_sum, exp_sum_at, spectrum, subset_full
 from primecusps.transference import (
     COVER_SAMPLER_CHECKS,
     INTERVAL_SAMPLES,
@@ -95,29 +94,14 @@ def test_cover_matches_direct_reference(ctx, A):
     assert cover.points == _direct_cover(subset, report, A)
 
 
-def test_cover_falls_back_to_direct_sums(ctx, monkeypatch):
-    # a cover whose chirp-z phases would overflow int64 is summed directly
-    subset = subset_full(ctx, 10_000)
-    report = find_cusps(spectrum(subset, 2), 2)
-    refused = []
-
-    def capped(sub, Q, ks):
-        refused.append(len(ks))
-        raise PhaseOverflowError("test cap")
-
-    monkeypatch.setattr(transference, "exp_sums_on_progression", capped)
-    cover = build_cover(report)
-    assert len(refused) == 1 and refused[0] > 0
-    assert cover.points == _direct_cover(subset, report, 2)
-
-
 def test_cover_beyond_memory_is_capacity_error(ctx, monkeypatch):
-    # only the int64 limit falls back: a chirp-z block that would not fit in
-    # physical memory raises, where direct sums would still fit
+    # the cover's moment rows, 8 bytes a member for each of MOMENT_ORDER
+    # rows, are checked against physical memory before they are built
     subset = subset_full(ctx, 10_000)
     report = find_cusps(spectrum(subset, 2), 2)
-    monkeypatch.setattr(expsums, "_physical_memory", lambda: 1 << 18)
-    with pytest.raises(CapacityError, match="chirp-z block"):
+    need = 8 * expsums.MOMENT_ORDER * subset.size
+    monkeypatch.setattr(expsums, "_physical_memory", lambda: need - 1)
+    with pytest.raises(CapacityError, match="moment rows"):
         build_cover(report)
 
 
