@@ -394,9 +394,19 @@ def _check_squarefree_count(ctx: PrimeContext, cap: int) -> CheckRow:
                          note="integer binding points cover all real Q >= 1")
 
 
+#: the rough-count check sieves its range this many integers at a time
+SEGMENT = 1 << 15
+
+
 def _check_rough_count(ctx: PrimeContext) -> list[CheckRow]:
     # #{q <= Q, no prime factor < z0} <= 1.1 Q / log(3 z0) once primorial(z0) <= Q^2.
     # Desk-checkable on the first two z0 plateaus; Q window [Qmin, 2 Qmin].
+    # The margin 1.1 Q / log(3 z0) - C(Q) rises strictly between rough
+    # integers (a step of 1.1 in 1.1 Q is far above an ulp here) and drops
+    # only where C(Q) counts one more, so its first minimum lies at Qmin or
+    # at a rough Q: only those binding points are evaluated, while [1, Qmax]
+    # is sieved SEGMENT integers at a time with a running count of the rough
+    # ones, in O(SEGMENT) memory whatever the window.
     rows = []
     # plateau marker: the primorial and the sieving primes are those below it
     for band, marker, z0_hi in (("[35, 37]", 35, 37), ("(37, 41]", 38, 41)):
@@ -404,15 +414,28 @@ def _check_rough_count(ctx: PrimeContext) -> list[CheckRow]:
         s = math.isqrt(P)
         qmin = s if s * s == P else s + 1
         qmax = 2 * qmin
-        mask = np.ones(qmax + 1, dtype=bool)
-        mask[0] = False
-        for p in ctx.primes_below(marker):
-            mask[p::p] = False
-        C = np.cumsum(mask.astype(np.int64))
-        ns = np.arange(qmin, qmax + 1)
-        margins = 1.1 * ns / math.log(3 * z0_hi) - C[ns]
-        m, at = _worst(margins, ns)
-        rows.append(leq_row("rough-count-upper", {"z0": band, "Q": int(at)}, -m, 0.0,
+        primes = ctx.primes_below(marker)
+        worst, at, count = math.inf, None, 0
+        for lo in range(1, qmax + 1, SEGMENT):
+            rough = np.ones(min(SEGMENT, qmax + 1 - lo), dtype=bool)
+            for p in primes:
+                rough[-lo % p :: p] = False
+            if lo + len(rough) <= qmin:
+                count += int(np.count_nonzero(rough))
+                continue
+            C = count + np.cumsum(rough)  # C[i] = #rough integers <= lo + i
+            count = int(C[-1])
+            cut = max(qmin - lo, 0)
+            bind = rough[cut:].copy()
+            if lo <= qmin:
+                bind[0] = True  # the window's left end
+            idx = np.flatnonzero(bind) + cut
+            ns = lo + idx
+            margins = 1.1 * ns / math.log(3 * z0_hi) - C[idx]
+            m, n = _worst(margins, ns)
+            if m < worst:
+                worst, at = m, int(n)
+        rows.append(leq_row("rough-count-upper", {"z0": band, "Q": at}, -worst, 0.0,
                             note=f"window Q in [{qmin}, {qmax}], right side at the binding cut z0 = {z0_hi}"))
     return rows
 

@@ -12,12 +12,11 @@ integers with no prime factor in the sieving range, and expands exactly as
 
 over squarefree q <= z^2 built from the same primes (c_q is the Ramanujan
 sum).  Everything is kept in exact rational arithmetic; the equality of
-beta_direct and beta_fourier is the module's primary oracle, and
+beta_direct and beta_fourier_many is the module's primary oracle, and
 wq_bound_report re-checks the pointwise w_q estimates where their
-hypotheses hold.  The two Fourier paths stay independent: beta_fourier
-evaluates each c_q(n) by von Sterneck's formula (PrimeContext.ramanujan_sum),
-while beta_fourier_many swaps the sums by Kluyver's formula
-c_q(n) = sum_{d | (q, n)} d mu(q/d) into beta(n) = sum_{d | n} W_d.
+hypotheses hold.  beta_fourier_many swaps the sums by Kluyver's formula
+c_q(n) = sum_{d | (q, n)} d mu(q/d) into beta(n) = sum_{d | n} W_d, so it
+evaluates no Ramanujan sum.
 """
 from __future__ import annotations
 
@@ -129,16 +128,6 @@ def beta_direct(ctx: PrimeContext, weights: SieveWeights, n: int) -> Fraction:
     return Fraction(a * a, den * den)
 
 
-def beta_fourier(ctx: PrimeContext, weights: SieveWeights, n: int) -> Fraction:
-    """sum_q w_q c_q(n) over the stored keys; equals beta_direct exactly."""
-    if n < 1:
-        raise ValueError(f"n={n} must be >= 1")
-    total = Fraction(0)
-    for q, wq in weights.w.items():
-        total += wq * ctx.ramanujan_sum(q, n)
-    return total
-
-
 def _kluyver_numerators(ctx: PrimeContext, weights: SieveWeights) -> tuple[dict[int, int], int]:
     """(W, den): the integers W[d] = den * d * sum_{q : d | q} mu(q/d) w_q
     over the common denominator den of the w_q, nonzero ones only.
@@ -166,10 +155,11 @@ def _kluyver_numerators(ctx: PrimeContext, weights: SieveWeights) -> tuple[dict[
 
 def beta_fourier_many(ctx: PrimeContext, weights: SieveWeights,
                       ns) -> list[Fraction]:
-    """beta_fourier over many n, swapped by Kluyver's formula into
-    beta(n) = sum_{d | n} W_d: each nonzero W_d is added to the n divisible
-    by d, over one common denominator.  The key set must be closed under
-    divisors (ValueError otherwise); no Ramanujan sum is evaluated."""
+    """sum_q w_q c_q(n) over the stored keys for each n, swapped by
+    Kluyver's formula into beta(n) = sum_{d | n} W_d: each nonzero W_d is
+    added to the n divisible by d, over one common denominator.  The key set
+    must be closed under divisors (ValueError otherwise); equals beta_direct
+    exactly, and no Ramanujan sum is evaluated."""
     ns = np.asarray(list(ns), dtype=np.int64)
     if ns.size and ns.min() < 1:
         raise ValueError(f"n={int(ns.min())} must be >= 1")

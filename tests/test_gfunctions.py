@@ -3,11 +3,14 @@ import math
 import random
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from primecusps import gfunctions
 from primecusps.arith import CapacityError, build_context
 from primecusps.gfunctions import (
     BLOCK,
@@ -310,3 +313,47 @@ def test_report_passing_rows_have_margins(ctx):
     for r in explicit_estimate_report(ctx, 10_000):
         if r.status == "pass" and r.margin is not None:
             assert r.margin >= -1e-9
+
+
+def _dense_rough_rows(ctx):
+    # the rough-count check as one dense scan: the count C at every integer
+    # up to Qmax and the margin at every Q of the window
+    rows = []
+    for band, marker, z0_hi in (("[35, 37]", 35, 37), ("(37, 41]", 38, 41)):
+        qmin = math.isqrt(ctx.primorial(marker) - 1) + 1
+        qmax = 2 * qmin
+        mask = np.ones(qmax + 1, dtype=bool)
+        mask[0] = False
+        for p in ctx.primes_below(marker):
+            mask[p::p] = False
+        C = np.cumsum(mask.astype(np.int64))
+        ns = np.arange(qmin, qmax + 1)
+        m, at = gfunctions._worst(1.1 * ns / math.log(3 * z0_hi) - C[ns], ns)
+        rows.append((int(at), -m, m))
+    return rows
+
+
+def test_rough_count_scans_only_binding_points(ctx, monkeypatch):
+    # Q, lhs and margin exactly as the dense scan finds them, whether Qmin
+    # falls inside a segment (997, and the default) or one segment holds it all
+    dense = _dense_rough_rows(ctx)
+    assert dense[1] == (2_724_109, -217588.3272974625, 217588.3272974625)
+    for segment in (gfunctions.SEGMENT, 997, 1 << 23):
+        monkeypatch.setattr(gfunctions, "SEGMENT", segment)
+        rows = gfunctions._check_rough_count(ctx)
+        assert [(r.params["Q"], r.lhs, r.margin) for r in rows] == dense
+        assert all(r.status == "pass" for r in rows)
+
+
+def test_report_memory_is_bounded_by_the_segment(ctx):
+    # the dense rough-count scan held int64 and float64 arrays over its
+    # whole window (up to 5.4M integers), tracing a 112.7 MB peak here; the
+    # segmented one traces about 2 MB
+    explicit_estimate_report(ctx, 10_000)  # the lazy tables, built once
+    tracemalloc.start()
+    try:
+        explicit_estimate_report(ctx, 10_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16_000_000, peak

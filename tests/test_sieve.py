@@ -17,7 +17,6 @@ from primecusps.sieve import (
     SieveParams,
     SieveWeights,
     beta_direct,
-    beta_fourier,
     beta_fourier_many,
     build_weights,
     wq_bound_report,
@@ -27,6 +26,12 @@ from primecusps.sieve import (
 @pytest.fixture(scope="module")
 def w350(ctx):
     return build_weights(ctx, SieveParams(3, 50, 1))
+
+
+def _beta_von_sterneck(ctx, weights, n):
+    # sum_q w_q c_q(n) with each c_q(n) by von Sterneck's formula: a Fourier
+    # path independent of beta_fourier_many's Kluyver swap
+    return sum(wq * ctx.ramanujan_sum(q, n) for q, wq in weights.w.items())
 
 
 def test_lambda_normalization(ctx, w350):
@@ -66,14 +71,16 @@ def test_beta_exact_equality_sample(ctx):
     four = beta_fourier_many(ctx, weights, ns)
     for n, fv in zip(ns, four):
         assert beta_direct(ctx, weights, n) == fv
-    assert beta_fourier(ctx, weights, 97) == four[96]
+    assert beta_fourier_many(ctx, weights, [97]) == [four[96]]
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 100_000))
 def test_beta_equality_property(ctx, n):
     weights = build_weights(ctx, SieveParams(3, 30, 5))
-    assert beta_direct(ctx, weights, n) == beta_fourier(ctx, weights, n)
+    direct = beta_direct(ctx, weights, n)
+    assert [direct] == beta_fourier_many(ctx, weights, [n])
+    assert direct == _beta_von_sterneck(ctx, weights, n)
 
 
 def test_beta_fourier_many_uses_no_scalar_sums(ctx, monkeypatch):
@@ -90,7 +97,7 @@ def test_beta_fourier_many_uses_no_scalar_sums(ctx, monkeypatch):
 def _fourier_cross_check(ctx, weights, ns):
     # the Kluyver path against the scalar von Sterneck path, value by value
     assert beta_fourier_many(ctx, weights, ns) == [
-        beta_fourier(ctx, weights, n) for n in ns]
+        _beta_von_sterneck(ctx, weights, n) for n in ns]
 
 
 def test_beta_fourier_many_matches_scalar(ctx):
@@ -244,4 +251,4 @@ def test_beta_argument_validation(ctx, w350):
     with pytest.raises(ValueError):
         beta_direct(ctx, w350, 0)
     with pytest.raises(ValueError):
-        beta_fourier(ctx, w350, -3)
+        beta_fourier_many(ctx, w350, [-3])
