@@ -7,7 +7,9 @@ and non-negative and S(f_sharp, alpha) = T*(alpha) (1 - |S_M(alpha)/|B||^2)
 is small at every covered cusp.  Each stage holds the stage it was built
 from and only what it computes itself: a Cover its CuspReport, a BohrSet
 its Cover, and a Decomposition its BohrSet and f * rho, on the full
-convolution support [-N, 2N].  f, f_flat and f_sharp are derived on every
+convolution support [-N, 2N].  rho = 1_B * 1_{-B} / |B|^2 is never formed:
+|B|^2 (f * rho) is one inverse FFT of F(f) |F(1_B)|^2, rounded to the
+integer counts of p + b1 - b2.  f, f_flat and f_sharp are derived on every
 read, and N, A, eps and Nprime are read through the chain.  The transform
 identities are re-verified numerically rather than assumed.  Every
 off-grid sum here, the transforms of f_sharp and f* with T* beside them,
@@ -225,34 +227,35 @@ def bohr_size_row(bohr: BohrSet) -> CheckRow:
                     "|B| against (1/2) eps^|Xi_M| N/M")
 
 
-def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Linear convolution of real a and b, in the first len(a) + len(b) - 1
-    entries, by real FFTs of length 1 << (len(a) + len(b)).bit_length().
-    Raises CapacityError first when they would not fit in physical memory."""
-    L = 1 << (len(a) + len(b)).bit_length()
-    # two half spectra, their product and the output: about 8 L bytes each
-    require_memory(32 * L, f"a convolution of length {L}")
-    return np.fft.irfft(np.fft.rfft(a, L) * np.fft.rfft(b, L), L)
+def _triple_counts(bohr: BohrSet) -> np.ndarray:
+    """counts[ell + N] = #{(p, b1, b2) : p + b1 - b2 = ell} for ell in
+    [-N, 2N], p in the subset and b1, b2 in the Bohr set: |B|^2 (f * rho).
 
-
-def _integer_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The linear convolution of integer-valued a and b, len(a) + len(b) - 1
-    entries, by _convolve rounded to the integers it must equal.  Raises
-    ArithmeticError when a rounding gap exceeds 1e-5."""
-    out = _convolve(a, b)[: len(a) + len(b) - 1]
-    rounded = np.rint(out)
-    gap = np.abs(np.subtract(out, rounded, out=out), out=out).max()
+    With the primes placed at p + N, the counts are the first 3N + 1
+    entries of the inverse real FFT of F(1_P*) |F(1_B)|^2 at a length
+    L > 3N, so nothing aliases, rounded to the integers they must equal.
+    Raises CapacityError first when its arrays would not fit in physical
+    memory, and ArithmeticError when a rounding gap exceeds 1e-5."""
+    subset = bohr.cover.report.subset
+    N = subset.N
+    L = 1 << (3 * N + 2).bit_length()
+    # the most held at once: the half spectrum beside the real output, or
+    # beside |F(1_B)|^2 and the 2N + 1 shifted primes
+    half = 16 * (L // 2 + 1)
+    require_memory(half + max(8 * L, half // 2 + 8 * (2 * N + 1)),
+                   f"a convolution of length {L}")
+    power = np.abs(np.fft.rfft(np.bincount(bohr.elements, minlength=N + 1), L))
+    spec = np.fft.rfft(np.pad(subset.indicator(), (N, 0)), L)
+    spec *= np.square(power, out=power)
+    del power
+    counts = np.fft.irfft(spec, L)[: 3 * N + 1]
+    del spec
+    rounded = np.rint(counts)
+    gap = np.abs(np.subtract(counts, rounded, out=counts), out=counts).max()
     if gap > 1e-5:
         raise ArithmeticError(f"convolution failed to resolve to integers (gap {gap:.3g})")
+    rounded += 0.0  # -0.0 + 0.0 = 0.0: no count is a negative zero
     return rounded
-
-
-def _difference_counts(bohr: BohrSet) -> np.ndarray:
-    """counts[N + m] = #{(b1, b2) : b1 - b2 = m}, m in [-N, N]: the
-    convolution of the indicator with its reverse."""
-    ind = np.zeros(bohr.cover.report.subset.N + 1)
-    ind[bohr.elements] = 1.0
-    return _integer_convolve(ind, ind[::-1])
 
 
 # -- the decomposition ------------------------------------------------------
@@ -363,11 +366,7 @@ def decompose(ctx: PrimeContext, subset: PrimeSubset, z0, M: int, A: float,
     G = g_sifted(ctx, 1, z, z0)
     V = ctx.mertens_product(z0)
 
-    # counts carries m = j - N, so the linear convolution index k holds
-    # ell = k - N; on the support [-N, 2N] it is the integer
-    # |B|^2 (f * rho)(ell) = #{(p, b1, b2) : p + b1 - b2 = ell}
-    counts = _difference_counts(bohr)
-    conv = _integer_convolve(subset.indicator(), counts) / float(bohr.size) ** 2
+    conv = _triple_counts(bohr) / float(bohr.size) ** 2
 
     # f, f_flat = vlog conv and f_sharp = f - conv as the Decomposition
     # derives them, for the metrics

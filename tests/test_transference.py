@@ -31,9 +31,7 @@ from primecusps.transference import (
     decomposition_csv,
     sharp_sup_report,
     transform_checks,
-    _convolve,
-    _difference_counts,
-    _integer_convolve,
+    _triple_counts,
 )
 
 
@@ -267,66 +265,97 @@ def test_each_stage_holds_the_stage_it_was_built_from(ctx, monkeypatch):
     assert np.array_equal(dec.f, f)
 
 
-def test_rho_properties(dec1):
-    bohr = dec1.bohr
-    counts = _difference_counts(bohr)
-    # counts[N + m] / |B|^2 is the probability rho at m, on [-N, N]
-    assert counts.sum() == bohr.size ** 2
-    assert counts[10_000] == bohr.size
+@pytest.fixture(scope="module")
+def difference_counts(dec1):
+    """|B|^2 rho: #{(b1, b2) : b1 - b2 = m} at m + N, m in [-N, N], exact
+    int64 by direct summation."""
+    ind = np.zeros(dec1.N + 1, dtype=np.int64)
+    ind[dec1.bohr.elements] = 1
+    return np.convolve(ind, ind[::-1])
+
+
+def test_rho_properties(dec1, difference_counts):
+    counts, B = difference_counts, dec1.bohr.size
+    assert counts.shape == (2 * dec1.N + 1,)
+    assert counts.sum() == B ** 2
+    assert counts[dec1.N] == B
     assert np.array_equal(counts, counts[::-1])
     assert not counts[1::2].any()  # odd differences of even elements
 
 
-def test_triple_counts_are_exact(dec1):
+def test_bohr_sum_identity(dec1, difference_counts):
+    # S(rho, alpha) = |S_B(alpha)|^2 / |B|^2
+    counts, B = difference_counts, dec1.bohr.size
+    m = np.arange(-dec1.N, dec1.N + 1, 2)
+    for alpha in (0.0, 0.123, 0.5, 0.987):
+        s_rho = np.dot(counts[m + dec1.N] / B ** 2, np.exp(2j * np.pi * alpha * m))
+        assert abs(s_rho - abs(exp_sum(dec1.bohr.elements, alpha)) ** 2 / B ** 2) < 1e-6
+
+
+def test_triple_counts_are_exact(dec1, difference_counts):
     # |B|^2 (f * rho)(ell) = #{(p, b1, b2) : p + b1 - b2 = ell}, in integers
-    N, bohr = 10_000, dec1.bohr
-    counts = _integer_convolve(dec1.subset.indicator(), _difference_counts(bohr))
-    assert counts.shape == (3 * N + 1,)
-    assert np.array_equal(counts, np.rint(counts))
-    assert counts.sum() == dec1.subset.size * bohr.size ** 2
+    N, B = dec1.N, dec1.bohr.size
+    f = np.zeros(N + 1, dtype=np.int64)
+    f[dec1.subset.members] = 1
+    reference = np.convolve(f, difference_counts)
+    assert reference.shape == (3 * N + 1,)
+    assert dec1.conv.tobytes() == (reference / float(B) ** 2).tobytes()
+    assert reference.sum() == dec1.subset.size * B ** 2
     ell = np.arange(3 * N + 1) - N
-    assert not counts[np.gcd(ell, dec1.M) > 1].any()
-    assert np.array_equal(dec1.conv, counts / float(bohr.size) ** 2)
-    # a convolution that is not integer-valued is refused, not rounded
-    with pytest.raises(ArithmeticError, match="integers"):
-        _integer_convolve(np.array([0.5, 1.0]), np.ones(2))
+    assert not reference[np.gcd(ell, dec1.M) > 1].any()
 
 
-def test_convolution_beyond_memory_is_capacity_error():
-    # zero-stride views of 2^38 entries: refused before any FFT buffer exists
-    huge = np.broadcast_to(np.zeros(1), (1 << 38,))
-    with pytest.raises(CapacityError, match="physical memory"):
-        _convolve(huge, huge)
+def test_triple_counts_recounted_without_ffts(dec1):
+    # the pair sums p + b1 tallied directly, then summed over b2 at seeded ell
+    N, elements = dec1.N, dec1.bohr.elements
+    pairs = np.bincount(np.add.outer(dec1.subset.members, elements).ravel(),
+                        minlength=2 * N + 1)
+    ells = np.random.default_rng(64).integers(-N, 2 * N + 1, 64)
+    sums = ells[:, None] + elements
+    inside = (sums >= 0) & (sums <= 2 * N)
+    recount = np.where(inside, pairs[np.clip(sums, 0, 2 * N)], 0).sum(axis=1)
+    assert recount.any()
+    assert np.array_equal(dec1.conv[ells + N], recount / float(len(elements)) ** 2)
 
 
 def test_difference_counts_brute_force():
+    # over the stub subset {N}, counts[2N + m] = #{(b1, b2) : b1 - b2 = m}
     elements = np.array([2, 4, 8, 14, 20], dtype=np.int64)
-    small = BohrSet(_cover(20, 0.1, (0.0,)), 2, elements)
-    counts = _difference_counts(small)
+    counts = _triple_counts(BohrSet(_cover(20, 0.1, (0.0,)), 2, elements))
     # brute force over ordered pairs
     brute = np.zeros(41)
     for a in elements:
         for b in elements:
             brute[a - b + 20] += 1
-    assert np.array_equal(counts, brute)
-    assert counts[20] == 5
+    assert counts.shape == (61,) and not counts[:20].any()
+    assert np.array_equal(counts[20:], brute)
+    assert counts[40] == 5
     big = BohrSet(_cover(6000, 0.1, (0.0,)), 2, np.arange(2, 6001, 2, dtype=np.int64))
-    cts = _difference_counts(big)
-    assert cts[6000] == 3000           # m = 0
-    assert cts[6000 + 2] == 2999       # m = 2
-    assert cts[6000 + 5999] == 0       # odd gap impossible
+    cts = _triple_counts(big)
+    assert cts[12_000] == 3000          # m = 0
+    assert cts[12_000 + 2] == 2999      # m = 2
+    assert cts[12_000 + 5999] == 0      # odd gap impossible
 
 
-def test_bohr_sum_identity(dec1):
-    bohr = dec1.bohr
-    counts = _difference_counts(bohr)
-    B2 = bohr.size ** 2
-    for alpha in (0.0, 0.123, 0.5, 0.987):
-        s_rho = sum(float(counts[10_000 + m]) / B2 *
-                    np.exp(2j * np.pi * alpha * m)
-                    for m in range(-10_000, 10_001, 2))
-        expected = abs(exp_sum(bohr.elements, alpha)) ** 2 / B2
-        assert abs(s_rho - expected) < 1e-6
+def test_convolution_beyond_memory_is_capacity_error():
+    # N = 2^40 would need 2^46 bytes: refused before any of it is allocated
+    bohr = BohrSet(_cover(1 << 40, 0.1, (0.0,)), 2, np.array([2], dtype=np.int64))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="physical memory"):
+            _triple_counts(bohr)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
+def test_triple_counts_off_the_integers_are_refused(dec1, monkeypatch):
+    # a transform that is not integer-valued is refused, not rounded
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda spec, n: irfft(spec, n) + 0.25)
+    with pytest.raises(ArithmeticError, match="integers"):
+        _triple_counts(dec1.bohr)
 
 
 def test_decomposition_identities(ctx, dec1):
