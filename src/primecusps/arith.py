@@ -6,9 +6,9 @@ smallest-prime-factor table, sieved once up to a fixed limit.  Mobius and
 Euler-phi values of single integers are recovered by factoring through the
 smallest-prime-factor table; the scalar ramanujan_sum is built on them by
 von Sterneck's formula and stays the oracle.  Vector paths instead read
-whole arrays: the sifted mask (no prime factor below z0, coprime to d) from
-sifted_mask, and the Euler-phi and squarefree tables, each built on first
-use.  The context also keeps a lock-guarded store of exact prefix
+whole arrays: the sifted mask (no prime factor below z0 nor among given
+primes) from sifted_mask, and the Euler-phi and squarefree tables, each
+built on first use.  The context also keeps a lock-guarded store of exact prefix
 checkpoints, which gfunctions.g_sifted extends block by block instead of
 re-summing from 1.
 """
@@ -162,11 +162,10 @@ class PrimeContext:
 
     # -- shared masks and lazy tables (used by the exact and float G sums) --
 
-    def sifted_mask(self, n: int, z0, d=1, start: int = 0) -> np.ndarray:
+    def sifted_mask(self, n: int, z0, primes=(), start: int = 0) -> np.ndarray:
         """Bool array over [start, n]: True at m >= 1 with no prime factor
-        below z0 and gcd(m, d) = 1.  d is an int or a tuple of factors whose
-        primes are struck one factor at a time, so their product may pass
-        the table limit."""
+        below z0 nor among `primes` (struck one at a time, so their product
+        may pass the table limit)."""
         if n > self.limit:
             raise CapacityError(f"n={n} exceeds prime table limit {self.limit}")
         mask = np.ones(n + 1 - start, dtype=bool)
@@ -175,9 +174,8 @@ class PrimeContext:
         if z0 > 2:
             lo = max(start, 2)
             mask[lo - start :] = self._spf[lo : n + 1] >= z0
-        for f in d if isinstance(d, tuple) else (d,):
-            for p in self.prime_factors(f):
-                mask[-start % p :: p] = False
+        for p in primes:
+            mask[-start % p :: p] = False
         return mask
 
     @property

@@ -3,20 +3,19 @@
 Every sum of w_n e(alpha n) over integer points is evaluated here, except
 the points-by-primes phase matrix of cusps.large_sieve_check, which serves
 its primal and its dual side at once.  Off the grid there is one
-evaluator, exp_sum, built on one per-alpha _kernel: the plain sum
-sum_n e(alpha n), or for a matrix of real weight vectors two real
-matrix-vector products with the terms' real and imaginary parts.  Every
-term is e^{i theta_n} at theta_n = fl(fl(2 pi alpha) n) to within
-TERM_ERROR = 2^-49.  Where the points are integers with |n| and
-|2 pi alpha n| below PHASE_LIMIT = 2^27 and two tables over the digits of
-n = lo + H h + l are shorter than the points, a term is two table entries
-at exact phases times an exact rounding correction, with no libm call per
-point; elsewhere it is libm's e^{i theta_n}.  It has two forms: at one alpha
-the kernel's value, and at an array of alphas the same kernel looped over
-one contiguous piece of the alphas per worker thread, at most WORKERS (one
-per CPU the process may use), which the call starts and joins before it
-returns, so every sum is bitwise the one its alpha gets alone and none
-depends on the thread count.  exp_sum_at is T*(alpha) =
+evaluator, exp_sum: the plain sum sum_n e(alpha n), or for a matrix of
+real weight vectors two real matrix-vector products with the terms' real
+and imaginary parts.  Every term is e^{i theta_n} at theta_n =
+fl(fl(2 pi alpha) n) to within TERM_ERROR = 2^-49.  Where the points are
+integers with |n| and |2 pi alpha n| below PHASE_LIMIT = 2^27 and two
+tables over the digits of n = lo + H h + l are shorter than the points, a
+term is two table entries at exact phases times an exact rounding
+correction, with no libm call per point (_kernel, one alpha at a time);
+elsewhere it is libm's e^{i theta_n} (_direct, a block of alphas at once).
+One alpha is an array of one: the alphas are cut into one contiguous piece
+per worker thread, at most WORKERS (one per CPU the process may use), which
+the call starts and joins before it returns, and every sum is bitwise the
+one its alpha gets alone, whatever the thread count.  exp_sum_at is T*(alpha) =
 sum over the prime subset of e(p alpha); the interval polynomial and the
 local model go through exp_sum too.  exp_sums_on_progression evaluates
 T*((2k + 1)/Q) at any ascending k from Taylor moments about the midpoint
@@ -28,8 +27,8 @@ half circle 0 <= j <= G/2, on one path: it sweeps G = R L by the
 residues r <= R/2 of j mod R, one real FFT for r = 0 on the calling thread
 and one complex FFT for each other r (L the power of two at or above the
 support when that divides G, else L = G and R = 1).  That FFT has length
-L/2 when every point of the support less the offset has one parity, as the
-primes of every prime subset do, and length L otherwise.  The residues
+L/2 when every point of the support has one parity, as the primes of
+every prime subset do, and length L otherwise.  The residues
 r >= 1 are cut into one contiguous piece per worker thread, each with one
 buffer it transforms in place, so memory stays O(L) a worker and no sum
 depends on the thread count; exp_sum and the sweep start and join their
@@ -175,6 +174,11 @@ TERM_ERROR = 2.0 ** -49
 _SPLITTER = 134217729.0
 
 
+#: entries a worker's temporaries hold at once: the support points a sweep
+#: worker twists and places, or the phases of a block of alphas in exp_sum
+PLACE_CHUNK = 1 << 12
+
+
 def _table_shape(ns: np.ndarray):
     """(lo, H, rows, reach) of the split n = lo + H h + l, 0 <= l < H,
     0 <= h < rows, H = 2^ceil(bits(span)/2), reach = max(|n|, 1), when ns
@@ -193,11 +197,8 @@ def _table_shape(ns: np.ndarray):
 
 
 def _digits(ns: np.ndarray, shape):
-    """What every kernel of one call reads, or None without a table shape:
-    n as a float, the table points 0..H-1 then lo + H h, the digits h and l
-    of each n, H and the reach."""
-    if shape is None:
-        return None
+    """What every kernel of one call reads: n as a float, the table points
+    0..H-1 then lo + H h, the digits h and l of each n, H and the reach."""
     lo, H, rows, reach = shape
     l = np.subtract(ns, lo, dtype=np.intp)
     h = l >> (H.bit_length() - 1)
@@ -206,51 +207,53 @@ def _digits(ns: np.ndarray, shape):
     return ns.astype(float), x, h, l, H, reach
 
 
-def _direct(ns: np.ndarray, weights, buf: np.ndarray):
-    """alpha -> the sum with every e^{i theta_n} from libm, over buf: 2 len(ns)
-    floats."""
-    if weights is None:
-        phases = buf.view(complex)
-
-        def at(alpha):
-            np.multiply(TWO_PI * 1j * alpha, ns, out=phases)
-            return complex(np.exp(phases, out=phases).sum())
-        return at
-    theta, c = buf.reshape(2, -1)
-
-    def at(alpha):
-        np.multiply(TWO_PI * alpha, ns, out=theta)
-        re = weights @ np.cos(theta, out=c)
-        return re + 1j * (weights @ np.sin(theta, out=theta))
-    return at
+def _direct(ns: np.ndarray, weights, alphas) -> np.ndarray:
+    """The sums at each of the alphas, every term libm's e^{i theta_n}.
+    Without weights, one complex an alpha: the phases of as many alphas as
+    PLACE_CHUNK entries hold (one at least) are exponentiated at once and
+    each row is summed on its own, the same pairwise sum as a 1-D sum, so
+    each sum is bitwise the one its alpha gets alone.  With a 2-D real
+    weight matrix W, the row W @ cos + 1j (W @ sin) an alpha, one alpha at a
+    time: a matrix product over a block could round apart.  A worker holds
+    at most max(PLACE_CHUNK, len(ns)) complex entries at once."""
+    if weights is not None:
+        out = np.empty((len(alphas), len(weights)), dtype=complex)
+        theta, c = np.empty((2, len(ns)))
+        for i, alpha in enumerate(alphas):
+            np.multiply(TWO_PI * alpha, ns, out=theta)
+            re = weights @ np.cos(theta, out=c)
+            out[i] = re + 1j * (weights @ np.sin(theta, out=theta))
+        return out
+    out = np.empty(len(alphas), dtype=complex)
+    step = max(1, PLACE_CHUNK // max(len(ns), 1))
+    for lo in range(0, len(alphas), step):
+        phases = np.multiply.outer(TWO_PI * 1j * np.asarray(alphas[lo : lo + step]), ns)
+        out[lo : lo + step] = np.exp(phases, out=phases).sum(axis=1)
+    return out
 
 
 def _kernel(ns: np.ndarray, weights, digits):
-    """The per-alpha evaluator behind exp_sum, over buffers of its own.
+    """The per-alpha evaluator of the table path, over buffers of its own.
     Without weights, alpha -> sum_n e^{i theta_n}, a complex; with a 2-D
     real weight matrix W, alpha -> W @ Re + 1j (W @ Im) of the terms.  Every
     term is e^{i theta_n} at the rounded phase theta_n = fl(fl(2 pi alpha) n)
     to within TERM_ERROR.
 
-    With digits (from _digits) and |c| max|n| < PHASE_LIMIT, c = fl(2 pi
+    With the digits of _digits and |c| max|n| < PHASE_LIMIT, c = fl(2 pi
     alpha), the terms come from two short tables at exact phases, TL[l] =
     e^{icl} and TH[h] = e^{ic(lo + Hh)}, each entry e^{i fl(cx)} from libm
     times 1 + i delta_x: the term is TH[h] TL[l] (1 - i delta_n), with
     delta_n = cn - fl(cn) exact by Dekker's product on a Veltkamp split of c
-    (32 bytes a point).  Otherwise each term is libm's at theta_n, as the
-    complex form rounds it (16 bytes a point)."""
-    if digits is None:
-        return _direct(ns, weights, np.empty(2 * len(ns)))
+    (32 bytes a point).  Past PHASE_LIMIT the alpha goes to _direct."""
     n, x, h, l, H, reach = digits
     P, Q = np.empty((2, len(ns)), dtype=complex)
     # once P holds the product, Q's memory holds delta_n and then the terms
     im, re = Q.view(float).reshape(2, -1)
-    direct = _direct(ns, weights, Q.view(float))
 
     def at(alpha):
         c = TWO_PI * alpha
         if not abs(c) * reach < PHASE_LIMIT:
-            return direct(alpha)
+            return _direct(ns, weights, [alpha])[0]
         g = _SPLITTER * c
         c_hi = g - (g - c)
         c_lo = c - c_hi
@@ -280,44 +283,46 @@ def _kernel(ns: np.ndarray, weights, digits):
 
 def exp_sum(ns: np.ndarray, alpha, weights: np.ndarray = None):
     """sum over n in ns of e(alpha n), or sum_n W[i, n] e(alpha n) for each
-    row of a 2-D real weight matrix W over ns, from one _kernel.
+    row of a 2-D real weight matrix W over ns: at one alpha a complex, or an
+    array with one entry per row of W; at a 1-D array of alphas one such
+    value per alpha.
 
-    At one alpha it is the kernel's value: a complex, or an array with one
-    entry per row of W.  At a 1-D array of alphas it is the array of those
-    values, one per alpha: the alphas are cut into one contiguous piece per
-    worker (at most WORKERS), each worker loops a kernel of its own over
-    its piece, so each sum is bitwise the one its alpha gets alone.  More
-    than one piece runs on threads of the call's own, joined before it
-    returns, so callers on threads of their own share nothing.  The
-    digit indices are built once a call and shared read-only.  They, the
-    kernels' buffers and the output are checked against physical memory
-    before any is allocated."""
-    scalar = np.ndim(alpha) == 0
+    One alpha is an array of one.  The alphas are cut into one contiguous
+    piece per worker (at most WORKERS), which sums it with _direct where ns
+    take no tables and else loops a _kernel of its own over it, so each sum
+    is bitwise the one its alpha gets alone.  More than one piece runs on
+    threads of the call's own, joined before it returns, so callers on
+    threads of their own share nothing.  The digit indices, built once a
+    call and shared read-only, the workers' buffers and the output are
+    checked against physical memory before any is allocated."""
     alphas = np.atleast_1d(np.asarray(alpha, dtype=float))
     ranges = _split(len(alphas), WORKERS)
+    most = max((hi - lo for lo, hi in ranges), default=0)  # the most a worker sums
     rows = 1 if weights is None else len(weights)
     shape = _table_shape(ns)
-    if shape is None:  # each kernel's 16 bytes a point
-        shared, kernel = 0, 16 * len(ns)
+    if shape is None:  # each worker's direct block
+        shared, worker = 0, 16 * min(most * len(ns), max(PLACE_CHUNK, len(ns)))
     else:
-        # a point's digits and float, shared, and each kernel's P and Q; a
-        # table point, shared, and each kernel's transient tables
+        # a point's digits and float, shared, and each worker's P and Q and
+        # one direct alpha past PHASE_LIMIT; a table point, shared, and each
+        # worker's transient tables
         entries = shape[1] + shape[2]
-        shared, kernel = 24 * len(ns) + 8 * entries, 32 * len(ns) + 64 * entries
-    require_memory(shared + kernel * len(ranges) + 16 * rows * len(alphas),
+        shared, worker = 24 * len(ns) + 8 * entries, 48 * len(ns) + 64 * entries
+    require_memory(shared + worker * len(ranges) + 16 * rows * len(alphas),
                    f"{rows} sums at {len(alphas)} alphas over {len(ns)} points")
-    digits = _digits(ns, shape)
-    if scalar:
-        return _kernel(ns, weights, digits)(alpha)
+    digits = None if shape is None else _digits(ns, shape)
     out = np.empty(len(alphas) if weights is None else (len(alphas), rows), dtype=complex)
 
     def task(piece):
-        at = _kernel(ns, weights, digits)
-        for i in range(*piece):
-            out[i] = at(alphas[i])
+        if digits is None:
+            out[slice(*piece)] = _direct(ns, weights, alphas[slice(*piece)])
+        else:
+            kernel = _kernel(ns, weights, digits)
+            for i in range(*piece):
+                out[i] = kernel(alphas[i])
 
     _on_workers(task, ranges, "exp_sum")
-    return out
+    return out if np.ndim(alpha) else out[0]
 
 
 def exp_sum_at(subset: PrimeSubset, alpha):
@@ -352,12 +357,7 @@ def _phases(m: np.ndarray, Q: int) -> np.ndarray:
     return np.exp(TWO_PI * 1j * (m / Q))
 
 
-#: support points a sweep worker twists and places at once, so that its
-#: temporaries stay far below its buffer
-PLACE_CHUNK = 1 << 12
-
-
-def _sweep(support: np.ndarray, weights, length: int, G: int, offset: int):
+def _sweep(support: np.ndarray, weights, length: int, G: int):
     """The residue sweep of grid_blocks over the weights (an array over the
     support, or one weight for every point) at the ascending support points
     of [0, length), checked and planned: returns run(consume), which sweeps
@@ -379,13 +379,13 @@ def _sweep(support: np.ndarray, weights, length: int, G: int, offset: int):
         L = G
     R = G // L
     half = G // 2 + 1
-    # |shift| < G and r <= R/2, so |shift r| < G^2/4 <= 2^62 within the budget
-    shift = support - offset % G
-    # when every shift has one parity c, s = 2t + c and sum_s u_s e(sk/L) =
-    # e(ck/L) sum_s u_s e(tk/(L/2)): the bottom half is a length-L/2 FFT of
-    # the weights at t mod L/2 times e(ck/L), the top half (-1)^c times it
-    parity = shift & 1
-    h = int(L >= 4 and len(shift) > 0 and bool((parity == parity[0]).all()))
+    # 0 <= s < G for s in the support and r <= R/2 <= G/4, so s r < G^2/4
+    # <= 2^62 within the budget.  When every s has one parity c, s = 2t + c
+    # and sum_s u_s e(sk/L) = e(ck/L) sum_s u_s e(tk/(L/2)): the bottom half
+    # is a length-L/2 FFT of the weights at t mod L/2 times e(ck/L), the top
+    # half (-1)^c times it
+    parity = support & 1
+    h = int(L >= 4 and len(support) > 0 and bool((parity == parity[0]).all()))
     c = int(parity[0]) if h else 0
     n = L >> h
     # a worker holds its buffer of n complex values, and pocketfft two
@@ -400,16 +400,15 @@ def _sweep(support: np.ndarray, weights, length: int, G: int, offset: int):
                    f"{len(pieces)} sweep workers of {n} points for a grid of {G} points")
 
     def run(consume):
-        # e((i - offset) k/L) depends only on (i - offset) mod L, and the
-        # support is distinct mod L: in those slots the FFT carries the offset
+        # e(sk/L) depends only on s mod L, and the support is distinct mod L
         real = np.zeros(L)
-        real[shift % L] = weights
+        real[support % L] = weights
         sums = np.fft.rfft(real)
         del real
         # the FFT carries e(-sk/L)
         done = [consume(slice(0, half, R), np.conj(sums, out=sums), None)]
         del sums
-        slots = (shift >> h) % n
+        slots = (support >> h) % n
         twist = _phases(np.arange(n), L) if c else None  # e(k/L), k < L/2
         sign = -1 if c else 1
         # the workers' buffers come from the calling thread: memory freed
@@ -426,9 +425,9 @@ def _sweep(support: np.ndarray, weights, length: int, G: int, offset: int):
             out = []
             for r in range(*piece):
                 buf.fill(0.0)
-                for lo in range(0, len(shift), PLACE_CHUNK):
+                for lo in range(0, len(support), PLACE_CHUNK):
                     at = slice(lo, lo + PLACE_CHUNK)
-                    buf[slots[at]] = weights[at] * _phases(shift[at] * r % G, G)
+                    buf[slots[at]] = weights[at] * _phases(support[at] * r % G, G)
                 np.fft.ifft(buf, norm="forward", out=buf)  # sum_s u_s e(+(s >> h)k/n)
                 if c:
                     buf *= twist
@@ -451,9 +450,9 @@ def mirrored(top: np.ndarray, sign: int, out: np.ndarray = None) -> np.ndarray:
     return out
 
 
-def grid_blocks(values: np.ndarray, G: int, offset: int = 0):
-    """sum_i values[i] e((i - offset) j/G) for 0 <= j <= G/2, in blocks
-    handed to a consumer.
+def grid_blocks(values: np.ndarray, G: int):
+    """sum_i values[i] e(i j/G) for 0 <= j <= G/2, in blocks handed to a
+    consumer.
 
     Checks its input and returns run(consume).  run calls
     consume(j, sums, mirror) once per swept residue and returns the list of
@@ -472,14 +471,14 @@ def grid_blocks(values: np.ndarray, G: int, offset: int = 0):
     The grid G = R L is swept by residue (the four-step FFT), with L the
     smallest power of two (>= 2) at or above the support when that divides
     G, and L = G (R = 1) otherwise: for j = r + R k, the sum is
-    sum_i [values[i] e((i - offset) r/G)] e((i - offset) k/L), one length-L
-    FFT per residue of the twisted weights placed at (i - offset) mod L,
-    with (i - offset) r reduced mod G exactly in int64.  When every shift
-    s = i - offset has one parity c and L >= 4, s = 2t + c halves it: the
-    FFT has length L/2 over the weights placed at t mod L/2, times e(ck/L),
-    and its top half k >= L/2 is (-1)^c times its bottom half.  Residue 0
-    is one real FFT of length L on the calling thread; residue R - r is the
-    mirror of the top half of residue r, so only r <= R/2 is transformed.
+    sum_i [values[i] e(i r/G)] e(i k/L), one length-L FFT per residue of the
+    twisted weights placed at i mod L, with i r reduced mod G exactly in
+    int64.  When every support point i has one parity c and L >= 4,
+    i = 2t + c halves it: the FFT has length L/2 over the weights placed at
+    t mod L/2, times e(ck/L), and its top half k >= L/2 is (-1)^c times its
+    bottom half.  Residue 0 is one real FFT of length L on the calling
+    thread; residue R - r is the mirror of the top half of residue r, so
+    only r <= R/2 is transformed.
     Residues 1..R/2 are cut into one contiguous piece per worker (at most
     WORKERS, and no more than physical memory holds at 48 n bytes each for
     an FFT of length n), and each worker transforms its residues in place
@@ -491,7 +490,7 @@ def grid_blocks(values: np.ndarray, G: int, offset: int = 0):
     if np.iscomplexobj(values):
         raise ValueError("grid sums take real weights")
     support = np.flatnonzero(values)
-    return _sweep(support, values[support], len(values), G, offset)
+    return _sweep(support, values[support], len(values), G)
 
 
 def grid_sums(values: np.ndarray, G: int) -> np.ndarray:
@@ -636,7 +635,7 @@ def spectrum(subset: PrimeSubset, A: float, G=None) -> SpectrumGrid:
     if not 1 <= A < math.inf:
         raise ValueError(f"A={A} must be finite and >= 1")
     floor = float(subset.size) / A
-    run = _sweep(subset.members, 1.0, subset.N + 1, G, 0)
+    run = _sweep(subset.members, 1.0, subset.N + 1, G)
     lock = threading.Lock()
     kept = 0
 

@@ -64,22 +64,23 @@ def g_sifted(ctx: PrimeContext, d, y, z0) -> Fraction:
     if m < 1:
         return Fraction(0)
     # the struck primes: those below z0 (by count) and those of d above it
-    extra = {p for f in factors for p in ctx.prime_factors(f) if p >= z0}
-    key = (len(ctx.primes_below(z0)), tuple(sorted(extra)))
+    extra = tuple(sorted({p for f in factors for p in ctx.prime_factors(f) if p >= z0}))
+    key = (len(ctx.primes_below(z0)), extra)
     m0, g = ctx.checkpoint_below(key, m)
     while m0 < m:
         m1 = min(m0 - m0 % BLOCK + BLOCK, m)
-        g += _segment_sum(ctx, factors, z0, m0, m1)
+        g += _segment_sum(ctx, extra, z0, m0, m1)
         ctx.add_checkpoint(key, m1, g)
         m0 = m1
     return g
 
 
-def _segment_sum(ctx: PrimeContext, factors: tuple, z0, m0: int, m1: int) -> Fraction:
-    """Sum of 1/phi(ell) over the admissible ell in (m0, m1], the equal phi
-    values grouped and added over one common denominator: a single
-    reduction instead of thousands of fraction additions."""
-    mask = (ctx.sifted_mask(m1, z0, factors, start=m0 + 1)
+def _segment_sum(ctx: PrimeContext, primes: tuple, z0, m0: int, m1: int) -> Fraction:
+    """Sum of 1/phi(ell) over the admissible ell in (m0, m1], those free of
+    prime factors below z0 and of the struck primes, the equal phi values
+    grouped and added over one common denominator: a single reduction
+    instead of thousands of fraction additions."""
+    mask = (ctx.sifted_mask(m1, z0, primes, start=m0 + 1)
             & ctx.squarefree_mask[m0 + 1 : m1 + 1])
     phi = ctx.phi_table[m0 + 1 : m1 + 1][mask]
     values, counts = np.unique(phi, return_counts=True)
@@ -151,8 +152,9 @@ def g_bracket(ctx: PrimeContext, q: int, z, z0, tau: int) -> Fraction:
         return Fraction(0)
     # ell <= z/sqrt(q)  <=>  ell^2 * q <= z^2, decided in exact arithmetic
     lmax = math.isqrt(math.floor(zf * zf / q))
-    # q and tau are struck apart: q*tau may pass the table limit
-    mask = ctx.sifted_mask(lmax, z0, (q, tau)) & ctx.squarefree_mask[: lmax + 1]
+    # the primes of q and of tau: q*tau may pass the table limit
+    primes = ctx.prime_factors(q) + ctx.prime_factors(tau)
+    mask = ctx.sifted_mask(lmax, z0, primes) & ctx.squarefree_mask[: lmax + 1]
     ells = np.flatnonzero(mask)
     total = Fraction(0)
     for ell, phi in zip(ells.tolist(), ctx.phi_table[ells].tolist()):
@@ -164,7 +166,7 @@ def g_profile(ctx: PrimeContext, d: int, z0, n: int) -> np.ndarray:
     """Float cumulative table of y -> G_d(y; z0) at one fixed (d, z0): entry
     m holds G_d(m; z0) for 0 <= m <= n.  Raises CapacityError for an n past
     the prime table."""
-    mask = ctx.sifted_mask(n, z0, d) & ctx.squarefree_mask[: n + 1]
+    mask = ctx.sifted_mask(n, z0, ctx.prime_factors(d)) & ctx.squarefree_mask[: n + 1]
     vals = np.zeros(n + 1)
     vals[mask] = 1.0 / ctx.phi_table[: n + 1][mask]
     return np.cumsum(vals)

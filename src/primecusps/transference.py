@@ -13,11 +13,11 @@ integer counts of p + b1 - b2.  f, f_flat and f_sharp are derived on every
 read, and N, A, eps and Nprime are read through the chain.  The transform
 identities are re-verified numerically rather than assumed.  Every
 off-grid sum here, the transforms of f_sharp and f* with T* beside them,
-the Bohr sums S_M, the cover's direct sums and the moments behind its
-samples, is one expsums.exp_sum or exp_sum_at call at one alpha or at an
-array of them (one per-alpha kernel, shared out to the workers); the
-measured supremum is a grid_blocks sweep, and the cover's samples are one
-exp_sums_on_progression call at T*((2k + 1)/Q).
+the Bohr sums S_M and the moments behind the cover's samples, is one
+expsums.exp_sum or exp_sum_at call over an array of alphas, shared out to
+the workers; the measured supremum is a grid_blocks sweep, the cover's
+samples are one exp_sums_on_progression call at T*((2k + 1)/Q), and its
+arc peaks and well-spaced points keep the |T*| the cusp report measured.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import CapacityError, PrimeContext
+from .arith import CapacityError, PrimeContext, WeightedPoint
 from .cusps import ENDPOINT_RESOLUTION, REEVAL_TOL, CuspReport, find_cusps
 from .expsums import (PrimeSubset, exp_sum, exp_sum_at, exp_sums_on_progression,
                       grid_blocks, require_memory, spectrum)
@@ -97,12 +97,13 @@ def _sample_position(a_idx: int, s: int, Nprime: int) -> float:
     return a_idx / Nprime + (s + 0.5) / INTERVAL_SAMPLES / Nprime
 
 
-def _cover_candidates(report: CuspReport, Nprime: int) -> dict[int, list[float]]:
-    """Interval index -> extra positions (peaks, well-spaced cusps) for
-    every interval meeting a detected arc or holding one of its points."""
-    candidates: dict[int, list[float]] = {}
+def _cover_candidates(report: CuspReport, Nprime: int) -> dict[int, list[WeightedPoint]]:
+    """Interval index -> extra points (peaks, well-spaced cusps, with |T*|
+    as the report measured it) for every interval meeting a detected arc
+    or holding one of its points."""
+    candidates: dict[int, list[WeightedPoint]] = {}
 
-    def touch(a_idx: int, extra: float = None):
+    def touch(a_idx: int, extra: WeightedPoint = None):
         bucket = candidates.setdefault(a_idx % Nprime, [])
         if extra is not None:
             bucket.append(extra)
@@ -112,9 +113,9 @@ def _cover_candidates(report: CuspReport, Nprime: int) -> dict[int, list[float]]
         span = int(math.ceil(arc.length * Nprime)) + 1
         for k in range(lo_idx, lo_idx + span + 1):
             touch(k)
-        touch(int(math.floor(arc.peak.position * Nprime)), arc.peak.position)
+        touch(int(math.floor(arc.peak.position * Nprime)), arc.peak)
     for pt in report.wellspaced:
-        touch(int(math.floor(pt.position * Nprime)), pt.position)
+        touch(int(math.floor(pt.position * Nprime)), pt)
     return candidates
 
 
@@ -136,24 +137,21 @@ def build_cover(report: CuspReport) -> Cover:
     meeting a detected arc (or holding one of its peaks) can reach the
     threshold, so sampling is confined to those.  The INTERVAL_SAMPLES
     samples per interval come from one exp_sums_on_progression call for
-    the whole cover; arc peaks and well-spaced points are evaluated
-    directly, in one exp_sum_at call.  Each kept interval contributes its
+    the whole cover; arc peaks and well-spaced points count at the |T*|
+    the report measured for them.  Each kept interval contributes its
     maximizing sample.
     """
     subset, Nprime = report.subset, _nprime(report)
     candidates = _cover_candidates(report, Nprime)
     idx = np.array(sorted(candidates), dtype=np.int64)
     samples = np.abs(_interval_samples(subset, idx, Nprime))
-    extras = iter(np.abs(exp_sum_at(subset, np.mod(
-        [x for a_idx in idx.tolist() for x in candidates[a_idx]], 1.0))).tolist())
     points = []
     for a_idx, mags in zip(idx.tolist(), samples):
         s = int(np.argmax(mags))
         best, pos = mags[s], _sample_position(a_idx, s, Nprime)
-        for x in candidates[a_idx]:
-            val = next(extras)
-            if val > best:
-                best, pos = val, x
+        for pt in candidates[a_idx]:
+            if pt.weight > best:
+                best, pos = pt.weight, pt.position
         if best >= report.threshold:
             points.append(pos % 1.0)
     return Cover(report, tuple(sorted(points)), idx, samples)
@@ -451,14 +449,16 @@ def sharp_sup_report(dec: Decomposition, grid_size: int = 1 << 20) -> dict:
     reported against 1/A (the regime where 1/A is guaranteed needs an
     astronomically large z0, so this is a record, not an assertion).  The
     grid is swept block by block, and each residue's maximum is taken on
-    its worker, so only one number a residue is kept."""
+    its worker, so only one number a residue is kept.  f_sharp is swept as
+    it is indexed, from ell = -N: the shift turns each sum by a unit
+    factor, which leaves |S| as it is."""
     def peak(j, sums, mirror):
         top = float(np.abs(sums).max())
         if mirror and mirror[1] is not sums:  # else the same magnitudes
             top = max(top, float(np.abs(mirror[1]).max()))
         return top
 
-    sup = max(grid_blocks(dec.f_sharp, grid_size, dec.offset)(peak))
+    sup = max(grid_blocks(dec.f_sharp, grid_size)(peak))
     T0 = float(dec.subset.size)
     return {
         "sup_ratio": sup / T0,

@@ -120,15 +120,15 @@ def test_squarefree_count_lower(ctx):
 
 def test_sifted_mask_brute_force(ctx):
     for z0 in (2, 3, 7):
-        for d in (1, 10, 77):
+        for d, primes in ((1, ()), (10, (2, 5)), (77, (7, 11))):
             expected = [n >= 1 and all(n % p for p in (2, 3, 5) if p < z0)
                         and math.gcd(n, d) == 1 for n in range(2001)]
-            assert ctx.sifted_mask(2000, z0, d).tolist() == expected
-    # factors struck one at a time; a segment [start, n] of the same mask
+            assert ctx.sifted_mask(2000, z0, primes).tolist() == expected
+    # primes struck one at a time; a segment [start, n] of the same mask
     expected = [n >= 1 and math.gcd(n, 2 * 3 * 7 * 11 * 13) == 1
                 for n in range(2001)]
-    assert ctx.sifted_mask(2000, 5, (7, 143)).tolist() == expected
-    assert ctx.sifted_mask(2000, 5, (7, 143), start=1234).tolist() == expected[1234:]
+    assert ctx.sifted_mask(2000, 5, (7, 11, 13)).tolist() == expected
+    assert ctx.sifted_mask(2000, 5, (7, 11, 13), start=1234).tolist() == expected[1234:]
 
 
 def test_farey_points():

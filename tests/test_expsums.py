@@ -316,24 +316,48 @@ def test_exp_sum_does_not_depend_on_the_worker_count(monkeypatch, workers):
                                               (count, 3))), count
 
 
+@pytest.mark.parametrize("workers", [1, 3])
+def test_exp_sum_direct_blocks_match_one_alpha_sums(monkeypatch, workers):
+    # four points take no tables, so a worker sums PLACE_CHUNK/4 = 1024
+    # alphas a block: 10,000 alphas cross ten blocks on one worker and four
+    # on each of three, where pieces end inside a block.  Every sum is
+    # bitwise its alpha's alone, and that is the 1-D sum of libm's terms
+    ns = np.array([3, 11, 96, 1001])
+    assert expsums._table_shape(ns) is None
+    monkeypatch.setattr(expsums, "WORKERS", workers)
+    alphas = np.random.default_rng(16).random(10_000) - 0.5
+    got = exp_sum(ns, alphas)
+    assert np.array_equal(got, [exp_sum(ns, a) for a in alphas])
+    for a, value in zip(alphas[::997], got[::997]):
+        assert value == np.exp(np.multiply(expsums.TWO_PI * 1j * a, ns)).sum(), a
+    W = np.random.default_rng(17).normal(size=(3, ns.size))
+    assert np.array_equal(exp_sum(ns, alphas[:3000], W),
+                          [exp_sum(ns, a, W) for a in alphas[:3000]])
+
+
 def test_exp_sum_over_many_alphas_beyond_memory_is_capacity_error(monkeypatch):
-    # refused before any kernel is made, counting the digit indices shared by
-    # a call beside every worker's buffers and the output: on the table path
-    # 24 bytes a point and 8 a table entry shared, 32 and 64 a worker; on
-    # the direct path 16 bytes a point a worker.  With room for the indices
-    # and buffers but not the output, both forms fail; with room for all,
-    # they run
+    # refused before any worker sums, counting the digit indices shared by a
+    # call beside every worker's buffers and the output: on the table path
+    # 24 bytes a point and 8 a table entry shared, 48 (P, Q and one direct
+    # alpha past PHASE_LIMIT) and 64 a worker; on the direct path 16 bytes
+    # an entry of a worker's block, its alphas' phases up to PLACE_CHUNK
+    # entries.  With room for the indices and buffers but not the output,
+    # both forms fail; with room for all, they run
     made = []
-    kernel = expsums._kernel
-    monkeypatch.setattr(expsums, "_kernel", lambda *a: made.append(1) or kernel(*a))
+    for name in ("_kernel", "_direct"):
+        spied = getattr(expsums, name)
+        monkeypatch.setattr(expsums, name,
+                            lambda *a, spied=spied: made.append(1) or spied(*a))
     monkeypatch.setattr(expsums, "WORKERS", 3)
-    alphas = np.zeros(12)  # four alphas a worker
+    alphas = np.zeros(15)  # five alphas a worker
     table = np.arange(4096)  # H = 64, 64 rows: 128 entries
-    direct = np.arange(4096) ** 2  # H = 4096: tables longer than the points
+    direct = np.arange(1024) ** 2  # H = 1024: tables longer than the points
     assert expsums._table_shape(table) == (0, 64, 64, 4095)
     assert expsums._table_shape(direct) is None
-    for ns, shared, worker in ((table, 24 * 4096 + 8 * 128, 32 * 4096 + 64 * 128),
-                               (direct, 0, 16 * 4096)):
+    # four of a direct worker's five alphas fill a block of PLACE_CHUNK entries
+    assert expsums.PLACE_CHUNK == 4 * 1024
+    for ns, shared, worker, one in ((table, 24 * 4096 + 8 * 128, 48 * 4096 + 64 * 128, None),
+                                    (direct, 0, 16 * 4096, 16 * 1024)):
         W = np.ones((3, ns.size))
         for args, output in (((ns, alphas), 16 * alphas.size),
                              ((ns, alphas, W), 48 * alphas.size)):
@@ -346,8 +370,9 @@ def test_exp_sum_over_many_alphas_beyond_memory_is_capacity_error(monkeypatch):
             assert len(exp_sum(*args)) == alphas.size
             assert len(made) == 3
             made.clear()
-        # one alpha: one kernel's buffers and its output
-        room = shared + worker + 16
+        # one alpha: one worker's buffers (a block of one alpha on the
+        # direct path) and its output
+        room = shared + (one or worker) + 16
         monkeypatch.setattr(expsums, "_physical_memory", lambda: room - 1)
         with pytest.raises(CapacityError, match="physical memory"):
             exp_sum(ns, 0.25)
@@ -401,26 +426,30 @@ def test_table_phases_match_direct_and_long_double(ns, table):
         assert exp_sum(ns, np.array([alpha, alpha]))[1] == total
 
 
+def _shifted(values, shift):
+    """values moved up by shift places, zeros below."""
+    return np.pad(values, (shift, 0))
+
+
 def test_grid_sums_match_direct():
     # G below len(values) folds the support mod G; G above zero-pads it.
     # Only the half circle j <= G/2 is returned; the rest is its conjugate.
-    values = np.random.default_rng(5).normal(size=300)
-    for G, offset in ((64, 0), (100, 37), (101, 5), (300, 0), (512, 120)):
+    base = np.random.default_rng(5).normal(size=300)
+    for G, shift in ((64, 0), (100, 37), (101, 5), (300, 0), (512, 120)):
+        values = _shifted(base, shift)
         assert grid_sums(values, G).shape == (G // 2 + 1,)
-        sums, _ = _half_circle(values, G, offset)
-        if offset == 0:
-            assert np.array_equal(grid_sums(values, G), sums)
-        ell = np.arange(300) - offset
+        sums, _ = _half_circle(values, G)
+        assert np.array_equal(grid_sums(values, G), sums)
         for j in range(G):
             got = sums[j] if 2 * j <= G else np.conj(sums[G - j])
-            direct, = exp_sum(ell, j / G, values[None])
+            direct, = exp_sum(np.arange(len(values)), j / G, values[None])
             assert abs(got - direct) <= 1e-9 * np.abs(values).sum(), (G, j)
 
 
-def _half_circle(values, G, offset=0):
-    """The half circle of grid_blocks(values, G, offset), gathered from
-    copies of its blocks and of their mirrors, and the number of times each
-    j was written; every block's length matches its j."""
+def _half_circle(values, G):
+    """The half circle of grid_blocks(values, G), gathered from copies of
+    its blocks and of their mirrors, and the number of times each j was
+    written; every block's length matches its j."""
     js = np.arange(G // 2 + 1)
     seen = np.zeros(G // 2 + 1, dtype=int)
     sums = np.empty(G // 2 + 1, dtype=complex)
@@ -432,7 +461,7 @@ def _half_circle(values, G, offset=0):
             blocks.append((j, mirrored(top, sign)))
         return blocks
 
-    for blocks in grid_blocks(values, G, offset)(gather):
+    for blocks in grid_blocks(values, G)(gather):
         for j, block in blocks:
             assert np.array_equal(j.start + j.step * np.arange(len(block)), js[j])
             seen[j] += 1
@@ -440,23 +469,20 @@ def _half_circle(values, G, offset=0):
     return sums, seen
 
 
-def _assert_sweep(values, G, offset):
-    """grid_blocks(values, G, offset) covers the half circle once, matches
-    grid_sums at offset 0 bitwise, and matches the one-shot rfft and the
-    direct sum within 1e-9 sum |w|."""
+def _assert_sweep(values, G):
+    """grid_blocks(values, G) covers the half circle once, matches
+    grid_sums bitwise, and matches the one-shot rfft and the direct sum
+    within 1e-9 sum |w|."""
     scale = 1e-9 * np.abs(values).sum()
-    js = np.arange(G // 2 + 1)
-    sums, seen = _half_circle(values, G, offset)
-    assert (seen == 1).all(), (G, offset)
-    if offset == 0:
-        assert np.array_equal(grid_sums(values, G), sums)
+    sums, seen = _half_circle(values, G)
+    assert (seen == 1).all(), (G, len(values))
+    assert np.array_equal(grid_sums(values, G), sums)
     folded = np.pad(values, (0, -len(values) % G)).reshape(-1, G).sum(axis=0)
-    one_shot = np.conj(np.fft.rfft(folded, G)) * np.exp(-2j * np.pi * (js * offset % G) / G)
-    assert np.abs(sums - one_shot).max() <= scale, (G, offset)
-    ell = np.arange(len(values)) - offset
+    assert np.abs(sums - np.conj(np.fft.rfft(folded, G))).max() <= scale, (G, len(values))
+    ell = np.arange(len(values))
     for j in range(0, G // 2 + 1, max(1, G // 600)):
         direct, = exp_sum(ell, j / G, values[None])
-        assert abs(sums[j] - direct) <= scale, (G, offset, j)
+        assert abs(sums[j] - direct) <= scale, (G, len(values), j)
 
 
 @pytest.mark.parametrize("G", [
@@ -465,11 +491,12 @@ def _assert_sweep(values, G, offset):
     1024, 3 * 512,      # R = 2 and an odd R = 3
     32 * 512])          # R = 32, the residue count of the default grid
 def test_sweep_matches_one_shot_and_direct(G):
-    # 300 weights, so L = 512; some zero weights leave the support sparse
+    # 300 weights, shifted up to 511 places, so L = 512; some zero weights
+    # leave the support sparse
     values = np.random.default_rng(8).normal(size=300)
     values[::7] = 0.0
-    for offset in (0, 37, 299):
-        _assert_sweep(values, G, offset)
+    for shift in (0, 37, 211):
+        _assert_sweep(_shifted(values, shift), G)
 
 
 def _keep_parity(values, parity):
@@ -487,8 +514,8 @@ def _keep_parity(values, parity):
 @pytest.mark.parametrize("parity", ["odd", "even", "one-point", "zero"])
 def test_sweep_on_one_parity_matches_one_shot_and_direct(G, parity):
     # a support of one parity takes half-length transforms (the mixed one of
-    # the test above does not); offsets 0, odd and even keep that parity or
-    # flip it, and 120 makes shifts negative
+    # the test above does not); shifts 0, odd and even keep that parity or
+    # flip it
     values = np.random.default_rng(9).normal(size=300)
     values[::7] = 0.0
     if parity == "one-point":  # L = 2: too short to halve
@@ -497,8 +524,8 @@ def test_sweep_on_one_parity_matches_one_shot_and_direct(G, parity):
         values = np.zeros(300)
     else:
         values = _keep_parity(values, parity)
-    for offset in (0, 37, 120):
-        _assert_sweep(values, G, offset)
+    for shift in (0, 37, 120):
+        _assert_sweep(_shifted(values, shift), G)
 
 
 @pytest.mark.parametrize("parity, length", [("odd", 256), ("even", 256), ("mixed", 512)])
@@ -537,7 +564,7 @@ def test_sweep_does_not_depend_on_the_worker_count(ctx, monkeypatch):
             part = _keep_parity(values, parity)
             for G in (512, 1024, 3 * 512, 32 * 512):  # L = 512: R = 1, 2, 3, 32
                 got.append(grid_sums(part, G))
-                got += [_half_circle(part, G, offset)[0] for offset in (0, 37, 120)]
+                got += [_half_circle(_shifted(part, shift), G)[0] for shift in (0, 37, 120)]
         for subset in subsets:
             for A in (2, 8):
                 grid = spectrum(subset, A)

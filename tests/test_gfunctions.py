@@ -133,9 +133,9 @@ def test_g_checkpoints_bound_the_work(monkeypatch):
     spans = []
     real = ctx.sifted_mask
 
-    def counted(n, z0=2, d=1, start=0):
+    def counted(n, z0=2, primes=(), start=0):
         spans.append(n + 1 - start)
-        return real(n, z0, d, start)
+        return real(n, z0, primes, start)
     monkeypatch.setattr(ctx, "sifted_mask", counted)
     zs = list(range(2, 121))
     random.Random(3).shuffle(zs)
