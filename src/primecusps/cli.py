@@ -74,6 +74,8 @@ class RunConfig:
                 raise UsageError(f"{self.command} requires --N")
             if self.N < 100:
                 raise UsageError("N must be >= 100")
+        if self.Q < 1:
+            raise UsageError(f"Q={self.Q} must be >= 1")
         if not 0 <= self.seed < 1 << 64:
             raise UsageError("seed must fit in 64 bits")
         for f in _OPTIONS:
@@ -169,6 +171,11 @@ def _json_report(cfg: RunConfig, **fields) -> str:
 def cmd_spectrum(ctx, cfg: RunConfig) -> int:
     subset = _subset(ctx, cfg)
     G = ex.grid_size(cfg.N, cfg.grid)
+    if cfg.format == "plotdata":
+        # at most 1 + Q(Q-1)/2 Farey points; the list, the rows and the text
+        # peaked at 186-224 bytes a point for Q = 300-1000 (tracemalloc)
+        ex.require_memory(256 * (1 + cfg.Q * (cfg.Q - 1) // 2),
+                          f"the Farey overlay at Q={cfg.Q}")
     sums = ex.grid_sums(subset.indicator(), G)  # the half circle j <= G/2
     ratio = np.abs(sums) / subset.size
     if cfg.format != "json":  # mirror out to all G rows: |T*(-a)| = |T*(a)|

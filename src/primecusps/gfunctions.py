@@ -7,8 +7,8 @@ The central quantity is
 where P(z0) is the product of the primes below z0.  Exact values are
 fractions, summed in blocks of BLOCK integers from checkpoints kept on the
 PrimeContext; g_profile gives the float cumulative table the scans read.
-xi_value and g_bracket evaluate the kernel behind the Fourier coefficients
-of the sieve weights.
+g_bracket, the kernel behind the Fourier coefficients of the sieve weights,
+is a signed sum of these exact values over the ordered splits of q.
 
 explicit_estimate_report re-checks every explicit inequality the package
 leans on, one row per inequality, reporting the worst margin found over the
@@ -107,39 +107,19 @@ def ordered_splits(primes, y) -> list[tuple[int, int, int]]:
     return splits
 
 
-def xi_value(ctx: PrimeContext, q: int, y) -> Fraction:
-    """The factorization kernel at squarefree q:
-
-        xi_q(y) = sum over q1*q2*q3 = q with q1*q3 <= y and q2*q3 <= y
-                  of mu(q3) * prod_{p|q3}(p-2) / prod_{p|q3}(p-1).
-
-    Equals q/phi(q) once y >= q; vanishes for q > 1 when y < smallest
-    admissible split.
-    """
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    if not ctx.is_squarefree(q):
-        raise ValueError(f"q={q} is not squarefree")
-    if y >= q:
-        return Fraction(q, ctx.euler_phi(q))
-    # mu(q3) prod_{p|q3} (p-2)/(p-1) over the common denominator phi(q)
-    primes = ctx.prime_factors(q)
-    total = 0
-    for _, _, q3 in ordered_splits(primes, y):
-        term = 1
-        for p in primes:
-            term *= 2 - p if q3 % p == 0 else p - 1
-        total += term
-    return Fraction(total, ctx.euler_phi(q))
-
-
 def g_bracket(ctx: PrimeContext, q: int, z, z0, tau: int) -> Fraction:
-    """Exact bracketed sum
+    """Exact bracketed sum behind the Fourier weights of the sieve,
 
-        G_[q](z; z0, tau) = sum_{ell <= z/sqrt(q), (ell, q*tau*P(z0))=1}
-                            mu^2(ell)/phi(ell) * xi_q(z/ell).
+        G_[q](z; z0, tau) = (1/phi(q)) sum over q1*q2*q3 = q of
+                            t(q3) G_{q tau}(z / max(q1*q3, q2*q3); z0),
+        t(q3) = prod over p | q of (2 - p if p | q3 else p - 1).
 
-    q must be squarefree and coprime to tau*P(z0).
+    This is sum over ell <= z/sqrt(q), (ell, q*tau*P(z0)) = 1, of
+    mu^2(ell)/phi(ell) * sum over the splits with q1*q3, q2*q3 <= z/ell of
+    t(q3)/phi(q), with the two sums swapped: a split of max m takes the ell
+    <= z/m, and m >= sqrt(q q3) >= sqrt(q) keeps those below z/sqrt(q).
+    Splits with m > z take G(y < 1) = 0 and are not enumerated.  q must be
+    squarefree and coprime to tau*P(z0).
     """
     if q < 1 or not ctx.is_squarefree(q):
         raise ValueError(f"q={q} must be a squarefree positive integer")
@@ -148,18 +128,15 @@ def g_bracket(ctx: PrimeContext, q: int, z, z0, tau: int) -> Fraction:
     if q > 1 and ctx.spf(q) < z0:
         raise ValueError(f"q={q} has a prime factor below z0={z0}")
     zf = Fraction(z)
-    if zf < 1:
-        return Fraction(0)
-    # ell <= z/sqrt(q)  <=>  ell^2 * q <= z^2, decided in exact arithmetic
-    lmax = math.isqrt(math.floor(zf * zf / q))
-    # the primes of q and of tau: q*tau may pass the table limit
-    primes = ctx.prime_factors(q) + ctx.prime_factors(tau)
-    mask = ctx.sifted_mask(lmax, z0, primes) & ctx.squarefree_mask[: lmax + 1]
-    ells = np.flatnonzero(mask)
-    total = Fraction(0)
-    for ell, phi in zip(ells.tolist(), ctx.phi_table[ells].tolist()):
-        total += Fraction(1, phi) * xi_value(ctx, q, zf / ell)
-    return total
+    primes = ctx.prime_factors(q)
+    t_at: dict[int, int] = {}  # m -> sum of t(q3) over the splits of max m
+    for q1, q2, q3 in ordered_splits(primes, zf):
+        m = max(q1, q2) * q3
+        t_at[m] = t_at.get(m, 0) + math.prod(2 - p if q3 % p == 0 else p - 1 for p in primes)
+    # descending m: each G(z/m) extends the checkpoint the one before stored
+    total = sum((t * g_sifted(ctx, (q, tau), zf / m, z0)
+                 for m, t in sorted(t_at.items(), reverse=True)), Fraction(0))
+    return total / ctx.euler_phi(q)
 
 
 def g_profile(ctx: PrimeContext, d: int, z0, n: int) -> np.ndarray:

@@ -11,7 +11,10 @@ integers with no prime factor in the sieving range, and expands exactly as
     beta(n) = sum_q w_q c_q(n),    w_q = mu(q) G_[q](z; z0, tau) / (phi(q) G^2)
 
 over squarefree q <= z^2 built from the same primes (c_q is the Ramanujan
-sum).  Everything is kept in exact rational arithmetic; the equality of
+sum).  Both tables are read from the one exact sum g_sifted: lambda_d
+from G_{d tau}(z/d; z0), and the bracket G_[q] (gfunctions.g_bracket) as a
+signed sum of G_{q tau}(z/m; z0) over the ordered splits of q.
+Everything is kept in exact rational arithmetic; the equality of
 beta_direct and beta_fourier_many is the module's primary oracle, and
 wq_bound_report re-checks the pointwise w_q estimates where their
 hypotheses hold.  beta_fourier_many swaps the sums by Kluyver's formula

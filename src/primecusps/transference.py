@@ -266,7 +266,7 @@ class Decomposition:
     G_val: Fraction
     V_val: Fraction
     conv: np.ndarray = field(repr=False)       # (f * rho) at ell + N, so f* = G conv
-    metrics: dict
+    h1_violations: list[str]
     # ell over the shared support of f and conv, and the rows f_sharp, conv
     # and f on it; every prime lies in the support, and a gather per call
     # would cost ~10x the products
@@ -320,6 +320,26 @@ class Decomposition:
         """f - (f * rho), a new array at every read."""
         return self.f - self.conv
 
+    @property
+    def metrics(self) -> dict:
+        """The decompose report's metrics, built afresh from the stage."""
+        f, conv, vlog, flat, eps = self.f, self.conv, self.vlog, self.f_flat, self.bohr.cover.eps
+        return dict(
+            h1_violations=self.h1_violations,
+            bohr_size=self.bohr.size,
+            cover_size=len(self.bohr.cover.points),
+            eps=eps,
+            identity_residual=float(np.max(np.abs(flat / vlog + (f - conv) - f))),
+            f_flat_max=float(flat.max()),
+            f_flat_bound=2.0 * (1.0 + eps) ** 2,
+            # tail of f* beyond N, i.e. the gap between the full-support
+            # transform and one truncated at N, measured at alpha = 0
+            truncation_gap_at_zero=float(self.G_val) * float(conv[2 * self.N + 1 :].sum()),
+            # the guaranteed regime needs log z0 of this size; hopeless, but shown
+            guaranteed_log_z0=25000.0 * self.A ** 3 * math.log(2.0 * self.A) ** 2 * self.subset.K
+                              - math.log(eps),
+        )
+
     def transform_sharp(self, alpha: float) -> complex:
         return self.transforms(alpha)[0]
 
@@ -365,28 +385,7 @@ def decompose(ctx: PrimeContext, subset: PrimeSubset, z0, M: int, A: float,
     V = ctx.mertens_product(z0)
 
     conv = _triple_counts(bohr) / float(bohr.size) ** 2
-
-    # f, f_flat = vlog conv and f_sharp = f - conv as the Decomposition
-    # derives them, for the metrics
-    f = np.pad(subset.indicator(), N)
-    vlog = float(V) * math.log(N)
-    flat = vlog * conv
-    metrics = dict(
-        h1_violations=check_h1(ctx, M, z0),
-        bohr_size=bohr.size,
-        cover_size=len(cover.points),
-        eps=cover.eps,
-        identity_residual=float(np.max(np.abs(flat / vlog + (f - conv) - f))),
-        f_flat_max=float(flat.max()),
-        f_flat_bound=2.0 * (1.0 + cover.eps) ** 2,
-        # tail of f* beyond N, i.e. the gap between the full-support
-        # transform and one truncated at N, measured at alpha = 0
-        truncation_gap_at_zero=float(G) * float(conv[2 * N + 1 :].sum()),
-        # the guaranteed regime needs log z0 of this size; hopeless, but shown
-        guaranteed_log_z0=25000.0 * A ** 3 * math.log(2.0 * A) ** 2 * subset.K
-                          - math.log(cover.eps),
-    )
-    return Decomposition(bohr, float(z), G, V, conv, metrics)
+    return Decomposition(bohr, float(z), G, V, conv, check_h1(ctx, M, z0))
 
 
 def transform_checks(dec: Decomposition, seed: int) -> list[CheckRow]:

@@ -123,6 +123,31 @@ def test_spectrum_plotdata(tmp_path, capsys):
     assert all(len(row.split()) == 3 for row in overlay)
 
 
+def test_Q_below_one_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "s.txt"
+    assert run(["spectrum", "--N", "1000", "--format", "plotdata", "--Q", "0",
+                "--output", str(out)]) == 2
+    assert "Q=0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_farey_overlay_beyond_memory_is_capacity_failure(tmp_path, capsys, monkeypatch):
+    from primecusps import expsums
+
+    def no_sums(*args):
+        raise AssertionError("grid_sums reached")
+    monkeypatch.setattr(expsums, "grid_sums", no_sums)
+    # 1 + Q(Q-1)/2 = 4951 points at Q = 100
+    monkeypatch.setattr(expsums, "_physical_memory", lambda: 4951 * 100)
+    out = tmp_path / "s.txt"
+    assert run(["spectrum", "--N", "1000", "--format", "plotdata", "--Q", "100",
+                "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "Farey overlay at Q=100" in err, err
+    assert not out.exists()
+    assert not (tmp_path / "s.txt.farey").exists()
+
+
 def test_spectrum_json_and_csv(tmp_path):
     out = tmp_path / "s.json"
     assert run(["spectrum", "--N", "2000", "--grid", "65536",

@@ -1,4 +1,5 @@
-"""Exact G-function values, the xi kernel, and the explicit-estimate report."""
+"""Exact G-function values, the bracket G_[q] against a per-ell reference,
+and the explicit-estimate report."""
 import math
 import random
 import sys
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from primecusps import gfunctions
+from primecusps import sieve as sv
 from primecusps.arith import CapacityError, build_context
 from primecusps.gfunctions import (
     BLOCK,
@@ -21,7 +23,6 @@ from primecusps.gfunctions import (
     g_sifted,
     g_value,
     ordered_splits,
-    xi_value,
 )
 
 
@@ -185,6 +186,62 @@ def test_exact_vs_floating_profile(ctx):
         g_profile(ctx, 1, 2, ctx.limit + 1)
 
 
+def test_ordered_splits_brute_force(ctx):
+    # every divisor triple q1 q2 q3 = q within the bounds, and nothing else
+    for q in (1, 2, 30, 210, 2310, 3 * 7 * 11 * 13):
+        for y in (Fraction(1, 2), 1, Fraction(15, 2), 40, 300.5, q):
+            expected = sorted(
+                (q1, q2, q // (q1 * q2))
+                for q1 in range(1, q + 1) if q % q1 == 0
+                for q2 in range(1, q // q1 + 1) if (q // q1) % q2 == 0
+                if q // q2 <= y and q // q1 <= y)
+            assert sorted(ordered_splits(ctx.prime_factors(q), y)) == expected
+
+
+def xi_value(ctx, q, y):
+    """The factorization kernel at squarefree q:
+
+        xi_q(y) = sum over q1*q2*q3 = q with q1*q3 <= y and q2*q3 <= y
+                  of mu(q3) * prod_{p|q3}(p-2) / prod_{p|q3}(p-1).
+
+    Equals q/phi(q) once y >= q; vanishes for q > 1 when y < smallest
+    admissible split.
+    """
+    if q < 1:
+        raise ValueError("q must be >= 1")
+    if not ctx.is_squarefree(q):
+        raise ValueError(f"q={q} is not squarefree")
+    if y >= q:
+        return Fraction(q, ctx.euler_phi(q))
+    # mu(q3) prod_{p|q3} (p-2)/(p-1) over the common denominator phi(q)
+    primes = ctx.prime_factors(q)
+    total = 0
+    for _, _, q3 in ordered_splits(primes, y):
+        term = 1
+        for p in primes:
+            term *= 2 - p if q3 % p == 0 else p - 1
+        total += term
+    return Fraction(total, ctx.euler_phi(q))
+
+
+def per_ell_bracket(ctx, q, z, z0, tau):
+    """G_[q](z; z0, tau) as the sum over ell <= z/sqrt(q), (ell, q*tau*P(z0))
+    = 1, of mu^2(ell)/phi(ell) * xi_q(z/ell): the definition, one xi value
+    per ell, for q squarefree and coprime to tau*P(z0)."""
+    zf = Fraction(z)
+    if zf < 1:
+        return Fraction(0)
+    # ell <= z/sqrt(q)  <=>  ell^2 * q <= z^2, decided in exact arithmetic
+    lmax = math.isqrt(math.floor(zf * zf / q))
+    primes = ctx.prime_factors(q) + ctx.prime_factors(tau)
+    mask = ctx.sifted_mask(lmax, z0, primes) & ctx.squarefree_mask[: lmax + 1]
+    ells = np.flatnonzero(mask)
+    total = Fraction(0)
+    for ell, phi in zip(ells.tolist(), ctx.phi_table[ells].tolist()):
+        total += Fraction(1, phi) * xi_value(ctx, q, zf / ell)
+    return total
+
+
 def test_xi_values(ctx):
     for y in (1, Fraction(3, 2), 7, 100):
         assert xi_value(ctx, 1, y) == 1
@@ -199,18 +256,6 @@ def test_xi_values(ctx):
         assert xi_value(ctx, p, Fraction(1, 2)) == 0
     with pytest.raises(ValueError):
         xi_value(ctx, 12, 5)
-
-
-def test_ordered_splits_brute_force(ctx):
-    # every divisor triple q1 q2 q3 = q within the bounds, and nothing else
-    for q in (1, 2, 30, 210, 2310, 3 * 7 * 11 * 13):
-        for y in (Fraction(1, 2), 1, Fraction(15, 2), 40, 300.5, q):
-            expected = sorted(
-                (q1, q2, q // (q1 * q2))
-                for q1 in range(1, q + 1) if q % q1 == 0
-                for q2 in range(1, q // q1 + 1) if (q // q1) % q2 == 0
-                if q // q2 <= y and q // q1 <= y)
-            assert sorted(ordered_splits(ctx.prime_factors(q), y)) == expected
 
 
 def brute_force_bracket(ctx, q, z, z0, tau):
@@ -258,6 +303,26 @@ def test_g_bracket_brute_force(ctx):
     assert g_bracket(ctx, 35, 60, 3, 2) == brute_force_bracket(ctx, 35, 60, 3, 2)
     # q * tau = 4849845 is past the prime table
     assert g_bracket(ctx, 15015, 400, 2, 323) == brute_force_bracket(ctx, 15015, 400, 2, 323)
+
+
+#: every criterion-1 table and the verify sieve suite's wq-report tables
+SIEVE_TABLES = ([(z0, z, tau) for z0 in (2, 3, 5) for z in (20, 30, 50) for tau in (1, 5, 7)]
+                + [(3, 50, 1), (29, 100, 1), (37, 150, 1), (2, 75, 1)])
+
+
+def test_weights_match_per_ell_reference(ctx):
+    # w_q = mu(q) G_[q] / (phi(q) G^2) at every stored key, fraction for
+    # fraction, with G_[q] summed one ell at a time
+    for z0, z, tau in SIEVE_TABLES:
+        weights = sv.build_weights(ctx, sv.SieveParams(z0, z, tau))
+        Gsq = weights.G_val ** 2
+        for q, wq in weights.w.items():
+            ref = per_ell_bracket(ctx, q, z, z0, tau)
+            assert wq == Fraction(ctx.mobius(q), ctx.euler_phi(q)) * ref / Gsq, (z0, z, tau, q)
+    # z off the integers, as a fraction and as a float
+    for q in (1, 7, 77, 143, 1001, 7429):
+        for z in (Fraction(201, 4), 37.5, Fraction(1, 2)):
+            assert g_bracket(ctx, q, z, 5, 3) == per_ell_bracket(ctx, q, z, 5, 3), (q, z)
 
 
 def test_bracket_preconditions(ctx):
