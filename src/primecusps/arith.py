@@ -8,9 +8,9 @@ smallest-prime-factor table; the scalar ramanujan_sum is built on them by
 von Sterneck's formula and stays the oracle.  Vector paths instead read
 whole arrays: the sifted mask (no prime factor below z0 nor among given
 primes) from sifted_mask, and the Euler-phi and squarefree tables, each
-built on first use.  The context also keeps a lock-guarded store of exact prefix
-checkpoints, which gfunctions.g_sifted extends block by block instead of
-re-summing from 1.
+grown up to the largest index asked.  The context also keeps a
+lock-guarded store of exact prefix checkpoints, which gfunctions.g_sifted
+extends block by block instead of re-summing from 1.
 """
 
 from __future__ import annotations
@@ -55,18 +55,18 @@ class PrimeContext:
     """Primality and smallest-prime-factor tables up to `limit`.
 
     The sieve tables are fixed at construction.  The Euler-phi and
-    squarefree tables are built on first use; two threads racing to build
-    one build the same array, so either result may be kept.  The checkpoint
-    store is mutated only under the context's lock.  A context is safe to
-    share across threads.
+    squarefree tables grow from the smallest-prime-factor table as queries
+    pass them; two threads racing to grow one each keep a correct table,
+    so either result may be kept.  The checkpoint store is mutated only
+    under the context's lock.  A context is safe to share across threads.
     """
 
     def __init__(self, limit: int, spf: np.ndarray, primes: np.ndarray):
         self.limit = limit
         self._spf = spf
         self.primes = primes
-        self._phi_table = None
-        self._squarefree_mask = None
+        self._phi_table = np.array([0, 1], dtype=np.int64)  # over [0, 1]
+        self._squarefree_mask = np.array([False, True])
         self._checkpoints: dict = {}
         self._lock = threading.Lock()
 
@@ -178,27 +178,33 @@ class PrimeContext:
             mask[-start % p :: p] = False
         return mask
 
-    @property
-    def phi_table(self) -> np.ndarray:
-        if self._phi_table is None:
-            phi = np.arange(self.limit + 1, dtype=np.int64)
-            for p in self.primes:
-                phi[p::p] -= phi[p::p] // p
-            self._phi_table = phi
-        return self._phi_table
+    def _grown(self, name: str, n: int, extend) -> np.ndarray:
+        """The table kept as `name` over [0, n], grown once a query passes
+        it to at least twice its length (at most the limit), so no table
+        outgrows twice the largest index asked.  It grows by doubling
+        steps: each m >= 2 of a step has m/p, p = spf(m), in the table
+        already, and extend(table[m/p], p | m/p, p) gives the entries."""
+        if n > self.limit:
+            raise CapacityError(f"n={n} exceeds prime table limit {self.limit}")
+        table = getattr(self, name)
+        if len(table) <= n:
+            size = min(self.limit + 1, max(n + 1, 2 * len(table)))
+            while len(table) < size:
+                m = np.arange(len(table), min(size, 2 * len(table)))
+                p = self._spf[m]
+                rest = m // p
+                table = np.concatenate((table, extend(table[rest], rest % p == 0, p)))
+            setattr(self, name, table)
+        return table[: n + 1]
 
-    @property
-    def squarefree_mask(self) -> np.ndarray:
-        if self._squarefree_mask is None:
-            mask = np.ones(self.limit + 1, dtype=bool)
-            mask[0] = False
-            for p in self.primes:
-                p = int(p)
-                if p * p > self.limit:
-                    break
-                mask[p * p :: p * p] = False
-            self._squarefree_mask = mask
-        return self._squarefree_mask
+    def phi_table(self, n: int) -> np.ndarray:
+        """Euler phi over [0, n]."""
+        return self._grown("_phi_table", n,
+                           lambda phi, square, p: phi * np.where(square, p, p - 1))
+
+    def squarefree_mask(self, n: int) -> np.ndarray:
+        """Bool array over [0, n]: True at the squarefree m >= 1."""
+        return self._grown("_squarefree_mask", n, lambda free, square, p: free & ~square)
 
     # -- exact prefix checkpoints (filled by gfunctions.g_sifted) ----------
 

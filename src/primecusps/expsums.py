@@ -24,21 +24,22 @@ weighted exp_sum call, so transference evaluates a whole cover in one
 call, and grid_blocks every j/G.  Real weights make the sum at
 -alpha the conjugate of the sum at alpha, so grid_blocks covers only the
 half circle 0 <= j <= G/2, on one path: it sweeps G = R L by the
-residues r <= R/2 of j mod R, one real FFT for r = 0 on the calling thread
-and one complex FFT for each other r (L the power of two at or above the
-support when that divides G, else L = G and R = 1).  That FFT has length
-L/2 when every point of the support has one parity, as the primes of
-every prime subset do, and length L otherwise.  The residues
-r >= 1 are cut into one contiguous piece per worker thread, each with one
-buffer it transforms in place, so memory stays O(L) a worker and no sum
-depends on the thread count; exp_sum and the sweep start and join their
-threads through one helper, _on_workers.  A consumer reduces each block on
-the worker's thread, reading the block of residue R - r from the same
-buffer as mirrored(top, sign): grid_sums writes the dense half circle (the
-spectrum command and l1_estimate), spectrum(subset, A, G) keeps a
-SpectrumGrid of only the samples with |T*| >= T*(0)/A, swept from the
-members with no dense indicator, and transference.sharp_sup_report a
-maximum.  grid_size gives the default 32N grid or checks a given one.
+residues r <= R/2 of j mod R, one real FFT of length L for r = 0 on the
+calling thread and one complex FFT of length n for each other r, the
+support folded in mod L.  n is the power of two at or above the support's
+point count, at least PLACE_CHUNK and at most what its span needs; L = 2n
+when every point of the support has one parity, as the primes of every
+prime subset do, L = n otherwise, and L = G (R = 1) when that does not
+divide G.  The residues r >= 1 are cut into one contiguous piece per
+worker thread, each with one buffer it transforms in place, so memory
+stays O(n) a worker and no sum depends on the thread count; exp_sum and
+the sweep start and join their threads through one helper, _on_workers.
+A consumer reduces each block on the worker's thread, reading the block
+of residue R - r from the same buffer as mirrored(top, sign): grid_sums
+writes the dense half circle (the spectrum command and l1_estimate),
+spectrum(subset, A, G) keeps a SpectrumGrid of only the samples with
+|T*| >= T*(0)/A, swept from the members with no dense indicator, and
+transference.sharp_sup_report a maximum.  grid_size gives the default 32N grid or checks a given one.
 The local model replaces the primes by z0-rough integers weighted by
 1/(V(z0) log N).  fejer_interval_polynomial builds a trigonometric
 polynomial for an interval indicator; only acceptance criterion 10 checks
@@ -361,7 +362,13 @@ def _sweep(support: np.ndarray, weights, length: int, G: int):
     """The residue sweep of grid_blocks over the weights (an array over the
     support, or one weight for every point) at the ascending support points
     of [0, length), checked and planned: returns run(consume), which sweeps
-    and returns consume's results in residue order (see grid_blocks)."""
+    and returns consume's results in residue order (see grid_blocks).
+
+    The transform length n is the smallest power of two at or above
+    max(|support|, PLACE_CHUNK), capped at the span's own, span/2 on one
+    parity: the count sets the memory, and the floor keeps a few points
+    from taking G/4 residues.  A worker holds 48 n bytes; the twist and
+    two twiddle tables of about sqrt(G) entries each are shared."""
     if G < 1:
         raise ValueError(f"grid size {G} must be >= 1")
     if G > SWEEP_BUDGET:
@@ -374,41 +381,53 @@ def _sweep(support: np.ndarray, weights, length: int, G: int):
         values = np.pad(values, (0, -length % G)).reshape(-1, G).sum(axis=0)
         support = np.flatnonzero(values)
         weights, length = values[support], G
-    L = 1 << max(1, (length - 1).bit_length())
-    if G % L:
-        L = G
-    R = G // L
-    half = G // 2 + 1
     # 0 <= s < G for s in the support and r <= R/2 <= G/4, so s r < G^2/4
     # <= 2^62 within the budget.  When every s has one parity c, s = 2t + c
     # and sum_s u_s e(sk/L) = e(ck/L) sum_s u_s e(tk/(L/2)): the bottom half
     # is a length-L/2 FFT of the weights at t mod L/2 times e(ck/L), the top
     # half (-1)^c times it
+    span = 1 << max(1, (length - 1).bit_length())
     parity = support & 1
-    h = int(L >= 4 and len(support) > 0 and bool((parity == parity[0]).all()))
+    h = int(span >= 4 and len(support) > 0 and bool((parity == parity[0]).all()))
     c = int(parity[0]) if h else 0
-    n = L >> h
+    n = min(span >> h, 1 << (max(len(support), PLACE_CHUNK) - 1).bit_length())
+    L = n << h
+    if G % L:
+        L = G
+    R = G // L
+    half = G // 2 + 1
     # a worker holds its buffer of n complex values, and pocketfft two
     # working arrays as long beside it while it transforms: 48 n bytes.
-    # Residues 1..R/2 go to as many workers as that leaves room for, one
-    # contiguous piece each
+    # The twist e(k/L), k < n, and the two twiddle tables (e(m/G) for m =
+    # m_hi 2^b + m_lo read as their product) are shared.  Residues 1..R/2
+    # go to as many workers as that leaves room for, one contiguous piece
+    # each
+    b = (G.bit_length() + 1) // 2
     need = 48 * n
+    shared = 16 * ((1 << b) + ((G - 1) >> b) + 1 + (n if c else 0))
     have = _physical_memory()
-    workers = WORKERS if have is None else max(1, min(WORKERS, have // need))
+    workers = WORKERS if have is None else max(1, min(WORKERS, (have - shared) // need))
     pieces = [(lo + 1, hi + 1) for lo, hi in _split(R // 2, workers)]
-    require_memory(need * len(pieces),
+    require_memory(shared + need * len(pieces),
                    f"{len(pieces)} sweep workers of {n} points for a grid of {G} points")
 
     def run(consume):
-        # e(sk/L) depends only on s mod L, and the support is distinct mod L
-        real = np.zeros(L)
-        real[support % L] = weights
-        sums = np.fft.rfft(real)
-        del real
+        # e(sk/L) depends only on s mod L: points that share s mod L add up
+        sums = np.fft.rfft(np.bincount(support % L, weights, minlength=L))
         # the FFT carries e(-sk/L)
         done = [consume(slice(0, half, R), np.conj(sums, out=sums), None)]
         del sums
         slots = (support >> h) % n
+        # a stretch of support points within one period [a L, (a + 1) L),
+        # at most PLACE_CHUNK of them, lands on distinct slots
+        bounds = np.union1d(np.searchsorted(support, np.arange(L, length, L)),
+                            np.r_[0 : len(support) : PLACE_CHUNK, len(support)]).tolist()
+        stretches = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        # e(m/G) = e(m_hi 2^b/G) e(m_lo/G), each table at exact phases
+        low = _phases(np.arange(1 << b), G)
+        lo_mask = (1 << b) - 1
+        high = _phases(np.arange(((G - 1) >> b) + 1) << b, G)
+        unit = bool((weights == 1.0).all())
         twist = _phases(np.arange(n), L) if c else None  # e(k/L), k < L/2
         sign = -1 if c else 1
         # the workers' buffers come from the calling thread: memory freed
@@ -425,9 +444,13 @@ def _sweep(support: np.ndarray, weights, length: int, G: int):
             out = []
             for r in range(*piece):
                 buf.fill(0.0)
-                for lo in range(0, len(support), PLACE_CHUNK):
-                    at = slice(lo, lo + PLACE_CHUNK)
-                    buf[slots[at]] = weights[at] * _phases(support[at] * r % G, G)
+                for at in stretches:
+                    m = support[at] * r % G
+                    terms = high[m >> b]
+                    terms *= low[m & lo_mask]
+                    if not unit:
+                        terms *= weights[at]
+                    buf[slots[at]] += terms
                 np.fft.ifft(buf, norm="forward", out=buf)  # sum_s u_s e(+(s >> h)k/n)
                 if c:
                     buf *= twist
@@ -468,25 +491,31 @@ def grid_blocks(values: np.ndarray, G: int):
     longer than G is folded in mod G first, since e(i j/G) has period G
     in i.
 
-    The grid G = R L is swept by residue (the four-step FFT), with L the
-    smallest power of two (>= 2) at or above the support when that divides
-    G, and L = G (R = 1) otherwise: for j = r + R k, the sum is
-    sum_i [values[i] e(i r/G)] e(i k/L), one length-L FFT per residue of the
-    twisted weights placed at i mod L, with i r reduced mod G exactly in
-    int64.  When every support point i has one parity c and L >= 4,
-    i = 2t + c halves it: the FFT has length L/2 over the weights placed at
-    t mod L/2, times e(ck/L), and its top half k >= L/2 is (-1)^c times its
-    bottom half.  Residue 0 is one real FFT of length L on the calling
-    thread; residue R - r is the mirror of the top half of residue r, so
-    only r <= R/2 is transformed.
+    The grid G = R L is swept by residue (the four-step FFT): for
+    j = r + R k, the sum is sum_i [values[i] e(i r/G)] e(i k/L), one FFT
+    per residue of the twisted weights added up at i mod L, with i r
+    reduced mod G exactly in int64 and e(m/G) read as e(m_hi 2^b/G)
+    e(m_lo/G) from two tables at exact phases, 2^b about sqrt(G).  The
+    transform length n is the smallest power of two at or above the
+    support's point count and PLACE_CHUNK, at most the power of two at or
+    above the support's span (>= 2).  When every support point i has one
+    parity c and the span is at least 4, L = 2n and i = 2t + c halves it:
+    the FFT has length n over the weights added up at t mod n, times
+    e(ck/L), and its top half k >= n is (-1)^c times its bottom half;
+    otherwise L = n.  L = G (R = 1) when L does not divide G.  A support
+    spanning more than L is folded: points that share a slot add up, a
+    stretch within one period of L at a time, whose slots are distinct.
+    Residue 0 is one real FFT of length L of the weights added up mod L,
+    on the calling thread; residue R - r is the mirror of the top half of
+    residue r, so only r <= R/2 is transformed.
     Residues 1..R/2 are cut into one contiguous piece per worker (at most
-    WORKERS, and no more than physical memory holds at 48 n bytes each for
-    an FFT of length n), and each worker transforms its residues in place
-    in one buffer of its own, allocated once a sweep, so memory stays O(L)
-    a worker whatever G, and every sum is bitwise the same whatever the
-    thread count.  Raises ValueError for complex weights, and
-    CapacityError, before any work, past SWEEP_BUDGET points or when not
-    even one worker would fit in physical memory."""
+    WORKERS, and no more than physical memory holds at 48 n bytes each,
+    beside the shared twist and twiddle tables), and each worker
+    transforms its residues in place in one buffer of its own, allocated
+    once a sweep, so memory stays O(n) a worker whatever G, and every sum
+    is bitwise the same whatever the thread count.  Raises ValueError for
+    complex weights, and CapacityError, before any work, past SWEEP_BUDGET
+    points or when not even one worker would fit in physical memory."""
     if np.iscomplexobj(values):
         raise ValueError("grid sums take real weights")
     support = np.flatnonzero(values)

@@ -81,8 +81,8 @@ def _segment_sum(ctx: PrimeContext, primes: tuple, z0, m0: int, m1: int) -> Frac
     grouped and added over one common denominator: a single reduction
     instead of thousands of fraction additions."""
     mask = (ctx.sifted_mask(m1, z0, primes, start=m0 + 1)
-            & ctx.squarefree_mask[m0 + 1 : m1 + 1])
-    phi = ctx.phi_table[m0 + 1 : m1 + 1][mask]
+            & ctx.squarefree_mask(m1)[m0 + 1 :])
+    phi = ctx.phi_table(m1)[m0 + 1 :][mask]
     values, counts = np.unique(phi, return_counts=True)
     values, counts = values.tolist(), counts.tolist()
     den = math.lcm(*values) if values else 1
@@ -143,9 +143,9 @@ def g_profile(ctx: PrimeContext, d: int, z0, n: int) -> np.ndarray:
     """Float cumulative table of y -> G_d(y; z0) at one fixed (d, z0): entry
     m holds G_d(m; z0) for 0 <= m <= n.  Raises CapacityError for an n past
     the prime table."""
-    mask = ctx.sifted_mask(n, z0, ctx.prime_factors(d)) & ctx.squarefree_mask[: n + 1]
+    mask = ctx.sifted_mask(n, z0, ctx.prime_factors(d)) & ctx.squarefree_mask(n)
     vals = np.zeros(n + 1)
-    vals[mask] = 1.0 / ctx.phi_table[: n + 1][mask]
+    vals[mask] = 1.0 / ctx.phi_table(n)[mask]
     return np.cumsum(vals)
 
 
@@ -364,7 +364,7 @@ def _check_mertens_product_lower(primes: np.ndarray, cap: int) -> list[CheckRow]
 
 def _check_squarefree_count(ctx: PrimeContext, cap: int) -> CheckRow:
     # #{q <= Q squarefree} >= Q/2 for real Q >= 1: integer binding 2*S(n) >= n+1
-    S = np.cumsum(ctx.squarefree_mask[: cap + 1].astype(np.int64))
+    S = np.cumsum(ctx.squarefree_mask(cap).astype(np.int64))
     ns = np.arange(1, cap + 1)
     margins = 2 * S[ns] - (ns + 1)
     i = int(np.argmin(margins))

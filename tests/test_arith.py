@@ -48,6 +48,24 @@ def test_factorize_and_tables(ctx):
         assert ctx.mobius(n) == naive_mobius(n)
 
 
+def test_phi_and_squarefree_tables_grow_to_the_query():
+    # a fresh context builds each table up to the index asked, not over its
+    # limit, and a table grown in steps agrees with the factorization
+    small = build_context(100_000)
+    for n in (10, 100, 3000):
+        phi, mask = small.phi_table(n), small.squarefree_mask(n)
+        assert len(phi) == len(mask) == n + 1
+        assert len(small._phi_table) <= 2 * n + 1
+        assert len(small._squarefree_mask) <= 2 * n + 1
+    assert phi.tolist()[1:] == [small.euler_phi(m) for m in range(1, 3001)]
+    assert mask.tolist() == [m >= 1 and small.is_squarefree(m) for m in range(3001)]
+    assert len(small.phi_table(small.limit)) == small.limit + 1
+    with pytest.raises(CapacityError):
+        small.phi_table(small.limit + 1)
+    with pytest.raises(CapacityError):
+        small.squarefree_mask(small.limit + 1)
+
+
 def test_divisor_sums(ctx):
     for n in range(1, 500):
         divs = [d for d in range(1, n + 1) if n % d == 0]
@@ -112,7 +130,7 @@ def test_prime_counting_bounds(ctx):
 
 def test_squarefree_count_lower(ctx):
     # running count of squarefree q <= Q stays above Q/2
-    mask = ctx.squarefree_mask
+    mask = ctx.squarefree_mask(ctx.limit)
     counts = np.cumsum(mask[1:])
     qs = np.arange(1, len(mask))
     assert np.all(counts >= qs / 2.0)

@@ -528,11 +528,18 @@ def test_sweep_on_one_parity_matches_one_shot_and_direct(G, parity):
         _assert_sweep(_shifted(values, shift), G)
 
 
-@pytest.mark.parametrize("parity, length", [("odd", 256), ("even", 256), ("mixed", 512)])
-def test_sweep_transform_lengths(monkeypatch, parity, length):
-    # L = 512 and R = 32: residues 1..16 each take one complex transform,
-    # of length L/2 when every shift has one parity
-    values = _keep_parity(np.random.default_rng(10).normal(size=300), parity)
+def _sparse(size, points, parity, seed):
+    """`points` normal weights at distinct random places of [0, size): all
+    odd or all even places for parity "odd" or "even", both for "mixed"."""
+    rng = np.random.default_rng(seed)
+    step, first = (1, 0) if parity == "mixed" else (2, int(parity == "odd"))
+    values = np.zeros(size)
+    values[first + step * rng.choice(size // step, points, replace=False)] = rng.normal(size=points)
+    return values
+
+
+def _recording_ifft(monkeypatch):
+    """The lengths of every np.fft.ifft call from here on, in call order."""
     lengths = []
     ifft = np.fft.ifft
 
@@ -541,8 +548,73 @@ def test_sweep_transform_lengths(monkeypatch, parity, length):
         return ifft(a, *args, **kwargs)
 
     monkeypatch.setattr(np.fft, "ifft", recording)
-    grid_blocks(values, 32 * 512)(lambda *block: None)
-    assert lengths == [length] * 16
+    return lengths
+
+
+@pytest.mark.parametrize("parity, points, G, lengths", [
+    # about 257 points in [0, 300): the span caps n, L = 512 and R = 32,
+    # and n = L/2 when every point has one parity
+    pytest.param("odd", None, 1 << 14, [256] * 16, id="odd-256"),
+    pytest.param("even", None, 1 << 14, [256] * 16, id="even-256"),
+    pytest.param("mixed", None, 1 << 14, [512] * 16, id="mixed-512"),
+    # 5000 points over [0, 2^16): n = 2^13, the power of two at or above the
+    # point count, so L = 2n = 2^14 and R = 64 on one parity, L = n and
+    # R = 128 on both, where the span would give n = 2^15 or 2^16
+    pytest.param("odd", 5000, 1 << 20, [1 << 13] * 32, id="odd-8192-by-count"),
+    pytest.param("mixed", 5000, 1 << 20, [1 << 13] * 64, id="mixed-8192-by-count")])
+def test_sweep_transform_lengths(monkeypatch, parity, points, G, lengths):
+    # residues 1..R/2 each take one complex transform
+    if points is None:
+        values = _keep_parity(np.random.default_rng(10).normal(size=300), parity)
+    else:
+        values = _sparse(1 << 16, points, parity, seed=10)
+    recorded = _recording_ifft(monkeypatch)
+    grid_blocks(values, G)(lambda *block: None)
+    assert recorded == lengths
+
+
+@pytest.mark.parametrize("parity, plans", [
+    # 3000 points over [0, 50000): n = PLACE_CHUNK = 4096 and L = n on both
+    # parities, L = 2n on one; (G, R) at R = 1 (G = L, the support folded
+    # in mod G first), 2, 3 and 16 or 8, where the support spans several
+    # periods of L and its points collide mod L
+    ("mixed", ((4096, 1), (8192, 2), (3 * 4096, 3), (1 << 16, 16))),
+    ("odd", ((8192, 1), (16384, 2), (3 * 8192, 3), (1 << 16, 8))),
+    ("even", ((8192, 1), (16384, 2), (3 * 8192, 3), (1 << 16, 8)))])
+def test_sweep_folds_a_support_longer_than_its_period(monkeypatch, parity, plans):
+    assert expsums.PLACE_CHUNK == 4096
+    values = _sparse(50_000, 3000, parity, seed=11)
+    L = (1 << 16) // plans[-1][1]
+    assert len(np.unique(np.flatnonzero(values) % L)) < 3000  # collisions mod L
+    # each term is within a few units of roundoff of its value and the
+    # transforms add O(u log n) sum |w|: about 5e-17 sum |w| measured
+    scale = 1e-12 * np.abs(values).sum()
+    for G, R in plans:
+        runs = []
+        for workers in (1, 3):
+            monkeypatch.setattr(expsums, "WORKERS", workers)
+            assert grid_blocks(values, G)(lambda j, *_: j.step)[0] == R
+            sums, seen = _half_circle(values, G)
+            assert (seen == 1).all(), (G, workers)
+            assert np.array_equal(grid_sums(values, G), sums)
+            runs.append(sums)
+        assert np.array_equal(*runs), G  # bitwise, whatever the worker count
+        folded = np.pad(values, (0, -len(values) % G)).reshape(-1, G).sum(axis=0)
+        assert np.abs(runs[0] - np.conj(np.fft.rfft(folded, G))).max() <= scale, G
+
+
+def test_sweep_of_few_points_takes_place_chunk_transforms(monkeypatch):
+    # four points of both parities over [0, 2^13), two of them equal mod
+    # 2^12: n = PLACE_CHUNK = 2^12, so L = 2^12 and R = 2^8 at G = 2^20, 128
+    # complex transforms, where n = 4 would sweep R = 2^18 residues
+    G = 1 << 20
+    values = np.zeros(1 << 13)
+    values[[0, 1, 4097, 8000]] = [1.0, -2.0, 0.5, 3.0]
+    recorded = _recording_ifft(monkeypatch)
+    sums, seen = _half_circle(values, G)
+    assert recorded == [expsums.PLACE_CHUNK] * (G // expsums.PLACE_CHUNK // 2)
+    assert (seen == 1).all()
+    assert np.abs(sums - np.conj(np.fft.rfft(values, G))).max() <= 1e-12 * 6.5
 
 
 def test_sweep_does_not_depend_on_the_worker_count(ctx, monkeypatch):
@@ -584,11 +656,18 @@ def test_sweep_does_not_depend_on_the_worker_count(ctx, monkeypatch):
 
 
 def test_sweep_workers_beyond_memory_is_capacity_error(ctx, monkeypatch):
-    # N = 10^4: L = 2^14, halved to n = 2^13, at R = 32.  A worker takes
-    # 48 n bytes, its buffer and pocketfft's two working arrays; the sweep
-    # runs as many of WORKERS as physical memory holds, and with room for
-    # none it refuses before any FFT runs
+    # N = 10^4: 1204 odd primes over a span of 2^14, so n is the PLACE_CHUNK
+    # floor 2^12 (the count alone gives 2^11, the span 2^13), L = 2n = 2^13
+    # and R = 2^19/L = 64: 32 complex transforms and residue 0's real one.
+    # A worker takes 48 n bytes, its buffer and pocketfft's two working
+    # arrays.  Shared are the twist e(k/L), n entries, and the twiddle
+    # tables e(m_lo/G) and e(m_hi 2^10/G) of 2^10 and 2^9 entries, 16 bytes
+    # each.  The sweep runs as many of WORKERS as physical memory holds
+    # beside the shared tables, and with room for none it refuses before
+    # any FFT runs
     s = subset_full(ctx, 10_000)
+    n = expsums.PLACE_CHUNK
+    assert n == 1 << 12 and s.size == 1204
     monkeypatch.setattr(expsums, "WORKERS", 3)
     transforms, pieces = [], []
     for name in ("rfft", "ifft"):
@@ -599,18 +678,19 @@ def test_sweep_workers_beyond_memory_is_capacity_error(ctx, monkeypatch):
     on_workers = expsums._on_workers
     monkeypatch.setattr(expsums, "_on_workers",
                         lambda task, p, name: pieces.append(len(p)) or on_workers(task, p, name))
-    worker = 48 * (1 << 13)
-    monkeypatch.setattr(expsums, "_physical_memory", lambda: worker - 1)
+    worker = 48 * n
+    shared = 16 * (n + (1 << 10) + (1 << 9))
+    monkeypatch.setattr(expsums, "_physical_memory", lambda: shared + worker - 1)
     with pytest.raises(CapacityError, match="physical memory"):
         spectrum(s, 4)
     assert not transforms and not pieces
     grids = []
     for room, workers in ((worker, 1), (3 * worker - 1, 2), (3 * worker, 3)):
-        monkeypatch.setattr(expsums, "_physical_memory", lambda: room)
+        monkeypatch.setattr(expsums, "_physical_memory", lambda: shared + room)
         transforms.clear()
         pieces.clear()
         grids.append(spectrum(s, 4))
-        assert len(transforms) == 17 and pieces == [workers], (room, pieces)
+        assert transforms == [2 * n] + [n] * 32 and pieces == [workers], (room, pieces)
     for grid in grids[1:]:
         assert np.array_equal(grid.index, grids[0].index)
         assert np.array_equal(grid.values, grids[0].values)

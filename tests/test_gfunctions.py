@@ -147,6 +147,19 @@ def test_g_checkpoints_bound_the_work(monkeypatch):
     assert sum(spans) <= max(ms) + len(ms) * BLOCK
 
 
+def test_g_reads_tables_only_up_to_its_query():
+    # the exact sum up to 1290 and the float profile up to 5000 build phi
+    # and the squarefree mask up to the index they read, not over the
+    # 10^5 limit, and give what tables built over the whole limit give
+    lazy, full = build_context(100_000), build_context(100_000)
+    full.phi_table(full.limit)
+    full.squarefree_mask(full.limit)
+    assert g_sifted(lazy, 1, 1290.99, 3) == g_sifted(full, 1, 1290.99, 3)
+    assert max(len(lazy._phi_table), len(lazy._squarefree_mask)) <= 2 * 1290 + 1
+    assert np.array_equal(g_profile(lazy, 6, 2, 5000), g_profile(full, 6, 2, 5000))
+    assert max(len(lazy._phi_table), len(lazy._squarefree_mask)) <= 2 * 5000 + 1
+
+
 def test_g_monotonicity(ctx):
     ys = [2, 5, 10, 40, 100]
     for d, z0 in ((1, 2), (1, 3), (7, 2), (6, 5)):
@@ -234,10 +247,10 @@ def per_ell_bracket(ctx, q, z, z0, tau):
     # ell <= z/sqrt(q)  <=>  ell^2 * q <= z^2, decided in exact arithmetic
     lmax = math.isqrt(math.floor(zf * zf / q))
     primes = ctx.prime_factors(q) + ctx.prime_factors(tau)
-    mask = ctx.sifted_mask(lmax, z0, primes) & ctx.squarefree_mask[: lmax + 1]
+    mask = ctx.sifted_mask(lmax, z0, primes) & ctx.squarefree_mask(lmax)
     ells = np.flatnonzero(mask)
     total = Fraction(0)
-    for ell, phi in zip(ells.tolist(), ctx.phi_table[ells].tolist()):
+    for ell, phi in zip(ells.tolist(), ctx.phi_table(lmax)[ells].tolist()):
         total += Fraction(1, phi) * xi_value(ctx, q, zf / ell)
     return total
 
