@@ -427,7 +427,6 @@ def _sweep(support: np.ndarray, weights, length: int, G: int):
         low = _phases(np.arange(1 << b), G)
         lo_mask = (1 << b) - 1
         high = _phases(np.arange(((G - 1) >> b) + 1) << b, G)
-        unit = bool((weights == 1.0).all())
         twist = _phases(np.arange(n), L) if c else None  # e(k/L), k < L/2
         sign = -1 if c else 1
         # the workers' buffers come from the calling thread: memory freed
@@ -448,8 +447,7 @@ def _sweep(support: np.ndarray, weights, length: int, G: int):
                     m = support[at] * r % G
                     terms = high[m >> b]
                     terms *= low[m & lo_mask]
-                    if not unit:
-                        terms *= weights[at]
+                    terms *= weights[at]
                     buf[slots[at]] += terms
                 np.fft.ifft(buf, norm="forward", out=buf)  # sum_s u_s e(+(s >> h)k/n)
                 if c:
