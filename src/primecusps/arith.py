@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import itemgetter
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -245,12 +245,23 @@ def build_context(limit: int) -> PrimeContext:
     return PrimeContext(limit, spf, primes)
 
 
-def farey_points(Q: int) -> list[Fraction]:
-    """All reduced fractions a/q with 0 <= a < q <= Q, ascending."""
+def farey_pairs(Q: int) -> Iterator[tuple[int, int]]:
+    """(a, q) for every reduced fraction a/q with 0 <= a < q <= Q,
+    ascending, by the next-term recurrence of the Farey sequence: after
+    neighbours a/b < c/d the next term is (kc - a)/(kd - b), k = (Q + b) // d.
+    A Q below 1 raises ValueError when the iteration starts."""
     if Q < 1:
         raise ValueError(f"Q={Q} must be >= 1")
-    return sorted(Fraction(a, q) for q in range(1, Q + 1)
-                  for a in range(q) if gcd(a, q) == 1)
+    a, b, c, d = 0, 1, 1, Q
+    while a < b:
+        yield a, b
+        k = (Q + b) // d
+        a, b, c, d = c, d, k * c - a, k * d - b
+
+
+def farey_points(Q: int) -> list[Fraction]:
+    """All reduced fractions a/q with 0 <= a < q <= Q, ascending."""
+    return [Fraction(a, q) for a, q in farey_pairs(Q)]
 
 
 def extract_well_spaced(

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .arith import build_context, farey_points
+from .arith import build_context, farey_pairs
 from . import cusps as cu
 from . import expsums as ex
 from . import transference as tr
@@ -184,9 +184,8 @@ def cmd_spectrum(ctx, cfg: RunConfig) -> int:
         alphas = np.arange(G) / G
         lines = [f"{a:.12g} {float(r)!r}" for a, r in zip(alphas, ratio)]
         path = _emit(cfg, "txt", "\n".join(lines) + "\n")
-        overlay = [f"{float(fp):.12g} {fp.denominator} "
-                   f"{1 if ctx.is_squarefree(fp.denominator) else 0}"
-                   for fp in farey_points(cfg.Q)]
+        flags = [0] + [1 if ctx.is_squarefree(q) else 0 for q in range(1, cfg.Q + 1)]
+        overlay = [f"{a / q:.12g} {q} {flags[q]}" for a, q in farey_pairs(cfg.Q)]
         _write(path + ".farey", "\n".join(overlay) + "\n")
     elif cfg.format == "csv":
         lines = ["alpha,ratio"]

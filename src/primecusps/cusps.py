@@ -2,12 +2,15 @@
 
 An A-cusp is a point alpha with |T*(alpha)| >= T*(0)/A.  The detector
 reads the half-circle grid samples at or above the threshold (the
-spectrum keeps only those, so the grid costs O(N) memory), finds and
-refines the runs on the half circle (merging runs split at grid
-resolution, bisecting arc endpoints against the direct sum), seeds the
+spectrum keeps only those, so the grid costs O(N) memory), finds the runs
+on the half circle (merging runs split at grid resolution), seeds the
 rational cusps a/q (q squarefree, phi(q) <= A) that fall between grid
 samples, reflects each arc to its mirror, and extracts a (1/N)-well
 spaced subset whose count is tested against the 19 A^2 K log(2A) bound.
+Arc endpoints are bisected and peaks golden-sectioned against the direct
+sum by searches that yield the positions they need: _refine runs every
+search of a phase in lockstep, one alpha-array exp_sum_at call a round,
+and each search takes the path it would take alone.
 structure_check finds the arc holding a point by bisection on the arc
 starts.
 The same module hosts the arithmetic structure checks on the cusp set
@@ -79,43 +82,69 @@ class CuspReport:
         return len(self.wellspaced) <= self.bound
 
 
-def _bisect_crossing(subset: PrimeSubset, threshold: float,
-                     inside: float, outside: float, width: float) -> float:
-    """Point on the |T*| = threshold crossing between an inside and an
-    outside sample, to within `width`; returns the inside-most bracket."""
+def _bisect_crossing(threshold: float, inside: float, outside: float,
+                     width: float):
+    """Search for the |T*| = threshold crossing between an inside and an
+    outside sample, to within `width`: yields each midpoint, as a tuple of
+    one position, receives its |T*| and returns the inside-most bracket."""
     while circle_distance(inside, outside) > width:
         mid = (inside + outside) / 2.0  # brackets never wrap after shifting
-        if abs(exp_sum_at(subset, mid % 1.0)) >= threshold:
+        value, = yield (mid % 1.0,)
+        if value >= threshold:
             inside = mid
         else:
             outside = mid
     return inside % 1.0
 
 
-def _peak(subset: PrimeSubset, lo: float, hi: float, best: WeightedPoint,
-          width: float) -> WeightedPoint:
-    """Golden-section peak of |T*| on [lo, hi] (unwrapped reals), or the
-    known point best when it is higher."""
+def _peak(lo: float, hi: float, best: WeightedPoint, width: float):
+    """Golden-section search for the peak of |T*| on [lo, hi] (unwrapped
+    reals): yields the positions of each step, the first two together,
+    receives their |T*| and returns the peak, or the known point best when
+    it is higher."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - (b - a) * invphi
     d = a + (b - a) * invphi
-    fc = abs(exp_sum_at(subset, c % 1.0))
-    fd = abs(exp_sum_at(subset, d % 1.0))
+    fc, fd = yield (c % 1.0, d % 1.0)
     while b - a > width:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - (b - a) * invphi
-            fc = abs(exp_sum_at(subset, c % 1.0))
+            fc, = yield (c % 1.0,)
         else:
             a, c, fc = c, d, fd
             d = a + (b - a) * invphi
-            fd = abs(exp_sum_at(subset, d % 1.0))
+            fd, = yield (d % 1.0,)
     x = (a + b) / 2.0
-    value = abs(exp_sum_at(subset, x % 1.0))
+    value, = yield (x % 1.0,)
     if best.weight > value:  # golden section lost a multimodal bracket
         return best
     return WeightedPoint(x % 1.0, value)
+
+
+def _refine(subset: PrimeSubset, searches: list) -> list:
+    """The return values of the searches, run in lockstep: each round takes
+    the positions every live search yields through one alpha-array
+    exp_sum_at call and sends each search its moduli.  Each sum is bitwise
+    what its alpha gets alone, so every search takes the path it would
+    take by itself."""
+    results = [None] * len(searches)
+    live = [(i, search, None) for i, search in enumerate(searches)]
+    while live:
+        asked = []
+        for i, search, reply in live:
+            try:
+                asked.append((i, search, search.send(reply)))
+            except StopIteration as stop:
+                results[i] = stop.value
+        if not asked:
+            break
+        values = exp_sum_at(subset, [x for *_, xs in asked for x in xs])
+        # abs of each numpy scalar, as the modulus of a lone alpha is taken
+        moduli = iter([abs(v) for v in values])
+        live = [(i, search, [next(moduli) for _ in xs]) for i, search, xs in asked]
+    return results
 
 
 def _half_runs(index: np.ndarray, gap: int) -> list[np.ndarray]:
@@ -129,12 +158,17 @@ def find_cusps(grid: SpectrumGrid, A: float) -> CuspReport:
 
     Runs are found and refined on the half circle 0 <= j <= G/2: runs
     separated by less than 1/(4N) are merged, endpoints are bisected to
-    circle width 1/(1024 N), and the well-spaced subset is extracted
-    greedily at delta = 1/N from the refined peaks and every above-threshold
-    grid sample.  Every point a/q of rational_cusps with 0 < a/q < 1/2 that
-    lies in no run's arc (its arc is narrower than the grid step) is seeded
-    as an arc of its own, bisected from a/q out to its two grid neighbours
-    and golden-sectioned between them.  T*(-alpha) = conj T*(alpha), so
+    circle width 1/(1024 N) and each peak is golden-sectioned between the
+    two grid neighbours of the run's best sample.  Every point a/q of
+    rational_cusps with 0 < a/q < 1/2 that lies in no run's arc (its arc is
+    narrower than the grid step) is seeded as an arc of its own, bisected
+    from a/q out to its two grid neighbours and golden-sectioned between
+    them.  The refinement runs in two lockstep phases through _refine, the
+    runs' searches and then the seeds', so each round of a phase is one
+    alpha-array exp_sum_at call: at G = 32N the runs take 11 calls and
+    the seeds at most 10, whatever the number of arcs.  The well-spaced
+    subset is extracted greedily at delta = 1/N from the refined peaks and
+    every above-threshold grid sample.  T*(-alpha) = conj T*(alpha), so
     every arc other than the ones that are their own mirror (around 0 or
     1/2, which bisect one endpoint and reflect it) also gives the mirror
     arc (-hi, -lo).  A threshold T*(0)/A below the grid's floor raises
@@ -149,40 +183,52 @@ def find_cusps(grid: SpectrumGrid, A: float) -> CuspReport:
     index, absvals = grid.above(threshold)
     gap = max(2, math.ceil(G / (4.0 * N)))  # consecutive indices always share a run
 
-    half, candidates = [], []  # half: (half-circle position, arc, its own mirror)
+    # phase 1: every run's endpoint bisections and its peak, in lockstep
     runs = _half_runs(index, gap)
     starts = np.cumsum([0] + [len(run) for run in runs])
+    plans, searches = [], []
     for run, start in zip(runs, starts):
         mags = absvals[start : start + len(run)]
         at_zero = 2 * run[0] < gap  # its own mirror around 0
         at_half = G - 2 * run[-1] < gap  # its own mirror around 1/2
+        if not at_zero:
+            searches.append(_bisect_crossing(threshold, run[0] / G, (run[0] - 1) / G, width))
+        if not at_half:
+            searches.append(_bisect_crossing(threshold, run[-1] / G, (run[-1] + 1) / G, width))
+        jstar = run[np.argmax(mags)]
+        searches.append(_peak((jstar - 1) / G, (jstar + 1) / G,
+                              WeightedPoint(jstar / G, float(mags.max())), width))
+        plans.append((run, mags, at_zero, at_half))
+    found = iter(_refine(subset, searches))
+    half, candidates = [], []  # half: (half-circle position, arc, its own mirror)
+    for run, mags, at_zero, at_half in plans:
+        lo_u = None if at_zero else next(found)
+        hi_u = None if at_half else next(found)
         if at_zero and at_half:  # the whole circle
             lo_u, hi_u = 0.0, 1.0 - 1.0 / G
         elif at_zero:
-            hi_u = _bisect_crossing(subset, threshold, run[-1] / G, (run[-1] + 1) / G, width)
             lo_u = -hi_u
         elif at_half:
-            lo_u = _bisect_crossing(subset, threshold, run[0] / G, (run[0] - 1) / G, width)
             hi_u = -lo_u
-        else:
-            lo_u = _bisect_crossing(subset, threshold, run[0] / G, (run[0] - 1) / G, width)
-            hi_u = _bisect_crossing(subset, threshold, run[-1] / G, (run[-1] + 1) / G, width)
-        jstar = run[np.argmax(mags)]
-        peak = _peak(subset, (jstar - 1) / G, (jstar + 1) / G,
-                     WeightedPoint(jstar / G, float(mags.max())), width)
-        half.append((run[0] / G, CuspArc(lo_u % 1.0, hi_u % 1.0, peak), at_zero or at_half))
+        half.append((run[0] / G, CuspArc(lo_u % 1.0, hi_u % 1.0, next(found)),
+                     at_zero or at_half))
         candidates.extend(WeightedPoint(j / G, float(m)) for j, m in zip(run, mags))
         candidates.extend(WeightedPoint((G - j) / G, float(m))
                           for j, m in zip(run, mags) if 0 < 2 * j < G)
+    # phase 2: the rational seeds outside every run's arc, in lockstep
     in_runs = _arc_membership([arc for _, arc, _ in half], ARC_SLACK / N)
-    for seed in rational_cusps(subset, A):
+    seeds = [seed for seed in rational_cusps(subset, A)
+             if 0 < 2 * seed.position < 1 and not in_runs(seed.position)]
+    searches = []
+    for seed in seeds:
         x = seed.position
-        if 0 < 2 * x < 1 and not in_runs(x):
-            j = math.floor(x * G)  # x is no grid point: q is neither 1 nor 2
-            arc = CuspArc(_bisect_crossing(subset, threshold, x, j / G, width),
-                          _bisect_crossing(subset, threshold, x, (j + 1) / G, width),
-                          _peak(subset, j / G, (j + 1) / G, seed, width))
-            half.append((x, arc, False))
+        j = math.floor(x * G)  # x is no grid point: q is neither 1 nor 2
+        searches += [_bisect_crossing(threshold, x, j / G, width),
+                     _bisect_crossing(threshold, x, (j + 1) / G, width),
+                     _peak(j / G, (j + 1) / G, seed, width)]
+    found = iter(_refine(subset, searches))
+    for seed in seeds:
+        half.append((seed.position, CuspArc(next(found), next(found), next(found)), False))
     half.sort(key=lambda entry: entry[0])
     arcs = [arc for _, arc, _ in half]
     mirrors = [CuspArc((-arc.hi) % 1.0, (-arc.lo) % 1.0,

@@ -156,6 +156,10 @@ def test_farey_points():
     assert f5 == sorted(f5)
     assert len(f5) == 10  # 1 + phi(2) + phi(3) + phi(4) + phi(5)
     assert all(0 <= fp < 1 and fp.denominator <= 5 for fp in f5)
+    # the next-term recurrence against every reduced a/q, sorted
+    for Q in range(1, 41):
+        brute = sorted({Fraction(a, q) for q in range(1, Q + 1) for a in range(q)})
+        assert farey_points(Q) == brute, Q
 
 
 def test_circle_distance():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from primecusps import cusps, expsums
 from primecusps.arith import WeightedPoint, build_context, circle_distance
 from primecusps.cusps import (
     ENDPOINT_RESOLUTION,
@@ -305,6 +306,91 @@ def test_arcs_hold_the_rational_cusps_between_grid_samples(cusp_grid):
         for A, report in reports.items():
             row = rational_cusps_row(report)
             assert row.status == "pass" and row.params["points"] >= 2, (label, N, A)
+
+
+def _scalar_bisect(subset, threshold, inside, outside, width):
+    """The sequential bisection of an arc endpoint, one scalar call a step."""
+    while circle_distance(inside, outside) > width:
+        mid = (inside + outside) / 2.0
+        if abs(exp_sum_at(subset, mid % 1.0)) >= threshold:
+            inside = mid
+        else:
+            outside = mid
+    return inside % 1.0
+
+
+def _scalar_peak(subset, lo, hi, best, width):
+    """The sequential golden section for a peak, one scalar call a step."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - (b - a) * invphi
+    d = a + (b - a) * invphi
+    fc = abs(exp_sum_at(subset, c % 1.0))
+    fd = abs(exp_sum_at(subset, d % 1.0))
+    while b - a > width:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - (b - a) * invphi
+            fc = abs(exp_sum_at(subset, c % 1.0))
+        else:
+            a, c, fc = c, d, fd
+            d = a + (b - a) * invphi
+            fd = abs(exp_sum_at(subset, d % 1.0))
+    x = (a + b) / 2.0
+    value = abs(exp_sum_at(subset, x % 1.0))
+    if best.weight > value:
+        return best
+    return WeightedPoint(x % 1.0, value)
+
+
+def _finished(value):
+    """A search that asks for nothing and returns value."""
+    return value
+    yield
+
+
+def test_lockstep_refinement_matches_sequential_scalar_calls(cusp_grid, monkeypatch):
+    # every criterion subset at N = 10^4 and each A, and the full subset at
+    # N = 10^5, A = 2, whose seeds 1/6 and 1/3 are refined in phase 2: the
+    # searches run in lockstep return exactly what the scalar steps return
+    grids = cusp_grid[0]
+    configs = [(key, A) for key in grids if key[1] == 10_000 for A in CUSP_GRID_A]
+    configs.append((("full", 100_000), 2))
+    for key, A in configs:
+        subset, grid, reports = grids[key]
+        with monkeypatch.context() as m:
+            m.setattr(cusps, "_bisect_crossing",
+                      lambda *args: _finished(_scalar_bisect(subset, *args)))
+            m.setattr(cusps, "_peak", lambda *args: _finished(_scalar_peak(subset, *args)))
+            expected = find_cusps(grid, A)
+        assert reports[A].arcs == expected.arcs, (key, A)
+        assert reports[A].wellspaced == expected.wellspaced, (key, A)
+
+
+def test_refinement_takes_one_alpha_array_call_a_round(cusp_grid, monkeypatch):
+    # 5 bisection steps from 1/G to 1/(1024 N) and 11 golden-section rounds
+    # from 2/G: 11 array calls at N = 10^5, A = 4, where one scalar call a
+    # step took 122
+    _, grid, _ = cusp_grid[0][("full", 100_000)]
+    shapes = []
+
+    def counted(subset, alpha):
+        shapes.append(np.shape(alpha))
+        return exp_sum_at(subset, alpha)
+    monkeypatch.setattr(cusps, "exp_sum_at", counted)
+    find_cusps(grid, 4)
+    assert len(shapes) <= 12, shapes
+    assert all(len(shape) == 1 for shape in shapes), shapes
+    assert sum(shape[0] for shape in shapes) == 122
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_refinement_is_the_same_on_any_worker_count(cusp_grid, monkeypatch, workers):
+    _, grid, reports = cusp_grid[0][("full", 100_000)]
+    monkeypatch.setattr(expsums, "WORKERS", workers)
+    for A in (4, 16):
+        report = find_cusps(grid, A)
+        assert (report.arcs, report.wellspaced) == (reports[A].arcs, reports[A].wellspaced)
 
 
 def test_farey_census(full4):
