@@ -375,14 +375,11 @@ def _sweep(support: np.ndarray, weights, length: int, G: int):
         raise CapacityError(f"a grid of {G} points is above the sweep budget "
                             f"of {SWEEP_BUDGET} points")
     weights = np.broadcast_to(weights, support.shape)
-    if length > G:  # e(i j/G) has period G in i: fold the support in mod G
-        values = np.zeros(length)
-        values[support] = weights
-        values = np.pad(values, (0, -length % G)).reshape(-1, G).sum(axis=0)
-        support = np.flatnonzero(values)
-        weights, length = values[support], G
-    # 0 <= s < G for s in the support and r <= R/2 <= G/4, so s r < G^2/4
-    # <= 2^62 within the budget.  When every s has one parity c, s = 2t + c
+    # s r stays in int64 for 0 <= s < length and r <= R/2: either L >= span
+    # > s and s r < G/2, or n >= PLACE_CHUNK, so r <= G/2^13 <= 2^19 within
+    # the budget and s r < length 2^19 < 2^63 for any length below 2^44.
+    # e(s r/G) depends only on s mod G, so a support longer than G needs no
+    # fold of its own.  When every s has one parity c, s = 2t + c
     # and sum_s u_s e(sk/L) = e(ck/L) sum_s u_s e(tk/(L/2)): the bottom half
     # is a length-L/2 FFT of the weights at t mod L/2 times e(ck/L), the top
     # half (-1)^c times it
@@ -485,9 +482,7 @@ def grid_blocks(values: np.ndarray, G: int):
     0 <= j <= G/2 once.  sums and top are views of a worker's buffer, valid
     only during the call, and consume runs on the worker's thread, so it
     reduces them there and returns something small.  The weights are real,
-    so the sum at j > G/2 is the conjugate of the one at G - j.  A support
-    longer than G is folded in mod G first, since e(i j/G) has period G
-    in i.
+    so the sum at j > G/2 is the conjugate of the one at G - j.
 
     The grid G = R L is swept by residue (the four-step FFT): for
     j = r + R k, the sum is sum_i [values[i] e(i r/G)] e(i k/L), one FFT
@@ -501,8 +496,9 @@ def grid_blocks(values: np.ndarray, G: int):
     the FFT has length n over the weights added up at t mod n, times
     e(ck/L), and its top half k >= n is (-1)^c times its bottom half;
     otherwise L = n.  L = G (R = 1) when L does not divide G.  A support
-    spanning more than L is folded: points that share a slot add up, a
-    stretch within one period of L at a time, whose slots are distinct.
+    spanning more than L, G included, is folded as it is swept: points that
+    share a slot add up, a stretch within one period of L at a time, whose
+    slots are distinct.
     Residue 0 is one real FFT of length L of the weights added up mod L,
     on the calling thread; residue R - r is the mirror of the top half of
     residue r, so only r <= R/2 is transformed.

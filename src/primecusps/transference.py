@@ -12,8 +12,9 @@ convolution support [-N, 2N].  rho = 1_B * 1_{-B} / |B|^2 is never formed:
 integer counts of p + b1 - b2.  f, f_flat and f_sharp are derived on every
 read, and N, A, eps and Nprime are read through the chain.  The transform
 identities are re-verified numerically rather than assumed.  Every
-off-grid sum here, the transforms of f_sharp and f* with T* beside them,
-the Bohr sums S_M and the moments behind the cover's samples, is one
+off-grid sum here, the transforms of f_sharp and f* with T* beside them
+(their terms gathered from f and f * rho at each call), the Bohr sums S_M
+and the moments behind the cover's samples, is one
 expsums.exp_sum or exp_sum_at call over an array of alphas, shared out to
 the workers; the measured supremum is a grid_blocks sweep, the cover's
 samples are one exp_sums_on_progression call at T*((2k + 1)/Q), and its
@@ -267,18 +268,6 @@ class Decomposition:
     V_val: Fraction
     conv: np.ndarray = field(repr=False)       # (f * rho) at ell + N, so f* = G conv
     h1_violations: list[str]
-    # ell over the shared support of f and conv, and the rows f_sharp, conv
-    # and f on it; every prime lies in the support, and a gather per call
-    # would cost ~10x the products
-    _ell: np.ndarray = field(init=False, repr=False)
-    _weights: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        f = self.f
-        support = np.flatnonzero((f != 0) | (self.conv != 0))
-        f, conv = f[support], self.conv[support]
-        object.__setattr__(self, "_ell", support - self.offset)
-        object.__setattr__(self, "_weights", np.stack((f - conv, conv, f)))
 
     @property
     def subset(self) -> PrimeSubset:
@@ -348,10 +337,14 @@ class Decomposition:
 
     def transforms(self, alpha):
         """(S(f_sharp, alpha), S(f*, alpha), T*(alpha)) from one set of
-        terms over the shared support; at a 1-D array of alphas, the list
+        terms over the shared support of f and f * rho, gathered at each
+        call (every prime lies in it); at a 1-D array of alphas, the list
         of those triples, the alphas shared out to the exp_sum workers."""
-        G = float(self.G_val)
-        sums = exp_sum(self._ell, alpha, self._weights).reshape(-1, 3).tolist()
+        f, G = self.f, float(self.G_val)
+        support = np.flatnonzero((f != 0) | (self.conv != 0))
+        f, conv = f[support], self.conv[support]
+        sums = exp_sum(support - self.offset, alpha, np.stack((f - conv, conv, f)))
+        sums = sums.reshape(-1, 3).tolist()
         triples = [(sharp, G * star, primes) for sharp, star, primes in sums]
         return triples[0] if np.ndim(alpha) == 0 else triples
 
@@ -391,12 +384,13 @@ def decompose(ctx: PrimeContext, subset: PrimeSubset, z0, M: int, A: float,
 def transform_checks(dec: Decomposition, seed: int) -> list[CheckRow]:
     """Re-verify the three transform identities.
 
-    S(f*, a/M) = G T*(a/M) exactly (the Bohr phases collapse); at random
-    alpha, S(f_sharp, alpha) = T*(alpha)(1 - |S_M(alpha)/|B||^2); and the
-    non-negativity and support constraints on f_flat.  Each alpha takes
-    S(f_sharp), S(f*) and T* from one set of terms, and all M + N_ALPHA
-    alphas from one batched call; the Bohr sums S_M at the random alphas
-    come from one batched exp_sum."""
+    S(f*, a/M) = G T*(a/M) exactly (the Bohr phases collapse), its gap
+    taken relative to G T*(0), the scale of the terms' float error, since
+    T*(a/M) itself may vanish; at random alpha, S(f_sharp, alpha) =
+    T*(alpha)(1 - |S_M(alpha)/|B||^2); and the non-negativity and support
+    constraints on f_flat.  Each alpha takes S(f_sharp), S(f*) and T* from
+    one set of terms, and all M + N_ALPHA alphas from one batched call; the
+    Bohr sums S_M at the random alphas come from one batched exp_sum."""
     rows = []
     T0 = float(dec.subset.size)
     G = float(dec.G_val)
@@ -407,8 +401,7 @@ def transform_checks(dec: Decomposition, seed: int) -> list[CheckRow]:
 
     worst = 0.0
     for _, lhs, t in sums[: dec.M]:
-        rhs = G * t
-        worst = max(worst, abs(lhs - rhs) / abs(rhs))
+        worst = max(worst, abs(lhs - G * t) / (G * T0))
     rows.append(leq_row("transform-at-M-fractions", {"M": dec.M},
                         worst, 1e-6, note="relative gap of S(f*, a/M) vs G T*(a/M)"))
 

@@ -575,9 +575,9 @@ def test_sweep_transform_lengths(monkeypatch, parity, points, G, lengths):
 
 @pytest.mark.parametrize("parity, plans", [
     # 3000 points over [0, 50000): n = PLACE_CHUNK = 4096 and L = n on both
-    # parities, L = 2n on one; (G, R) at R = 1 (G = L, the support folded
-    # in mod G first), 2, 3 and 16 or 8, where the support spans several
-    # periods of L and its points collide mod L
+    # parities, L = 2n on one; (G, R) at R = 1 (G = L), 2, 3 and 16 or 8,
+    # where the support spans several periods of L and its points collide
+    # mod L
     ("mixed", ((4096, 1), (8192, 2), (3 * 4096, 3), (1 << 16, 16))),
     ("odd", ((8192, 1), (16384, 2), (3 * 8192, 3), (1 << 16, 8))),
     ("even", ((8192, 1), (16384, 2), (3 * 8192, 3), (1 << 16, 8)))])
@@ -601,6 +601,37 @@ def test_sweep_folds_a_support_longer_than_its_period(monkeypatch, parity, plans
         assert np.array_equal(*runs), G  # bitwise, whatever the worker count
         folded = np.pad(values, (0, -len(values) % G)).reshape(-1, G).sum(axis=0)
         assert np.abs(runs[0] - np.conj(np.fft.rfft(folded, G))).max() <= scale, G
+
+
+def _longer_than_G(case):
+    """(values, G, R) of a support longer than its grid G: every odd point
+    of [0, 3G] as in a sup of |S(f_sharp)| (R = 1), every point of [0, 5000)
+    at an odd G as in a moment W(m) (R = 1), and 3000 points of [0, G] with
+    G itself and 0 among them, as in a spectrum on a grid of N points
+    (R = 4)."""
+    rng = np.random.default_rng(12)
+    if case == "one-parity":
+        G = 1 << 13
+        values = _keep_parity(rng.normal(size=3 * G + 1), "odd")
+        return values, G, 1
+    if case == "odd-G":
+        return rng.normal(size=5000), 1001, 1
+    G = 1 << 14
+    values = _sparse(G + 1, 3000, "mixed", seed=12)
+    values[[0, G]] = [-0.75, 1.5]
+    return values, G, 4
+
+
+@pytest.mark.parametrize("case", ["one-parity", "odd-G", "grid-of-N"])
+def test_sweep_of_a_support_longer_than_G_is_that_of_its_fold(case):
+    # the sweep reduces each point mod G as it goes: bitwise the sums of
+    # the same values folded in mod G beforehand
+    values, G, R = _longer_than_G(case)
+    folded = np.pad(values, (0, -len(values) % G)).reshape(-1, G).sum(axis=0)
+    for v in (values, folded):
+        assert grid_blocks(v, G)(lambda j, *_: j.step)[0] == R
+    assert np.array_equal(grid_sums(values, G), grid_sums(folded, G))
+    assert np.array_equal(_half_circle(values, G)[0], _half_circle(folded, G)[0])
 
 
 def test_sweep_of_few_points_takes_place_chunk_transforms(monkeypatch):

@@ -366,6 +366,16 @@ def test_decomposition_identities(ctx, dec1):
     assert bohr_size_row(dec1.bohr).status == "pass"
 
 
+def test_transform_at_M_fractions_where_T_star_vanishes(ctx):
+    # as many primes = 1 as = 3 mod 4 in [sqrt(N), N]: T*(1/4) is float
+    # noise, so the gap of S(f*, 1/4) to G T*(1/4) is read against G T*(0)
+    subset = subset_full(ctx, 26_681)
+    assert np.sum(subset.members % 4 == 1) == np.sum(subset.members % 4 == 3)
+    assert abs(exp_sum_at(subset, 0.25)) <= 1e-9 * subset.size
+    row = transform_checks(decompose(ctx, subset, 3, 4, 2), 1)[0]
+    assert row.lemma == "transform-at-M-fractions"
+    assert row.status == "pass" and row.lhs <= 1e-12, row.lhs
+
 
 def test_transforms_match_direct_sums(dec1):
     # the supported dot products equal the full sums over [-N, 2N]
