@@ -115,11 +115,7 @@ class PrimeContext:
             out *= (p - 1) * p ** (e - 1)
         return out
 
-    # -- prime counting / slicing ---------------------------------------
-
-    def pi(self, x: float) -> int:
-        """Number of primes <= x."""
-        return int(np.searchsorted(self.primes, x, side="right"))
+    # -- prime slicing ------------------------------------------------
 
     def primes_below(self, z: float) -> np.ndarray:
         """Primes p < z (strict)."""

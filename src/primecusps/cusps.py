@@ -125,10 +125,9 @@ def _peak(lo: float, hi: float, best: WeightedPoint, width: float):
 
 def _refine(subset: PrimeSubset, searches: list) -> list:
     """The return values of the searches, run in lockstep: each round takes
-    the positions every live search yields through one alpha-array
-    exp_sum_at call and sends each search its moduli.  Each sum is bitwise
-    what its alpha gets alone, so every search takes the path it would
-    take by itself."""
+    the positions every live search yields through one _moduli call and
+    sends each search its moduli, each bitwise what its alpha gets alone,
+    so every search takes the path it would take by itself."""
     results = [None] * len(searches)
     live = [(i, search, None) for i, search in enumerate(searches)]
     while live:
@@ -140,9 +139,7 @@ def _refine(subset: PrimeSubset, searches: list) -> list:
                 results[i] = stop.value
         if not asked:
             break
-        values = exp_sum_at(subset, [x for *_, xs in asked for x in xs])
-        # abs of each numpy scalar, as the modulus of a lone alpha is taken
-        moduli = iter([abs(v) for v in values])
+        moduli = iter(_moduli(subset, [x for *_, xs in asked for x in xs]))
         live = [(i, search, [next(moduli) for _ in xs]) for i, search, xs in asked]
     return results
 

@@ -638,20 +638,15 @@ def grid_size(N: int, G=None) -> int:
     return G
 
 
-#: samples a spectrum's floor test takes at once, so that no worker holds
-#: the magnitudes of a whole block
-FLOOR_CHUNK = 1 << 15
-
-
 def spectrum(subset: PrimeSubset, A: float, G=None) -> SpectrumGrid:
     """The samples with |T*| >= T*(0)/A on the half circle of the grid j/G
     (grid_size(N, G)), the ones a cusp search at that A or a smaller one
     reads.  The members go to the residue sweep of grid_blocks at unit
     weight, as points of [0, N], with no dense indicator.  Each worker
-    tests its blocks against the floor FLOOR_CHUNK samples at a time, once
-    for a block and its mirror when the mirror reads the block itself, and
-    keeps copies of the samples above it; the kept samples are counted
-    against physical memory as the sweep goes.  Memory stays O(N) whatever
+    tests each block against the floor whole, once for a block and its
+    mirror when the mirror reads the block itself, and keeps copies of the
+    samples above it; the kept samples are counted against physical memory
+    a block at a time as the sweep goes.  Memory stays O(N) whatever
     G, plus the kept samples; raises CapacityError once those would not
     fit in physical memory."""
     G = grid_size(subset.N, G)
@@ -672,23 +667,16 @@ def spectrum(subset: PrimeSubset, A: float, G=None) -> SpectrumGrid:
         require_memory(56 * total, f"{total} samples above T*(0)/{A} of a grid of {G} points")
 
     def keep(j, sums, mirror):
-        index, values = [], []
-        for lo in range(0, len(sums), FLOOR_CHUNK):
-            part = sums[lo : lo + FLOOR_CHUNK]
-            at = np.flatnonzero(np.abs(part) >= floor)
-            index.append(j.start + j.step * (lo + at))
-            values.append(part[at])
-            more = len(at)
-            if mirror:
-                jm, top, sign = mirror
-                if top is not sums:
-                    part = top[lo : lo + FLOOR_CHUNK]
-                    at = np.flatnonzero(np.abs(part) >= floor)
-                # top[i] lands at mirror position len(top) - 1 - i
-                index.append(jm.start + jm.step * (len(top) - 1 - lo - at[::-1]))
-                values.append(mirrored(part[at], sign))
-                more += len(at)
-            count(more)
+        at = np.flatnonzero(np.abs(sums) >= floor)
+        index, values = [j.start + j.step * at], [sums[at]]
+        if mirror:
+            jm, top, sign = mirror
+            if top is not sums:
+                at = np.flatnonzero(np.abs(top) >= floor)
+            # top[i] lands at mirror position len(top) - 1 - i
+            index.append(jm.start + jm.step * (len(top) - 1 - at[::-1]))
+            values.append(mirrored(top[at], sign))
+        count(sum(map(len, index)))
         return index, values
 
     blocks = run(keep)

@@ -311,19 +311,26 @@ class Decomposition:
 
     @property
     def metrics(self) -> dict:
-        """The decompose report's metrics, built afresh from the stage."""
-        f, conv, vlog, flat, eps = self.f, self.conv, self.vlog, self.f_flat, self.bohr.cover.eps
+        """The decompose report's metrics, built afresh from the stage.  f
+        and f_flat vanish off the support of f * rho, which holds every
+        prime (the term b1 = b2 counts p), so the identity residual is
+        taken there alone, and max f_flat is V(z0) log N max(f * rho):
+        rounding is monotone."""
+        vlog, eps = self.vlog, self.bohr.cover.eps
+        support = np.flatnonzero(self.conv)
+        f, conv = self.f[support], self.conv[support]
+        flat = vlog * conv
         return dict(
             h1_violations=self.h1_violations,
             bohr_size=self.bohr.size,
             cover_size=len(self.bohr.cover.points),
             eps=eps,
             identity_residual=float(np.max(np.abs(flat / vlog + (f - conv) - f))),
-            f_flat_max=float(flat.max()),
+            f_flat_max=float(vlog * self.conv.max()),
             f_flat_bound=2.0 * (1.0 + eps) ** 2,
             # tail of f* beyond N, i.e. the gap between the full-support
             # transform and one truncated at N, measured at alpha = 0
-            truncation_gap_at_zero=float(self.G_val) * float(conv[2 * self.N + 1 :].sum()),
+            truncation_gap_at_zero=float(self.G_val) * float(self.conv[2 * self.N + 1 :].sum()),
             # the guaranteed regime needs log z0 of this size; hopeless, but shown
             guaranteed_log_z0=25000.0 * self.A ** 3 * math.log(2.0 * self.A) ** 2 * self.subset.K
                               - math.log(eps),
@@ -337,12 +344,12 @@ class Decomposition:
 
     def transforms(self, alpha):
         """(S(f_sharp, alpha), S(f*, alpha), T*(alpha)) from one set of
-        terms over the shared support of f and f * rho, gathered at each
-        call (every prime lies in it); at a 1-D array of alphas, the list
-        of those triples, the alphas shared out to the exp_sum workers."""
-        f, G = self.f, float(self.G_val)
-        support = np.flatnonzero((f != 0) | (self.conv != 0))
-        f, conv = f[support], self.conv[support]
+        terms over the support of f * rho, gathered at each call (every
+        prime lies in it); at a 1-D array of alphas, the list of those
+        triples, the alphas shared out to the exp_sum workers."""
+        G = float(self.G_val)
+        support = np.flatnonzero(self.conv)
+        f, conv = self.f[support], self.conv[support]
         sums = exp_sum(support - self.offset, alpha, np.stack((f - conv, conv, f)))
         sums = sums.reshape(-1, 3).tolist()
         triples = [(sharp, G * star, primes) for sharp, star, primes in sums]

@@ -38,7 +38,7 @@ from primecusps.expsums import (
 def test_subset_full(ctx):
     s = subset_full(ctx, 100_000)
     assert s.N == 100_000
-    assert s.size == ctx.pi(100_000) - ctx.pi(316)
+    assert s.size == len(ctx.primes_between(317, 100_000))
     assert int(s.members[0]) ** 2 >= 100_000
     assert s.K == pytest.approx(100_000 / (s.size * math.log(100_000)))
     ind = s.indicator()
@@ -763,6 +763,23 @@ def test_sparse_spectrum_on_a_one_block_grid(ctx):
             assert np.array_equal(grid.values, dense[keep]), (N, G, A)
 
 
+def test_sparse_spectrum_tests_long_blocks_whole(monkeypatch):
+    # about 33,700 odd primes: n = 2^16, L = 2^17 and R = 4 at G = 2^19, so
+    # every block the floor test sees holds more than 2^15 samples
+    subset = subset_full(build_context(400_000), 400_000)
+    G = 1 << 19
+    values = subset.indicator()
+    assert min(grid_blocks(values, G)(lambda j, sums, mirror: len(sums))) > 1 << 15
+    dense = grid_sums(values, G)
+    for workers in (1, 3):
+        monkeypatch.setattr(expsums, "WORKERS", workers)
+        for A in (2, 4, 16):
+            grid = spectrum(subset, A, G)
+            keep = np.flatnonzero(np.abs(dense) >= grid.floor)
+            assert np.array_equal(grid.index, keep), (workers, A)
+            assert np.array_equal(grid.values, dense[keep]), (workers, A)
+
+
 def test_sparse_spectrum_beyond_memory_is_capacity_error(ctx, monkeypatch):
     # a floor near zero keeps almost every sample; the kept ones are counted
     # against physical memory as the sweep goes
@@ -869,8 +886,9 @@ def test_local_model_full_at_zero(ctx):
     N = 100_000
     model = local_model_full(ctx, N, 7, 0.0)
     # the z0-rough count over V(z0) log N lands near pi(N)
-    assert abs(model.real - ctx.pi(N)) <= 0.15 * ctx.pi(N)
-    assert abs(model.imag) < 1e-9 * ctx.pi(N)
+    pi = len(ctx.primes_between(2, N))
+    assert abs(model.real - pi) <= 0.15 * pi
+    assert abs(model.imag) < 1e-9 * pi
 
 
 def test_local_model_full_tracks_spectrum(ctx):

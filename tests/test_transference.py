@@ -366,6 +366,25 @@ def test_decomposition_identities(ctx, dec1):
     assert bohr_size_row(dec1.bohr).status == "pass"
 
 
+def test_metrics_match_the_dense_arrays(ctx, dec1):
+    # the metrics read f * rho on its support alone; the dense f_flat over
+    # [-N, 2N] gives the same numbers bit for bit.  The odd primes of
+    # subset_full put a cusp at 1/2, so their Bohr sets hold even b only and
+    # p + b1 - b2 is odd; with the prime 2 as a member, 1/2 stays below
+    # T*(0) at A = 1, the Bohr set at M = 1 is all of [1, N] and the support
+    # takes both parities
+    N = 10_000
+    both = decompose(ctx, PrimeSubset(N, ctx.primes_between(2, N), "all primes"), 2, 1, 1)
+    assert {0, 1} <= set(((np.flatnonzero(both.conv) - both.offset) % 2).tolist())
+    for dec in (dec1, both):
+        flat = dec.vlog * dec.conv
+        metrics = dec.metrics
+        assert metrics["f_flat_max"] == float(flat.max())
+        assert metrics["identity_residual"] == float(
+            np.max(np.abs(flat / dec.vlog + (dec.f - dec.conv) - dec.f)))
+        assert np.isin(dec.subset.members + dec.N, np.flatnonzero(dec.conv)).all()
+
+
 def test_transform_at_M_fractions_where_T_star_vanishes(ctx):
     # as many primes = 1 as = 3 mod 4 in [sqrt(N), N]: T*(1/4) is float
     # noise, so the gap of S(f*, 1/4) to G T*(1/4) is read against G T*(0)
