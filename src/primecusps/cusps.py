@@ -40,6 +40,8 @@ ARC_SLACK = 4.0 * ENDPOINT_RESOLUTION
 REEVAL_TOL = 1e-6
 #: the A of each large-sieve level-set corollary row
 LEVEL_SET_A = (2, 4, 8, 16)
+#: the A of the rational-shift row, whose shifts are taken about xi = 0
+SHIFT_A = 2.0
 
 
 @dataclass(frozen=True)
@@ -349,24 +351,22 @@ def structure_check(report: CuspReport) -> CheckRow:
                     "re-evaluated |T*| at -alpha and 1/2+alpha, plus arc containment")
 
 
-def rational_shift_check(ctx: PrimeContext, subset: PrimeSubset, xi: float,
-                         q: int, A: float) -> CheckRow:
+def rational_shift_check(ctx: PrimeContext, subset: PrimeSubset, q: int) -> CheckRow:
     """For squarefree q < sqrt(N) with phi(q) <= A |T*(xi)| / T*(0), some
-    shift xi + a/q (a mod* q) must itself be an A-cusp."""
+    shift xi + a/q (a mod* q) must itself be an A-cusp.  Checked at xi = 0,
+    A = SHIFT_A, where |T*(0)| = T*(0) and the gate reads phi(q) <= A."""
     T0 = float(subset.size)
-    params = {"xi": xi, "q": q, "A": A, "subset": subset.label}
+    params = {"xi": 0.0, "q": q, "A": SHIFT_A, "subset": subset.label}
     if not ctx.is_squarefree(q):
         return na_row("cusp-rational-shift", params, "q not squarefree")
     if q * q >= subset.N:
         return na_row("cusp-rational-shift", params, "q >= sqrt(N)")
-    shifts = [(xi + a / q) % 1.0 for a in range(q) if math.gcd(a, q) == 1]
-    Txi, *shifted = _moduli(subset, [xi % 1.0] + shifts)
-    if Txi == 0.0 or ctx.euler_phi(q) > A * Txi / T0:
+    if ctx.euler_phi(q) > SHIFT_A:
         return na_row("cusp-rational-shift", params,
                       "phi(q) above the A |T*(xi)|/T*(0) gate")
-    best = max(shifted)
-    margin = (best - (T0 / A - REEVAL_TOL * T0)) / T0
-    return CheckRow("cusp-rational-shift", params, float(best), T0 / A,
+    best = max(_moduli(subset, [a / q for a in range(q) if math.gcd(a, q) == 1]))
+    margin = (best - (T0 / SHIFT_A - REEVAL_TOL * T0)) / T0
+    return CheckRow("cusp-rational-shift", params, float(best), T0 / SHIFT_A,
                     float(margin), "pass" if margin >= 0 else "fail",
                     "max over a mod* q of |T*(xi + a/q)| vs T*(0)/A")
 

@@ -147,8 +147,8 @@ def suite_cusps(ctx: PrimeContext) -> list[CheckRow]:
                 if A == 4:
                     rows.append(cu.farey_census_report(rep))
     full = ex.subset_full(ctx, 10_000)
-    rows.append(cu.rational_shift_check(ctx, full, 0.0, 3, 2.0))
-    rows.append(cu.rational_shift_check(ctx, full, 0.0, 4, 2.0))
+    rows.append(cu.rational_shift_check(ctx, full, 3))
+    rows.append(cu.rational_shift_check(ctx, full, 4))
     return rows
 
 

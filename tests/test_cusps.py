@@ -178,11 +178,17 @@ def test_arc_membership_matches_linear_scan(cusp_grid):
 
 def test_rational_shift(ctx):
     subset = subset_full(ctx, 10_000)
-    row = rational_shift_check(ctx, subset, 0.0, 3, 2.0)
+    row = rational_shift_check(ctx, subset, 3)
+    assert row.params == {"xi": 0.0, "q": 3, "A": 2.0, "subset": "full"}
+    assert row.lhs == pytest.approx(602.0099666949058, rel=1e-12)
+    assert row.rhs == 602.0 == subset.size / 2
+    assert row.margin == pytest.approx(9.277985802147964e-06, abs=1e-12)
     assert row.status == "pass"
-    row4 = rational_shift_check(ctx, subset, 0.0, 4, 2.0)
+    assert row.note == "max over a mod* q of |T*(xi + a/q)| vs T*(0)/A"
+    row4 = rational_shift_check(ctx, subset, 4)
+    assert row4.params == {"xi": 0.0, "q": 4, "A": 2.0, "subset": "full"}
     assert row4.status == "not-applicable"
-    assert "squarefree" in row4.note
+    assert row4.note == "q not squarefree"
 
 
 def test_companions(ctx):
