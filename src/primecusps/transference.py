@@ -8,8 +8,10 @@ is small at every covered cusp.  Each stage holds the stage it was built
 from and only what it computes itself: a Cover its CuspReport, a BohrSet
 its Cover, and a Decomposition its BohrSet and f * rho, on the full
 convolution support [-N, 2N].  rho = 1_B * 1_{-B} / |B|^2 is never formed:
-|B|^2 (f * rho) is one inverse FFT of F(f) |F(1_B)|^2, rounded to the
-integer counts of p + b1 - b2.  f, f_flat and f_sharp are derived on every
+every Bohr element is a multiple of M, so p + b1 - b2 = p (mod M), and
+|B|^2 (f * rho) is one short inverse FFT of F(1_{P_r}) |F(1_{B/M})|^2 per
+residue class r mod M that holds primes, at a length near 3N/M, rounded to
+the integer counts of p + b1 - b2.  f, f_flat and f_sharp are derived on every
 read, and N, A, eps and Nprime are read through the chain.  The transform
 identities are re-verified numerically rather than assumed.  Every
 off-grid sum here, the transforms of f_sharp and f* with T* beside them
@@ -230,31 +232,52 @@ def _triple_counts(bohr: BohrSet) -> np.ndarray:
     """counts[ell + N] = #{(p, b1, b2) : p + b1 - b2 = ell} for ell in
     [-N, 2N], p in the subset and b1, b2 in the Bohr set: |B|^2 (f * rho).
 
-    With the primes placed at p + N, the counts are the first 3N + 1
-    entries of the inverse real FFT of F(1_P*) |F(1_B)|^2 at a length
-    L > 3N, so nothing aliases, rounded to the integers they must equal.
+    Every element is a multiple of M, so p + b1 - b2 = p (mod M), and the
+    counts split into one convolution per residue class r mod M that holds
+    primes.  With K = N // M, p = r + M t and b = M c, the class's t are
+    placed at t + K, and its counts at ell = r + M (j - K) are entry j of
+    the inverse real FFT of F(1_t) |F(1_{B/M})|^2 at a length L > 3K + 1,
+    so nothing aliases.  |F(1_{B/M})|^2 is built once; each class takes
+    one rfft and one irfft, is rounded to the integers it must equal and
+    written into the dense array, which stays 0.0 on the empty classes.
     Raises CapacityError first when its arrays would not fit in physical
-    memory, and ArithmeticError when a rounding gap exceeds 1e-5."""
-    subset = bohr.cover.report.subset
+    memory, ValueError when M does not divide every element, and
+    ArithmeticError when a class's rounding gap exceeds 1e-5."""
+    subset, M = bohr.cover.report.subset, bohr.M
     N = subset.N
-    L = 1 << (3 * N + 2).bit_length()
-    # the most held at once: the half spectrum beside the real output, or
-    # beside |F(1_B)|^2 and the 2N + 1 shifted primes
+    K = N // M
+    L = 1 << (3 * K + 1).bit_length()
     half = 16 * (L // 2 + 1)
-    require_memory(half + max(8 * L, half // 2 + 8 * (2 * N + 1)),
-                   f"a convolution of length {L}")
-    power = np.abs(np.fft.rfft(np.bincount(bohr.elements, minlength=N + 1), L))
-    spec = np.fft.rfft(np.pad(subset.indicator(), (N, 0)), L)
-    spec *= np.square(power, out=power)
-    del power
-    counts = np.fft.irfft(spec, L)[: 3 * N + 1]
-    del spec
-    rounded = np.rint(counts)
-    gap = np.abs(np.subtract(counts, rounded, out=counts), out=counts).max()
-    if gap > 1e-5:
-        raise ArithmeticError(f"convolution failed to resolve to integers (gap {gap:.3g})")
-    rounded += 0.0  # -0.0 + 0.0 = 0.0: no count is a negative zero
-    return rounded
+    # the most held at once: the dense counts, |F(1_{B/M})|^2, the primes'
+    # quotients, classes and class order, and one class's half spectrum
+    # beside its real input or output
+    require_memory(8 * (3 * N + 1) + half // 2 + 32 * subset.size + half + 8 * L,
+                   f"convolutions of length {L}, one per class mod {M}")
+    if (bohr.elements % M).any():
+        raise ValueError(f"a Bohr element is not a multiple of M={M}")
+    power = np.abs(np.fft.rfft(np.bincount(bohr.elements // M, minlength=K + 1), L))
+    np.square(power, out=power)
+    t, r = np.divmod(subset.members, M)
+    sizes = np.bincount(r, minlength=M)
+    by_class = np.split(t[np.argsort(r, kind="stable")], np.cumsum(sizes)[:-1])
+    counts = np.zeros(3 * N + 1)
+    for cls in np.flatnonzero(sizes).tolist():
+        placed = np.zeros(2 * K + 1)
+        placed[by_class[cls] + K] = 1.0
+        spec = np.fft.rfft(placed, L)
+        del placed
+        spec *= power
+        out = np.fft.irfft(spec, L)
+        del spec
+        dense = counts[cls + N % M :: M]
+        got = out[: len(dense)]
+        np.rint(got, out=dense)
+        gap = np.abs(np.subtract(got, dense, out=got), out=got).max()
+        if gap > 1e-5:
+            raise ArithmeticError(f"convolution failed to resolve to integers "
+                                  f"(class {cls} mod {M}, gap {gap:.3g})")
+    counts += 0.0  # -0.0 + 0.0 = 0.0: no count is a negative zero
+    return counts
 
 
 # -- the decomposition ------------------------------------------------------
@@ -384,7 +407,8 @@ def decompose(ctx: PrimeContext, subset: PrimeSubset, z0, M: int, A: float,
     G = g_sifted(ctx, 1, z, z0)
     V = ctx.mertens_product(z0)
 
-    conv = _triple_counts(bohr) / float(bohr.size) ** 2
+    conv = _triple_counts(bohr)
+    conv /= float(bohr.size) ** 2
     return Decomposition(bohr, float(z), G, V, conv, check_h1(ctx, M, z0))
 
 

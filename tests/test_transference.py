@@ -35,11 +35,12 @@ from primecusps.transference import (
 )
 
 
-def _cover(N, eps, points):
+def _cover(N, eps, points, members=None):
     """A cover of the given points at Bohr radius eps (A = 1/(240 eps)),
-    over a stub report of a hand-made one-member subset of [0, N], that
-    sampled no intervals."""
-    report = CuspReport(PrimeSubset(N, np.array([N]), "stub"), 1.0 / (240.0 * eps), (), ())
+    over a stub report of a hand-made subset of [0, N], {N} unless members
+    are given, that sampled no intervals."""
+    members = np.array([N]) if members is None else members
+    report = CuspReport(PrimeSubset(N, members, "stub"), 1.0 / (240.0 * eps), (), ())
     return Cover(report, points, np.empty(0, dtype=np.int64),
                  np.empty((0, INTERVAL_SAMPLES)))
 
@@ -292,17 +293,54 @@ def test_bohr_sum_identity(dec1, difference_counts):
         assert abs(s_rho - abs(exp_sum(dec1.bohr.elements, alpha)) ** 2 / B ** 2) < 1e-6
 
 
-def test_triple_counts_are_exact(dec1, difference_counts):
+def _reference_counts(subset, elements):
+    """#{(p, b1, b2) : p + b1 - b2 = ell} at ell + N, ell in [-N, 2N], exact
+    int64 by direct summation."""
+    f = np.zeros(subset.N + 1, dtype=np.int64)
+    f[subset.members] = 1
+    ind = np.zeros(subset.N + 1, dtype=np.int64)
+    ind[elements] = 1
+    return np.convolve(f, np.convolve(ind, ind[::-1]))
+
+
+def test_triple_counts_are_exact(dec1):
     # |B|^2 (f * rho)(ell) = #{(p, b1, b2) : p + b1 - b2 = ell}, in integers
     N, B = dec1.N, dec1.bohr.size
-    f = np.zeros(N + 1, dtype=np.int64)
-    f[dec1.subset.members] = 1
-    reference = np.convolve(f, difference_counts)
+    reference = _reference_counts(dec1.subset, dec1.bohr.elements)
     assert reference.shape == (3 * N + 1,)
     assert dec1.conv.tobytes() == (reference / float(B) ** 2).tobytes()
     assert reference.sum() == dec1.subset.size * B ** 2
     ell = np.arange(3 * N + 1) - N
     assert not reference[np.gcd(ell, dec1.M) > 1].any()
+
+
+@pytest.mark.parametrize("z0, M, bohr_size, classes", [(7, 30, 2, 8), (5, 6, 11, 2)],
+                         ids=["M=30", "M=6"])
+def test_triple_counts_are_exact_over_classes(ctx, z0, M, bohr_size, classes):
+    # several classes of primes mod M, each its own convolution, against the
+    # direct count; the empty classes stay 0.0
+    dec = decompose(ctx, subset_full(ctx, 20_000), z0, M, 2)
+    assert dec.bohr.size == bohr_size
+    assert len(np.unique(dec.subset.members % M)) == classes
+    reference = _reference_counts(dec.subset, dec.bohr.elements)
+    assert dec.conv.tobytes() == (reference / float(bohr_size) ** 2).tobytes()
+
+
+@pytest.mark.parametrize("N", [100, 102, 131])
+def test_triple_counts_with_empty_classes(N):
+    # stub members in the classes 1, 3, 4 and 5 mod 6, none in 0 and 2; at
+    # N = 100 the dense array starts its classes at N mod M = 4, not 0, and
+    # at N = 131 class 1 takes 3K + 2 = 65 dense entries while 3K + 1 = 64
+    # is a power of two, so the length must exceed 3K + 1
+    cover = _cover(N, 0.1, (0.0,), np.array([3, 7, 13, 19, 29, 53, 83, 97, 100]))
+    elements = np.array([6, 18, 24, 60, 96], dtype=np.int64)
+    counts = _triple_counts(BohrSet(cover, 6, elements))
+    reference = _reference_counts(cover.report.subset, elements)
+    assert counts.tobytes() == reference.astype(float).tobytes()
+    ell = np.arange(3 * N + 1) - N
+    assert reference[ell % 6 == 1].any() and not reference[ell % 6 == 2].any()
+    with pytest.raises(ValueError, match="multiple of M=6"):
+        _triple_counts(BohrSet(cover, 6, np.array([6, 9], dtype=np.int64)))
 
 
 def test_triple_counts_recounted_without_ffts(dec1):
