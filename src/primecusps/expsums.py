@@ -21,25 +21,28 @@ local model go through exp_sum too.  exp_sums_on_progression evaluates
 T*((2k + 1)/Q) at any ascending k from Taylor moments about the midpoint
 of each piece of consecutive samples, the moments of every piece from one
 weighted exp_sum call, so transference evaluates a whole cover in one
-call, and grid_blocks every j/G.  Real weights make the sum at
--alpha the conjugate of the sum at alpha, so grid_blocks covers only the
-half circle 0 <= j <= G/2, on one path: it sweeps G = R L by the
+call, and grid_blocks every j/G.  grid_blocks(points, weights, length, G)
+takes real weights at ascending integer points of [0, length), which
+make the sum at -alpha the conjugate of the sum at alpha, so it covers
+only the half circle 0 <= j <= G/2, on one path: it sweeps G = R L by the
 residues r <= R/2 of j mod R, one real FFT of length L for r = 0 on the
 calling thread and one complex FFT of length n for each other r, the
-support folded in mod L.  n is the power of two at or above the support's
-point count, at least PLACE_CHUNK and at most what its span needs; L = 2n
-when every point of the support has one parity, as the primes of every
-prime subset do, L = n otherwise, and L = G (R = 1) when that does not
-divide G.  The residues r >= 1 are cut into one contiguous piece per
-worker thread, each with one buffer it transforms in place, so memory
-stays O(n) a worker and no sum depends on the thread count; exp_sum and
-the sweep start and join their threads through one helper, _on_workers.
-A consumer reduces each block on the worker's thread, reading the block
-of residue R - r from the same buffer as mirrored(top, sign): grid_sums
-writes the dense half circle (the spectrum command and l1_estimate),
-spectrum(subset, A, G) keeps a SpectrumGrid of only the samples with
-|T*| >= T*(0)/A, swept from the members with no dense indicator, and
-transference.sharp_sup_report a maximum.  grid_size gives the default 32N grid or checks a given one.
+points folded in mod L.  n is the power of two at or above the point
+count, at least PLACE_CHUNK and at most what length needs; L = 2n when
+every point has one parity, as the primes of every prime subset do,
+L = n otherwise, and L = G (R = 1) when that does not divide G.  The
+residues r >= 1 are cut into one contiguous piece per worker thread,
+each with one buffer it transforms in place, so memory stays O(n) a
+worker and no sum depends on the thread count; exp_sum and the sweep
+start and join their threads through one helper, _on_workers.  A
+consumer reduces each block on the worker's thread, reading the block of
+residue R - r from the same buffer as mirrored(top, sign): grid_sums
+writes the dense half circle of a dense array of values (the spectrum
+command and the moments of cusps), spectrum(subset, A, G) keeps a
+SpectrumGrid of only the samples with |T*| >= T*(0)/A, swept from the
+members at unit weight, and transference.sharp_sup_report a maximum,
+swept from f_sharp on the support of f * rho.  grid_size gives the
+default 32N grid or checks a given one.
 The local model replaces the primes by z0-rough integers weighted by
 1/(V(z0) log N).  fejer_interval_polynomial builds a trigonometric
 polynomial for an interval indicator; only acceptance criterion 10 checks
@@ -358,36 +361,71 @@ def _phases(m: np.ndarray, Q: int) -> np.ndarray:
     return np.exp(TWO_PI * 1j * (m / Q))
 
 
-def _sweep(support: np.ndarray, weights, length: int, G: int):
-    """The residue sweep of grid_blocks over the weights (an array over the
-    support, or one weight for every point) at the ascending support points
-    of [0, length), checked and planned: returns run(consume), which sweeps
-    and returns consume's results in residue order (see grid_blocks).
+def grid_blocks(points: np.ndarray, weights, length: int, G: int):
+    """sum_s w_s e(s j/G) for 0 <= j <= G/2 over the ascending integer
+    points s of [0, length), each with its real weight w_s (an array over
+    the points, or one weight for every point), in blocks handed to a
+    consumer.
 
-    The transform length n is the smallest power of two at or above
-    max(|support|, PLACE_CHUNK), capped at the span's own, span/2 on one
-    parity: the count sets the memory, and the floor keeps a few points
-    from taking G/4 residues.  A worker holds 48 n bytes; the twist and
-    two twiddle tables of about sqrt(G) entries each are shared."""
+    Checks and plans the sweep and returns run(consume).  run calls
+    consume(j, sums, mirror) once per swept residue and returns the list of
+    its results in residue order: j is a slice of half-circle indices with
+    an explicit step and sums holds the sums at them, so sums[i] belongs to
+    j.start + j.step i.  mirror is None or the block of a second residue as
+    (j, top, sign), its sums mirrored(top, sign) = sign conj(top[::-1]),
+    never materialised; top may be sums itself.  The blocks cover every
+    0 <= j <= G/2 once.  sums and top are views of a worker's buffer, valid
+    only during the call, and consume runs on the worker's thread, so it
+    reduces them there and returns something small.  The weights are real,
+    so the sum at j > G/2 is the conjugate of the one at G - j.
+
+    The grid G = R L is swept by residue (the four-step FFT): for
+    j = r + R k, the sum is sum_s [w_s e(s r/G)] e(s k/L), one FFT per
+    residue of the twisted weights added up at s mod L, with s r reduced
+    mod G exactly in int64 and e(m/G) read as e(m_hi 2^b/G) e(m_lo/G) from
+    two tables at exact phases, 2^b about sqrt(G).  The transform length n
+    is the smallest power of two at or above max(#points, PLACE_CHUNK): the
+    count sets the memory, and the floor keeps a few points from taking
+    G/4 residues.  n is capped at the power of two at or above length
+    (>= 2), or at half of it when every point has one parity c and it is
+    at least 4; then L = 2n and s = 2t + c halves it: the FFT has length n
+    over the weights added up at t mod n, times e(ck/L), and its top half
+    k >= n is (-1)^c times its bottom half.  Otherwise L = n.  L = G (R = 1) when L does not
+    divide G.  Points spanning more than L, G included, are folded as they
+    are swept: points that share a slot add up, a stretch within one
+    period of L at a time, whose slots are distinct.  Residue 0 is one real
+    FFT of length L of the weights added up mod L, on the calling thread;
+    residue R - r is the mirror of the top half of residue r, so only
+    r <= R/2 is transformed.  Residues 1..R/2 are cut into one contiguous
+    piece per worker (at most WORKERS, and no more than physical memory
+    holds at 48 n bytes each, beside the shared twist and twiddle tables),
+    and each worker transforms its residues in place in one buffer of its
+    own, allocated once a sweep, so memory stays O(n) a worker whatever G,
+    and every sum is bitwise the same whatever the thread count.  Raises
+    ValueError for complex weights and for G < 1, and CapacityError, before
+    any work, past SWEEP_BUDGET points or when not even one worker would
+    fit in physical memory."""
+    if np.iscomplexobj(weights):
+        raise ValueError("grid sums take real weights")
     if G < 1:
         raise ValueError(f"grid size {G} must be >= 1")
     if G > SWEEP_BUDGET:
         raise CapacityError(f"a grid of {G} points is above the sweep budget "
                             f"of {SWEEP_BUDGET} points")
-    weights = np.broadcast_to(weights, support.shape)
+    weights = np.broadcast_to(weights, points.shape)
     # s r stays in int64 for 0 <= s < length and r <= R/2: either L >= span
     # > s and s r < G/2, or n >= PLACE_CHUNK, so r <= G/2^13 <= 2^19 within
     # the budget and s r < length 2^19 < 2^63 for any length below 2^44.
-    # e(s r/G) depends only on s mod G, so a support longer than G needs no
-    # fold of its own.  When every s has one parity c, s = 2t + c
+    # e(s r/G) depends only on s mod G, so points spanning more than G need no
+    # fold of their own.  When every s has one parity c, s = 2t + c
     # and sum_s u_s e(sk/L) = e(ck/L) sum_s u_s e(tk/(L/2)): the bottom half
     # is a length-L/2 FFT of the weights at t mod L/2 times e(ck/L), the top
     # half (-1)^c times it
     span = 1 << max(1, (length - 1).bit_length())
-    parity = support & 1
-    h = int(span >= 4 and len(support) > 0 and bool((parity == parity[0]).all()))
+    parity = points & 1
+    h = int(span >= 4 and len(points) > 0 and bool((parity == parity[0]).all()))
     c = int(parity[0]) if h else 0
-    n = min(span >> h, 1 << (max(len(support), PLACE_CHUNK) - 1).bit_length())
+    n = min(span >> h, 1 << (max(len(points), PLACE_CHUNK) - 1).bit_length())
     L = n << h
     if G % L:
         L = G
@@ -410,15 +448,15 @@ def _sweep(support: np.ndarray, weights, length: int, G: int):
 
     def run(consume):
         # e(sk/L) depends only on s mod L: points that share s mod L add up
-        sums = np.fft.rfft(np.bincount(support % L, weights, minlength=L))
+        sums = np.fft.rfft(np.bincount(points % L, weights, minlength=L))
         # the FFT carries e(-sk/L)
         done = [consume(slice(0, half, R), np.conj(sums, out=sums), None)]
         del sums
-        slots = (support >> h) % n
-        # a stretch of support points within one period [a L, (a + 1) L),
+        slots = (points >> h) % n
+        # a stretch of points within one period [a L, (a + 1) L),
         # at most PLACE_CHUNK of them, lands on distinct slots
-        bounds = np.union1d(np.searchsorted(support, np.arange(L, length, L)),
-                            np.r_[0 : len(support) : PLACE_CHUNK, len(support)]).tolist()
+        bounds = np.union1d(np.searchsorted(points, np.arange(L, length, L)),
+                            np.r_[0 : len(points) : PLACE_CHUNK, len(points)]).tolist()
         stretches = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
         # e(m/G) = e(m_hi 2^b/G) e(m_lo/G), each table at exact phases
         low = _phases(np.arange(1 << b), G)
@@ -441,7 +479,7 @@ def _sweep(support: np.ndarray, weights, length: int, G: int):
             for r in range(*piece):
                 buf.fill(0.0)
                 for at in stretches:
-                    m = support[at] * r % G
+                    m = points[at] * r % G
                     terms = high[m >> b]
                     terms *= low[m & lo_mask]
                     terms *= weights[at]
@@ -468,54 +506,6 @@ def mirrored(top: np.ndarray, sign: int, out: np.ndarray = None) -> np.ndarray:
     return out
 
 
-def grid_blocks(values: np.ndarray, G: int):
-    """sum_i values[i] e(i j/G) for 0 <= j <= G/2, in blocks handed to a
-    consumer.
-
-    Checks its input and returns run(consume).  run calls
-    consume(j, sums, mirror) once per swept residue and returns the list of
-    its results in residue order: j is a slice of half-circle indices with
-    an explicit step and sums holds the sums at them, so sums[i] belongs to
-    j.start + j.step i.  mirror is None or the block of a second residue as
-    (j, top, sign), its sums mirrored(top, sign) = sign conj(top[::-1]),
-    never materialised; top may be sums itself.  The blocks cover every
-    0 <= j <= G/2 once.  sums and top are views of a worker's buffer, valid
-    only during the call, and consume runs on the worker's thread, so it
-    reduces them there and returns something small.  The weights are real,
-    so the sum at j > G/2 is the conjugate of the one at G - j.
-
-    The grid G = R L is swept by residue (the four-step FFT): for
-    j = r + R k, the sum is sum_i [values[i] e(i r/G)] e(i k/L), one FFT
-    per residue of the twisted weights added up at i mod L, with i r
-    reduced mod G exactly in int64 and e(m/G) read as e(m_hi 2^b/G)
-    e(m_lo/G) from two tables at exact phases, 2^b about sqrt(G).  The
-    transform length n is the smallest power of two at or above the
-    support's point count and PLACE_CHUNK, at most the power of two at or
-    above the support's span (>= 2).  When every support point i has one
-    parity c and the span is at least 4, L = 2n and i = 2t + c halves it:
-    the FFT has length n over the weights added up at t mod n, times
-    e(ck/L), and its top half k >= n is (-1)^c times its bottom half;
-    otherwise L = n.  L = G (R = 1) when L does not divide G.  A support
-    spanning more than L, G included, is folded as it is swept: points that
-    share a slot add up, a stretch within one period of L at a time, whose
-    slots are distinct.
-    Residue 0 is one real FFT of length L of the weights added up mod L,
-    on the calling thread; residue R - r is the mirror of the top half of
-    residue r, so only r <= R/2 is transformed.
-    Residues 1..R/2 are cut into one contiguous piece per worker (at most
-    WORKERS, and no more than physical memory holds at 48 n bytes each,
-    beside the shared twist and twiddle tables), and each worker
-    transforms its residues in place in one buffer of its own, allocated
-    once a sweep, so memory stays O(n) a worker whatever G, and every sum
-    is bitwise the same whatever the thread count.  Raises ValueError for
-    complex weights, and CapacityError, before any work, past SWEEP_BUDGET
-    points or when not even one worker would fit in physical memory."""
-    if np.iscomplexobj(values):
-        raise ValueError("grid sums take real weights")
-    support = np.flatnonzero(values)
-    return _sweep(support, values[support], len(values), G)
-
-
 def grid_sums(values: np.ndarray, G: int) -> np.ndarray:
     """The dense half circle of grid_blocks: sum_i values[i] e(i j/G) at
     every 0 <= j <= G/2, each block and mirror written into its own
@@ -523,7 +513,9 @@ def grid_sums(values: np.ndarray, G: int) -> np.ndarray:
     allocated, when the G//2 + 1 outputs would not fit in physical
     memory."""
     require_memory(16 * (G // 2 + 1), f"a grid of {G} points")
-    run = grid_blocks(values, G)  # checks its input before out exists
+    points = np.flatnonzero(values)
+    # grid_blocks checks its input before out exists
+    run = grid_blocks(points, values[points], len(values), G)
     out = np.empty(G // 2 + 1, dtype=complex)
 
     def write(j, sums, mirror):
@@ -653,7 +645,7 @@ def spectrum(subset: PrimeSubset, A: float, G=None) -> SpectrumGrid:
     if not 1 <= A < math.inf:
         raise ValueError(f"A={A} must be finite and >= 1")
     floor = float(subset.size) / A
-    run = _sweep(subset.members, 1.0, subset.N + 1, G)
+    run = grid_blocks(subset.members, 1.0, subset.N + 1, G)
     lock = threading.Lock()
     kept = 0
 

@@ -6,17 +6,18 @@ of the prime indicator, where f_flat = V(z0) log N (f * rho) is sieve-dense
 and non-negative and S(f_sharp, alpha) = T*(alpha) (1 - |S_M(alpha)/|B||^2)
 is small at every covered cusp.  Each stage holds the stage it was built
 from and only what it computes itself: a Cover its CuspReport, a BohrSet
-its Cover, and a Decomposition its BohrSet and f * rho, on the full
-convolution support [-N, 2N].  rho = 1_B * 1_{-B} / |B|^2 is never formed:
+its Cover, and a Decomposition its BohrSet and f * rho on its support
+ell in [-N, 2N], which holds every prime (the term b1 = b2 counts p) and
+about 9 % of [-N, 2N].  rho = 1_B * 1_{-B} / |B|^2 is never formed:
 every Bohr element is a multiple of M, so p + b1 - b2 = p (mod M), and
 |B|^2 (f * rho) is one short inverse FFT of F(1_{P_r}) |F(1_{B/M})|^2 per
 residue class r mod M that holds primes, at a length near 3N/M, rounded to
-the integer counts of p + b1 - b2.  f, f_flat and f_sharp are derived on every
-read, and N, A, eps and Nprime are read through the chain.  The transform
-identities are re-verified numerically rather than assumed.  Every
-off-grid sum here, the transforms of f_sharp and f* with T* beside them
-(their terms gathered from f and f * rho at each call), the Bohr sums S_M
-and the moments behind the cover's samples, is one
+the integer counts of p + b1 - b2.  f, f_flat and f_sharp vanish off ell
+and are derived on it at every read, and N, A, eps and Nprime are read
+through the chain.  The transform identities are re-verified numerically
+rather than assumed.  Every off-grid sum here, the transforms of f_sharp
+and f* with T* beside them, the Bohr sums S_M and the moments behind the
+cover's samples, is one
 expsums.exp_sum or exp_sum_at call over an array of alphas, shared out to
 the workers; the measured supremum is a grid_blocks sweep, the cover's
 samples are one exp_sums_on_progression call at T*((2k + 1)/Q), and its
@@ -240,7 +241,8 @@ def _triple_counts(bohr: BohrSet) -> np.ndarray:
     so nothing aliases.  |F(1_{B/M})|^2 is built once; each class takes
     one rfft and one irfft, is rounded to the integers it must equal and
     written into the dense array, which stays 0.0 on the empty classes.
-    Raises CapacityError first when its arrays would not fit in physical
+    Raises CapacityError first when its arrays, or the support and f * rho
+    on it that decompose gathers beside them, would not fit in physical
     memory, ValueError when M does not divide every element, and
     ArithmeticError when a class's rounding gap exceeds 1e-5."""
     subset, M = bohr.cover.report.subset, bohr.M
@@ -250,8 +252,9 @@ def _triple_counts(bohr: BohrSet) -> np.ndarray:
     half = 16 * (L // 2 + 1)
     # the most held at once: the dense counts, |F(1_{B/M})|^2, the primes'
     # quotients, classes and class order, and one class's half spectrum
-    # beside its real input or output
-    require_memory(8 * (3 * N + 1) + half // 2 + 32 * subset.size + half + 8 * L,
+    # beside its real input or output; and decompose's ell and f * rho, 16
+    # bytes a point of at most 3N + 1, beside the counts
+    require_memory(24 * (3 * N + 1) + half // 2 + 32 * subset.size + half + 8 * L,
                    f"convolutions of length {L}, one per class mod {M}")
     if (bohr.elements % M).any():
         raise ValueError(f"a Bohr element is not a multiple of M={M}")
@@ -289,7 +292,8 @@ class Decomposition:
     z: float
     G_val: Fraction
     V_val: Fraction
-    conv: np.ndarray = field(repr=False)       # (f * rho) at ell + N, so f* = G conv
+    ell: np.ndarray = field(repr=False)        # ascending, where f * rho > 0 in [-N, 2N]
+    conv: np.ndarray = field(repr=False)       # (f * rho) on ell, so f* = G conv
     h1_violations: list[str]
 
     @property
@@ -298,11 +302,6 @@ class Decomposition:
 
     @property
     def N(self) -> int:
-        return self.subset.N
-
-    @property
-    def offset(self) -> int:
-        """The index of ell = 0 in f, conv and the arrays made from them."""
         return self.subset.N
 
     @property
@@ -315,8 +314,10 @@ class Decomposition:
 
     @property
     def f(self) -> np.ndarray:
-        """The prime indicator at ell + N, a new array at every read."""
-        return np.pad(self.subset.indicator(), self.N)
+        """The prime indicator on ell, a new array at every read."""
+        f = np.zeros(len(self.ell))
+        f[np.searchsorted(self.ell, self.subset.members)] = 1.0
+        return f
 
     @property
     def vlog(self) -> float:
@@ -324,24 +325,22 @@ class Decomposition:
 
     @property
     def f_flat(self) -> np.ndarray:
-        """V(z0) log N (f * rho), a new array at every read."""
+        """V(z0) log N (f * rho) on ell, a new array at every read."""
         return self.vlog * self.conv
 
     @property
     def f_sharp(self) -> np.ndarray:
-        """f - (f * rho), a new array at every read."""
+        """f - (f * rho) on ell, a new array at every read."""
         return self.f - self.conv
 
     @property
     def metrics(self) -> dict:
         """The decompose report's metrics, built afresh from the stage.  f
-        and f_flat vanish off the support of f * rho, which holds every
-        prime (the term b1 = b2 counts p), so the identity residual is
-        taken there alone, and max f_flat is V(z0) log N max(f * rho):
-        rounding is monotone."""
+        and f_flat vanish off ell, so the identity residual is taken there
+        alone, and max f_flat is V(z0) log N max(f * rho): rounding is
+        monotone."""
         vlog, eps = self.vlog, self.bohr.cover.eps
-        support = np.flatnonzero(self.conv)
-        f, conv = self.f[support], self.conv[support]
+        f, conv = self.f, self.conv
         flat = vlog * conv
         return dict(
             h1_violations=self.h1_violations,
@@ -349,16 +348,17 @@ class Decomposition:
             cover_size=len(self.bohr.cover.points),
             eps=eps,
             identity_residual=float(np.max(np.abs(flat / vlog + (f - conv) - f))),
-            f_flat_max=float(vlog * self.conv.max()),
+            f_flat_max=float(vlog * conv.max()),
             f_flat_bound=2.0 * (1.0 + eps) ** 2,
             # tail of f* beyond N, i.e. the gap between the full-support
             # transform and one truncated at N, measured at alpha = 0
-            truncation_gap_at_zero=float(self.G_val) * float(self.conv[2 * self.N + 1 :].sum()),
+            truncation_gap_at_zero=float(self.G_val) * float(conv[self.ell > self.N].sum()),
             # the guaranteed regime needs log z0 of this size; hopeless, but shown
             guaranteed_log_z0=25000.0 * self.A ** 3 * math.log(2.0 * self.A) ** 2 * self.subset.K
                               - math.log(eps),
         )
 
+    # perfbench/tracer.py wraps these two by name, so they stay methods
     def transform_sharp(self, alpha: float) -> complex:
         return self.transforms(alpha)[0]
 
@@ -367,13 +367,12 @@ class Decomposition:
 
     def transforms(self, alpha):
         """(S(f_sharp, alpha), S(f*, alpha), T*(alpha)) from one set of
-        terms over the support of f * rho, gathered at each call (every
-        prime lies in it); at a 1-D array of alphas, the list of those
-        triples, the alphas shared out to the exp_sum workers."""
+        terms at ell (every prime lies in it); at a 1-D array of alphas,
+        the list of those triples, the alphas shared out to the exp_sum
+        workers."""
         G = float(self.G_val)
-        support = np.flatnonzero(self.conv)
-        f, conv = self.f[support], self.conv[support]
-        sums = exp_sum(support - self.offset, alpha, np.stack((f - conv, conv, f)))
+        f, conv = self.f, self.conv
+        sums = exp_sum(self.ell, alpha, np.stack((f - conv, conv, f)))
         sums = sums.reshape(-1, 3).tolist()
         triples = [(sharp, G * star, primes) for sharp, star, primes in sums]
         return triples[0] if np.ndim(alpha) == 0 else triples
@@ -407,9 +406,12 @@ def decompose(ctx: PrimeContext, subset: PrimeSubset, z0, M: int, A: float,
     G = g_sifted(ctx, 1, z, z0)
     V = ctx.mertens_product(z0)
 
-    conv = _triple_counts(bohr)
+    counts = _triple_counts(bohr)
+    ell = np.flatnonzero(counts)
+    conv = counts[ell]
     conv /= float(bohr.size) ** 2
-    return Decomposition(bohr, float(z), G, V, conv, check_h1(ctx, M, z0))
+    ell -= N
+    return Decomposition(bohr, float(z), G, V, ell, conv, check_h1(ctx, M, z0))
 
 
 def transform_checks(dec: Decomposition, seed: int) -> list[CheckRow]:
@@ -457,9 +459,10 @@ def transform_checks(dec: Decomposition, seed: int) -> list[CheckRow]:
                         note="|S(f_flat, alpha)| <= |T*(alpha)| V log N"))
 
     f_flat = dec.f_flat
-    bad_support = np.flatnonzero(f_flat > FLOAT_SLACK)
-    coprime_ok = bool((np.gcd(bad_support - dec.offset, dec.M) == 1).all())
-    nonneg = float(f_flat.min())
+    coprime_ok = bool((np.gcd(dec.ell[f_flat > FLOAT_SLACK], dec.M) == 1).all())
+    # f_flat vanishes off ell, and ell never holds -N (p + b1 - b2 > -N), so
+    # f_flat is 0.0 at -N and its minimum over [-N, 2N] is at most 0.0
+    nonneg = min(0.0, float(f_flat.min()))
     ok = coprime_ok and nonneg >= -FLOAT_SLACK
     rows.append(CheckRow("flat-support", {"M": dec.M}, None, None, nonneg,
                          "pass" if ok else "fail",
@@ -472,16 +475,18 @@ def sharp_sup_report(dec: Decomposition, grid_size: int = 1 << 20) -> dict:
     reported against 1/A (the regime where 1/A is guaranteed needs an
     astronomically large z0, so this is a record, not an assertion).  The
     grid is swept block by block, and each residue's maximum is taken on
-    its worker, so only one number a residue is kept.  f_sharp is swept as
-    it is indexed, from ell = -N: the shift turns each sum by a unit
-    factor, which leaves |S| as it is."""
+    its worker, so only one number a residue is kept.  The sweep takes
+    f_sharp where it is nonzero, at ell + N in [0, 3N]: the shift turns
+    each sum by a unit factor, which leaves |S| as it is."""
     def peak(j, sums, mirror):
         top = float(np.abs(sums).max())
         if mirror and mirror[1] is not sums:  # else the same magnitudes
             top = max(top, float(np.abs(mirror[1]).max()))
         return top
 
-    sup = max(grid_blocks(dec.f_sharp, grid_size)(peak))
+    sharp = dec.f_sharp
+    at = sharp != 0.0
+    sup = max(grid_blocks(dec.ell[at] + dec.N, sharp[at], 3 * dec.N + 1, grid_size)(peak))
     T0 = float(dec.subset.size)
     return {
         "sup_ratio": sup / T0,
@@ -549,10 +554,11 @@ def cover_consistency_row(cover: Cover) -> CheckRow:
 
 
 def decomposition_csv(dec: Decomposition) -> str:
-    """Rows n = 1..N of f, f_flat and f_sharp."""
-    f, flat, sharp = dec.f, dec.f_flat, dec.f_sharp
-    lines = ["n,f,f_flat,f_sharp"]
-    for n in range(1, dec.N + 1):
-        i = n + dec.offset
-        lines.append(f"{n},{f[i]:.0f},{flat[i]:.12g},{sharp[i]:.12g}")
+    """Rows n = 1..N of f, f_flat and f_sharp, 0 off ell."""
+    inside = (dec.ell >= 1) & (dec.ell <= dec.N)
+    cols = np.zeros((3, dec.N + 1))
+    cols[:, dec.ell[inside]] = np.stack((dec.f, dec.f_flat, dec.f_sharp))[:, inside]
+    f, flat, sharp = cols
+    lines = ["n,f,f_flat,f_sharp"] + [f"{n},{f[n]:.0f},{flat[n]:.12g},{sharp[n]:.12g}"
+                                      for n in range(1, dec.N + 1)]
     return "\n".join(lines) + "\n"

@@ -156,7 +156,7 @@ def test_criterion_07_transference_identities(ctx, decomposition):
     T0 = float(subset.size)
     assert dec.metrics["identity_residual"] <= 1e-9
 
-    support = np.flatnonzero(dec.f_flat) - dec.offset
+    support = dec.ell[np.flatnonzero(dec.f_flat)]
     off_support = [int(n) for n in support if math.gcd(int(n), dec.M) != 1]
     assert off_support == [], off_support[:5]
 

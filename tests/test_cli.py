@@ -205,6 +205,26 @@ def test_decompose_command(tmp_path):
     assert all(r["status"] == "pass" for r in d["checks"])
 
 
+def test_decompose_csv(ctx, tmp_path):
+    # the rows n = 1..N of the library's decomposition at the same
+    # parameters: f is the indicator of the primes in [sqrt(N), N], and
+    # f_flat/(V log N) + f_sharp gives it back on every row
+    from primecusps.expsums import subset_full
+    from primecusps.transference import decompose, decomposition_csv
+
+    out = tmp_path / "dec.csv"
+    assert run(["decompose", "--N", "10000", "--A", "2", "--format", "csv",
+                "--output", str(out)]) == 0
+    dec = decompose(ctx, subset_full(ctx, 10_000), 3, 2, 2)
+    text = out.read_text()
+    assert text == decomposition_csv(dec)
+    rows = [line.split(",") for line in text.splitlines()]
+    assert rows[0] == ["n", "f", "f_flat", "f_sharp"] and len(rows) == 10_001
+    assert [int(n) for n, f, _, _ in rows[1:] if f == "1"] == dec.subset.members.tolist()
+    for n, f, flat, sharp in rows[1:]:
+        assert float(flat) / dec.vlog + float(sharp) == pytest.approx(float(f), abs=1e-9), n
+
+
 def test_decompose_domain_error(tmp_path, capsys):
     code = run(["decompose", "--N", "10000", "--z0", "3", "--A", "4",
                 "--output", str(tmp_path / "x.json")])

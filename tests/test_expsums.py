@@ -446,10 +446,22 @@ def test_grid_sums_match_direct():
             assert abs(got - direct) <= 1e-9 * np.abs(values).sum(), (G, j)
 
 
+def _blocks(values, G):
+    """grid_blocks over the nonzero entries of the dense values, as points
+    of [0, len(values))."""
+    points = np.flatnonzero(values)
+    return grid_blocks(points, values[points], len(values), G)
+
+
 def _half_circle(values, G):
-    """The half circle of grid_blocks(values, G), gathered from copies of
-    its blocks and of their mirrors, and the number of times each j was
-    written; every block's length matches its j."""
+    """The half circle of _blocks(values, G), as _gathered reads it."""
+    return _gathered(_blocks(values, G), G)
+
+
+def _gathered(run, G):
+    """The half circle of a sweep run(consume) over a grid of G points,
+    gathered from copies of its blocks and of their mirrors, and the number
+    of times each j was written; every block's length matches its j."""
     js = np.arange(G // 2 + 1)
     seen = np.zeros(G // 2 + 1, dtype=int)
     sums = np.empty(G // 2 + 1, dtype=complex)
@@ -461,7 +473,7 @@ def _half_circle(values, G):
             blocks.append((j, mirrored(top, sign)))
         return blocks
 
-    for blocks in grid_blocks(values, G)(gather):
+    for blocks in run(gather):
         for j, block in blocks:
             assert np.array_equal(j.start + j.step * np.arange(len(block)), js[j])
             seen[j] += 1
@@ -470,7 +482,7 @@ def _half_circle(values, G):
 
 
 def _assert_sweep(values, G):
-    """grid_blocks(values, G) covers the half circle once, matches
+    """_blocks(values, G) covers the half circle once, matches
     grid_sums bitwise, and matches the one-shot rfft and the direct sum
     within 1e-9 sum |w|."""
     scale = 1e-9 * np.abs(values).sum()
@@ -569,7 +581,7 @@ def test_sweep_transform_lengths(monkeypatch, parity, points, G, lengths):
     else:
         values = _sparse(1 << 16, points, parity, seed=10)
     recorded = _recording_ifft(monkeypatch)
-    grid_blocks(values, G)(lambda *block: None)
+    _blocks(values, G)(lambda *block: None)
     assert recorded == lengths
 
 
@@ -593,7 +605,7 @@ def test_sweep_folds_a_support_longer_than_its_period(monkeypatch, parity, plans
         runs = []
         for workers in (1, 3):
             monkeypatch.setattr(expsums, "WORKERS", workers)
-            assert grid_blocks(values, G)(lambda j, *_: j.step)[0] == R
+            assert _blocks(values, G)(lambda j, *_: j.step)[0] == R
             sums, seen = _half_circle(values, G)
             assert (seen == 1).all(), (G, workers)
             assert np.array_equal(grid_sums(values, G), sums)
@@ -629,9 +641,33 @@ def test_sweep_of_a_support_longer_than_G_is_that_of_its_fold(case):
     values, G, R = _longer_than_G(case)
     folded = np.pad(values, (0, -len(values) % G)).reshape(-1, G).sum(axis=0)
     for v in (values, folded):
-        assert grid_blocks(v, G)(lambda j, *_: j.step)[0] == R
+        assert _blocks(v, G)(lambda j, *_: j.step)[0] == R
     assert np.array_equal(grid_sums(values, G), grid_sums(folded, G))
     assert np.array_equal(_half_circle(values, G)[0], _half_circle(folded, G)[0])
+
+
+@pytest.mark.parametrize("G", [1024, 1 << 14])  # R = 1 (L = G), and 4 at L = 2^12
+def test_sweep_of_points_at_an_explicit_length_is_that_of_the_dense_form(G):
+    # odd points below 2000 swept at length 3001, as the sup of |S(f_sharp)|
+    # sweeps the support of f * rho over [0, 3N]: bitwise the sums of the
+    # dense weights over [0, 3001), at an array of weights and at one
+    # weight for every point
+    rng = np.random.default_rng(13)
+    points = np.sort(rng.choice(np.arange(1, 2000, 2), 500, replace=False))
+    for weights in (rng.normal(size=500), 1.0):
+        dense = np.zeros(3001)
+        dense[points] = weights
+        sums, seen = _gathered(grid_blocks(points, weights, 3001, G), G)
+        assert (seen == 1).all()
+        assert np.array_equal(sums, _half_circle(dense, G)[0])
+        assert np.array_equal(sums, grid_sums(dense, G))
+
+
+def test_grid_sums_take_real_weights():
+    with pytest.raises(ValueError, match="real weights"):
+        grid_blocks(np.arange(3), np.full(3, 1j), 3, 8)
+    with pytest.raises(ValueError, match="real weights"):
+        grid_sums(np.full(10, 1.0 + 1j), 16)
 
 
 def test_sweep_of_few_points_takes_place_chunk_transforms(monkeypatch):
@@ -672,7 +708,7 @@ def test_sweep_does_not_depend_on_the_worker_count(ctx, monkeypatch):
             for A in (2, 8):
                 grid = spectrum(subset, A)
                 got += [grid.index, grid.values]
-        grid_blocks(values, 32 * 512)(on)
+        _blocks(values, 32 * 512)(on)
         assert [t.name for t in threading.enumerate() if t.name.startswith("sweep")] == []
         # residue 0 on the calling thread; residues 1..16 there too with one
         # worker, else on the sweep's threads
@@ -769,7 +805,7 @@ def test_sparse_spectrum_tests_long_blocks_whole(monkeypatch):
     subset = subset_full(build_context(400_000), 400_000)
     G = 1 << 19
     values = subset.indicator()
-    assert min(grid_blocks(values, G)(lambda j, sums, mirror: len(sums))) > 1 << 15
+    assert min(_blocks(values, G)(lambda j, sums, mirror: len(sums))) > 1 << 15
     dense = grid_sums(values, G)
     for workers in (1, 3):
         monkeypatch.setattr(expsums, "WORKERS", workers)
@@ -819,7 +855,7 @@ def test_sweep_beyond_budget_is_capacity_error(ctx):
     with pytest.raises(CapacityError, match="sweep budget"):
         spectrum(s, 4, G)
     with pytest.raises(CapacityError, match="sweep budget"):
-        grid_blocks(np.ones(10), G)
+        _blocks(np.ones(10), G)
 
 
 def test_grid_beyond_memory_is_capacity_error():

@@ -261,9 +261,12 @@ def test_each_stage_holds_the_stage_it_was_built_from(ctx, monkeypatch):
     assert cover.eps == 1.0 / (240.0 * A)
     assert cover.frequencies(M) == tuple(
         y for y in sorted({(M * y) % 1.0 for y in cover.points}) if y != 0.0)
-    f = np.zeros(3 * N + 1)
-    f[subset.members + N] = 1.0
-    assert np.array_equal(dec.f, f)
+    # f is the prime indicator of [-N, 2N] on the support of f * rho, which
+    # holds every prime
+    f, conv = _dense(dec)
+    assert np.array_equal(dec.ell, np.flatnonzero(conv) - N)
+    assert np.array_equal(dec.f, f[dec.ell + N])
+    assert dec.f.sum() == subset.size
 
 
 @pytest.fixture(scope="module")
@@ -303,12 +306,22 @@ def _reference_counts(subset, elements):
     return np.convolve(f, np.convolve(ind, ind[::-1]))
 
 
+def _assert_on_support(dec, reference):
+    """dec holds the support of the dense counts over [-N, 2N] and f * rho
+    on it, bitwise the counts divided by |B|^2; -N is never in it, since
+    p + b1 - b2 > -N."""
+    N, B = dec.N, dec.bohr.size
+    assert dec.ell.tobytes() == (np.flatnonzero(reference) - N).tobytes()
+    assert dec.conv.tobytes() == (reference[dec.ell + N] / float(B) ** 2).tobytes()
+    assert dec.ell[0] > -N
+
+
 def test_triple_counts_are_exact(dec1):
     # |B|^2 (f * rho)(ell) = #{(p, b1, b2) : p + b1 - b2 = ell}, in integers
     N, B = dec1.N, dec1.bohr.size
     reference = _reference_counts(dec1.subset, dec1.bohr.elements)
     assert reference.shape == (3 * N + 1,)
-    assert dec1.conv.tobytes() == (reference / float(B) ** 2).tobytes()
+    _assert_on_support(dec1, reference)
     assert reference.sum() == dec1.subset.size * B ** 2
     ell = np.arange(3 * N + 1) - N
     assert not reference[np.gcd(ell, dec1.M) > 1].any()
@@ -322,8 +335,9 @@ def test_triple_counts_are_exact_over_classes(ctx, z0, M, bohr_size, classes):
     dec = decompose(ctx, subset_full(ctx, 20_000), z0, M, 2)
     assert dec.bohr.size == bohr_size
     assert len(np.unique(dec.subset.members % M)) == classes
-    reference = _reference_counts(dec.subset, dec.bohr.elements)
-    assert dec.conv.tobytes() == (reference / float(bohr_size) ** 2).tobytes()
+    _assert_on_support(dec, _reference_counts(dec.subset, dec.bohr.elements))
+    flat_support = [r for r in transform_checks(dec, 1) if r.lemma == "flat-support"]
+    assert [(r.margin, r.status) for r in flat_support] == [(0.0, "pass")]
 
 
 @pytest.mark.parametrize("N", [100, 102, 131])
@@ -353,7 +367,9 @@ def test_triple_counts_recounted_without_ffts(dec1):
     inside = (sums >= 0) & (sums <= 2 * N)
     recount = np.where(inside, pairs[np.clip(sums, 0, 2 * N)], 0).sum(axis=1)
     assert recount.any()
-    assert np.array_equal(dec1.conv[ells + N], recount / float(len(elements)) ** 2)
+    dense = np.zeros(3 * N + 1)
+    dense[dec1.ell + N] = dec1.conv
+    assert np.array_equal(dense[ells + N], recount / float(len(elements)) ** 2)
 
 
 def test_difference_counts_brute_force():
@@ -388,6 +404,20 @@ def test_convolution_beyond_memory_is_capacity_error():
     assert peak < 1 << 20, peak
 
 
+def test_convolution_counts_the_support_beside_the_dense_counts(dec1, monkeypatch):
+    # the check counts the dense counts and 16 bytes for each of the 3N + 1
+    # places the support of f * rho may take beside them, for ell and conv
+    N, K = dec1.N, dec1.N // dec1.M
+    L = 1 << (3 * K + 1).bit_length()
+    half = 16 * (L // 2 + 1)
+    need = 24 * (3 * N + 1) + half // 2 + 32 * dec1.subset.size + half + 8 * L
+    monkeypatch.setattr(expsums, "_physical_memory", lambda: need - 1)
+    with pytest.raises(CapacityError, match="physical memory"):
+        _triple_counts(dec1.bohr)
+    monkeypatch.setattr(expsums, "_physical_memory", lambda: need)
+    assert _triple_counts(dec1.bohr).shape == (3 * N + 1,)
+
+
 def test_triple_counts_off_the_integers_are_refused(dec1, monkeypatch):
     # a transform that is not integer-valued is refused, not rounded
     irfft = np.fft.irfft
@@ -404,23 +434,35 @@ def test_decomposition_identities(ctx, dec1):
     assert bohr_size_row(dec1.bohr).status == "pass"
 
 
+def _dense(dec):
+    """f and f * rho over [-N, 2N] at ell + N, from the direct counts."""
+    f = np.zeros(3 * dec.N + 1)
+    f[dec.subset.members + dec.N] = 1.0
+    reference = _reference_counts(dec.subset, dec.bohr.elements)
+    return f, reference / float(dec.bohr.size) ** 2
+
+
 def test_metrics_match_the_dense_arrays(ctx, dec1):
     # the metrics read f * rho on its support alone; the dense f_flat over
-    # [-N, 2N] gives the same numbers bit for bit.  The odd primes of
-    # subset_full put a cusp at 1/2, so their Bohr sets hold even b only and
-    # p + b1 - b2 is odd; with the prime 2 as a member, 1/2 stays below
-    # T*(0) at A = 1, the Bohr set at M = 1 is all of [1, N] and the support
-    # takes both parities
+    # [-N, 2N] gives the same numbers bit for bit, and the same tail of f*
+    # past N within float rounding.  The odd primes of subset_full put a
+    # cusp at 1/2, so their Bohr sets hold even b only and p + b1 - b2 is
+    # odd; with the prime 2 as a member, 1/2 stays below T*(0) at A = 1,
+    # the Bohr set at M = 1 is all of [1, N] and the support takes both
+    # parities
     N = 10_000
     both = decompose(ctx, PrimeSubset(N, ctx.primes_between(2, N), "all primes"), 2, 1, 1)
-    assert {0, 1} <= set(((np.flatnonzero(both.conv) - both.offset) % 2).tolist())
+    assert {0, 1} <= set((both.ell % 2).tolist())
     for dec in (dec1, both):
-        flat = dec.vlog * dec.conv
+        f, conv = _dense(dec)
+        flat = dec.vlog * conv
         metrics = dec.metrics
         assert metrics["f_flat_max"] == float(flat.max())
         assert metrics["identity_residual"] == float(
-            np.max(np.abs(flat / dec.vlog + (dec.f - dec.conv) - dec.f)))
-        assert np.isin(dec.subset.members + dec.N, np.flatnonzero(dec.conv)).all()
+            np.max(np.abs(flat / dec.vlog + (f - conv) - f)))
+        tail = float(dec.G_val) * float(conv[2 * N + 1 :].sum())
+        assert metrics["truncation_gap_at_zero"] == pytest.approx(tail, rel=1e-14)
+        assert np.isin(dec.subset.members, dec.ell).all()
 
 
 def test_transform_at_M_fractions_where_T_star_vanishes(ctx):
@@ -436,14 +478,15 @@ def test_transform_at_M_fractions_where_T_star_vanishes(ctx):
 
 def test_transforms_match_direct_sums(dec1):
     # the supported dot products equal the full sums over [-N, 2N]
-    ell = np.arange(len(dec1.f)) - dec1.offset
+    ell = np.arange(3 * dec1.N + 1) - dec1.N
+    f, conv = _dense(dec1)
     for alpha in (0.0, 0.123, 0.5, 0.987):
         sharp, star, _ = dec1.transforms(alpha)
         assert (sharp, star) == (dec1.transform_sharp(alpha),
                                  dec1.transform_star(alpha))
         phases = np.exp(2j * np.pi * alpha * ell)
-        assert abs(sharp - np.dot(dec1.f_sharp, phases)) <= 1e-9 * dec1.subset.size
-        star_full = float(dec1.G_val) * np.dot(dec1.conv, phases)
+        assert abs(sharp - np.dot(f - conv, phases)) <= 1e-9 * dec1.subset.size
+        star_full = float(dec1.G_val) * np.dot(conv, phases)
         assert abs(star - star_full) <= 1e-9 * dec1.subset.size
 
 
@@ -469,10 +512,15 @@ def test_transforms_carry_the_prime_sum(dec1):
         assert abs(t - exp_sum_at(dec1.subset, alpha)) <= 1e-12 * size, alpha
 
 def test_f_star_support(ctx, dec1):
-    # f* = G conv vanishes off gcd(ell, M) = 1 and is non-negative
-    idx = np.flatnonzero(dec1.conv)
-    assert all(math.gcd(int(i - dec1.offset), 2) == 1 for i in idx)
-    assert dec1.conv.min() >= 0.0
+    # f* = G conv vanishes off gcd(ell, M) = 1 and is non-negative: the
+    # dense counts are zero off ell, and conv is positive on it
+    _, conv = _dense(dec1)
+    assert not np.delete(conv, dec1.ell + dec1.N).any()
+    assert all(math.gcd(int(i), 2) == 1 for i in dec1.ell)
+    assert dec1.conv.min() > 0.0
+    # f_flat's minimum over [-N, 2N] is the 0.0 at -N, off ell
+    flat_support = [r for r in transform_checks(dec1, 1) if r.lemma == "flat-support"]
+    assert [(r.margin, r.status) for r in flat_support] == [(0.0, "pass")]
 
 
 def test_suppression_report(ctx, dec1):
@@ -489,19 +537,43 @@ def test_sharp_sup_report(dec1):
     assert sup["target"] == 1.0
 
 
-def test_sharp_sup_on_a_grid_below_the_support(dec1):
-    # the support [-N, 2N] has 30001 points, far more than the 1024 samples
-    assert len(dec1.f_sharp) == 30_001
+def test_sharp_sup_on_a_grid_below_the_support(dec1, monkeypatch):
+    # f_sharp spans [-N, 2N], 30001 places, far more than the 1024 samples;
+    # the sweep takes its nonzero values at ell + N over that length, the
+    # points and weights of the dense f_sharp
+    f, conv = _dense(dec1)
+    dense = f - conv
+    swept = []
+    blocks = transference.grid_blocks
+    monkeypatch.setattr(transference, "grid_blocks",
+                        lambda *args: swept.append(args) or blocks(*args))
     sup = sharp_sup_report(dec1, 1024)
+    (points, weights, length, G), = swept
+    assert np.array_equal(points, np.flatnonzero(dense))
+    assert weights.tobytes() == dense[points].tobytes()
+    assert (length, G) == (30_001, 1024)
     direct = max(abs(dec1.transform_sharp(j / 1024)) for j in range(1024))
     assert abs(sup["sup_ratio"] - direct / dec1.subset.size) <= 1e-9
 
 
 def test_derived_arrays_are_bitwise_those_of_f_and_conv(dec1):
+    # on ell, bitwise the dense arrays at ell + N
     vlog = float(dec1.V_val) * math.log(dec1.N)
-    assert dec1.offset == dec1.N == 10_000
-    assert np.array_equal(dec1.f_flat, vlog * dec1.conv)
-    assert np.array_equal(dec1.f_sharp, dec1.f - dec1.conv)
+    f, conv = _dense(dec1)
+    at = dec1.ell + dec1.N
+    assert len(dec1.f) == len(dec1.f_flat) == len(dec1.f_sharp) == len(dec1.ell)
+    assert np.array_equal(dec1.f, f[at])
+    assert np.array_equal(dec1.f_flat, (vlog * conv)[at])
+    assert np.array_equal(dec1.f_sharp, (f - conv)[at])
+
+
+def test_csv_matches_the_dense_arrays(dec1):
+    # bitwise the CSV of the dense f, f_flat and f_sharp at n = 1..N
+    f, conv = _dense(dec1)
+    N, flat, sharp = dec1.N, dec1.vlog * conv, f - conv
+    lines = ["n,f,f_flat,f_sharp"] + [
+        f"{n},{f[n + N]:.0f},{flat[n + N]:.12g},{sharp[n + N]:.12g}" for n in range(1, N + 1)]
+    assert decomposition_csv(dec1) == "\n".join(lines) + "\n"
 
 
 def test_csv_export(dec1):
