@@ -247,13 +247,19 @@ def rational_points(A: float) -> list[Fraction]:
     """The reduced fractions a/q in [0, 1) with q squarefree and
     phi(q) <= A, ascending in q and then a: where the local model puts
     |T*| near T*(0)/phi(q).  phi(q) >= sqrt(q/2), so every such q is at
-    most 2 A^2."""
+    most 2 A^2: phi and squarefreeness are sieved once up to there, and
+    the reduced residues are built only for the q that pass."""
+    Q = math.floor(2 * A * A)
+    phi = np.arange(Q + 1)
+    free = np.ones(Q + 1, dtype=bool)
+    for p in range(2, Q + 1):
+        if phi[p] == p:  # no smaller prime divides p
+            phi[p::p] -= phi[p::p] // p
+            free[p * p :: p * p] = False
     points = []
-    for q in range(1, math.floor(2 * A * A) + 1):
+    for q in np.flatnonzero(free & (phi <= A))[1:].tolist():
         a = np.arange(q)
-        reduced = a[np.gcd(a, q) == 1].tolist()
-        if len(reduced) <= A and all(q % (k * k) for k in range(2, math.isqrt(q) + 1)):
-            points += [Fraction(r, q) for r in reduced]
+        points += [Fraction(r, q) for r in a[np.gcd(a, q) == 1].tolist()]
     return points
 
 

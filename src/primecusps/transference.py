@@ -19,9 +19,11 @@ rather than assumed.  Every off-grid sum here, the transforms of f_sharp
 and f* with T* beside them, the Bohr sums S_M and the moments behind the
 cover's samples, is one
 expsums.exp_sum or exp_sum_at call over an array of alphas, shared out to
-the workers; the measured supremum is a grid_blocks sweep, the cover's
-samples are one exp_sums_on_progression call at T*((2k + 1)/Q), and its
-arc peaks and well-spaced points keep the |T*| the cusp report measured.
+the workers; the measured supremum is a grid_blocks sweep.  The cover is
+built in whole arrays: its intervals are one np.unique, its samples one
+exp_sums_on_progression call at T*((2k + 1)/Q) and each interval's best
+one argmax; only its arc peaks and well-spaced points, which keep the |T*|
+the cusp report measured, are walked one by one.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import CapacityError, PrimeContext, WeightedPoint
+from .arith import CapacityError, PrimeContext
 from .cusps import ENDPOINT_RESOLUTION, REEVAL_TOL, CuspReport, find_cusps
 from .expsums import (PrimeSubset, exp_sum, exp_sum_at, exp_sums_on_progression,
                       grid_blocks, require_memory, spectrum)
@@ -62,11 +64,13 @@ def _nprime(report: CuspReport) -> int:
 @dataclass(frozen=True, eq=False)
 class Cover:
     """Points y with |T*(y)| >= T*(0)/A, one per short interval, so that
-    every A-cusp of the report sits within 1/Nprime of some point.  A built
-    cover keeps the ascending indices of the intervals it sampled and |T*|
-    at their INTERVAL_SAMPLES samples, one row per interval."""
+    every A-cusp of the report sits within 1/Nprime of some point, as an
+    ascending float64 array.  A built cover keeps the ascending indices of
+    the intervals it sampled and |T*| at their INTERVAL_SAMPLES samples,
+    one row per interval, from which build_cover takes each interval's
+    best sample by one argmax."""
     report: CuspReport
-    points: tuple
+    points: np.ndarray = field(repr=False)
     intervals: np.ndarray = field(repr=False)
     samples: np.ndarray = field(repr=False)
 
@@ -79,9 +83,11 @@ class Cover:
         """1/(240 A), the Bohr radius."""
         return 1.0 / (240.0 * self.report.A)
 
-    def frequencies(self, M: int) -> tuple:
-        """The nonzero M y mod 1, ascending: the frequencies Xi of B_M(eps)."""
-        return tuple(y for y in sorted({(M * y) % 1.0 for y in self.points}) if y != 0.0)
+    def frequencies(self, M: int) -> np.ndarray:
+        """The nonzero M y mod 1, ascending and distinct: the frequencies Xi
+        of B_M(eps)."""
+        fr = np.unique((M * self.points) % 1.0)
+        return fr[fr != 0.0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,31 +102,9 @@ class BohrSet:
         return len(self.elements)
 
 
-def _sample_position(a_idx: int, s: int, Nprime: int) -> float:
-    """Sample s of cover interval a_idx: (a_idx + (s + 1/2)/S)/Nprime."""
-    return a_idx / Nprime + (s + 0.5) / INTERVAL_SAMPLES / Nprime
-
-
-def _cover_candidates(report: CuspReport, Nprime: int) -> dict[int, list[WeightedPoint]]:
-    """Interval index -> extra points (peaks, well-spaced cusps, with |T*|
-    as the report measured it) for every interval meeting a detected arc
-    or holding one of its points."""
-    candidates: dict[int, list[WeightedPoint]] = {}
-
-    def touch(a_idx: int, extra: WeightedPoint = None):
-        bucket = candidates.setdefault(a_idx % Nprime, [])
-        if extra is not None:
-            bucket.append(extra)
-
-    for arc in report.arcs:
-        lo_idx = int(math.floor(arc.lo * Nprime))
-        span = int(math.ceil(arc.length * Nprime)) + 1
-        for k in range(lo_idx, lo_idx + span + 1):
-            touch(k)
-        touch(int(math.floor(arc.peak.position * Nprime)), arc.peak)
-    for pt in report.wellspaced:
-        touch(int(math.floor(pt.position * Nprime)), pt)
-    return candidates
+def _sample_positions(idx, s, Nprime: int) -> np.ndarray:
+    """Sample s of cover interval idx, elementwise: (idx + (s + 1/2)/S)/Nprime."""
+    return idx / Nprime + (s + 0.5) / INTERVAL_SAMPLES / Nprime
 
 
 def _interval_samples(subset: PrimeSubset, idx, Nprime: int) -> np.ndarray:
@@ -138,27 +122,33 @@ def build_cover(report: CuspReport) -> Cover:
     """Select the interval representatives of the report's A-cusp set.
 
     The circle is cut into Nprime = 240 A N intervals.  Only intervals
-    meeting a detected arc (or holding one of its peaks) can reach the
-    threshold, so sampling is confined to those.  The INTERVAL_SAMPLES
-    samples per interval come from one exp_sums_on_progression call for
-    the whole cover; arc peaks and well-spaced points count at the |T*|
-    the report measured for them.  Each kept interval contributes its
-    maximizing sample.
+    meeting a detected arc (or holding one of its points) can reach the
+    threshold: one np.unique, mod Nprime, over each arc's indices
+    floor(lo Nprime) + [0, ceil(length Nprime) + 1] and the intervals of
+    the report's points.  Their INTERVAL_SAMPLES samples each come from
+    one exp_sums_on_progression call, and an interval's best is its first
+    maximal sample, by one argmax.  Then the arc peaks in arc order and
+    the well-spaced points, at the |T*| the report measured, each replace
+    their interval's best when strictly greater.  Every interval whose
+    best reaches T*(0)/A contributes that point.
     """
     subset, Nprime = report.subset, _nprime(report)
-    candidates = _cover_candidates(report, Nprime)
-    idx = np.array(sorted(candidates), dtype=np.int64)
+    arcs = np.array([(arc.lo, arc.length) for arc in report.arcs]).reshape(-1, 2)
+    lo = np.floor(arcs[:, 0] * Nprime).astype(np.int64)
+    span = np.ceil(arcs[:, 1] * Nprime).astype(np.int64) + 2
+    extras = [arc.peak for arc in report.arcs] + list(report.wellspaced)
+    at = np.floor(np.array([pt.position for pt in extras]) * Nprime).astype(np.int64)
+    # arc i's span_i indices from lo_i, for every arc in one arange
+    ranges = np.arange(span.sum()) + np.repeat(lo - (np.cumsum(span) - span), span)
+    idx = np.unique(np.concatenate((ranges, at)) % Nprime)
     samples = np.abs(_interval_samples(subset, idx, Nprime))
-    points = []
-    for a_idx, mags in zip(idx.tolist(), samples):
-        s = int(np.argmax(mags))
-        best, pos = mags[s], _sample_position(a_idx, s, Nprime)
-        for pt in candidates[a_idx]:
-            if pt.weight > best:
-                best, pos = pt.weight, pt.position
-        if best >= report.threshold:
-            points.append(pos % 1.0)
-    return Cover(report, tuple(sorted(points)), idx, samples)
+    s = samples.argmax(axis=1)
+    best = samples[np.arange(len(idx)), s]
+    points = _sample_positions(idx, s, Nprime)
+    for j, pt in zip(np.searchsorted(idx, at % Nprime).tolist(), extras):
+        if pt.weight > best[j]:
+            best[j], points[j] = pt.weight, pt.position
+    return Cover(report, np.sort(points[best >= report.threshold] % 1.0), idx, samples)
 
 
 def cover_sampler_row(cover: Cover, seed: int) -> CheckRow:
@@ -168,9 +158,8 @@ def cover_sampler_row(cover: Cover, seed: int) -> CheckRow:
     picks = np.random.default_rng(seed).choice(
         zoom.size, min(COVER_SAMPLER_CHECKS, zoom.size), replace=False)
     S, subset = INTERVAL_SAMPLES, cover.report.subset
-    direct = exp_sum_at(subset, np.mod([_sample_position(int(cover.intervals[k // S]),
-                                                         k % S, cover.Nprime)
-                                        for k in picks], 1.0))
+    direct = exp_sum_at(subset, np.mod(_sample_positions(cover.intervals[picks // S],
+                                                         picks % S, cover.Nprime), 1.0))
     worst = np.abs(zoom[picks] - np.abs(direct)).max()
     return leq_row("cover-sampler-vs-direct",
                    {"N": subset.N, "A": cover.report.A, "samples": len(picks)},
@@ -504,7 +493,7 @@ def cusp_suppression_report(dec: Decomposition, seed: int) -> list[CheckRow]:
     cover = dec.bohr.cover
     eps = cover.eps
     B = dec.bohr.size
-    pts = np.array(cover.points)
+    pts = cover.points
     # edges[:, i] = y_i -+ eps/N
     edges = np.stack(((pts - eps / dec.N) % 1.0, (pts + eps / dec.N) % 1.0))
     gaps = np.abs(exp_sum(dec.bohr.elements, np.concatenate((pts, edges.ravel()))) / B - 1.0)
@@ -541,7 +530,7 @@ def cover_consistency_row(cover: Cover) -> CheckRow:
     """Every well-spaced cusp of the cover's report must lie within
     1/Nprime (plus refinement slack) of some cover point."""
     report = cover.report
-    pts = np.array(cover.points)
+    pts = cover.points
     worst = 0.0
     for wp in report.wellspaced:
         d = np.min(np.minimum((pts - wp.position) % 1.0,

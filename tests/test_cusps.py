@@ -274,13 +274,16 @@ def test_rational_points():
     assert rational_points(2) == [Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3),
                                   Fraction(1, 6), Fraction(5, 6)]
     assert [x.denominator for x in rational_points(4)] == [1, 2, 3, 3] + [5] * 4 + [6, 6] + [10] * 4
-    # against a brute-force scan past the 2 A^2 cut
-    reduced = {q: [a for a in range(q) if math.gcd(a, q) == 1] for q in range(1, 600)}
-    squarefree = {q for q in reduced if all(q % (k * k) for k in range(2, q + 1))}
-    for A in (3.5, 8, 16):
-        brute = [Fraction(a, q) for q in sorted(squarefree) if len(reduced[q]) <= A
-                 for a in reduced[q]]
+    # against a brute-force scan past the 2 A^2 cut, 2178 at A = 33: phi(q)
+    # by counting, squarefreeness by trial squares
+    phi = {q: sum(math.gcd(a, q) == 1 for a in range(q)) for q in range(1, 2400)}
+    squarefree = [q for q in phi if all(q % (k * k) for k in range(2, math.isqrt(q) + 1))]
+    for A in (1, 1.5, 2, 3.5, 4, 7.5, 8, 16, 33):
+        brute = [Fraction(a, q) for q in squarefree if phi[q] <= A
+                 for a in range(q) if math.gcd(a, q) == 1]
         assert rational_points(A) == brute, A
+    # the sieve reaches 2 A^2 = 32768 at A = 128
+    assert len(rational_points(128)) == 8290
 
 
 def test_rational_cusps_match_direct_sums(ctx):

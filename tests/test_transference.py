@@ -33,6 +33,7 @@ from primecusps.transference import (
     transform_checks,
     _triple_counts,
 )
+from primecusps.verify import CUSP_GRID_A
 
 
 def _cover(N, eps, points, members=None):
@@ -41,7 +42,7 @@ def _cover(N, eps, points, members=None):
     are given, that sampled no intervals."""
     members = np.array([N]) if members is None else members
     report = CuspReport(PrimeSubset(N, members, "stub"), 1.0 / (240.0 * eps), (), ())
-    return Cover(report, points, np.empty(0, dtype=np.int64),
+    return Cover(report, np.asarray(points, dtype=float), np.empty(0, dtype=np.int64),
                  np.empty((0, INTERVAL_SAMPLES)))
 
 
@@ -61,23 +62,41 @@ def test_cover_basics(ctx):
     assert row.status == "pass"
 
 
-def _direct_cover(subset, report, A):
-    """The cover with every interval sample taken by exp_sum_at."""
-    Nprime = int(round(240 * A * subset.N))
-    candidates = {}
+def _walked_intervals(report):
+    """The intervals a cover samples, by a walk that touches one interval
+    at a time: interval -> the report's points in it, arc peaks in arc
+    order and then the well-spaced points, and whether an arc ran past
+    Nprime.  With _walked_points, the reference for build_cover's
+    whole-array steps."""
+    Nprime = int(round(240 * report.A * report.subset.N))
+    candidates, wrapped = {}, False
+
+    def touch(k, extra=None):
+        bucket = candidates.setdefault(k % Nprime, [])
+        if extra is not None:
+            bucket.append(extra)
+
     for arc in report.arcs:
         lo = int(math.floor(arc.lo * Nprime))
-        for k in range(lo, lo + int(math.ceil(arc.length * Nprime)) + 2):
-            candidates.setdefault(k % Nprime, [])
-        k = int(math.floor(arc.peak.position * Nprime)) % Nprime
-        candidates.setdefault(k, []).append(arc.peak.position)
+        span = int(math.ceil(arc.length * Nprime)) + 1
+        wrapped |= lo + span >= Nprime
+        for k in range(lo, lo + span + 1):
+            touch(k)
+        touch(int(math.floor(arc.peak.position * Nprime)), arc.peak)
     for pt in report.wellspaced:
-        k = int(math.floor(pt.position * Nprime)) % Nprime
-        candidates.setdefault(k, []).append(pt.position)
+        touch(int(math.floor(pt.position * Nprime)), pt)
+    return candidates, wrapped
+
+
+def _direct_cover(subset, report, A):
+    """The cover with every interval sample, and every report point,
+    taken by exp_sum_at."""
+    Nprime = int(round(240 * A * subset.N))
+    candidates, _ = _walked_intervals(report)
     points = []
     for a in sorted(candidates):
         samples = [a / Nprime + (s + 0.5) / 3 / Nprime for s in range(3)]
-        samples += candidates[a]
+        samples += [pt.position for pt in candidates[a]]
         vals = [abs(exp_sum_at(subset, x % 1.0)) for x in samples]
         best = int(np.argmax(vals))
         if vals[best] >= subset.size / A:
@@ -90,7 +109,50 @@ def test_cover_matches_direct_reference(ctx, A):
     subset = subset_full(ctx, 10_000)
     report = find_cusps(spectrum(subset, A), A)
     cover = build_cover(report)
-    assert cover.points == _direct_cover(subset, report, A)
+    assert tuple(cover.points.tolist()) == _direct_cover(subset, report, A)
+
+
+def _walked_points(report, candidates, samples):
+    """The sorted cover points, one interval at a time, from the |T*|
+    samples of the ascending intervals of candidates, one row each, and
+    how many report points beat their interval's samples."""
+    Nprime = int(round(240 * report.A * report.subset.N))
+    keys, points, wins, block = sorted(candidates), [], 0, 1 << 16
+    for start in range(0, len(keys), block):
+        rows = samples[start : start + block].tolist()
+        for k, mags in zip(keys[start : start + block], rows):
+            s = max(range(INTERVAL_SAMPLES), key=mags.__getitem__)  # the first maximum
+            best, pos = mags[s], k / Nprime + (s + 0.5) / INTERVAL_SAMPLES / Nprime
+            for pt in candidates[k]:
+                if pt.weight > best:
+                    best, pos, wins = pt.weight, pt.position, wins + 1
+            if best >= report.threshold:
+                points.append(pos % 1.0)
+    return sorted(points), wins
+
+
+def test_cover_matches_the_interval_walk(ctx, cusp_grid):
+    # the N = 10^4 reports of the cusp grid, of every subset up to A = 8
+    # and of the full one at A = 16, and the full subset at 10^5, each fed
+    # the cover's own samples, so nothing is evaluated twice
+    reports = [report for (label, N), (_, _, by_A) in cusp_grid[0].items() if N == 10_000
+               for A, report in by_A.items() if A <= 8 or label == "full"]
+    subset = subset_full(ctx, 100_000)
+    reports += [find_cusps(spectrum(subset, A), A) for A in (2, 4)]
+    assert {r.A for r in reports} == set(CUSP_GRID_A)
+    wrapped = wins = 0
+    for report in reports:
+        cover = build_cover(report)
+        candidates, wraps = _walked_intervals(report)
+        assert cover.intervals.tolist() == sorted(candidates)
+        points, won = _walked_points(report, candidates, cover.samples)
+        assert cover.points.dtype == np.float64
+        assert cover.points.tobytes() == np.array(points).tobytes(), report.A
+        wrapped += wraps
+        wins += won
+    # the arc through 0 runs past Nprime, and a report point beats the
+    # samples of its interval
+    assert wrapped and wins
 
 
 def test_cover_beyond_memory_is_capacity_error(ctx, monkeypatch):
@@ -109,8 +171,7 @@ def test_cover_sampler_row(ctx):
     report = find_cusps(spectrum(subset, 2), 2)
     cover = build_cover(report)
     # the row re-checks the samples the cover kept, not a second evaluation
-    assert list(cover.intervals) == sorted(
-        transference._cover_candidates(report, cover.Nprime))
+    assert cover.intervals.tolist() == sorted(_walked_intervals(report)[0])
     assert np.array_equal(cover.samples, np.abs(transference._interval_samples(
         subset, cover.intervals, cover.Nprime)))
     row = cover_sampler_row(cover, seed=3)
@@ -259,8 +320,8 @@ def test_each_stage_holds_the_stage_it_was_built_from(ctx, monkeypatch):
     assert report.bound == 19.0 * A * A * subset.K * math.log(2.0 * A)
     assert cover.Nprime == int(round(240 * A * N))
     assert cover.eps == 1.0 / (240.0 * A)
-    assert cover.frequencies(M) == tuple(
-        y for y in sorted({(M * y) % 1.0 for y in cover.points}) if y != 0.0)
+    assert cover.frequencies(M).tolist() == [
+        y for y in sorted({(M * y) % 1.0 for y in cover.points.tolist()}) if y != 0.0]
     # f is the prime indicator of [-N, 2N] on the support of f * rho, which
     # holds every prime
     f, conv = _dense(dec)
