@@ -10,8 +10,11 @@ fl(fl(2 pi alpha) n) to within TERM_ERROR = 2^-49.  Where the points are
 integers with |n| and |2 pi alpha n| below PHASE_LIMIT = 2^27 and two
 tables over the digits of n = lo + H h + l are shorter than the points, a
 term is two table entries at exact phases times an exact rounding
-correction, with no libm call per point (_kernel, one alpha at a time);
-elsewhere it is libm's e^{i theta_n} (_direct, a block of alphas at once).
+correction, with no libm call per point (_kernel, one alpha at a time, its
+terms formed and summed TERM_CHUNK points a pass, so a worker's buffers
+hold at most TERM_CHUNK points whatever the count, beside the digits the
+call shares); elsewhere it is libm's e^{i theta_n} (_direct, a block of
+alphas at once).
 One alpha is an array of one: the alphas are cut into one contiguous piece
 per worker thread, at most WORKERS (one per CPU the process may use), which
 the call starts and joins before it returns, and every sum is bitwise the
@@ -182,6 +185,13 @@ _SPLITTER = 134217729.0
 #: worker twists and places, or the phases of a block of alphas in exp_sum
 PLACE_CHUNK = 1 << 12
 
+#: points a pass of the table kernel forms terms for at once, 1 MB of
+#: buffers a worker.  Of 2^12 to 2^18, 2^14 and 2^15 measured fastest on
+#: the weighted supports of f * rho at N = 10^6 and 10^7, 2^14 by 1-5 %,
+#: and 2^15 on the 664,133 primes to 10^7; 2^15 keeps the 25,698-point
+#: support at N = 10^5 in one pass
+TERM_CHUNK = 1 << 15
+
 
 def _table_shape(ns: np.ndarray):
     """(lo, H, rows, reach) of the split n = lo + H h + l, 0 <= l < H,
@@ -247,41 +257,60 @@ def _kernel(ns: np.ndarray, weights, digits):
     alpha), the terms come from two short tables at exact phases, TL[l] =
     e^{icl} and TH[h] = e^{ic(lo + Hh)}, each entry e^{i fl(cx)} from libm
     times 1 + i delta_x: the term is TH[h] TL[l] (1 - i delta_n), with
-    delta_n = cn - fl(cn) exact by Dekker's product on a Veltkamp split of c
-    (32 bytes a point).  Past PHASE_LIMIT the alpha goes to _direct."""
+    delta_n = cn - fl(cn) exact by Dekker's product on a Veltkamp split of c.
+    The tables are built once an alpha; the points are then walked in
+    passes of TERM_CHUNK, each pass's terms formed in two buffers of
+    min(len(ns), TERM_CHUNK) complex entries (32 bytes a point of a pass)
+    and reduced, W[:, a:b] @ Re and @ Im or Re.sum() and Im.sum(), into the
+    alpha's total in pass order.  One pass is the whole sum, so at most
+    TERM_CHUNK points take no extra operation.  Past PHASE_LIMIT the alpha
+    goes to _direct, one pass at a time and added up in the same order."""
     n, x, h, l, H, reach = digits
-    P, Q = np.empty((2, len(ns)), dtype=complex)
+    P, Q = np.empty((2, min(len(ns), TERM_CHUNK)), dtype=complex)
     # once P holds the product, Q's memory holds delta_n and then the terms
-    im, re = Q.view(float).reshape(2, -1)
+    IM, RE = Q.view(float).reshape(2, -1)
+    # each pass's points and weights, its slice of the digits and its buffers
+    passes = [(ns[a:b], None if weights is None else weights[:, a:b], n[a:b], h[a:b],
+               l[a:b], P[: b - a], Q[: b - a], IM[: b - a], RE[: b - a])
+              for a, b in ((a, min(a + TERM_CHUNK, len(ns)))
+                           for a in range(0, len(ns), TERM_CHUNK))]
 
     def at(alpha):
         c = TWO_PI * alpha
         if not abs(c) * reach < PHASE_LIMIT:
-            return _direct(ns, weights, [alpha])[0]
+            out = None  # each pass's sums, the first as it is, the rest added on
+            for points, w, *_ in passes:
+                part = _direct(points, w, [alpha])[0]
+                out = part if out is None else out + part
+            return out
         g = _SPLITTER * c
         c_hi = g - (g - c)
         c_lo = c - c_hi
         # the tables, low digits first: e^{i fl(cx)} (1 + i delta_x)
-        p = x * c
+        phase = x * c
         d = x * c_hi
-        d -= p
+        d -= phase
         d += x * c_lo
-        e = np.exp(p * 1j) * (1.0 + 1j * d)
-        e[H:].take(h, out=P, mode="clip")
-        e[:H].take(l, out=Q, mode="clip")
-        np.multiply(P, Q, out=P)
-        np.multiply(n, c, out=im)  # delta_n = (c_hi n - fl(cn)) + c_lo n
-        np.multiply(n, c_hi, out=re)
-        np.subtract(re, im, out=re)
-        np.multiply(n, c_lo, out=im)
-        np.add(im, re, out=im)
-        np.multiply(im, P.imag, out=re)  # P (1 - i delta_n)
-        np.multiply(im, P.real, out=im)
-        np.add(P.real, re, out=re)
-        np.subtract(P.imag, im, out=im)
+        e = np.exp(phase * 1j) * (1.0 + 1j * d)
+        total = None
+        for _, w, m, hs, ls, p, q, im, re in passes:
+            e[H:].take(hs, out=p, mode="clip")
+            e[:H].take(ls, out=q, mode="clip")
+            np.multiply(p, q, out=p)
+            np.multiply(m, c, out=im)  # delta_n = (c_hi n - fl(cn)) + c_lo n
+            np.multiply(m, c_hi, out=re)
+            np.subtract(re, im, out=re)
+            np.multiply(m, c_lo, out=im)
+            np.add(im, re, out=im)
+            np.multiply(im, p.imag, out=re)  # P (1 - i delta_n)
+            np.multiply(im, p.real, out=im)
+            np.add(p.real, re, out=re)
+            np.subtract(p.imag, im, out=im)
+            part = (re.sum(), im.sum()) if w is None else (w @ re, w @ im)
+            total = part if total is None else (total[0] + part[0], total[1] + part[1])
         if weights is None:
-            return complex(re.sum(), im.sum())
-        return weights @ re + 1j * (weights @ im)
+            return complex(*total)
+        return total[0] + 1j * total[1]
     return at
 
 
@@ -297,8 +326,9 @@ def exp_sum(ns: np.ndarray, alpha, weights: np.ndarray = None):
     is bitwise the one its alpha gets alone.  More than one piece runs on
     threads of the call's own, joined before it returns, so callers on
     threads of their own share nothing.  The digit indices, built once a
-    call and shared read-only, the workers' buffers and the output are
-    checked against physical memory before any is allocated."""
+    call and shared read-only (24 bytes a point), the workers' buffers (48
+    bytes a point of a TERM_CHUNK pass) and the output are checked against
+    physical memory before any is allocated."""
     alphas = np.atleast_1d(np.asarray(alpha, dtype=float))
     ranges = _split(len(alphas), WORKERS)
     most = max((hi - lo for lo, hi in ranges), default=0)  # the most a worker sums
@@ -307,11 +337,12 @@ def exp_sum(ns: np.ndarray, alpha, weights: np.ndarray = None):
     if shape is None:  # each worker's direct block
         shared, worker = 0, 16 * min(most * len(ns), max(PLACE_CHUNK, len(ns)))
     else:
-        # a point's digits and float, shared, and each worker's P and Q and
-        # one direct alpha past PHASE_LIMIT; a table point, shared, and each
-        # worker's transient tables
+        # a point's digits and float, shared, and a point of each worker's
+        # pass, its P and Q or one direct alpha past PHASE_LIMIT; a table
+        # point, shared, and each worker's transient tables
         entries = shape[1] + shape[2]
-        shared, worker = 24 * len(ns) + 8 * entries, 48 * len(ns) + 64 * entries
+        shared = 24 * len(ns) + 8 * entries
+        worker = 48 * min(len(ns), TERM_CHUNK) + 64 * entries
     require_memory(shared + worker * len(ranges) + 16 * rows * len(alphas),
                    f"{rows} sums at {len(alphas)} alphas over {len(ns)} points")
     digits = None if shape is None else _digits(ns, shape)

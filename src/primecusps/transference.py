@@ -11,10 +11,11 @@ ell in [-N, 2N], which holds every prime (the term b1 = b2 counts p) and
 about 9 % of [-N, 2N].  rho = 1_B * 1_{-B} / |B|^2 is never formed:
 every Bohr element is a multiple of M, so p + b1 - b2 = p (mod M), and
 |B|^2 (f * rho) is one short inverse FFT of F(1_{P_r}) |F(1_{B/M})|^2 per
-residue class r mod M that holds primes, at a length near 3N/M, rounded to
-the integer counts of p + b1 - b2.  f, f_flat and f_sharp vanish off ell
-and are derived on it at every read, and N, A, eps and Nprime are read
-through the chain.  The transform identities are re-verified numerically
+residue class r mod M that holds primes, at a length near the span of the
+primes' quotients by M plus twice that of B/M (about N/M where B is short),
+rounded to the integer counts of p + b1 - b2 over that span alone, not over
+[-N, 2N].  f, f_flat and f_sharp vanish off ell and are derived on it at
+every read, and N, A, eps and Nprime are read through the chain.  The transform identities are re-verified numerically
 rather than assumed.  Every off-grid sum here, the transforms of f_sharp
 and f* with T* beside them, the Bohr sums S_M and the moments behind the
 cover's samples, is one
@@ -218,58 +219,67 @@ def bohr_size_row(bohr: BohrSet) -> CheckRow:
                     "|B| against (1/2) eps^|Xi_M| N/M")
 
 
-def _triple_counts(bohr: BohrSet) -> np.ndarray:
-    """counts[ell + N] = #{(p, b1, b2) : p + b1 - b2 = ell} for ell in
-    [-N, 2N], p in the subset and b1, b2 in the Bohr set: |B|^2 (f * rho).
+def _triple_counts(bohr: BohrSet) -> tuple[int, np.ndarray]:
+    """(start, counts) with counts[ell - start] = #{(p, b1, b2) : p + b1 -
+    b2 = ell}, p in the subset and b1, b2 in the Bohr set: |B|^2 (f * rho),
+    over the span [start, start + len(counts)) that holds all of its
+    support.
 
     Every element is a multiple of M, so p + b1 - b2 = p (mod M), and the
     counts split into one convolution per residue class r mod M that holds
-    primes.  With K = N // M, p = r + M t and b = M c, the class's t are
-    placed at t + K, and its counts at ell = r + M (j - K) are entry j of
-    the inverse real FFT of F(1_t) |F(1_{B/M})|^2 at a length L > 3K + 1,
-    so nothing aliases.  |F(1_{B/M})|^2 is built once; each class takes
-    one rfft and one irfft, is rounded to the integers it must equal and
-    written into the dense array, which stays 0.0 on the empty classes.
+    primes.  With p = r + M t over the members and b = M c over the Bohr
+    set, t + c1 - c2 lies within Dc = c_max - c_min of [t_min, t_max], so
+    the span is [M (t_min - Dc), M (t_max + Dc + 1)), D = (t_max - t_min) +
+    2 Dc + 1 entries a class and M D in all.  A class's t are placed at
+    t - t_min + Dc, and its counts at ell = start + r + M j are entry j of
+    the inverse real FFT of F(1_t) |F(1_{c - c_min})|^2 at the power of two
+    L >= D: the power spectrum counts c1 - c2 = d at d mod L, and t - t_min
+    + Dc + d stays in [0, D), so nothing aliases.  The power spectrum is
+    built once; each class takes one rfft and one irfft, is rounded to the
+    integers it must equal and written into the dense array, which stays
+    0.0 on the empty classes.
     Raises CapacityError first when its arrays, or the support and f * rho
     on it that decompose gathers beside them, would not fit in physical
     memory, ValueError when M does not divide every element, and
     ArithmeticError when a class's rounding gap exceeds 1e-5."""
     subset, M = bohr.cover.report.subset, bohr.M
-    N = subset.N
-    K = N // M
-    L = 1 << (3 * K + 1).bit_length()
+    t_min, t_max = int(subset.members.min()) // M, int(subset.members.max()) // M
+    c_min = int(bohr.elements.min()) // M
+    dc = int(bohr.elements.max()) // M - c_min
+    D = t_max - t_min + 2 * dc + 1
+    L = 1 << (D - 1).bit_length()
     half = 16 * (L // 2 + 1)
-    # the most held at once: the dense counts, |F(1_{B/M})|^2, the primes'
-    # quotients, classes and class order, and one class's half spectrum
-    # beside its real input or output; and decompose's ell and f * rho, 16
-    # bytes a point of at most 3N + 1, beside the counts
-    require_memory(24 * (3 * N + 1) + half // 2 + 32 * subset.size + half + 8 * L,
+    # the most held at once: the dense counts, the power spectrum, the
+    # primes' quotients, classes and class order, and one class's half
+    # spectrum beside its real input or output; and decompose's ell and
+    # f * rho, 16 bytes a point of at most M D, beside the counts
+    require_memory(24 * M * D + half // 2 + 32 * subset.size + half + 8 * L,
                    f"convolutions of length {L}, one per class mod {M}")
     if (bohr.elements % M).any():
         raise ValueError(f"a Bohr element is not a multiple of M={M}")
-    power = np.abs(np.fft.rfft(np.bincount(bohr.elements // M, minlength=K + 1), L))
+    power = np.abs(np.fft.rfft(np.bincount(bohr.elements // M - c_min), L))
     np.square(power, out=power)
     t, r = np.divmod(subset.members, M)
     sizes = np.bincount(r, minlength=M)
     by_class = np.split(t[np.argsort(r, kind="stable")], np.cumsum(sizes)[:-1])
-    counts = np.zeros(3 * N + 1)
+    counts = np.zeros(M * D)
     for cls in np.flatnonzero(sizes).tolist():
-        placed = np.zeros(2 * K + 1)
-        placed[by_class[cls] + K] = 1.0
+        placed = np.zeros(D - dc)
+        placed[by_class[cls] - (t_min - dc)] = 1.0
         spec = np.fft.rfft(placed, L)
         del placed
         spec *= power
         out = np.fft.irfft(spec, L)
         del spec
-        dense = counts[cls + N % M :: M]
-        got = out[: len(dense)]
+        dense = counts[cls::M]
+        got = out[:D]
         np.rint(got, out=dense)
         gap = np.abs(np.subtract(got, dense, out=got), out=got).max()
         if gap > 1e-5:
             raise ArithmeticError(f"convolution failed to resolve to integers "
                                   f"(class {cls} mod {M}, gap {gap:.3g})")
     counts += 0.0  # -0.0 + 0.0 = 0.0: no count is a negative zero
-    return counts
+    return M * (t_min - dc), counts
 
 
 # -- the decomposition ------------------------------------------------------
@@ -395,11 +405,11 @@ def decompose(ctx: PrimeContext, subset: PrimeSubset, z0, M: int, A: float,
     G = g_sifted(ctx, 1, z, z0)
     V = ctx.mertens_product(z0)
 
-    counts = _triple_counts(bohr)
+    start, counts = _triple_counts(bohr)
     ell = np.flatnonzero(counts)
     conv = counts[ell]
     conv /= float(bohr.size) ** 2
-    ell -= N
+    ell += start
     return Decomposition(bohr, float(z), G, V, ell, conv, check_h1(ctx, M, z0))
 
 

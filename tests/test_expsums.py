@@ -227,6 +227,19 @@ def test_exp_sum_weight_matrix_matches_complex_dots():
             exact = np.longdouble(expsums.TWO_PI * alpha) * ns[picks]
             assert np.all(np.hypot(unit.real - np.cos(exact),
                                    unit.imag - np.sin(exact)) > TERM_ERROR), alpha
+    # past TERM_CHUNK points the terms are formed one pass at a time: unit
+    # rows on both sides of each pass boundary still read single terms
+    # within TERM_ERROR of e^{i theta}
+    chunk = expsums.TERM_CHUNK
+    long = np.arange(-3000, 2 * chunk + 5)
+    picks = np.array([0, chunk - 1, chunk, chunk + 1, 2 * chunk - 1, 2 * chunk, long.size - 1])
+    rows = np.zeros((picks.size, long.size))
+    rows[np.arange(picks.size), picks] = 1.0
+    for alpha in (0.123, 0.987):
+        unit = exp_sum(long, alpha, rows)
+        rounded = (expsums.TWO_PI * alpha * long[picks]).astype(np.longdouble)
+        assert np.all(np.abs(unit.real - np.cos(rounded)) <= TERM_ERROR), alpha
+        assert np.all(np.abs(unit.imag - np.sin(rounded)) <= TERM_ERROR), alpha
     # at an array of alphas, one row per alpha, bitwise the one-alpha rows
     # however the alphas fall to the workers
     for count in (0, 1, expsums.WORKERS + 1, 1000):
@@ -298,22 +311,23 @@ def test_exp_sum_threads_end_with_the_call(monkeypatch):
 @pytest.mark.parametrize("workers", [1, 3, 7])
 def test_exp_sum_does_not_depend_on_the_worker_count(monkeypatch, workers):
     # both array forms, bitwise the one-alpha kernel, from no alphas and
-    # fewer alphas than workers up to many alphas a worker
+    # fewer alphas than workers up to many alphas a worker; over one pass
+    # and over three passes of TERM_CHUNK points, the last of 7
     rng = np.random.default_rng(14)
-    ns = np.arange(-700, 2300)
-    W = rng.normal(size=(3, ns.size))
     monkeypatch.setattr(expsums, "WORKERS", workers)
-    digits = expsums._digits(ns, expsums._table_shape(ns))
-    plain, weighted = expsums._kernel(ns, None, digits), expsums._kernel(ns, W, digits)
-    for count in (0, 1, 2, workers + 1, 40):
-        alphas = rng.random(count)
-        got = exp_sum(ns, alphas)
-        assert got.shape == (count,)
-        assert np.array_equal(got, [plain(a) for a in alphas]), count
-        got = exp_sum(ns, alphas, W)
-        assert got.shape == (count, 3)
-        assert np.array_equal(got, np.reshape([weighted(a) for a in alphas],
-                                              (count, 3))), count
+    for ns in (np.arange(-700, 2300), np.arange(-700, 2 * expsums.TERM_CHUNK - 693)):
+        W = rng.normal(size=(3, ns.size))
+        digits = expsums._digits(ns, expsums._table_shape(ns))
+        plain, weighted = expsums._kernel(ns, None, digits), expsums._kernel(ns, W, digits)
+        for count in (0, 1, 2, workers + 1, 40):
+            alphas = rng.random(count)
+            got = exp_sum(ns, alphas)
+            assert got.shape == (count,)
+            assert np.array_equal(got, [plain(a) for a in alphas]), (ns.size, count)
+            got = exp_sum(ns, alphas, W)
+            assert got.shape == (count, 3)
+            assert np.array_equal(got, np.reshape([weighted(a) for a in alphas],
+                                                  (count, 3))), (ns.size, count)
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -338,8 +352,9 @@ def test_exp_sum_direct_blocks_match_one_alpha_sums(monkeypatch, workers):
 def test_exp_sum_over_many_alphas_beyond_memory_is_capacity_error(monkeypatch):
     # refused before any worker sums, counting the digit indices shared by a
     # call beside every worker's buffers and the output: on the table path
-    # 24 bytes a point and 8 a table entry shared, 48 (P, Q and one direct
-    # alpha past PHASE_LIMIT) and 64 a worker; on the direct path 16 bytes
+    # 24 bytes a point and 8 a table entry shared, and a worker 48 a point
+    # of its pass (P and Q, or one direct alpha past PHASE_LIMIT), at most
+    # TERM_CHUNK of them, and 64 a table entry; on the direct path 16 bytes
     # an entry of a worker's block, its alphas' phases up to PLACE_CHUNK
     # entries.  With room for the indices and buffers but not the output,
     # both forms fail; with room for all, they run
@@ -356,8 +371,13 @@ def test_exp_sum_over_many_alphas_beyond_memory_is_capacity_error(monkeypatch):
     assert expsums._table_shape(direct) is None
     # four of a direct worker's five alphas fill a block of PLACE_CHUNK entries
     assert expsums.PLACE_CHUNK == 4 * 1024
+    passes = np.arange(2 * expsums.TERM_CHUNK + 7)  # three passes a worker
+    _, H, rows, _ = expsums._table_shape(passes)
+    entries = H + rows
     for ns, shared, worker, one in ((table, 24 * 4096 + 8 * 128, 48 * 4096 + 64 * 128, None),
-                                    (direct, 0, 16 * 4096, 16 * 1024)):
+                                    (direct, 0, 16 * 4096, 16 * 1024),
+                                    (passes, 24 * passes.size + 8 * entries,
+                                     48 * expsums.TERM_CHUNK + 64 * entries, None)):
         W = np.ones((3, ns.size))
         for args, output in (((ns, alphas), 16 * alphas.size),
                              ((ns, alphas, W), 48 * alphas.size)):

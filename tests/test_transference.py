@@ -401,17 +401,33 @@ def test_triple_counts_are_exact_over_classes(ctx, z0, M, bohr_size, classes):
     assert [(r.margin, r.status) for r in flat_support] == [(0.0, "pass")]
 
 
-@pytest.mark.parametrize("N", [100, 102, 131])
-def test_triple_counts_with_empty_classes(N):
-    # stub members in the classes 1, 3, 4 and 5 mod 6, none in 0 and 2; at
-    # N = 100 the dense array starts its classes at N mod M = 4, not 0, and
-    # at N = 131 class 1 takes 3K + 2 = 65 dense entries while 3K + 1 = 64
-    # is a power of two, so the length must exceed 3K + 1
-    cover = _cover(N, 0.1, (0.0,), np.array([3, 7, 13, 19, 29, 53, 83, 97, 100]))
-    elements = np.array([6, 18, 24, 60, 96], dtype=np.int64)
-    counts = _triple_counts(BohrSet(cover, 6, elements))
+@pytest.mark.parametrize("N, members, elements", [
+    pytest.param(100, [3, 7, 13, 19, 29, 53, 83, 97, 100], [6, 18, 24, 60, 96], id="100"),
+    # t_min = 8: the span starts at 6 (8 - 15) = -42, above -N = -102
+    pytest.param(102, [53, 83, 97, 100, 101], [6, 18, 24, 60, 96], id="102"),
+    # (t_max - t_min) + 2 Dc + 1 = 21 + 10 + 1 = 32 is a power of two, so
+    # L = 32 and the last place of class 5, 131 + 36 - 6, is written
+    pytest.param(131, [3, 7, 13, 19, 29, 53, 83, 97, 100, 131], [6, 18, 36], id="131"),
+    # one element, Dc = 0: the counts are the member indicator
+    pytest.param(100, [3, 7, 13, 19, 29, 53, 83, 97, 100], [96], id="one-element"),
+    # two elements spanning Dc = 34 of the K = 35 multiples of 6 up to N
+    pytest.param(210, [3, 7, 13, 19, 29, 53, 83, 97, 100, 199], [6, 210], id="nearly-K"),
+])
+def test_triple_counts_with_empty_classes(N, members, elements):
+    # stub members in some of the classes 1, 3, 4 and 5 mod 6, none in 0
+    # and 2; the span of f * rho, laid into [-N, 2N], is byte for byte the
+    # direct count, which is 0 off it
+    cover = _cover(N, 0.1, (0.0,), np.array(members))
+    elements = np.array(elements, dtype=np.int64)
+    start, counts = _triple_counts(BohrSet(cover, 6, elements))
+    t, c = np.array(members) // 6, elements // 6
+    assert start == 6 * (t.min() - np.ptp(c))
+    assert counts.shape == (6 * (np.ptp(t) + 2 * np.ptp(c) + 1),)
+    assert counts[:6].any() and counts[-6:].any()  # its first and last place are taken
     reference = _reference_counts(cover.report.subset, elements)
-    assert counts.tobytes() == reference.astype(float).tobytes()
+    dense = np.zeros(3 * N + 1)
+    dense[start + N : start + N + len(counts)] = counts
+    assert dense.tobytes() == reference.astype(float).tobytes()
     ell = np.arange(3 * N + 1) - N
     assert reference[ell % 6 == 1].any() and not reference[ell % 6 == 2].any()
     with pytest.raises(ValueError, match="multiple of M=6"):
@@ -434,27 +450,31 @@ def test_triple_counts_recounted_without_ffts(dec1):
 
 
 def test_difference_counts_brute_force():
-    # over the stub subset {N}, counts[2N + m] = #{(b1, b2) : b1 - b2 = m}
+    # over the stub subset {N}, counts[N + m - start] = #{(b1, b2) : b1 - b2
+    # = m}, over the span 20 + [-18, 18] of the differences, from start = 2
     elements = np.array([2, 4, 8, 14, 20], dtype=np.int64)
-    counts = _triple_counts(BohrSet(_cover(20, 0.1, (0.0,)), 2, elements))
-    # brute force over ordered pairs
-    brute = np.zeros(41)
+    start, counts = _triple_counts(BohrSet(_cover(20, 0.1, (0.0,)), 2, elements))
+    # brute force over ordered pairs, at m + 18
+    brute = np.zeros(38)
     for a in elements:
         for b in elements:
-            brute[a - b + 20] += 1
-    assert counts.shape == (61,) and not counts[:20].any()
-    assert np.array_equal(counts[20:], brute)
-    assert counts[40] == 5
+            brute[a - b + 18] += 1
+    assert start == 2 and counts.shape == (38,)
+    assert np.array_equal(counts, brute)
+    assert counts[18] == 5
     big = BohrSet(_cover(6000, 0.1, (0.0,)), 2, np.arange(2, 6001, 2, dtype=np.int64))
-    cts = _triple_counts(big)
-    assert cts[12_000] == 3000          # m = 0
-    assert cts[12_000 + 2] == 2999      # m = 2
-    assert cts[12_000 + 5999] == 0      # odd gap impossible
+    start, cts = _triple_counts(big)
+    assert start == 2
+    assert cts[6000 - start] == 3000          # m = 0
+    assert cts[6000 + 2 - start] == 2999      # m = 2
+    assert cts[6000 + 5999 - start] == 0      # odd gap impossible
 
 
 def test_convolution_beyond_memory_is_capacity_error():
-    # N = 2^40 would need 2^46 bytes: refused before any of it is allocated
-    bohr = BohrSet(_cover(1 << 40, 0.1, (0.0,)), 2, np.array([2], dtype=np.int64))
+    # members at both ends of [1, 2^40] span 2^39 multiples of 2, which would
+    # need over 2^44 bytes: refused before any of it is allocated
+    members = np.array([1, 1 << 40], dtype=np.int64)
+    bohr = BohrSet(_cover(1 << 40, 0.1, (0.0,), members), 2, np.array([2], dtype=np.int64))
     tracemalloc.start()
     try:
         with pytest.raises(CapacityError, match="physical memory"):
@@ -466,17 +486,20 @@ def test_convolution_beyond_memory_is_capacity_error():
 
 
 def test_convolution_counts_the_support_beside_the_dense_counts(dec1, monkeypatch):
-    # the check counts the dense counts and 16 bytes for each of the 3N + 1
-    # places the support of f * rho may take beside them, for ell and conv
-    N, K = dec1.N, dec1.N // dec1.M
-    L = 1 << (3 * K + 1).bit_length()
+    # the check counts the counts over the span of M D places and 16 bytes
+    # for each place the support of f * rho may take beside them, for ell
+    # and conv
+    M, members, elements = dec1.M, dec1.subset.members, dec1.bohr.elements
+    dc = (elements.max() - elements.min()) // M
+    D = members.max() // M - members.min() // M + 2 * dc + 1
+    L = 1 << int(D - 1).bit_length()
     half = 16 * (L // 2 + 1)
-    need = 24 * (3 * N + 1) + half // 2 + 32 * dec1.subset.size + half + 8 * L
+    need = 24 * M * D + half // 2 + 32 * dec1.subset.size + half + 8 * L
     monkeypatch.setattr(expsums, "_physical_memory", lambda: need - 1)
     with pytest.raises(CapacityError, match="physical memory"):
         _triple_counts(dec1.bohr)
     monkeypatch.setattr(expsums, "_physical_memory", lambda: need)
-    assert _triple_counts(dec1.bohr).shape == (3 * N + 1,)
+    assert _triple_counts(dec1.bohr)[1].shape == (M * D,)
 
 
 def test_triple_counts_off_the_integers_are_refused(dec1, monkeypatch):
