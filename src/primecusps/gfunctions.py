@@ -53,18 +53,21 @@ def g_sifted(ctx: PrimeContext, d, y, z0) -> Fraction:
     d is an int or a tuple of factors, struck one at a time (d * tau may
     pass the table limit).  The sum up to m = floor(y) starts from the
     nearest exact checkpoint at or below m, kept on ctx per set of struck
-    primes.  It is extended block by block to the last multiple of BLOCK
-    at or below m, storing every block boundary, and then by the tail up to
-    m, which is stored too.  Each block is summed once per set of struck
-    primes, and a query sums at most one partial block afresh."""
+    primes.  A struck prime above m divides no ell <= m, so the set holds
+    only the struck primes in [z0, m]: queries whose extra primes all
+    exceed their m extend one shared chain.  It is extended block by block
+    to the last multiple of BLOCK at or below m, storing every block
+    boundary, and then by the tail up to m, which is stored too.  Each
+    block is summed once per set of struck primes, and a query sums at
+    most one partial block afresh."""
     factors = d if isinstance(d, tuple) else (d,)
     if any(f < 1 for f in factors):
         raise ValueError("d must be >= 1")
     m = _floor(y)
     if m < 1:
         return Fraction(0)
-    # the struck primes: those below z0 (by count) and those of d above it
-    extra = tuple(sorted({p for f in factors for p in ctx.prime_factors(f) if p >= z0}))
+    # the struck primes: those below z0 (by count) and those of d in [z0, m]
+    extra = tuple(sorted({p for f in factors for p in ctx.prime_factors(f) if z0 <= p <= m}))
     key = (len(ctx.primes_below(z0)), extra)
     m0, g = ctx.checkpoint_below(key, m)
     while m0 < m:

@@ -20,6 +20,12 @@ wq_bound_report re-checks the pointwise w_q estimates where their
 hypotheses hold.  beta_fourier_many swaps the sums by Kluyver's formula
 c_q(n) = sum_{d | (q, n)} d mu(q/d) into beta(n) = sum_{d | n} W_d, so it
 evaluates no Ramanujan sum.
+
+Every key of a table divides the lcm L of its keys, so d | n exactly when
+d | gcd(n, L), and each side of beta depends on n only through gcd(n, L)
+for its own table: beta_direct through the lambda keys' lcm, and
+beta_fourier_many through the w keys' lcm.  Each side sums once per class
+and maps n to its class, and the two stay independent oracles.
 """
 from __future__ import annotations
 
@@ -55,19 +61,30 @@ class SieveParams:
 @dataclass(frozen=True)
 class SieveWeights:
     """The lambda_d and w_q tables; lam_num holds the integers
-    lambda_d * lam_den over the lambdas' common denominator lam_den."""
+    lambda_d * lam_den over the lambdas' common denominator lam_den.
+    lam_lcm and w_lcm are the lcms of the lambda and the w keys (Python
+    ints: past 2^63 once the keys' primes run from 2 to 53), and beta_memo
+    holds beta_direct's values by gcd(n, lam_lcm).  The memo is filled by
+    plain dict stores, so threads sharing a table can at worst compute one
+    exact value twice."""
     params: SieveParams
     G_val: Fraction
     lam: dict[int, Fraction]
     w: dict[int, Fraction]
     lam_den: int = field(init=False, repr=False, compare=False)
     lam_num: dict[int, int] = field(init=False, repr=False, compare=False)
+    lam_lcm: int = field(init=False, repr=False, compare=False)
+    w_lcm: int = field(init=False, repr=False, compare=False)
+    beta_memo: dict[int, Fraction] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         den = math.lcm(*(lam.denominator for lam in self.lam.values()))
         object.__setattr__(self, "lam_den", den)
         object.__setattr__(self, "lam_num", {
             d: lam.numerator * (den // lam.denominator) for d, lam in self.lam.items()})
+        object.__setattr__(self, "lam_lcm", math.lcm(*self.lam))
+        object.__setattr__(self, "w_lcm", math.lcm(*self.w))
+        object.__setattr__(self, "beta_memo", {})
 
 
 def _key_products(primes: list[int], bound) -> list[tuple[int, int, int]]:
@@ -123,12 +140,18 @@ def build_weights(ctx: PrimeContext, params: SieveParams) -> SieveWeights:
 
 def beta_direct(ctx: PrimeContext, weights: SieveWeights, n: int) -> Fraction:
     """(sum_{d|n} lambda_d)^2, the defining square, over the stored keys d,
-    summed in integers over the common denominator."""
+    summed in integers over the common denominator.  The keys dividing n
+    are those dividing g = gcd(n, lam_lcm), so the value is read from the
+    table's memo at g, and the scan over the keys runs once per g."""
     if n < 1:
         raise ValueError(f"n={n} must be >= 1")
-    a = sum(num for d, num in weights.lam_num.items() if n % d == 0)
-    den = weights.lam_den
-    return Fraction(a * a, den * den)
+    g = math.gcd(n, weights.lam_lcm)
+    beta = weights.beta_memo.get(g)
+    if beta is None:
+        a = sum(num for d, num in weights.lam_num.items() if g % d == 0)
+        den = weights.lam_den
+        beta = weights.beta_memo[g] = Fraction(a * a, den * den)
+    return beta
 
 
 def _kluyver_numerators(ctx: PrimeContext, weights: SieveWeights) -> tuple[dict[int, int], int]:
@@ -160,17 +183,22 @@ def beta_fourier_many(ctx: PrimeContext, weights: SieveWeights,
                       ns) -> list[Fraction]:
     """sum_q w_q c_q(n) over the stored keys for each n, swapped by
     Kluyver's formula into beta(n) = sum_{d | n} W_d: each nonzero W_d is
-    added to the n divisible by d, over one common denominator.  The key set
-    must be closed under divisors (ValueError otherwise); equals beta_direct
+    added to the classes g = gcd(n, w_lcm) divisible by d, over one common
+    denominator, and each n takes its class's Fraction.  The key set must
+    be closed under divisors (ValueError otherwise); equals beta_direct
     exactly, and no Ramanujan sum is evaluated."""
-    ns = np.asarray(list(ns), dtype=np.int64)
-    if ns.size and ns.min() < 1:
-        raise ValueError(f"n={int(ns.min())} must be >= 1")
+    ns = [int(n) for n in ns]
+    if ns and min(ns) < 1:
+        raise ValueError(f"n={min(ns)} must be >= 1")
     W, den = _kluyver_numerators(ctx, weights)
-    total = np.zeros(ns.size, dtype=object)
+    # g <= n, so the classes fit the int64 that n does
+    classes, at = np.unique(np.array([math.gcd(n, weights.w_lcm) for n in ns],
+                                     dtype=np.int64), return_inverse=True)
+    total = np.zeros(classes.size, dtype=object)
     for d, wd in W.items():
-        total[np.flatnonzero(ns % d == 0)] += wd
-    return [Fraction(s, den) for s in total.tolist()]
+        total[np.flatnonzero(classes % d == 0)] += wd
+    values = [Fraction(s, den) for s in total.tolist()]
+    return [values[i] for i in at.tolist()]
 
 
 # -- pointwise w_q estimates ---------------------------------------------

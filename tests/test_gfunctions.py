@@ -37,8 +37,9 @@ def test_g_small_values(ctx):
 
 
 #: (d, z0) keys and query points of the checkpoint tests: ints, fractions
-#: and floats, below 1, repeated, in no particular order
-CHECKPOINT_KEYS = ((1, 2), (5, 3), (35, 7), ((5, 7), 3))
+#: and floats, below 1, repeated, in no particular order.  The last key's
+#: struck primes lie on both sides of most queries
+CHECKPOINT_KEYS = ((1, 2), (5, 3), (35, 7), ((5, 7), 3), ((5, 1009, 2999), 3))
 CHECKPOINT_YS = (0.5, Fraction(1, 2), 1, 2, 3.7, Fraction(7, 2), 10, 97, 100,
                  Fraction(2001, 2), 1000, 2500.5, 2999, 3000)
 
@@ -145,6 +146,33 @@ def test_g_checkpoints_bound_the_work(monkeypatch):
         g_value(ctx, 1, m)
     assert max(spans) <= BLOCK
     assert sum(spans) <= max(ms) + len(ms) * BLOCK
+
+
+def test_g_shares_the_chain_of_primes_above_the_query(monkeypatch):
+    # G_{(q, tau)}(y; z0) with every prime of q above y is the exact sum of
+    # tau's chain; once that chain reaches y, no such query sums a segment
+    ctx = build_context(3000)
+    tau, z0, top = 7, 3, 2990
+    reference = {q: _brute_prefix((*q, tau), z0, top)
+                 for q in ((), (2999,), (1511,), (1511, 2003))}
+    spans = []
+    real = ctx.sifted_mask
+
+    def counted(n, z0=2, primes=(), start=0):
+        spans.append(n + 1 - start)
+        return real(n, z0, primes, start)
+    monkeypatch.setattr(ctx, "sifted_mask", counted)
+    for y in (1, 10, Fraction(2001, 2), 1510.5, 1510, top):
+        m = math.floor(y)
+        assert g_sifted(ctx, tau, y, z0) == reference[()][m]
+        spans.clear()
+        for q in ((2999,), (1511,), (1511, 2003)):
+            if all(p > y for p in q):
+                assert g_sifted(ctx, (*q, tau), y, z0) == reference[q][m] == reference[()][m]
+        assert spans == [], y
+    # a struck prime at or below y strikes its multiples: a chain of its own
+    assert g_sifted(ctx, (1511, tau), top, z0) == reference[(1511,)][top]
+    assert spans and max(spans) <= BLOCK
 
 
 def test_g_reads_tables_only_up_to_its_query():

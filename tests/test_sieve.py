@@ -4,6 +4,8 @@ import os
 import random
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -116,6 +118,78 @@ def test_beta_fourier_many_matches_scalar_past_the_table(ctx):
     ns = [4999, 2 * 4999, 3 * 4999, 21 * 4999, 3 * 7 * 11 * 13 * 17, 29 * 31 * 37]
     ns += random.Random(1).sample(range(1, ctx.limit + 1), 30)
     _fourier_cross_check(ctx, weights, ns)
+
+
+def test_beta_fourier_many_matches_scalar_past_int64_lcm(ctx):
+    # the keys' primes run to 73, so both lcms pass 2^63
+    weights = build_weights(ctx, SieveParams(2, 75, 1))
+    assert min(weights.lam_lcm, weights.w_lcm) > 2**63
+    ns = [1, 2**16, 3**10, 73, 79 * 83, 2 * 3 * 5 * 7 * 11 * 13 * 17, ctx.limit]
+    ns += random.Random(2).sample(range(1, ctx.limit + 1), 16)
+    _fourier_cross_check(ctx, weights, ns)
+
+
+def _beta_scan(weights, n):
+    # beta_direct before its memo: every lambda key tested against n itself
+    a = sum(num for d, num in weights.lam_num.items() if n % d == 0)
+    return Fraction(a * a, weights.lam_den ** 2)
+
+
+#: tables of the memo tests; the lcm of (2, 75, 1)'s keys passes 2^63
+MEMO_TABLES = ((3, 30, 5), (3, 50, 4999), (2, 75, 1))
+
+
+@pytest.mark.parametrize("params", MEMO_TABLES)
+def test_beta_direct_by_gcd_class_matches_the_scan(ctx, params):
+    weights = build_weights(ctx, SieveParams(*params))
+    primes = [int(p) for p in ctx.primes_between(2, 80)]
+    ns = list(range(1, 2001))
+    ns += [p ** k for p in primes for k in range(1, 8)]
+    # struck primes (tau's, and those below z0) beside the sieving ones
+    ns += [params[2] * k for k in range(1, 60)] + [2 * 3 * 5 * 4999 * 73]
+    # past the table, past int64, and the lcm itself and its multiples
+    L = weights.lam_lcm
+    ns += [ctx.limit + 1, 10**12 + 39, 2**70 * 3**5, L, 7 * L, L * L + 1, L // 2 + 1]
+    for n in ns:
+        assert beta_direct(ctx, weights, n) == _beta_scan(weights, n), (params, n)
+    # the memo holds one value per class, each the scan at its class
+    assert set(weights.beta_memo) == {math.gcd(n, L) for n in ns}
+    for g, beta in weights.beta_memo.items():
+        assert beta == _beta_scan(weights, g)
+    fine = [n for n in ns if n < 2**63]
+    assert beta_fourier_many(ctx, weights, fine) == [_beta_scan(weights, n) for n in fine]
+
+
+def test_beta_memo_shared_across_threads(ctx):
+    # threads in different orders on one shared table, switching as often
+    # as the interpreter allows: each gets the serial values, and a race can
+    # only store the same exact value twice
+    built = build_weights(ctx, SieveParams(3, 50, 4999))
+    ns = list(range(1, 1501)) + [4999 * k for k in range(1, 40)]
+    expected = [_beta_scan(built, n) for n in ns]
+    orders = [list(range(len(ns))), list(range(len(ns)))[::-1]]
+    for seed in (1, 2):
+        orders.append(random.Random(seed).sample(orders[0], len(ns)))
+
+    def worker(shared, barrier, order):
+        barrier.wait(timeout=60)
+        return {i: beta_direct(ctx, shared, ns[i]) for i in order}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(4):
+            shared = SieveWeights(built.params, built.G_val, built.lam, built.w)
+            barrier = threading.Barrier(len(orders))
+            with ThreadPoolExecutor(max_workers=len(orders)) as pool:
+                futures = [pool.submit(worker, shared, barrier, order) for order in orders]
+                results = [f.result(timeout=120) for f in futures]
+            for got in results:
+                assert [got[i] for i in range(len(ns))] == expected
+            for g, beta in shared.beta_memo.items():
+                assert beta == _beta_scan(built, g)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_beta_fourier_many_needs_divisor_closed_keys(ctx, w350):
