@@ -1,14 +1,16 @@
 """Arithmetic substrate: prime tables, multiplicative functions, Ramanujan
 sums, primorials, Farey fractions, and well-spaced point extraction.
 
-Everything downstream runs over a PrimeContext: the primes and the
-smallest-prime-factor table, sieved once up to a fixed limit.  Mobius and
-Euler-phi values of single integers are recovered by factoring through the
-smallest-prime-factor table; the scalar ramanujan_sum is built on them by
-von Sterneck's formula and stays the oracle.  Vector paths instead read
-whole arrays: the sifted mask (no prime factor below z0 nor among given
-primes) from sifted_mask, and the Euler-phi and squarefree tables, each
-grown up to the largest index asked.  The context also keeps a
+Everything downstream runs over a PrimeContext: the primes up to its limit,
+found once by a segmented sieve of Eratosthenes, and tables that grow up to
+the largest index a query asks.  The smallest-prime-factor table is one of
+them, so a caller that reads only primes, as the cusp path does, never
+holds one.  Mobius and Euler-phi values of single integers are recovered by
+factoring through the smallest-prime-factor table; the scalar
+ramanujan_sum is built on them by von Sterneck's formula and stays the
+oracle.  Vector paths instead read whole arrays: the sifted mask (no prime
+factor below z0 nor among given primes) from sifted_mask, and the
+Euler-phi and squarefree tables.  The context also keeps a
 lock-guarded store of exact prefix checkpoints, which gfunctions.g_sifted
 extends block by block instead of re-summing from 1.
 """
@@ -16,6 +18,7 @@ extends block by block instead of re-summing from 1.
 from __future__ import annotations
 
 import bisect
+import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,7 +28,11 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-DEFAULT_LIMIT_CAP = 200_000_000
+DEFAULT_LIMIT_CAP = 200_000_000  # below 2^31, so the spf table is int32
+
+# integers struck at a time by build_context's segmented sieve; the primes
+# up to sqrt(DEFAULT_LIMIT_CAP) lie in the first segment
+SIEVE_SEGMENT = 1 << 20
 
 
 class CapacityError(ValueError):
@@ -52,19 +59,20 @@ def circle_distance(x: float, y: float) -> float:
 
 
 class PrimeContext:
-    """Primality and smallest-prime-factor tables up to `limit`.
+    """The primes up to `limit`, and tables over [0, limit] grown on demand.
 
-    The sieve tables are fixed at construction.  The Euler-phi and
-    squarefree tables grow from the smallest-prime-factor table as queries
-    pass them; two threads racing to grow one each keep a correct table,
-    so either result may be kept.  The checkpoint store is mutated only
-    under the context's lock.  A context is safe to share across threads.
+    `primes` is fixed at construction.  The smallest-prime-factor table
+    grows as queries pass it, one appended segment struck by the primes
+    already held; the Euler-phi and squarefree tables grow from it.  Two
+    threads racing to grow a table each keep a correct one, so either
+    result may be kept.  The checkpoint store is mutated only under the
+    context's lock.  A context is safe to share across threads.
     """
 
-    def __init__(self, limit: int, spf: np.ndarray, primes: np.ndarray):
+    def __init__(self, limit: int, primes: np.ndarray):
         self.limit = limit
-        self._spf = spf
         self.primes = primes
+        self._spf = np.zeros(2, dtype=np.int32)  # over [0, 1]: no prime factor
         self._phi_table = np.array([0, 1], dtype=np.int64)  # over [0, 1]
         self._squarefree_mask = np.array([False, True])
         self._checkpoints: dict = {}
@@ -82,14 +90,15 @@ class PrimeContext:
         n = self._check_range(n)
         if n == 1:
             raise ValueError("1 has no prime factor")
-        return int(self._spf[n])
+        return int(self._spf_table(n)[n])
 
     def factorize(self, n: int) -> list[tuple[int, int]]:
         """Prime factorization [(p, e), ...] with p ascending."""
         n = self._check_range(n)
+        spf = self._spf_table(n)
         out = []
         while n > 1:
-            p = int(self._spf[n])
+            p = int(spf[n])
             e = 0
             while n % p == 0:
                 n //= p
@@ -169,38 +178,67 @@ class PrimeContext:
             mask[0] = False
         if z0 > 2:
             lo = max(start, 2)
-            mask[lo - start :] = self._spf[lo : n + 1] >= z0
+            mask[lo - start :] = self._spf_table(n)[lo : n + 1] >= z0
         for p in primes:
             mask[-start % p :: p] = False
         return mask
 
     def _grown(self, name: str, n: int, extend) -> np.ndarray:
-        """The table kept as `name` over [0, n], grown once a query passes
-        it to at least twice its length (at most the limit), so no table
-        outgrows twice the largest index asked.  It grows by doubling
-        steps: each m >= 2 of a step has m/p, p = spf(m), in the table
-        already, and extend(table[m/p], p | m/p, p) gives the entries."""
+        """The table kept as `name`, over [0, n] at least.  Once a query
+        passes it, extend(table, size) grows it to at least twice its
+        length (at most the limit), so no table outgrows twice the largest
+        index asked."""
         if n > self.limit:
             raise CapacityError(f"n={n} exceeds prime table limit {self.limit}")
         table = getattr(self, name)
         if len(table) <= n:
-            size = min(self.limit + 1, max(n + 1, 2 * len(table)))
+            table = extend(table, min(self.limit + 1, max(n + 1, 2 * len(table))))
+            setattr(self, name, table)
+        return table
+
+    def _spf_table(self, n: int) -> np.ndarray:
+        """Smallest prime factors over [0, n] at least (0 at 0 and 1)."""
+        return self._grown("_spf", n, self._sieve_spf)
+
+    def _sieve_spf(self, table: np.ndarray, size: int) -> np.ndarray:
+        """table over [0, size): the new segment [len(table), size) is
+        struck by the primes p <= sqrt(size - 1), largest first, each from
+        its first multiple at or above max(p^2, len(table)), so the
+        smallest prime factor of each composite is written last; what is
+        left unstruck are the primes of the segment, which are their own."""
+        lo = len(table)
+        out = np.empty(size, dtype=np.int32)
+        out[:lo] = table
+        seg = out[lo:]
+        for p in self.primes_below(math.isqrt(size - 1) + 1)[::-1].tolist():
+            seg[max(p * p, lo + -lo % p) - lo :: p] = p
+        own = self.primes_between(lo, size - 1)
+        seg[own - lo] = own
+        return out
+
+    def _by_spf(self, rule):
+        """extend for _grown of a table built by doubling steps: each
+        m >= 2 of a step has m/p, p = spf(m), in the table already, and
+        rule(table[m/p], p | m/p, p) gives the entries."""
+        def extend(table: np.ndarray, size: int) -> np.ndarray:
+            spf = self._spf_table(size - 1)
             while len(table) < size:
                 m = np.arange(len(table), min(size, 2 * len(table)))
-                p = self._spf[m]
+                p = spf[m]
                 rest = m // p
-                table = np.concatenate((table, extend(table[rest], rest % p == 0, p)))
-            setattr(self, name, table)
-        return table[: n + 1]
+                table = np.concatenate((table, rule(table[rest], rest % p == 0, p)))
+            return table
+        return extend
 
     def phi_table(self, n: int) -> np.ndarray:
         """Euler phi over [0, n]."""
-        return self._grown("_phi_table", n,
-                           lambda phi, square, p: phi * np.where(square, p, p - 1))
+        return self._grown("_phi_table", n, self._by_spf(
+            lambda phi, square, p: phi * np.where(square, p, p - 1)))[: n + 1]
 
     def squarefree_mask(self, n: int) -> np.ndarray:
         """Bool array over [0, n]: True at the squarefree m >= 1."""
-        return self._grown("_squarefree_mask", n, lambda free, square, p: free & ~square)
+        return self._grown("_squarefree_mask", n, self._by_spf(
+            lambda free, square, p: free & ~square))[: n + 1]
 
     # -- exact prefix checkpoints (filled by gfunctions.g_sifted) ----------
 
@@ -222,23 +260,42 @@ class PrimeContext:
 
 
 def build_context(limit: int) -> PrimeContext:
-    """Sieve smallest prime factors up to `limit` and wrap them in a context."""
+    """The primes up to `limit`, by a segmented sieve of Eratosthenes, in a
+    context.  The primes up to sqrt(limit) come from a plain sieve and
+    strike each segment of SIEVE_SEGMENT integers in turn; each segment's
+    survivors go into one int64 array sized by pi(x) < 1.25506 x / log x
+    for x > 1 (Rosser and Schoenfeld, 1962), trimmed in place at the end.
+    So the sieve holds that array and one segment, and no table over the
+    limit."""
     if limit < 2:
         raise ValueError(f"limit={limit} must be >= 2")
     if limit > DEFAULT_LIMIT_CAP:
         raise CapacityError(f"limit={limit} exceeds cap={DEFAULT_LIMIT_CAP}")
-    dtype = np.int32 if limit < 2**31 else np.int64
-    spf = np.zeros(limit + 1, dtype=dtype)
-    for p in range(2, int(limit**0.5) + 1):
-        if spf[p] == 0:
-            spf[p] = p
-            sl = spf[p * p :: p]
-            sl[sl == 0] = p
-    rest = np.flatnonzero(spf[2:] == 0) + 2
-    spf[rest] = rest
-    primes = np.flatnonzero(spf == np.arange(limit + 1, dtype=dtype)).astype(np.int64)
-    primes = primes[primes >= 2]
-    return PrimeContext(limit, spf, primes)
+    root = math.isqrt(limit)
+    small = np.ones(root + 1, dtype=bool)
+    small[:2] = False
+    for p in range(2, math.isqrt(root) + 1):
+        if small[p]:
+            small[p * p :: p] = False
+    small = np.flatnonzero(small).tolist()
+    primes = np.empty(int(1.25506 * limit / math.log(limit)) + 1, dtype=np.int64)
+    count = 0
+    for lo in range(0, limit + 1, SIEVE_SEGMENT):
+        seg = np.ones(min(SIEVE_SEGMENT, limit + 1 - lo), dtype=bool)
+        top = lo + len(seg) - 1
+        for p in small:
+            if p * p > top:
+                break
+            seg[max(p * p, lo + -lo % p) - lo :: p] = False
+        if lo == 0:
+            seg[:2] = False
+        found = np.flatnonzero(seg)
+        found += lo
+        primes[count : count + len(found)] = found
+        count += len(found)
+    # no view of primes exists, so it shrinks in place
+    primes.resize(count, refcheck=False)
+    return PrimeContext(limit, primes)
 
 
 def farey_pairs(Q: int) -> Iterator[tuple[int, int]]:

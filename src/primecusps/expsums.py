@@ -485,10 +485,12 @@ def grid_blocks(points: np.ndarray, weights, length: int, G: int):
         del sums
         slots = (points >> h) % n
         # a stretch of points within one period [a L, (a + 1) L),
-        # at most PLACE_CHUNK of them, lands on distinct slots
-        bounds = np.union1d(np.searchsorted(points, np.arange(L, length, L)),
-                            np.r_[0 : len(points) : PLACE_CHUNK, len(points)]).tolist()
-        stretches = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        # at most PLACE_CHUNK of them, lands on distinct slots; a bound
+        # found twice gives an empty stretch, which is skipped
+        bounds = np.sort(np.concatenate((
+            np.searchsorted(points, np.arange(L, length, L)),
+            np.r_[0 : len(points) : PLACE_CHUNK, len(points)]))).tolist()
+        stretches = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
         # e(m/G) = e(m_hi 2^b/G) e(m_lo/G), each table at exact phases
         low = _phases(np.arange(1 << b), G)
         lo_mask = (1 << b) - 1

@@ -1,12 +1,17 @@
 """Prime-table, multiplicative-function, and circle-geometry basics."""
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from primecusps import expsums
 from primecusps.arith import (
+    SIEVE_SEGMENT,
     CapacityError,
     PrimeContext,
     WeightedPoint,
@@ -38,6 +43,107 @@ def naive_mobius(n):
     if m > 1:
         res = -res
     return res
+
+
+def eratosthenes(n):
+    """The primes up to n by a plain sieve over [0, n]."""
+    prime = np.ones(n + 1, dtype=bool)
+    prime[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if prime[p]:
+            prime[p * p :: p] = False
+    return np.flatnonzero(prime)
+
+
+def dense_spf(n):
+    """Smallest prime factors over [0, n] (0 at 0 and 1), sieved in one go."""
+    spf = np.zeros(n + 1, dtype=np.int32)
+    for p in range(2, math.isqrt(n) + 1):
+        if spf[p] == 0:
+            spf[p] = p
+            multiples = spf[p * p :: p]
+            multiples[multiples == 0] = p
+    rest = np.flatnonzero(spf[2:] == 0) + 2
+    spf[rest] = rest
+    return spf
+
+
+def test_segmented_primes_match_eratosthenes():
+    # small limits around prime squares, a segment's length and its
+    # neighbours, and a limit just past the square of the prime whose
+    # square lies nearest above a segment edge: it is struck from p^2
+    # there, not from the segment's start
+    S = SIEVE_SEGMENT
+    p = min((q for q in eratosthenes(2 * math.isqrt(S)).tolist() if q * q > S),
+            key=lambda q: q * q % S)
+    for n in (2, 3, 4, 24, 25, 26, 121, S - 1, S, S + 1, p * p, p * p + 1):
+        primes = build_context(n).primes
+        assert primes.dtype == np.int64
+        assert np.array_equal(primes, eratosthenes(n)), n
+
+
+def test_spf_table_grows_to_the_query():
+    # a fresh context holds no spf table over its limit: each query grows
+    # it to the index asked, to at most twice that and never past the
+    # limit, and a table grown in steps is the one sieved in one go
+    limit = 100_000
+    grown, whole = build_context(limit), build_context(limit)
+    assert len(grown._spf) == 2
+    for n in (10, 97, 3000, 3001, 40_000, limit - 1):
+        assert grown.spf(n) == dense_spf(n)[n]
+        assert n < len(grown._spf) <= min(2 * n + 1, limit + 1)
+    assert grown.factorize(limit) == [(2, 5), (5, 5)]
+    assert len(grown._spf) == limit + 1
+    whole.sifted_mask(limit, 3)
+    assert np.array_equal(grown._spf, dense_spf(limit))
+    assert np.array_equal(whole._spf, dense_spf(limit))
+    with pytest.raises(ValueError):
+        grown.spf(limit + 1)
+    with pytest.raises(CapacityError):
+        grown.sifted_mask(limit + 1, 3)
+
+
+def test_spectrum_leaves_the_spf_table_unbuilt():
+    ctx = build_context(100_000)
+    expsums.spectrum(expsums.subset_full(ctx, 100_000), 4)
+    assert len(ctx._spf) == 2
+
+
+def test_spf_table_race_keeps_factorizations():
+    # threads growing one context's table at once each factor correctly,
+    # whichever grown table is kept
+    limit = 60_000
+    spf = dense_spf(limit)
+    ns = [n for k in range(1, 16) for n in (2**k + 1, 3 * 2**k - 1) if n <= limit]
+
+    def reference(n):
+        out = []
+        while n > 1:
+            p, e = int(spf[n]), 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out.append((p, e))
+        return out
+
+    expected = [reference(n) for n in ns]
+
+    def worker(shared, barrier, order):
+        barrier.wait(timeout=60)
+        return [shared.factorize(n) for n in order]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(8):
+            shared = build_context(limit)
+            barrier = threading.Barrier(6)
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [pool.submit(worker, shared, barrier, ns) for _ in range(6)]
+                results = [f.result(timeout=120) for f in futures]
+            assert all(got == expected for got in results)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_factorize_and_tables(ctx):
